@@ -15,15 +15,10 @@ from typing import Iterable
 
 import yaml
 
-from .controller import ControllerParams
+from .controller import ControllerParams, stagger_params
 from .dynamics import FirstOrderFilter
 from .errors import InvalidEvent, InvalidParams, ParseError, ValidationError
-from .linsolve import (
-    LinearTrackingProblem,
-    LinsolveRecord,
-    builtin_problem,
-    stagger_params,
-)
+from .linsolve import LinearTrackingProblem, LinsolveRecord, builtin_problem
 from .network import Edge, FeedforwardNet, TrainingSample, default_topology
 from .trainer import Scenario, ScenarioEvent, TraceRecord, builtin_scenarios
 

@@ -19,12 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivergenceError, InvalidParams
+from .errors import DivergenceError, InvalidParams, ValidationError
 
-__all__ = ["ControllerParams", "ControllerState", "controller_new", "controller_step"]
+__all__ = [
+    "ControllerParams", "ControllerState", "controller_new", "controller_step",
+    "decay", "divergence", "law", "stagger_params",
+]
 
 #: Allowed values for ControllerParams.init_decay.
 DECAY_MODES = ("time", "index")
+
+DEFAULT_DT = 1e-5  # simulation step of the built-in runs, in seconds
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,6 +93,20 @@ def controller_new(params: ControllerParams, psi0: float = 0.0, y0: float = 0.0)
     return ControllerState(psi=psi0, integral=0.0, k=0, last_y=y0)
 
 
+def decay(k_beta: float, k: int, dt: float, by_time: bool) -> float:
+    """Initialization decay of step ``k`` (see ControllerParams.init_decay);
+    controllers with equal arguments can share one value."""
+    return math.exp(-k_beta * (k * dt if by_time else k))
+
+
+def law(psi, integral, d, kp, ki, k_alpha, dt, y_ref, y_meas) -> tuple[float, float, float]:
+    """(psi, integral, u) after one step of the law on plain floats, ``d``
+    being the step's ``decay``; u is non-finite if psi or the integral is."""
+    psi = psi + kp * (k_alpha * d - y_meas)
+    integral = integral + ki * (y_ref - y_meas) * dt
+    return psi, integral, psi * integral
+
+
 def controller_step(
     state: ControllerState,
     params: ControllerParams,
@@ -101,16 +120,41 @@ def controller_step(
     series, the integral, or the control goes non-finite.
     """
     k = state.k + 1
-    if params.init_decay == "time":
-        decay = math.exp(-params.k_beta * (k * params.dt))
-    else:
-        decay = math.exp(-params.k_beta * k)
-    psi = state.psi + params.kp * (params.k_alpha * decay - y_meas)
-    integral = state.integral + params.ki * (y_ref - y_meas) * params.dt
-    u = psi * integral
-    if not (math.isfinite(psi) and math.isfinite(integral) and math.isfinite(u)):
-        raise DivergenceError(
-            f"controller state became non-finite: psi={psi}, integral={integral}, u={u}",
-            iteration=k,
-        )
+    p = params
+    d = decay(p.k_beta, k, p.dt, p.init_decay == "time")
+    psi, integral, u = law(state.psi, state.integral, d, p.kp, p.ki, p.k_alpha, p.dt, y_ref, y_meas)
+    if not math.isfinite(u):
+        raise divergence(k, psi, integral, u)
     return ControllerState(psi=psi, integral=integral, k=k, last_y=y_meas), u
+
+
+def divergence(iteration, psi, integral, u, x=math.nan, who="") -> DivergenceError:
+    """The error for a non-finite law step (``u``), else RK4 step (``x``)."""
+    if math.isfinite(u):
+        what = f"filter state became non-finite: {x}"
+    else:
+        what = f"controller state became non-finite: psi={psi}, integral={integral}, u={u}"
+    return DivergenceError(who + what, iteration=iteration)
+
+
+def stagger_params(base: ControllerParams, n: int, rho: float) -> list[ControllerParams]:
+    """Geometrically staggered gain sets: kp and ki shrink by rho per index.
+
+    k_alpha and k_beta are shared by all instances; rho = 1 degenerates to
+    n identical copies of the base gains.
+    """
+    if n < 1:
+        raise ValidationError(f"need at least one controller, got n={n}")
+    if not (0.0 < rho <= 1.0):
+        raise ValidationError(f"stagger ratio must be in (0, 1], got {rho}")
+    return [
+        ControllerParams(
+            kp=base.kp * rho**j,
+            ki=base.ki * rho**j,
+            k_alpha=base.k_alpha,
+            k_beta=base.k_beta,
+            dt=base.dt,
+            init_decay=base.init_decay,
+        )
+        for j in range(n)
+    ]

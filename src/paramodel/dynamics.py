@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, InvalidParams
 
-__all__ = ["FirstOrderFilter", "filter_step"]
+__all__ = ["FirstOrderFilter", "filter_step", "rk4"]
+
+DEFAULT_TAU = 1e-5  # filter time constant of the built-in runs, in seconds
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,17 +34,21 @@ class FirstOrderFilter:
             raise InvalidParams(f"tau must be a finite positive time constant, got {self.tau}")
 
 
-def filter_step(filt: FirstOrderFilter, u: float, dt: float) -> FirstOrderFilter:
-    """One classical RK4 step of x' = (u - x)/tau with constant input u."""
-    if not dt > 0.0:
-        raise InvalidParams(f"dt must be positive, got {dt}")
-    tau = filt.tau
-    x = filt.state
+def rk4(x: float, u: float, tau: float, dt: float) -> float:
+    """One classical RK4 step of x' = (u - x)/tau with constant input u.
+    A non-finite u makes the result non-finite (inf - inf in stage two)."""
     k1 = (u - x) / tau
     k2 = (u - (x + 0.5 * dt * k1)) / tau
     k3 = (u - (x + 0.5 * dt * k2)) / tau
     k4 = (u - (x + dt * k3)) / tau
-    x_new = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+def filter_step(filt: FirstOrderFilter, u: float, dt: float) -> FirstOrderFilter:
+    """One classical RK4 step of x' = (u - x)/tau with constant input u."""
+    if not dt > 0.0:
+        raise InvalidParams(f"dt must be positive, got {dt}")
+    x_new = rk4(filt.state, u, filt.tau, dt)
     if not math.isfinite(x_new):
         raise DivergenceError(f"filter state became non-finite: {x_new}")
-    return FirstOrderFilter(tau=tau, state=x_new)
+    return FirstOrderFilter(tau=filt.tau, state=x_new)

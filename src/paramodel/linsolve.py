@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .controller import ControllerParams, ControllerState, controller_new, controller_step
-from .dynamics import FirstOrderFilter, filter_step
+from .controller import DEFAULT_DT, ControllerParams, decay, divergence, law, stagger_params
+from .dynamics import DEFAULT_TAU, FirstOrderFilter, rk4
 from .errors import DivergenceError, ValidationError
 
 __all__ = [
@@ -27,9 +27,6 @@ __all__ = [
     "solve_linear",
     "stagger_params",
 ]
-
-DEFAULT_DT = 1e-5
-DEFAULT_TAU = 1e-5
 
 # 3x3 demo system used by the built-in "linsolve3" run.
 DEMO_A = ((3.0, 0.5, 8.0), (4.0, 7.0, 4.5), (1.0, 9.0, 3.0))
@@ -74,29 +71,6 @@ class LinsolveRecord:
     x: tuple[float, ...]
 
 
-def stagger_params(base: ControllerParams, n: int, rho: float) -> list[ControllerParams]:
-    """Geometrically staggered gain sets: kp and ki shrink by rho per index.
-
-    k_alpha and k_beta are shared by all instances; rho = 1 degenerates to
-    n identical copies of the base gains.
-    """
-    if n < 1:
-        raise ValidationError(f"need at least one controller, got n={n}")
-    if not (0.0 < rho <= 1.0):
-        raise ValidationError(f"stagger ratio must be in (0, 1], got {rho}")
-    return [
-        ControllerParams(
-            kp=base.kp * rho**j,
-            ki=base.ki * rho**j,
-            k_alpha=base.k_alpha,
-            k_beta=base.k_beta,
-            dt=base.dt,
-            init_decay=base.init_decay,
-        )
-        for j in range(n)
-    ]
-
-
 def matvec(a, x) -> tuple[float, ...]:
     """Row-major dense product A x (kept as the single product path so the
     recorded y and any recomputation agree bit-exactly)."""
@@ -110,26 +84,39 @@ def solve_linear(
 
     Iteration k measures y from the previous x, steps every controller
     against (b_j, y_j) synchronously, filters the raw controls into the
-    new x, and records the pair (x_k, y_k = A x_k).  Raises
-    DivergenceError with the iteration index if any value goes non-finite.
+    new x, and records the pair (x_k, y_k = A x_k).  Raises DivergenceError
+    with k (and the unknown, for a step) if any value goes non-finite.
     """
-    n = len(problem.b)
-    states: list[ControllerState] = [controller_new(p) for p in problem.controllers]
-    filters = list(problem.filters)
-    x = [f.state for f in filters]
+    b = problem.b
+    n = len(b)
+    ctrl = problem.controllers
+    kps = [p.kp for p in ctrl]
+    kis = [p.ki for p in ctrl]
+    k_alphas = [p.k_alpha for p in ctrl]
+    dts = [p.dt for p in ctrl]
+    taus = [f.tau for f in problem.filters]
+    # one decay per iteration for each distinct (k_beta, dt, init_decay)
+    keys = [(p.k_beta, p.dt, p.init_decay == "time") for p in ctrl]
+    decay_keys = list(dict.fromkeys(keys))
+    slots = [decay_keys.index(key) for key in keys]
+    psis = [0.0] * n
+    integrals = [0.0] * n
+    x = [f.state for f in problem.filters]
     y = matvec(problem.a, x)
     x_trace: list[tuple[float, ...]] = []
     y_trace: list[tuple[float, ...]] = []
     for k in range(1, problem.horizon + 1):
-        try:
-            for j in range(n):
-                states[j], u = controller_step(states[j], problem.controllers[j], problem.b[j], y[j])
-                filters[j] = filter_step(filters[j], u, problem.controllers[j].dt)
-                x[j] = filters[j].state
-        except DivergenceError as err:
-            if err.iteration is None:
-                raise DivergenceError(str(err), iteration=k) from None
-            raise
+        ds = [decay(k_beta, k, dt, by_time) for k_beta, dt, by_time in decay_keys]
+        for j in range(n):
+            psi, integral, u = law(
+                psis[j], integrals[j], ds[slots[j]], kps[j], kis[j], k_alphas[j], dts[j], b[j], y[j]
+            )
+            xj = rk4(x[j], u, taus[j], dts[j])
+            if not math.isfinite(xj):  # covers u too (see rk4)
+                raise divergence(k, psi, integral, u, xj, f"unknown {j}: ")
+            psis[j] = psi
+            integrals[j] = integral
+            x[j] = xj
         y = matvec(problem.a, x)
         if not all(math.isfinite(v) for v in y):
             raise DivergenceError(f"measured output became non-finite: {y}", iteration=k)

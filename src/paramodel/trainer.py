@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .controller import ControllerParams, controller_new, controller_step
-from .dynamics import FirstOrderFilter, filter_step
+from .controller import DEFAULT_DT, ControllerParams, decay, divergence, law, stagger_params
+from .dynamics import DEFAULT_TAU, rk4
 from .errors import DivergenceError, InvalidEvent, ValidationError
-from .linsolve import stagger_params
 from .network import FeedforwardNet, TrainingSample, default_topology, set_mask, set_weight
 
 __all__ = [
@@ -33,9 +32,6 @@ __all__ = [
     "builtin_scenarios",
     "train_online",
 ]
-
-DEFAULT_DT = 1e-5
-DEFAULT_TAU = 1e-5
 
 EVENT_KINDS = ("set_input", "set_reference", "drop_weight", "restore_weight")
 
@@ -187,16 +183,24 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
     """
     net = scenario.net
     q = net.weight_count
-    params = stagger_params(scenario.base_params, q, scenario.stagger_rho)
-    dt = scenario.base_params.dt
+    base = scenario.base_params
+    params = stagger_params(base, q, scenario.stagger_rho)
+    dt, tau, w_max = base.dt, scenario.tau, scenario.w_max
+    # stagger_params gives every controller the base k_alpha, k_beta, dt, init_decay
+    k_alpha, k_beta, by_time = base.k_alpha, base.k_beta, base.init_decay == "time"
+    kps = [p.kp for p in params]
+    kis = [p.ki for p in params]
 
     # working copies: the loop never touches the scenario's own net
-    w = [min(max(v, -scenario.w_max), scenario.w_max) for v in net.weights]
+    w = [min(max(v, -w_max), w_max) for v in net.weights]
     mask = list(net.mask)
     x_train = list(scenario.initial_sample.x)
     y_ref = scenario.initial_sample.y
-    states = [controller_new(p) for p in params]
-    filters = [FirstOrderFilter(tau=scenario.tau, state=w[i]) for i in range(q)]
+    # flat controller and filter state per weight; ks[i] lags k after a drop
+    psis = [0.0] * q
+    integrals = [0.0] * q
+    ks = [0] * q
+    xs = list(w)
     u = [0.0] * q
 
     events = list(scenario.events)
@@ -216,14 +220,12 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
             # re-install the clamped frozen filter state so an immediate
             # drop/restore pair is an exact no-op
             mask[event.index] = True
-            wi = filters[event.index].state
-            w[event.index] = min(max(wi, -scenario.w_max), scenario.w_max)
+            w[event.index] = min(max(xs[event.index], -w_max), w_max)
 
     while ev_pos < len(events) and events[ev_pos].at == 0:
         fire(events[ev_pos])
         ev_pos += 1
 
-    w_max = scenario.w_max
     for k in range(1, scenario.horizon + 1):
         while ev_pos < len(events) and events[ev_pos].at == k:
             fire(events[ev_pos])
@@ -231,22 +233,28 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
         y = net.eval_with(w, mask, x_train)
         if not math.isfinite(y):
             raise DivergenceError(f"network output became non-finite: {y}", iteration=k)
-        try:
-            for i in range(q):
-                if not mask[i]:
-                    continue
-                states[i], u[i] = controller_step(states[i], params[i], y_ref, y)
-                filters[i] = filter_step(filters[i], u[i], dt)
-                wi = filters[i].state
-                if wi > w_max:
-                    wi = w_max
-                elif wi < -w_max:
-                    wi = -w_max
-                w[i] = wi
-        except DivergenceError as err:
-            if err.iteration is None:
-                raise DivergenceError(str(err), iteration=k) from None
-            raise
+        d_k = 0  # the controller step whose decay d holds
+        for i in range(q):
+            if not mask[i]:
+                continue
+            kc = ks[i] + 1
+            ks[i] = kc
+            if kc != d_k:
+                d = decay(k_beta, kc, dt, by_time)
+                d_k = kc
+            psi, integral, ui = law(psis[i], integrals[i], d, kps[i], kis[i], k_alpha, dt, y_ref, y)
+            xi = rk4(xs[i], ui, tau, dt)
+            if not math.isfinite(xi):  # covers u too (see rk4); the clamp would hide it
+                raise divergence(k, psi, integral, ui, xi, f"weight {i}: ")
+            psis[i] = psi
+            integrals[i] = integral
+            u[i] = ui
+            xs[i] = xi
+            if xi > w_max:
+                xi = w_max
+            elif xi < -w_max:
+                xi = -w_max
+            w[i] = xi
         yield TraceRecord(k=k, t=k * dt, y=y, y_ref=y_ref, w=tuple(w), u=tuple(u))
 
 
