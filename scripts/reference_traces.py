@@ -19,8 +19,13 @@ import mpmath
 
 import paramodel.controller
 import paramodel.network
-from paramodel import builtin_problem, builtin_scenarios, train_online, write_trace
-from paramodel.linsolve import as_records, solve_linear
+from paramodel.config_io import (
+    builtin_config_dict,
+    builtin_names,
+    config_from_dict,
+    run_records,
+    write_trace,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
 DECIMATION = 100
@@ -68,13 +73,9 @@ def main() -> int:
     paramodel.controller.exp = reference("exp")
 
     paths = []
-    for name, scenario in builtin_scenarios().items():
+    for name in builtin_names():
         paths.append(outdir / f"{name}_trace.csv")
-        rows = [r for r in train_online(scenario) if r.k % DECIMATION == 0]
-        write_trace(rows, str(paths[-1]), DECIMATION)
-    problem = builtin_problem()
-    paths.append(outdir / "linsolve3_trace.csv")
-    write_trace(as_records(problem, *solve_linear(problem)), str(paths[-1]), DECIMATION)
+        write_trace(run_records(config_from_dict(builtin_config_dict(name))), str(paths[-1]), DECIMATION)
 
     differ = 0
     for path in paths:

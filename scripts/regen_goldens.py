@@ -11,8 +11,13 @@ from __future__ import annotations
 
 import pathlib
 
-from paramodel import builtin_problem, builtin_scenarios, train_online, write_trace
-from paramodel.linsolve import as_records, solve_linear
+from paramodel.config_io import (
+    builtin_config_dict,
+    builtin_names,
+    config_from_dict,
+    run_records,
+    write_trace,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
 DECIMATION = 100
@@ -20,15 +25,10 @@ DECIMATION = 100
 
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, scenario in builtin_scenarios().items():
+    for name in builtin_names():
         path = GOLDEN_DIR / f"{name}_trace.csv"
-        write_trace(train_online(scenario), str(path), DECIMATION)
+        write_trace(run_records(config_from_dict(builtin_config_dict(name))), str(path), DECIMATION)
         print(f"wrote {path}")
-    problem = builtin_problem()
-    x_trace, y_trace = solve_linear(problem)
-    path = GOLDEN_DIR / "linsolve3_trace.csv"
-    write_trace(as_records(problem, x_trace, y_trace), str(path), DECIMATION)
-    print(f"wrote {path}")
     return 0
 
 

@@ -1,10 +1,11 @@
-"""Measure settling behavior of the built-in training runs.
+"""Measure settling behavior of the built-in runs.
 
-Prints, for every built-in scenario, the first iteration from which the
-tracking band |y - y_ref| < tol holds through to the next event (or the
-end of the run), plus the re-settling time after each event.  The fig4
-initial-settling iteration is the source of the frozen regression budget
-used by the test suite (budget = 2 x settling iteration).
+Prints, for every built-in run, the first iteration from which the
+tracking band (|y - y_ref| < tol, or max_j |y_j - b_j| < tol for the
+linear solver) holds through to the next event (or the end of the run),
+plus the re-settling time after each event.  The fig4 initial-settling
+iteration is the source of the frozen regression budget used by the test
+suite (budget = 2 x settling iteration).
 
 Usage: python scripts/settling_report.py [--tol X]
 """
@@ -13,27 +14,14 @@ from __future__ import annotations
 
 import argparse
 
-from paramodel import builtin_scenarios, train_online
-
-
-def violations(scenario, tol):
-    out = []
-    for rec in train_online(scenario):
-        if abs(rec.y - rec.y_ref) >= tol:
-            out.append(rec.k)
-    return out
-
-
-def segment_settling(scenario, viols):
-    """(segment start, iterations to settle, settled) per event segment."""
-    starts = [1] + sorted({e.at for e in scenario.events if e.at > 0})
-    bounds = starts[1:] + [scenario.horizon + 1]
-    rows = []
-    for k0, k1 in zip(starts, bounds):
-        seg = [v for v in viols if k0 <= v < k1]
-        settled_at = (seg[-1] + 1) if seg else k0
-        rows.append((k0, settled_at - k0, settled_at < k1))
-    return rows
+from paramodel.config_io import (
+    builtin_config_dict,
+    builtin_names,
+    config_from_dict,
+    run_records,
+    segment_settling,
+    tracking_error,
+)
 
 
 def main() -> int:
@@ -42,10 +30,13 @@ def main() -> int:
     args = parser.parse_args()
 
     budget_source = None
-    for name, scenario in builtin_scenarios().items():
-        viols = violations(scenario, args.tol)
-        print(f"{name}: horizon {scenario.horizon}, band tol {args.tol}")
-        for k0, settle, ok in segment_settling(scenario, viols):
+    for name in builtin_names():
+        config = config_from_dict(builtin_config_dict(name))
+        events = config.scenario.events if config.scenario else ()
+        horizon = (config.scenario or config.problem).horizon
+        viols = [rec.k for rec in run_records(config) if tracking_error(rec) >= args.tol]
+        print(f"{name}: horizon {horizon}, band tol {args.tol}")
+        for k0, settle, ok in segment_settling(viols, [1, *(e.at for e in events if e.at > 0)], horizon):
             status = "" if ok else "  [did not settle in segment]"
             if k0 == 1:
                 print(f"  initial            settles from iteration {k0 + settle}{status}")

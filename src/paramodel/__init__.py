@@ -34,7 +34,6 @@ from .trainer import (
     Scenario,
     ScenarioEvent,
     TraceRecord,
-    apply_event,
     builtin_scenarios,
     train_online,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "TraceRecord",
     "TrainingSample",
     "ValidationError",
-    "apply_event",
     "builtin_config_dict",
     "builtin_names",
     "builtin_problem",

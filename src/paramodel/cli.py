@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import config_io, linsolve, trainer
+from . import config_io
 from .errors import (
     DivergenceError,
     InvalidEvent,
@@ -75,25 +75,16 @@ def _load_config_dict(args) -> dict:
         )
     if args.builtin:
         return config_io.builtin_config_dict(args.builtin)
-    path = args.config_path or args.config
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    import yaml
-
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.MarkedYAMLError as err:
-        line = err.problem_mark.line + 1 if err.problem_mark else None
-        raise ParseError(str(err.problem or err), line=line) from None
-    except yaml.YAMLError as err:
-        raise ParseError(str(err)) from None
-    if not isinstance(raw, dict):
-        raise ParseError("top level must be a mapping")
-    return config_io.expand_builtin(raw)
+    with open(args.config_path or args.config, "r", encoding="utf-8") as fh:
+        return config_io.load_config_dict(fh.read())
 
 
 def _apply_overrides(d: dict, args) -> dict:
-    """Edit the config dict in place exactly as a user editing the file would."""
+    """Edit the config dict in place exactly as a user editing the file would.
+
+    A key the file's explicit controllers or filters list replaces is then
+    rejected by the parser, so no override is silently ignored.
+    """
     root = "scenario" if "scenario" in d else "problem" if "problem" in d else None
     gain_overrides = {g: getattr(args, g) for g in GAIN_FLAGS if getattr(args, g) is not None}
     structural = {
@@ -102,21 +93,14 @@ def _apply_overrides(d: dict, args) -> dict:
         "stagger_rho": args.rho,
     }
     structural = {k: v for k, v in structural.items() if v is not None}
-    if (gain_overrides or structural) and root is None:
-        raise ValidationError("gain/horizon overrides need a scenario or problem section")
-    if gain_overrides:
-        section = d[root]
-        if "gains" not in section:
-            if "controllers" in section:
-                raise ValidationError(
-                    "cannot override individual gains on a config with an "
-                    "explicit controllers list; edit the file instead",
-                    key=f"{root}.controllers",
-                )
-            section["gains"] = {}
-        section["gains"].update(gain_overrides)
-    for k, v in structural.items():
-        d[root][k] = v
+    if gain_overrides or structural:
+        if root is None:
+            raise ValidationError("gain/horizon overrides need a scenario or problem section")
+        section = config_io._require_map(d[root], root)
+        if gain_overrides:
+            gains = section.setdefault("gains", {})
+            config_io._require_map(gains, f"{root}.gains").update(gain_overrides)
+        section.update(structural)
     if args.out is not None:
         d["output"] = args.out
     if args.decimate is not None:
@@ -126,70 +110,35 @@ def _apply_overrides(d: dict, args) -> dict:
     return d
 
 
-def _settled_from(violations: list[int], horizon: int) -> int | None:
-    """First iteration from which the tolerance band holds through the end."""
-    if not violations:
-        return 1
-    last = violations[-1]
-    return None if last >= horizon else last + 1
-
-
-def _run_train(config: config_io.RunConfig, label: str) -> int:
-    s = config.scenario
+def _run(config: config_io.RunConfig, label: str) -> int:
+    """Run a configuration, print its summary and return the verdict."""
+    train = config.mode == "train"
+    spec = config.scenario if train else config.problem
+    dt = spec.base_params.dt if train else spec.controllers[0].dt
     tol = config.tolerance
-    print(f"run: {label} (train, horizon {s.horizon}, dt {s.base_params.dt!r})")
+    print(f"run: {label} ({config.mode}, horizon {spec.horizon}, dt {dt!r})")
     violations: list[int] = []
     rows = []
-    last = None
-    for rec in trainer.train_online(s):
-        if abs(rec.y - rec.y_ref) >= tol:
+    for rec in config_io.run_records(config):
+        err = config_io.tracking_error(rec)
+        if err >= tol:
             violations.append(rec.k)
         if rec.k % config.decimation == 0:
             rows.append(rec)
-        last = rec
-    final_err = abs(last.y - last.y_ref)
-    settled = _settled_from(violations, s.horizon)
-    print(f"final |y - y_ref| = {final_err:.3e} (tolerance {tol!r})")
-    if settled is None:
-        print("did not settle within the horizon")
+    # violations are errors >= tol, so the run settles within the horizon
+    # exactly when its final error is < tol
+    [(_, settle, converged)] = config_io.segment_settling(violations, [1], spec.horizon)
+    measure = "|y - y_ref|" if train else "max |y_j - b_j|"
+    print(f"final {measure} = {err:.3e} (tolerance {tol!r})")
+    if converged:
+        print(f"settled from iteration {1 + settle} of {spec.horizon}")
     else:
-        print(f"settled from iteration {settled} of {s.horizon}")
+        print("did not settle within the horizon")
+    if not train:
+        print("x =", [f"{v:.6f}" for v in rec.x])
     if config.output:
         config_io.write_trace(rows, config.output, config.decimation)
         print(f"trace: {config.output} ({len(rows)} rows, decimation {config.decimation})")
-    converged = settled is not None
-    print(f"converged: {'yes' if converged else 'no'}")
-    return EXIT_OK if converged else EXIT_NOT_CONVERGED
-
-
-def _run_linsolve(config: config_io.RunConfig, label: str) -> int:
-    p = config.problem
-    tol = config.tolerance
-    print(f"run: {label} (linsolve, horizon {p.horizon}, dt {p.controllers[0].dt!r})")
-    x_trace, y_trace = linsolve.solve_linear(p)
-    n = len(p.b)
-    violations = [
-        k
-        for k, y in enumerate(y_trace, start=1)
-        if max(abs(y[j] - p.b[j]) for j in range(n)) >= tol
-    ]
-    final_res = linsolve.residual(p, y_trace[-1])
-    settled = _settled_from(violations, p.horizon)
-    print(f"final max |y_j - b_j| = {final_res:.3e} (tolerance {tol!r})")
-    if settled is None:
-        print("did not settle within the horizon")
-    else:
-        print(f"settled from iteration {settled} of {p.horizon}")
-    print("x =", [f"{v:.6f}" for v in x_trace[-1]])
-    if config.output:
-        rows = [
-            r
-            for r in linsolve.as_records(p, x_trace, y_trace)
-            if r.k % config.decimation == 0
-        ]
-        config_io.write_trace(rows, config.output, config.decimation)
-        print(f"trace: {config.output} ({len(rows)} rows, decimation {config.decimation})")
-    converged = final_res < tol
     print(f"converged: {'yes' if converged else 'no'}")
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
@@ -202,7 +151,7 @@ def cmd_run(args) -> int:
     except OSError as err:
         print(f"IoError: {err}", file=sys.stderr)
         return EXIT_IO
-    except ParseError as err:
+    except (ParseError, UnicodeDecodeError) as err:
         print(f"ParseError: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValidationError, InvalidParams, InvalidEvent) as err:
@@ -210,9 +159,7 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     label = args.builtin or args.config_path or args.config
     try:
-        if config.mode == "train":
-            return _run_train(config, label)
-        return _run_linsolve(config, label)
+        return _run(config, label)
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -1,24 +1,29 @@
-"""Run configuration parsing/serialization and CSV trace output.
+"""Run configuration, the run driver, settling analysis and CSV traces.
 
 A run is described by a small YAML document (see README for the schema).
-``builtin: NAME`` expands to the full configuration of one of the named
+``builtin: NAME`` expands to the configuration of one of the named
 built-in runs; explicit keys in the same document override the expanded
-ones.  Traces are written as plain CSV with shortest round-trip float
-formatting, so re-reading a trace reproduces the recorded values exactly.
+ones.  The CLI, the tests and the scripts load, run and judge a
+configuration through the one definition of each here: ``load_config_dict``,
+``run_records``, ``tracking_error`` and ``segment_settling``.  Traces are
+written as plain CSV with shortest round-trip float formatting, so
+re-reading a trace reproduces the recorded values exactly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import yaml
 
+from . import linsolve, trainer
 from .controller import ControllerParams, stagger_params
-from .dynamics import FirstOrderFilter
+from .dynamics import DEFAULT_TAU, FirstOrderFilter
 from .errors import InvalidEvent, InvalidParams, ParseError, ValidationError
-from .linsolve import LinearTrackingProblem, LinsolveRecord, builtin_problem
+from .linsolve import LinearTrackingProblem, LinsolveRecord
 from .network import Edge, FeedforwardNet, TrainingSample, default_topology
 from .trainer import Scenario, ScenarioEvent, TraceRecord, builtin_scenarios
 
@@ -26,10 +31,15 @@ __all__ = [
     "RunConfig",
     "builtin_config_dict",
     "builtin_names",
+    "config_from_dict",
     "expand_builtin",
+    "load_config_dict",
     "parse_config",
     "read_trace",
+    "run_records",
+    "segment_settling",
     "serialize_config",
+    "tracking_error",
     "write_trace",
 ]
 
@@ -64,11 +74,51 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
+# running
+
+
+def run_records(config: RunConfig) -> Iterator[TraceRecord | LinsolveRecord]:
+    """Run a configuration, yielding one record per iteration: a TraceRecord
+    in train mode, a LinsolveRecord in linsolve mode."""
+    if config.mode == "train":
+        yield from trainer.train_online(config.scenario)
+    else:
+        p = config.problem
+        yield from linsolve.as_records(p, *linsolve.solve_linear(p))
+
+
+def tracking_error(rec: TraceRecord | LinsolveRecord) -> float:
+    """|y - y_ref| of a training record, max_j |y_j - b_j| of a solver record."""
+    if isinstance(rec, TraceRecord):
+        return abs(rec.y - rec.y_ref)
+    return max(abs(y - b) for y, b in zip(rec.y, rec.b))
+
+
+def segment_settling(violations, starts, horizon: int) -> list[tuple[int, int, bool]]:
+    """(start, iterations to settle, settled) for each segment of a run.
+
+    ``violations`` are the iterations, ascending, whose tracking error is at
+    or above the tolerance; ``starts`` are the segments' first iterations
+    (repeats merged).  A segment runs up to the next start, the last one
+    through ``horizon``.  It settles at its start if it holds no violation,
+    else just after its last one, and counts as settled if that iteration
+    is still inside it.
+    """
+    starts = sorted(set(starts))
+    out = []
+    for k0, k1 in zip(starts, starts[1:] + [horizon + 1]):
+        i = bisect_left(violations, k1)
+        settled_at = violations[i - 1] + 1 if i and violations[i - 1] >= k0 else k0
+        out.append((k0, settled_at - k0, settled_at < k1))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # parsing
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML run configuration."""
+def load_config_dict(text: str) -> dict:
+    """YAML text to a configuration dict, ``builtin: NAME`` expanded."""
     try:
         raw = yaml.safe_load(text)
     except yaml.MarkedYAMLError as err:
@@ -80,7 +130,12 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError("empty configuration")
     if not isinstance(raw, dict):
         raise ParseError(f"top level must be a mapping, got {type(raw).__name__}")
-    return config_from_dict(raw)
+    return expand_builtin(raw)
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a YAML run configuration."""
+    return config_from_dict(load_config_dict(text))
 
 
 def expand_builtin(raw: dict) -> dict:
@@ -140,9 +195,15 @@ def _require_map(value, key: str) -> dict:
     return value
 
 
+def _require_list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"must be a list, got {type(value).__name__}", key=key)
+    return value
+
+
 def _require_number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"must be a number, got {value!r}", key=key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"must be a finite number, got {value!r}", key=key)
     return float(value)
 
 
@@ -175,11 +236,11 @@ def _net_from_dict(d: dict, key: str) -> FeedforwardNet:
         if sub not in {"inputs", "hidden", "output", "edges", "weights", "mask", "w_max"}:
             raise ValidationError("unknown network key", key=f"{key}.{sub}")
     try:
-        inputs = tuple(str(v) for v in d.get("inputs", ()))
-        hidden = tuple(str(v) for v in d.get("hidden", ()))
+        inputs = tuple(str(v) for v in _require_list(d.get("inputs", []), f"{key}.inputs"))
+        hidden = tuple(str(v) for v in _require_list(d.get("hidden", []), f"{key}.hidden"))
         output = str(d.get("output", "y"))
         edges = []
-        for i, e in enumerate(d.get("edges", ())):
+        for i, e in enumerate(_require_list(d.get("edges", []), f"{key}.edges")):
             e = _require_map(e, f"{key}.edges[{i}]")
             edges.append(
                 Edge(
@@ -189,8 +250,8 @@ def _net_from_dict(d: dict, key: str) -> FeedforwardNet:
                 )
             )
         q = 1 + max((e.weight for e in edges), default=-1)
-        weights = d.get("weights", [0.0] * q)
-        mask = d.get("mask", [True] * q)
+        weights = _require_list(d.get("weights", [0.0] * q), f"{key}.weights")
+        mask = _require_list(d.get("mask", [True] * q), f"{key}.mask")
         return FeedforwardNet(
             inputs=inputs,
             hidden=hidden,
@@ -245,9 +306,10 @@ def _scenario_from_dict(d: dict, key: str = "scenario") -> Scenario:
             raise ValidationError("unknown scenario key", key=f"{key}.{sub}")
     gains = _gains_from_dict(_require_map(d.get("gains", {}), f"{key}.gains"), f"{key}.gains")
     sample_d = _require_map(d.get("sample", {}), f"{key}.sample")
+    xs = _require_list(sample_d.get("x", []), f"{key}.sample.x")
     try:
         sample = TrainingSample(
-            x=tuple(_require_number(v, f"{key}.sample.x") for v in sample_d.get("x", ())),
+            x=tuple(_require_number(v, f"{key}.sample.x") for v in xs),
             y=_require_number(sample_d.get("y"), f"{key}.sample.y"),
         )
     except ValidationError as err:
@@ -260,7 +322,7 @@ def _scenario_from_dict(d: dict, key: str = "scenario") -> Scenario:
         net = default_topology()
     events = tuple(
         _event_from_dict(_require_map(e, f"{key}.events[{i}]"), f"{key}.events[{i}]")
-        for i, e in enumerate(d.get("events", ()))
+        for i, e in enumerate(_require_list(d.get("events", []), f"{key}.events"))
     )
     try:
         return Scenario(
@@ -283,19 +345,21 @@ def _problem_from_dict(d: dict, key: str = "problem") -> LinearTrackingProblem:
     for sub in d:
         if sub not in {"a", "b", "horizon", "gains", "stagger_rho", "tau", "controllers", "filters"}:
             raise ValidationError("unknown problem key", key=f"{key}.{sub}")
-    a = d.get("a")
-    b = d.get("b")
-    if not isinstance(a, list) or not all(isinstance(r, list) for r in a):
-        raise ValidationError("must be a list of rows", key=f"{key}.a")
-    if not isinstance(b, list):
-        raise ValidationError("must be a list", key=f"{key}.b")
+    # an explicit list replaces the keys it would otherwise be generated from
+    for sub, explicit in (("gains", "controllers"), ("stagger_rho", "controllers"), ("tau", "filters")):
+        if sub in d and explicit in d:
+            raise ValidationError(f"cannot be combined with an explicit {explicit} list", key=f"{key}.{sub}")
+    a = _require_list(d.get("a"), f"{key}.a")
+    b = _require_list(d.get("b"), f"{key}.b")
+    for i, row in enumerate(a):
+        _require_list(row, f"{key}.a[{i}]")
     n = len(b)
     horizon = _require_int(d.get("horizon", 50_000), f"{key}.horizon")
-    tau = _require_number(d.get("tau", 1e-5), f"{key}.tau")
+    tau = _require_number(d.get("tau", DEFAULT_TAU), f"{key}.tau")
     if "controllers" in d:
         controllers = tuple(
             _gains_from_dict(_require_map(c, f"{key}.controllers[{i}]"), f"{key}.controllers[{i}]")
-            for i, c in enumerate(d["controllers"])
+            for i, c in enumerate(_require_list(d["controllers"], f"{key}.controllers"))
         )
     else:
         gains = _gains_from_dict(_require_map(d.get("gains", {}), f"{key}.gains"), f"{key}.gains")
@@ -307,7 +371,7 @@ def _problem_from_dict(d: dict, key: str = "problem") -> LinearTrackingProblem:
     try:
         if "filters" in d:
             filters = []
-            for i, f in enumerate(d["filters"]):
+            for i, f in enumerate(_require_list(d["filters"], f"{key}.filters")):
                 f = _require_map(f, f"{key}.filters[{i}]")
                 filters.append(
                     FirstOrderFilter(
@@ -417,22 +481,22 @@ def builtin_names() -> list[str]:
 
 
 def builtin_config_dict(name: str) -> dict:
-    """Fully explicit configuration dict for one built-in run."""
+    """Configuration dict of one built-in run.
+
+    linsolve3's problem is in the generator form (gains, stagger_rho, tau),
+    so that every gain, ratio and time-constant override edits a key that
+    takes effect.
+    """
     scenarios = builtin_scenarios()
+    output = f"{name}_trace.csv"
     if name in scenarios:
-        cfg = RunConfig(
-            mode="train",
-            scenario=scenarios[name],
-            output=f"{name}_trace.csv",
-        )
-        return config_to_dict(cfg)
+        return config_to_dict(RunConfig(mode="train", scenario=scenarios[name], output=output))
     if name == "linsolve3":
-        cfg = RunConfig(
-            mode="linsolve",
-            problem=builtin_problem(),
-            output="linsolve3_trace.csv",
-        )
-        return config_to_dict(cfg)
+        d = config_to_dict(RunConfig(mode="linsolve", problem=linsolve.builtin_problem(), output=output))
+        problem = d["problem"]
+        del problem["controllers"], problem["filters"]
+        problem.update(stagger_rho=linsolve.DEMO_RHO, tau=DEFAULT_TAU, gains=_gains_to_dict(linsolve.DEMO_GAINS))
+        return d
     raise ValidationError(
         f"unknown built-in {name!r}; available: {', '.join(builtin_names())}",
         key="builtin",

@@ -74,16 +74,15 @@ class ControllerParams:
 
 @dataclass(frozen=True, slots=True)
 class ControllerState:
-    """Evolving internal state: the series value, the accumulated integral,
-    the iteration counter, and the last measured output."""
+    """Evolving internal state: the series value, the accumulated integral
+    and the iteration counter."""
 
     psi: float = 0.0
     integral: float = 0.0
     k: int = 0
-    last_y: float = 0.0
 
 
-def controller_new(params: ControllerParams, psi0: float = 0.0, y0: float = 0.0) -> ControllerState:
+def controller_new(params: ControllerParams, psi0: float = 0.0) -> ControllerState:
     """Fresh controller state.
 
     The series and the integral both start at zero by default (both
@@ -91,7 +90,7 @@ def controller_new(params: ControllerParams, psi0: float = 0.0, y0: float = 0.0)
     """
     if not isinstance(params, ControllerParams):
         raise InvalidParams(f"expected ControllerParams, got {type(params).__name__}")
-    return ControllerState(psi=psi0, integral=0.0, k=0, last_y=y0)
+    return ControllerState(psi=psi0, integral=0.0, k=0)
 
 
 def decay(k_beta: float, k: int, dt: float, by_time: bool) -> float:
@@ -127,7 +126,7 @@ def controller_step(
     psi, integral, u = law(state.psi, state.integral, d, p.kp, p.ki, p.k_alpha, p.dt, y_ref, y_meas)
     if not math.isfinite(u):
         raise divergence(k, psi, integral, u)
-    return ControllerState(psi=psi, integral=integral, k=k, last_y=y_meas), u
+    return ControllerState(psi=psi, integral=integral, k=k), u
 
 
 def divergence(iteration, psi, integral, u, x=math.nan, who="") -> DivergenceError:

@@ -28,9 +28,12 @@ __all__ = [
     "stagger_params",
 ]
 
-# 3x3 demo system used by the built-in "linsolve3" run.
+# 3x3 demo system used by the built-in "linsolve3" run, and the base gains
+# and stagger ratio of its controllers.
 DEMO_A = ((3.0, 0.5, 8.0), (4.0, 7.0, 4.5), (1.0, 9.0, 3.0))
 DEMO_B = (7.95, 6.30, 3.80)
+DEMO_GAINS = ControllerParams(kp=1.0, ki=0.01, k_alpha=166.5, k_beta=4.0, dt=DEFAULT_DT)
+DEMO_RHO = 0.5
 
 
 @dataclass(frozen=True)
@@ -157,8 +160,7 @@ def builtin_problem(horizon: int = 50_000) -> LinearTrackingProblem:
     larger: the series psi needs a correspondingly larger plateau to hold
     its sign over the whole run.
     """
-    base = ControllerParams(kp=1.0, ki=0.01, k_alpha=166.5, k_beta=4.0, dt=DEFAULT_DT)
-    controllers = tuple(stagger_params(base, n=3, rho=0.5))
+    controllers = tuple(stagger_params(DEMO_GAINS, n=3, rho=DEMO_RHO))
     filters = tuple(FirstOrderFilter(tau=DEFAULT_TAU, state=0.0) for _ in range(3))
     return LinearTrackingProblem(
         a=DEMO_A, b=DEMO_B, controllers=controllers, filters=filters, horizon=horizon

@@ -22,13 +22,12 @@ from typing import Iterator
 from .controller import DEFAULT_DT, ControllerParams, decay, divergence, law, stagger_params
 from .dynamics import DEFAULT_TAU, rk4
 from .errors import DivergenceError, InvalidEvent, ValidationError
-from .network import FeedforwardNet, TrainingSample, default_topology, set_mask, set_weight
+from .network import FeedforwardNet, TrainingSample, default_topology
 
 __all__ = [
     "Scenario",
     "ScenarioEvent",
     "TraceRecord",
-    "apply_event",
     "builtin_scenarios",
     "train_online",
 ]
@@ -165,33 +164,6 @@ def _record(k, t, y, y_ref, w, u) -> TraceRecord:
     _set_w(rec, w)
     _set_u(rec, u)
     return rec
-
-
-def apply_event(
-    net: FeedforwardNet, sample: TrainingSample, event: ScenarioEvent
-) -> tuple[FeedforwardNet, TrainingSample]:
-    """Pure form of event application on (network, active sample).
-
-    drop_weight masks the edge and zeroes the stored weight; restore_weight
-    unmasks it.  Controller/filter freezing, and the re-installation of the
-    frozen filter state on restore, are the training loop's job: the loop
-    skips masked weights entirely and owns the filter states.
-    """
-    if event.kind == "set_input":
-        if not 0 <= event.index < net.input_count:
-            raise InvalidEvent(f"set_input index {event.index} out of range")
-        x = list(sample.x)
-        x[event.index] = float(event.value)
-        return net, TrainingSample(x=tuple(x), y=sample.y)
-    if event.kind == "set_reference":
-        return net, TrainingSample(x=sample.x, y=float(event.value))
-    if event.kind in ("drop_weight", "restore_weight"):
-        if not 0 <= event.index < net.weight_count:
-            raise InvalidEvent(f"{event.kind} index {event.index} out of range")
-        if event.kind == "drop_weight":
-            return set_weight(set_mask(net, event.index, False), event.index, 0.0), sample
-        return set_mask(net, event.index, True), sample
-    raise InvalidEvent(f"unknown event kind {event.kind!r}")
 
 
 def train_online(scenario: Scenario) -> Iterator[TraceRecord]:

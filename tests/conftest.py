@@ -7,8 +7,16 @@ from dataclasses import dataclass
 
 import pytest
 
-from paramodel import builtin_problem, builtin_scenarios, train_online, write_trace
-from paramodel.linsolve import as_records, residual, solve_linear
+from paramodel.config_io import (
+    RunConfig,
+    builtin_config_dict,
+    config_from_dict,
+    run_records,
+    segment_settling,
+    tracking_error,
+    write_trace,
+)
+from paramodel.linsolve import LinsolveRecord
 from paramodel.trainer import Scenario, TraceRecord
 
 #: tracking band used throughout (|y - y_ref| < TRACK_TOL counts as settled)
@@ -31,112 +39,79 @@ GOLDEN_DECIMATION = 100
 
 
 @dataclass
-class TrainRun:
-    scenario: Scenario
+class Run:
+    """One full pass of a configuration through run_records."""
+
+    config: RunConfig
     violations: list[int]
-    final: TraceRecord
-    max_abs_w: float
+    final: TraceRecord | LinsolveRecord
+    max_abs_w: float  # training runs only
     csv_text: str
     wall: float
 
+    @property
+    def scenario(self) -> Scenario:
+        return self.config.scenario
 
-@dataclass
-class LinsolveRun:
-    x_final: tuple[float, ...]
-    final_residual: float
-    violations: list[int]
-    horizon: int
-    csv_text: str
-    wall: float
+    @property
+    def horizon(self) -> int:
+        return (self.config.scenario or self.config.problem).horizon
+
+    @property
+    def x_final(self) -> tuple[float, ...]:
+        return self.final.x
+
+    @property
+    def final_residual(self) -> float:
+        return tracking_error(self.final)
 
 
-def run_training(scenario: Scenario, csv_path, tol: float = TRACK_TOL) -> TrainRun:
-    """One full pass: per-iteration band violations, decimated CSV, stats."""
+def run(config: RunConfig, csv_path) -> Run:
+    """Band violations, largest |w|, decimated CSV and wall time of one pass."""
+    train = config.mode == "train"
     violations: list[int] = []
     rows = []
     max_abs_w = 0.0
-    last = None
     t0 = time.perf_counter()
-    for rec in train_online(scenario):
-        if abs(rec.y - rec.y_ref) >= tol:
+    for rec in run_records(config):
+        if tracking_error(rec) >= TRACK_TOL:
             violations.append(rec.k)
-        m = max(abs(v) for v in rec.w)
-        if m > max_abs_w:
-            max_abs_w = m
+        if train:
+            max_abs_w = max(max_abs_w, *map(abs, rec.w))
         if rec.k % GOLDEN_DECIMATION == 0:
             rows.append(rec)
-        last = rec
     wall = time.perf_counter() - t0
     write_trace(rows, str(csv_path), GOLDEN_DECIMATION)
-    return TrainRun(
-        scenario=scenario,
-        violations=violations,
-        final=last,
-        max_abs_w=max_abs_w,
-        csv_text=csv_path.read_text(),
-        wall=wall,
-    )
+    return Run(config, violations, rec, max_abs_w, csv_path.read_text(), wall)
 
 
 def settled_from(violations: list[int], horizon: int) -> int | None:
     """First iteration from which the band holds through the horizon."""
-    if not violations:
-        return 1
-    last = violations[-1]
-    return None if last >= horizon else last + 1
+    [(_, settle, settled)] = segment_settling(violations, [1], horizon)
+    return 1 + settle if settled else None
 
 
 def event_resettled_within(scenario: Scenario, violations: list[int]) -> list[tuple[int, int]]:
-    """(event iteration, iterations needed to re-enter the band) pairs.
-
-    Each segment runs from one event time to the next (or the horizon);
-    the segment must contain a settled tail for the pair to be finite.
-    """
-    starts = sorted({e.at for e in scenario.events if e.at > 0})
-    bounds = starts[1:] + [scenario.horizon + 1]
-    out = []
-    for k0, k1 in zip(starts, bounds):
-        seg = [v for v in violations if k0 <= v < k1]
-        settle = (seg[-1] + 1 - k0) if seg else 0
-        out.append((k0, settle))
-    return out
+    """(event iteration, iterations needed to re-enter the band) pairs."""
+    segments = segment_settling(violations, [e.at for e in scenario.events if e.at > 0], scenario.horizon)
+    return [(k0, settle) for k0, settle, _ in segments]
 
 
 @pytest.fixture(scope="session")
-def builtin_train_run(tmp_path_factory):
-    """Memoized access to full runs of the built-in training scenarios."""
-    cache: dict[str, TrainRun] = {}
-    tmp = tmp_path_factory.mktemp("train_runs")
+def builtin_run(tmp_path_factory):
+    """Memoized full runs of the built-ins, by name."""
+    cache: dict[str, Run] = {}
+    tmp = tmp_path_factory.mktemp("builtin_runs")
 
-    def get(name: str) -> TrainRun:
+    def get(name: str) -> Run:
         if name not in cache:
-            scenario = builtin_scenarios()[name]
-            cache[name] = run_training(scenario, tmp / f"{name}_trace.csv")
+            config = config_from_dict(builtin_config_dict(name))
+            cache[name] = run(config, tmp / f"{name}_trace.csv")
         return cache[name]
 
     return get
 
 
 @pytest.fixture(scope="session")
-def builtin_linsolve_run(tmp_path_factory) -> LinsolveRun:
-    problem = builtin_problem()
-    t0 = time.perf_counter()
-    x_trace, y_trace = solve_linear(problem)
-    wall = time.perf_counter() - t0
-    n = len(problem.b)
-    violations = [
-        k
-        for k, y in enumerate(y_trace, start=1)
-        if max(abs(y[j] - problem.b[j]) for j in range(n)) >= TRACK_TOL
-    ]
-    path = tmp_path_factory.mktemp("linsolve_run") / "linsolve3_trace.csv"
-    rows = [r for r in as_records(problem, x_trace, y_trace) if r.k % GOLDEN_DECIMATION == 0]
-    write_trace(rows, str(path), GOLDEN_DECIMATION)
-    return LinsolveRun(
-        x_final=x_trace[-1],
-        final_residual=residual(problem, y_trace[-1]),
-        violations=violations,
-        horizon=problem.horizon,
-        csv_text=path.read_text(),
-        wall=wall,
-    )
+def builtin_linsolve_run(builtin_run) -> Run:
+    return builtin_run("linsolve3")

@@ -142,8 +142,8 @@ def test_criterion_3_linear_solver_oracle(builtin_linsolve_run):
     )
 
 
-def test_criterion_4_primary_training_run(builtin_train_run):
-    run = builtin_train_run("fig4")
+def test_criterion_4_primary_training_run(builtin_run):
+    run = builtin_run("fig4")
     s = run.scenario
     # the printed operating point, pinned
     assert s.base_params == ControllerParams(
@@ -166,8 +166,8 @@ def test_criterion_4_primary_training_run(builtin_train_run):
 
 
 @pytest.mark.parametrize("name", ["fig5", "fig6", "fig7"])
-def test_criterion_5_event_resettling(name, builtin_train_run):
-    run = builtin_train_run(name)
+def test_criterion_5_event_resettling(name, builtin_run):
+    run = builtin_run(name)
     assert settled_from(run.violations, run.scenario.horizon) is not None
     pairs = event_resettled_within(run.scenario, run.violations)
     for at, settle in pairs:
@@ -196,9 +196,9 @@ def test_criterion_6_mask_zero_equivalence():
     print(f"[criterion 6] PASS: {checked} masked-vs-zeroed evaluations bit-identical")
 
 
-def test_criterion_7_determinism_and_goldens(builtin_train_run, builtin_linsolve_run, tmp_path):
+def test_criterion_7_determinism_and_goldens(builtin_run, builtin_linsolve_run, tmp_path):
     for name in TRAIN_BUILTINS:
-        first = builtin_train_run(name).csv_text
+        first = builtin_run(name).csv_text
         path = tmp_path / f"{name}_rerun.csv"
         write_trace(train_online(builtin_scenarios()[name]), str(path), GOLDEN_DECIMATION)
         assert path.read_text() == first, f"{name}: rerun trace differs"

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+import yaml
 
 from paramodel.cli import main
+from paramodel.config_io import builtin_config_dict, builtin_names, parse_config, serialize_config
 
 FAST_TRAIN = """\
 mode: train
@@ -149,3 +151,92 @@ def test_run_builtin_linsolve(tmp_path, capsys):
 def test_unknown_builtin_exit_code(capsys):
     assert main(["run", "--builtin", "fig99"]) == 2
     assert "fig99" in capsys.readouterr().err
+
+
+def short_builtin(path, name, horizon=300, **edits):
+    """Write a built-in's configuration, cut to its first iterations."""
+    d = builtin_config_dict(name)
+    section = d.get("scenario") or d["problem"]
+    section.update(horizon=horizon, **edits)
+    if "events" in section:
+        section["events"] = [e for e in section["events"] if e["at"] <= horizon]
+    path.write_text(yaml.safe_dump(d, sort_keys=False))
+    return str(path)
+
+
+OVERRIDES = [
+    ("--kp", "0.5"),
+    ("--ki", "0.02"),
+    ("--k-alpha", "100"),
+    ("--k-beta", "30"),
+    ("--dt", "2e-5"),
+    ("--tau", "2e-5"),
+    ("--rho", "0.25"),
+    ("--horizon", "200"),
+    ("--decimate", "7"),
+    ("--tol", "0.05"),
+]
+
+
+@pytest.mark.parametrize("flag,value", OVERRIDES)
+@pytest.mark.parametrize("name", builtin_names())
+def test_every_override_takes_effect_or_is_rejected(tmp_path, capsys, name, flag, value):
+    cfg = short_builtin(tmp_path / "run.yaml", name)
+    out = tmp_path / "trace.csv"
+    results = []
+    for extra in ([], [flag, value]):
+        code = main(["run", cfg, "--out", str(out), *extra])
+        results.append((code, capsys.readouterr().out, out.read_bytes() if out.exists() else b""))
+        out.unlink(missing_ok=True)
+    (base_code, *base), (code, *flagged) = results
+    assert base_code in (0, 1)
+    # --tol leaves the trace alone and changes the printed summary
+    assert code == 2 or flagged != base, f"{flag} {value} was ignored on {name}"
+
+
+def test_linsolve3_rho_flag_equals_file_edit(tmp_path, capsys):
+    edited = short_builtin(tmp_path / "edited.yaml", "linsolve3", 2000, stagger_rho=0.25)
+    base = short_builtin(tmp_path / "base.yaml", "linsolve3", 2000)
+    runs = {
+        "edited": ["run", edited],
+        "flag": ["run", base, "--rho", "0.25"],
+        "builtin": ["run", "--builtin", "linsolve3", "--horizon", "2000", "--rho", "0.25"],
+        "unedited": ["run", base],
+    }
+    traces = {}
+    for label, argv in runs.items():
+        out = tmp_path / f"{label}.csv"
+        assert main([*argv, "--out", str(out)]) in (0, 1)
+        traces[label] = out.read_bytes()
+    capsys.readouterr()
+    assert traces["flag"] == traces["edited"] == traces["builtin"]
+    assert traces["flag"] != traces["unedited"]
+
+
+@pytest.mark.parametrize(
+    "flag,value,key", [("--rho", "0.25", "stagger_rho"), ("--kp", "0.5", "gains"), ("--tau", "2e-5", "tau")]
+)
+def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, value, key):
+    cfg = tmp_path / "explicit.yaml"
+    cfg.write_text(serialize_config(parse_config("builtin: linsolve3\n")))
+    assert main(["run", str(cfg), flag, value]) == 2
+    assert f"problem.{key}: cannot be combined with an explicit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content,flags,message",
+    [
+        (FAST_TRAIN.replace("x: [0.2, 0.6]", "x: 5").encode(), [], "ValidationError: scenario.sample.x: must be a list"),
+        (DIVERGING_LINSOLVE.replace("a: [[3.0,", "a: [[.inf,").encode(), [], "ValidationError: problem.a: must be a finite number, got inf"),
+        (b"", [], "ParseError: empty configuration"),
+        (b"\xff\xfe\x00mode: train\n", [], "ParseError: 'utf-8' codec can't decode"),
+        (b"mode: train\nscenario: 5\n", ["--kp", "0.5"], "ValidationError: scenario: must be a mapping"),
+        (b"mode: train\nscenario: {gains: 5}\n", ["--kp", "0.5"], "ValidationError: scenario.gains: must be a mapping"),
+    ],
+    ids=["sample-not-a-list", "inf-in-a", "empty", "undecodable", "scenario-not-a-mapping", "gains-not-a-mapping"],
+)
+def test_bad_config_exits_2(tmp_path, capsys, content, flags, message):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(content)
+    assert main(["run", str(cfg), *flags]) == 2
+    assert message in capsys.readouterr().err

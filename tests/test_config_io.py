@@ -22,7 +22,7 @@ from paramodel import (
     train_online,
     write_trace,
 )
-from paramodel.config_io import config_from_dict
+from paramodel.config_io import config_from_dict, segment_settling, tracking_error
 from paramodel.linsolve import as_records, solve_linear
 
 CUSTOM = """\
@@ -177,6 +177,35 @@ def test_linsolve_explicit_controllers_roundtrip():
     text = serialize_config(cfg)
     assert "controllers" in text
     assert parse_config(text) == cfg
+
+
+def test_builtin_linsolve3_is_in_generator_form():
+    problem = builtin_config_dict("linsolve3")["problem"]
+    assert "controllers" not in problem and "filters" not in problem
+    assert problem["stagger_rho"] == 0.5
+    assert problem["gains"]["kp"] == 1.0 and problem["tau"] == 1e-5
+
+
+def test_segment_settling():
+    # no violations: every segment is settled at its start
+    assert segment_settling([], [1, 50], 100) == [(1, 0, True), (50, 0, True)]
+    # a violation at the horizon: the last segment never settles
+    assert segment_settling([3, 100], [1, 50], 100) == [(1, 3, True), (50, 51, False)]
+    # repeated (and unsorted) starts are one segment
+    assert segment_settling([3, 60], [50, 1, 50], 100) == [(1, 3, True), (50, 11, True)]
+    # a violation on a boundary belongs to the segment it starts...
+    assert segment_settling([50], [1, 50], 100) == [(1, 0, True), (50, 1, True)]
+    # ...and one just before it leaves the earlier segment unsettled
+    assert segment_settling([49], [1, 50], 100) == [(1, 49, False), (50, 0, True)]
+    assert segment_settling([5], [], 100) == []
+
+
+def test_tracking_error_of_both_record_kinds():
+    train = next(iter(train_online(tiny_scenario())))
+    assert tracking_error(train) == abs(train.y - train.y_ref)
+    problem = builtin_problem(horizon=1)
+    (rec,) = as_records(problem, *solve_linear(problem))
+    assert tracking_error(rec) == max(abs(y - b) for y, b in zip(rec.y, problem.b))
 
 
 # --- trace CSV ---

@@ -33,15 +33,14 @@ def run_steps(params, state, pairs):
 
 def test_new_all_zero():
     s = controller_new(PARAMS)
-    assert s == ControllerState(psi=0.0, integral=0.0, k=0, last_y=0.0)
+    assert s == ControllerState(psi=0.0, integral=0.0, k=0)
 
 
 def test_new_passthrough():
-    s = controller_new(PARAMS, psi0=1.5, y0=0.2)
+    s = controller_new(PARAMS, psi0=1.5)
     assert s.psi == 1.5
     assert s.integral == 0.0
     assert s.k == 0
-    assert s.last_y == 0.2
 
 
 @pytest.mark.parametrize(
@@ -76,7 +75,7 @@ def test_step_zero_error_zero_init():
 def test_step_hand_checked():
     # kp = 0 freezes the series; the integral is a single Riemann increment
     p = ControllerParams(kp=0.0, ki=1.0, k_alpha=3.0, k_beta=7.0, dt=0.1)
-    s0 = ControllerState(psi=2.0, integral=0.5, k=9, last_y=0.0)
+    s0 = ControllerState(psi=2.0, integral=0.5, k=9)
     s, u = controller_step(s0, p, 1.0, 0.4)
     assert s.psi == 2.0
     assert s.integral == 0.5 + 1.0 * (1.0 - 0.4) * 0.1
@@ -84,7 +83,6 @@ def test_step_hand_checked():
     assert u == s.psi * s.integral
     assert u == pytest.approx(1.12, rel=1e-15)
     assert s.k == 10
-    assert s.last_y == 0.4
 
 
 def test_closed_form_constant_error():

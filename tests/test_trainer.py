@@ -14,7 +14,6 @@ from paramodel import (
     TraceRecord,
     TrainingSample,
     ValidationError,
-    apply_event,
     builtin_scenarios,
     default_topology,
     forward,
@@ -212,31 +211,6 @@ def test_event_kind_validation():
         ScenarioEvent(at=1, kind="set_input", index=0)  # missing value
 
 
-def test_apply_event_pure():
-    net = default_topology()
-    for i in range(7):
-        net = set_weight(net, i, 0.1 * (i + 1) - 0.4)
-    sample = TrainingSample(x=(0.2, 0.6), y=0.55)
-
-    dropped, _ = apply_event(net, sample, ScenarioEvent.drop_weight(0, 3))
-    zeroed = set_weight(net, 3, 0.0)
-    assert forward(dropped, (0.3, -0.4)) == forward(zeroed, (0.3, -0.4))
-    assert dropped.weights[3] == 0.0
-    assert dropped.mask[3] is False
-
-    restored, _ = apply_event(dropped, sample, ScenarioEvent.restore_weight(0, 3))
-    assert restored.mask[3] is True
-
-    _, s2 = apply_event(net, sample, ScenarioEvent.set_input(0, 1, 0.7))
-    assert s2.x == (0.2, 0.7)
-    _, s3 = apply_event(net, sample, ScenarioEvent.set_reference(0, 0.6))
-    assert s3.y == 0.6
-    assert sample.x == (0.2, 0.6) and sample.y == 0.55
-
-    with pytest.raises(InvalidEvent):
-        apply_event(net, sample, ScenarioEvent.set_input(0, 9, 0.1))
-
-
 def test_builtin_scenarios_shapes():
     scens = builtin_scenarios()
     assert list(scens) == ["fig4", "fig5", "fig6", "fig7"]
@@ -259,23 +233,23 @@ def test_builtin_scenarios_shapes():
     assert kinds5 == ["drop_weight", "set_input", "set_input", "set_reference"]
 
 
-def test_fig4_settling_regression(builtin_train_run):
-    run = builtin_train_run("fig4")
+def test_fig4_settling_regression(builtin_run):
+    run = builtin_run("fig4")
     start = settled_from(run.violations, run.scenario.horizon)
     assert start == FIG4_SETTLED_FROM
     assert start <= SETTLE_BUDGET
 
 
 @pytest.mark.parametrize("name", ["fig5", "fig6", "fig7"])
-def test_events_resettle_within_budget(name, builtin_train_run):
-    run = builtin_train_run(name)
+def test_events_resettle_within_budget(name, builtin_run):
+    run = builtin_run(name)
     assert settled_from(run.violations, run.scenario.horizon) is not None
     for at, settle in event_resettled_within(run.scenario, run.violations):
         assert settle <= SETTLE_BUDGET, f"event at {at} took {settle}"
 
 
-def test_final_state_consistency(builtin_train_run):
-    run = builtin_train_run("fig4")
+def test_final_state_consistency(builtin_run):
+    run = builtin_run("fig4")
     final = run.final
     assert abs(final.y - 0.55) < TRACK_TOL
     # re-evaluating the final weights reproduces the trace's output to well
@@ -288,6 +262,6 @@ def test_final_state_consistency(builtin_train_run):
     assert abs(y_re - final.y) < 1e-8
 
 
-def test_clamp_enforced_on_all_records(builtin_train_run):
+def test_clamp_enforced_on_all_records(builtin_run):
     for name in ("fig4", "fig7"):
-        assert builtin_train_run(name).max_abs_w <= 1.0
+        assert builtin_run(name).max_abs_w <= 1.0
