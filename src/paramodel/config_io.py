@@ -25,6 +25,7 @@ from .dynamics import DEFAULT_TAU, FirstOrderFilter
 from .errors import InvalidEvent, InvalidParams, ParseError, ValidationError
 from .linsolve import LinearTrackingProblem, LinsolveRecord
 from .network import Edge, FeedforwardNet, TrainingSample, default_topology
+from .records import slot_constructor
 from .trainer import Scenario, ScenarioEvent, TraceRecord, builtin_scenarios
 
 __all__ = [
@@ -251,7 +252,16 @@ def _net_from_dict(d: dict, key: str) -> FeedforwardNet:
             )
         q = 1 + max((e.weight for e in edges), default=-1)
         weights = _require_list(d.get("weights", [0.0] * q), f"{key}.weights")
-        mask = _require_list(d.get("mask", [True] * q), f"{key}.mask")
+        if len(weights) < q:
+            raise ValidationError(
+                f"the edges use weight indices up to {q - 1}, so {q} entries are needed, got {len(weights)}",
+                key=f"{key}.weights",
+            )
+        mask = _require_list(d.get("mask", [True] * len(weights)), f"{key}.mask")
+        if len(mask) != len(weights):
+            raise ValidationError(
+                f"needs one entry per weight ({len(weights)}), got {len(mask)}", key=f"{key}.mask"
+            )
         return FeedforwardNet(
             inputs=inputs,
             hidden=hidden,
@@ -565,6 +575,10 @@ def _format_row(rec) -> str:
     return ",".join(parts)
 
 
+_trace_record = slot_constructor(TraceRecord)
+_linsolve_record = slot_constructor(LinsolveRecord)
+
+
 def read_trace(path: str) -> list:
     """Read a trace CSV back into records (inverse of write_trace)."""
     with open(path, "r", encoding="ascii") as fh:
@@ -573,28 +587,30 @@ def read_trace(path: str) -> list:
         records = []
         if cols[:4] == ["k", "t", "y", "y_ref"]:
             q = (len(cols) - 4) // 2
+            make = _trace_record
             for line in fh:
                 v = line.strip().split(",")
                 records.append(
-                    TraceRecord(
-                        k=int(v[0]),
-                        t=float(v[1]),
-                        y=float(v[2]),
-                        y_ref=float(v[3]),
-                        w=tuple(float(s) for s in v[4 : 4 + q]),
-                        u=tuple(float(s) for s in v[4 + q : 4 + 2 * q]),
+                    make(
+                        int(v[0]),
+                        float(v[1]),
+                        float(v[2]),
+                        float(v[3]),
+                        tuple(float(s) for s in v[4 : 4 + q]),
+                        tuple(float(s) for s in v[4 + q : 4 + 2 * q]),
                     )
                 )
         elif cols[0] == "k":
             n = (len(cols) - 1) // 3
+            make = _linsolve_record
             for line in fh:
                 v = line.strip().split(",")
                 records.append(
-                    LinsolveRecord(
-                        k=int(v[0]),
-                        y=tuple(float(s) for s in v[1 : 1 + n]),
-                        b=tuple(float(s) for s in v[1 + n : 1 + 2 * n]),
-                        x=tuple(float(s) for s in v[1 + 2 * n : 1 + 3 * n]),
+                    make(
+                        int(v[0]),
+                        tuple(float(s) for s in v[1 : 1 + n]),
+                        tuple(float(s) for s in v[1 + n : 1 + 2 * n]),
+                        tuple(float(s) for s in v[1 + 2 * n : 1 + 3 * n]),
                     )
                 )
         else:

@@ -12,6 +12,12 @@ from zero by the decaying initialization term ``k_alpha * exp(...)`` and
 then drained by the measured output; the integral accumulates the tracking
 error as a left Riemann sum.  The controller needs no model of the plant:
 it sees only the reference and the last measured output.
+
+``step_all`` is the one definition of the law and of the RK4 step of
+each controller's first-order filter (see ``dynamics``): both simulation
+loops call it once per iteration over their flat per-controller state,
+and ``controller_step`` and ``dynamics.filter_step`` are one-element
+views of it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .errors import DivergenceError, InvalidParams, ValidationError
 
 __all__ = [
     "ControllerParams", "ControllerState", "controller_new", "controller_step",
-    "decay", "divergence", "law", "stagger_params",
+    "decay", "divergence", "stagger_params", "step_all",
 ]
 
 #: Allowed values for ControllerParams.init_decay.
@@ -100,12 +106,38 @@ def decay(k_beta: float, k: int, dt: float, by_time: bool) -> float:
     return exp(-k_beta * (k * dt if by_time else k))
 
 
-def law(psi, integral, d, kp, ki, k_alpha, dt, y_ref, y_meas) -> tuple[float, float, float]:
-    """(psi, integral, u) after one step of the law on plain floats, ``d``
-    being the step's ``decay``; u is non-finite if psi or the integral is."""
-    psi = psi + kp * (k_alpha * d - y_meas)
-    integral = integral + ki * (y_ref - y_meas) * dt
-    return psi, integral, psi * integral
+def step_all(idx, psis, integrals, xs, us, kps, kis, a, e, dt, tau) -> int:
+    """One step of the law and then one RK4 step of its filter, for every
+    controller ``i`` in ``idx``, in index order, on flat per-controller lists.
+
+    The caller passes ``a[i] = k_alpha*d - y`` (``d`` the step's ``decay``)
+    and ``e[i] = y_ref - y``; ``psis``, ``integrals``, ``xs`` (the filter
+    outputs) and ``us`` (the controls) are updated in place.  The filter is
+    ``x' = (u - x)/tau`` with u held over the step.  Returns the first index
+    whose new x is non-finite, else -1; a non-finite u always makes x
+    non-finite (inf - inf in stage two), so the one check covers the law.
+    """
+    h = 0.5 * dt
+    for i in idx:
+        psi = psis[i] + kps[i] * a[i]
+        integral = integrals[i] + kis[i] * e[i] * dt
+        u = psi * integral
+        x = xs[i]
+        k1 = (u - x) / tau
+        k2 = (u - (x + h * k1)) / tau
+        k3 = (u - (x + h * k2)) / tau
+        k4 = (u - (x + dt * k3)) / tau
+        x = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        psis[i] = psi
+        integrals[i] = integral
+        us[i] = u
+        xs[i] = x
+        if x - x != 0.0:
+            return i
+    return -1
+
+
+ONE = (0,)  # the index list of a one-controller step_all
 
 
 def controller_step(
@@ -123,10 +155,13 @@ def controller_step(
     k = state.k + 1
     p = params
     d = decay(p.k_beta, k, p.dt, p.init_decay == "time")
-    psi, integral, u = law(state.psi, state.integral, d, p.kp, p.ki, p.k_alpha, p.dt, y_ref, y_meas)
-    if not math.isfinite(u):
-        raise divergence(k, psi, integral, u)
-    return ControllerState(psi=psi, integral=integral, k=k), u
+    # the filter state is a dummy: with tau = inf it stays finite exactly
+    # while u is finite
+    psis, integrals, us = [state.psi], [state.integral], [0.0]
+    a, e = [p.k_alpha * d - y_meas], [y_ref - y_meas]
+    if step_all(ONE, psis, integrals, [0.0], us, [p.kp], [p.ki], a, e, p.dt, math.inf) >= 0:
+        raise divergence(k, psis[0], integrals[0], us[0])
+    return ControllerState(psi=psis[0], integral=integrals[0], k=k), us[0]
 
 
 def divergence(iteration, psi, integral, u, x=math.nan, who="") -> DivergenceError:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .controller import ONE, step_all
 from .errors import DivergenceError, InvalidParams
 
-__all__ = ["FirstOrderFilter", "filter_step", "rk4"]
+__all__ = ["FirstOrderFilter", "filter_step"]
 
 DEFAULT_TAU = 1e-5  # filter time constant of the built-in runs, in seconds
 
@@ -34,21 +35,16 @@ class FirstOrderFilter:
             raise InvalidParams(f"tau must be a finite positive time constant, got {self.tau}")
 
 
-def rk4(x: float, u: float, tau: float, dt: float) -> float:
-    """One classical RK4 step of x' = (u - x)/tau with constant input u.
-    A non-finite u makes the result non-finite (inf - inf in stage two)."""
-    k1 = (u - x) / tau
-    k2 = (u - (x + 0.5 * dt * k1)) / tau
-    k3 = (u - (x + 0.5 * dt * k2)) / tau
-    k4 = (u - (x + dt * k3)) / tau
-    return x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-
 def filter_step(filt: FirstOrderFilter, u: float, dt: float) -> FirstOrderFilter:
-    """One classical RK4 step of x' = (u - x)/tau with constant input u."""
+    """One classical RK4 step of x' = (u - x)/tau with constant input u.
+
+    The step is ``controller.step_all`` with the law made the identity:
+    psi = u, integral = 1, kp = ki = 0 and a = -0.0, so u passes through
+    bit for bit (adding -0.0 keeps a signed zero).
+    """
     if not dt > 0.0:
         raise InvalidParams(f"dt must be positive, got {dt}")
-    x_new = rk4(filt.state, u, filt.tau, dt)
-    if not math.isfinite(x_new):
-        raise DivergenceError(f"filter state became non-finite: {x_new}")
-    return FirstOrderFilter(tau=filt.tau, state=x_new)
+    xs = [filt.state]
+    if step_all(ONE, [u], [1.0], xs, [0.0], [0.0], [0.0], [-0.0], [0.0], dt, filt.tau) >= 0:
+        raise DivergenceError(f"filter state became non-finite: {xs[0]}")
+    return FirstOrderFilter(tau=filt.tau, state=xs[0])

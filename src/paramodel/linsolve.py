@@ -10,12 +10,13 @@ b_j, x is close to the solution of the system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import sub
 
-from .controller import DEFAULT_DT, ControllerParams, decay, divergence, law, stagger_params
-from .dynamics import DEFAULT_TAU, FirstOrderFilter, rk4
+from .controller import DEFAULT_DT, ControllerParams, decay, divergence, stagger_params, step_all
+from .dynamics import DEFAULT_TAU, FirstOrderFilter
 from .errors import DivergenceError, ValidationError
+from .records import slot_constructor
 
 __all__ = [
     "LinearTrackingProblem",
@@ -106,45 +107,53 @@ def solve_linear(
     ctrl = problem.controllers
     kps = [p.kp for p in ctrl]
     kis = [p.ki for p in ctrl]
-    k_alphas = [p.k_alpha for p in ctrl]
-    dts = [p.dt for p in ctrl]
-    taus = [f.tau for f in problem.filters]
-    # one decay per iteration for each distinct (k_beta, dt, init_decay)
-    keys = [(p.k_beta, p.dt, p.init_decay == "time") for p in ctrl]
-    decay_keys = list(dict.fromkeys(keys))
-    slots = [decay_keys.index(key) for key in keys]
+    # one k_alpha * decay per iteration for each distinct (k_alpha, k_beta, dt, init_decay)
+    keys = [(p.k_alpha, p.k_beta, p.dt, p.init_decay == "time") for p in ctrl]
+    law_keys = list(dict.fromkeys(keys))
+    slots = [law_keys.index(key) for key in keys]
+    # one kernel call per iteration for each distinct (dt, tau), in practice one
+    groups: dict[tuple[float, float], list[int]] = {}
+    for j in range(n):
+        groups.setdefault((ctrl[j].dt, problem.filters[j].tau), []).append(j)
+    (dt0, tau0), idx0 = next(iter(groups.items()))
     psis = [0.0] * n
     integrals = [0.0] * n
+    us = [0.0] * n
     x = [f.state for f in problem.filters]
     y = matvec(problem.a, x)
     x_trace: list[tuple[float, ...]] = []
     y_trace: list[tuple[float, ...]] = []
     for k in range(1, problem.horizon + 1):
-        ds = [decay(k_beta, k, dt, by_time) for k_beta, dt, by_time in decay_keys]
-        for j in range(n):
-            psi, integral, u = law(
-                psis[j], integrals[j], ds[slots[j]], kps[j], kis[j], k_alphas[j], dts[j], b[j], y[j]
-            )
-            xj = rk4(x[j], u, taus[j], dts[j])
-            if not math.isfinite(xj):  # covers u too (see rk4)
-                raise divergence(k, psi, integral, u, xj, f"unknown {j}: ")
-            psis[j] = psi
-            integrals[j] = integral
-            x[j] = xj
+        kd = [k_alpha * decay(k_beta, k, dt, by_time) for k_alpha, k_beta, dt, by_time in law_keys]
+        a = [kd[slot] - y_j for slot, y_j in zip(slots, y)]
+        e = list(map(sub, b, y))
+        if len(groups) == 1:
+            bad = step_all(idx0, psis, integrals, x, us, kps, kis, a, e, dt0, tau0)
+        else:  # the lowest diverging unknown of all groups
+            bads = [
+                step_all(idx, psis, integrals, x, us, kps, kis, a, e, dt, tau)
+                for (dt, tau), idx in groups.items()
+            ]
+            bad = min((j for j in bads if j >= 0), default=-1)
+        if bad >= 0:
+            raise divergence(k, psis[bad], integrals[bad], us[bad], x[bad], f"unknown {bad}: ")
         y = matvec(problem.a, x)
-        if not all(math.isfinite(v) for v in y):
-            raise DivergenceError(f"measured output became non-finite: {y}", iteration=k)
+        for v in y:
+            if v - v != 0.0:
+                raise DivergenceError(f"measured output became non-finite: {y}", iteration=k)
         x_trace.append(tuple(x))
         y_trace.append(y)
     return x_trace, y_trace
 
 
+#: LinsolveRecord(k, y, b, x) built through its slots (see slot_constructor)
+_record = slot_constructor(LinsolveRecord)
+
+
 def as_records(problem: LinearTrackingProblem, x_trace, y_trace) -> list[LinsolveRecord]:
     """Zip solver traces into per-iteration records for CSV output."""
-    return [
-        LinsolveRecord(k=k, y=y, b=problem.b, x=x)
-        for k, (x, y) in enumerate(zip(x_trace, y_trace), start=1)
-    ]
+    b = problem.b
+    return [_record(k, y, b, x) for k, (x, y) in enumerate(zip(x_trace, y_trace), start=1)]
 
 
 def residual(problem: LinearTrackingProblem, y: tuple[float, ...]) -> float:

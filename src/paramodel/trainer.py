@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .controller import DEFAULT_DT, ControllerParams, decay, divergence, law, stagger_params
-from .dynamics import DEFAULT_TAU, rk4
+from .controller import DEFAULT_DT, ControllerParams, decay, divergence, stagger_params, step_all
+from .dynamics import DEFAULT_TAU
 from .errors import DivergenceError, InvalidEvent, ValidationError
 from .network import FeedforwardNet, TrainingSample, default_topology
+from .records import slot_constructor
 
 __all__ = [
     "Scenario",
@@ -147,23 +148,9 @@ class TraceRecord:
     u: tuple[float, ...]
 
 
-_new = object.__new__
-_set_k, _set_t, _set_y, _set_y_ref, _set_w, _set_u = (
-    TraceRecord.__dict__[name].__set__ for name in ("k", "t", "y", "y_ref", "w", "u")
-)
-
-
-def _record(k, t, y, y_ref, w, u) -> TraceRecord:
-    """TraceRecord(k, t, y, y_ref, w, u), built through its slots: the
-    frozen dataclass __init__ costs about a tenth of a training iteration."""
-    rec = _new(TraceRecord)
-    _set_k(rec, k)
-    _set_t(rec, t)
-    _set_y(rec, y)
-    _set_y_ref(rec, y_ref)
-    _set_w(rec, w)
-    _set_u(rec, u)
-    return rec
+#: TraceRecord(k, t, y, y_ref, w, u) built through its slots: the frozen
+#: dataclass __init__ costs about a tenth of a training iteration
+_record = slot_constructor(TraceRecord)
 
 
 def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
@@ -187,62 +174,68 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
     mask = list(net.mask)
     x_train = list(scenario.initial_sample.x)
     y_ref = scenario.initial_sample.y
-    # flat controller and filter state per weight; ks[i] lags k after a drop
+    # flat controller and filter state per weight.  An enabled weight's
+    # controller takes its step number k - lag[i] at iteration k: a weight's
+    # lag grows by the iterations it spent dropped (dropped_at[i] onward).
     psis = [0.0] * q
     integrals = [0.0] * q
-    ks = [0] * q
     xs = list(w)
     u = [0.0] * q
+    lag = [0] * q
+    dropped_at = [1] * q  # iteration 0 events act before the step of iteration 1
 
     # events by iteration, in their listed order
     events: dict[int, list[ScenarioEvent]] = {}
     for event in scenario.events:
         events.setdefault(event.at, []).append(event)
 
-    def fire(event: ScenarioEvent) -> None:
+    def fire(event: ScenarioEvent, k: int) -> None:
         nonlocal y_ref
+        i = event.index
         if event.kind == "set_input":
-            x_train[event.index] = float(event.value)
+            x_train[i] = float(event.value)
         elif event.kind == "set_reference":
             y_ref = float(event.value)
         elif event.kind == "drop_weight":
-            mask[event.index] = False
-            w[event.index] = 0.0
-            u[event.index] = 0.0
+            if mask[i]:
+                dropped_at[i] = k
+            mask[i] = False
+            w[i] = 0.0
+            u[i] = 0.0
         elif event.kind == "restore_weight":
             # re-install the clamped frozen filter state so an immediate
             # drop/restore pair is an exact no-op
-            mask[event.index] = True
-            w[event.index] = min(max(xs[event.index], -w_max), w_max)
+            if not mask[i]:
+                lag[i] += k - dropped_at[i]
+            mask[i] = True
+            w[i] = min(max(xs[i], -w_max), w_max)
 
     for event in events.get(0, ()):
-        fire(event)
+        fire(event, 1)
+    # the enabled weights and their distinct lags, rebuilt after each event
+    active = [i for i in range(q) if mask[i]]
+    lags = sorted({lag[i] for i in active})
 
     eval_with, isfinite = net.eval_with, math.isfinite
     for k in range(1, scenario.horizon + 1):
         if k in events:
             for event in events[k]:
-                fire(event)
+                fire(event, k)
+            active = [i for i in range(q) if mask[i]]
+            lags = sorted({lag[i] for i in active})
         y = eval_with(w, mask, x_train)
         if not isfinite(y):
             raise DivergenceError(f"network output became non-finite: {y}", iteration=k)
-        d_k = 0  # the controller step whose decay d holds
-        for i in range(q):
-            if not mask[i]:
-                continue
-            kc = ks[i] + 1
-            ks[i] = kc
-            if kc != d_k:
-                d = decay(k_beta, kc, dt, by_time)
-                d_k = kc
-            psi, integral, ui = law(psis[i], integrals[i], d, kps[i], kis[i], k_alpha, dt, y_ref, y)
-            xi = rk4(xs[i], ui, tau, dt)
-            if not isfinite(xi):  # covers u too (see rk4); the clamp would hide it
-                raise divergence(k, psi, integral, ui, xi, f"weight {i}: ")
-            psis[i] = psi
-            integrals[i] = integral
-            u[i] = ui
-            xs[i] = xi
+        if len(lags) == 1:  # every enabled controller takes the same step
+            a = [k_alpha * decay(k_beta, k - lags[0], dt, by_time) - y] * q
+        else:  # a restored weight lags the others
+            by_lag = {n: k_alpha * decay(k_beta, k - n, dt, by_time) - y for n in lags}
+            a = [by_lag.get(n, 0.0) for n in lag]
+        bad = step_all(active, psis, integrals, xs, u, kps, kis, a, [y_ref - y] * q, dt, tau)
+        if bad >= 0:  # before the clamp, which would hide it
+            raise divergence(k, psis[bad], integrals[bad], u[bad], xs[bad], f"weight {bad}: ")
+        for i in active:
+            xi = xs[i]
             if xi > w_max:
                 xi = w_max
             elif xi < -w_max:

@@ -29,6 +29,19 @@ problem:
   gains: {kp: 1.0, ki: 0.01, k_alpha: 166.5, k_beta: 40.0, dt: 1.0e-05}
 """
 
+# one edge of weight index 2, so the weights list needs three entries
+ONE_EDGE_NET = """\
+mode: train
+scenario:
+  horizon: 10
+  sample: {x: [0.2], y: 0.5}
+  network:
+    inputs: [x1]
+    output: y
+    edges: [{from: x1, to: y, weight: 2}]
+    weights: [0.1]
+"""
+
 
 def test_list_output(capsys):
     assert main(["list"]) == 0
@@ -232,8 +245,27 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
         (b"\xff\xfe\x00mode: train\n", [], "ParseError: 'utf-8' codec can't decode"),
         (b"mode: train\nscenario: 5\n", ["--kp", "0.5"], "ValidationError: scenario: must be a mapping"),
         (b"mode: train\nscenario: {gains: 5}\n", ["--kp", "0.5"], "ValidationError: scenario.gains: must be a mapping"),
+        (
+            ONE_EDGE_NET.encode(),
+            [],
+            "ValidationError: scenario.network.weights: the edges use weight indices up to 2, so 3 entries are needed, got 1",
+        ),
+        (
+            ONE_EDGE_NET.replace("weights: [0.1]", "weights: [0.1, 0.2, 0.3]\n    mask: [true]").encode(),
+            [],
+            "ValidationError: scenario.network.mask: needs one entry per weight (3), got 1",
+        ),
     ],
-    ids=["sample-not-a-list", "inf-in-a", "empty", "undecodable", "scenario-not-a-mapping", "gains-not-a-mapping"],
+    ids=[
+        "sample-not-a-list",
+        "inf-in-a",
+        "empty",
+        "undecodable",
+        "scenario-not-a-mapping",
+        "gains-not-a-mapping",
+        "weights-shorter-than-edges",
+        "mask-length",
+    ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, content, flags, message):
     cfg = tmp_path / "bad.yaml"

@@ -108,6 +108,15 @@ def test_custom_config_parses():
     assert s.net.w_max == 0.8
 
 
+def test_default_mask_follows_the_weights_list():
+    # an eighth weight no edge uses: the default mask has one entry per weight
+    edge = "      - {from: x1, to: y, weight: 6}\n"
+    weights = "    weights: [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25]\n"
+    cfg = parse_config(CUSTOM.replace(edge, edge + weights))
+    assert cfg.scenario.net.mask == (True,) * 8
+    assert cfg.scenario.net.weights[7] == 0.25
+
+
 def test_roundtrip_custom():
     cfg = parse_config(CUSTOM)
     assert parse_config(serialize_config(cfg)) == cfg

@@ -9,17 +9,22 @@ import pytest
 from paramodel import (
     ControllerParams,
     InvalidEvent,
+    LinsolveRecord,
     Scenario,
     ScenarioEvent,
     TraceRecord,
     TrainingSample,
     ValidationError,
+    builtin_problem,
     builtin_scenarios,
     default_topology,
     forward,
     set_weight,
+    solve_linear,
     train_online,
 )
+from paramodel.config_io import read_trace, write_trace
+from paramodel.linsolve import as_records
 
 from conftest import SETTLE_BUDGET, FIG4_SETTLED_FROM, TRACK_TOL, event_resettled_within, settled_from
 
@@ -60,15 +65,25 @@ def test_trace_indexing_and_time():
         assert r.y_ref == 0.55
 
 
-def test_records_are_plain_trace_records():
-    # the loop builds records through the slots, bypassing __init__; they
-    # must be indistinguishable from constructed ones
-    assert not hasattr(TraceRecord, "__post_init__")
-    for r in train_online(small_scenario(horizon=20)):
-        made = TraceRecord(k=r.k, t=r.t, y=r.y, y_ref=r.y_ref, w=r.w, u=r.u)
-        assert type(r) is TraceRecord and r == made and hash(r) == hash(made)
+def test_records_are_plain_trace_records(tmp_path):
+    # the loops and the trace reader build records through the slots,
+    # bypassing __init__; they must be indistinguishable from constructed ones
+    problem = dataclasses.replace(builtin_problem(), horizon=20)
+    solved = as_records(problem, *solve_linear(problem))
+    trained = list(train_online(small_scenario(horizon=20)))
+    for name, records in (("train", trained), ("linsolve", solved)):
+        path = str(tmp_path / f"{name}.csv")
+        write_trace(records, path)
+        records += read_trace(path)
+    for r in trained + solved:
+        cls = type(r)
+        assert cls in (TraceRecord, LinsolveRecord) and not hasattr(cls, "__post_init__")
+        made = cls(**{f.name: getattr(r, f.name) for f in dataclasses.fields(cls)})
+        assert r == made and hash(r) == hash(made)
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.y = 0.0
+    assert len(trained) == len(solved) == 40
+    assert trained[:20] == trained[20:] and solved[:20] == solved[20:]
 
 
 def test_determinism_bit_identical():
