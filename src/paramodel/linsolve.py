@@ -115,7 +115,7 @@ def solve_linear(
     groups: dict[tuple[float, float], list[int]] = {}
     for j in range(n):
         groups.setdefault((ctrl[j].dt, problem.filters[j].tau), []).append(j)
-    (dt0, tau0), idx0 = next(iter(groups.items()))
+    calls = [(idx, dt, tau) for (dt, tau), idx in groups.items()]
     psis = [0.0] * n
     integrals = [0.0] * n
     us = [0.0] * n
@@ -127,14 +127,11 @@ def solve_linear(
         kd = [k_alpha * decay(k_beta, k, dt, by_time) for k_alpha, k_beta, dt, by_time in law_keys]
         a = [kd[slot] - y_j for slot, y_j in zip(slots, y)]
         e = list(map(sub, b, y))
-        if len(groups) == 1:
-            bad = step_all(idx0, psis, integrals, x, us, kps, kis, a, e, dt0, tau0)
-        else:  # the lowest diverging unknown of all groups
-            bads = [
-                step_all(idx, psis, integrals, x, us, kps, kis, a, e, dt, tau)
-                for (dt, tau), idx in groups.items()
-            ]
-            bad = min((j for j in bads if j >= 0), default=-1)
+        bad = -1  # the lowest diverging unknown of all groups
+        for idx, dt, tau in calls:
+            j = step_all(idx, psis, integrals, x, us, kps, kis, a, e, dt, tau)
+            if j >= 0 and (bad < 0 or j < bad):
+                bad = j
         if bad >= 0:
             raise divergence(k, psis[bad], integrals[bad], us[bad], x[bad], f"unknown {bad}: ")
         y = matvec(problem.a, x)

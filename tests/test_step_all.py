@@ -222,15 +222,26 @@ def test_solve_linear_with_per_unknown_dt_and_tau():
         test_kernel.assert_same_linsolve(per_unknown_problem())
 
 
-def test_solve_linear_divergence_names_the_lowest_unknown_across_groups():
-    # unknown 2 (first group) and unknown 1 (second group) both diverge at
-    # iteration 1: 2's law overflows, 1's RK4 step overflows
+@pytest.mark.parametrize(
+    "overflowing, message",
+    [
+        # unknown 2 (first group) and unknown 1 (second group) both diverge
+        # at iteration 1: 2's law overflows, 1's RK4 step overflows
+        (2, "unknown 1: filter state became non-finite: nan (iteration 1)"),
+        # unknown 0 (first group) and 1 (second group): the later group's
+        # unknown must not win
+        (0, "unknown 0: controller state became non-finite: psi=inf, integral=7.950000000000001e-07, u=inf (iteration 1)"),
+    ],
+)
+def test_solve_linear_divergence_names_the_lowest_unknown_across_groups(overflowing, message):
     p = per_unknown_problem()
+    controllers = list(p.controllers)
+    controllers[overflowing] = dataclasses.replace(controllers[overflowing], kp=1e308, k_alpha=2.0, k_beta=0.0)
     problem = per_unknown_problem(
-        controllers=(p.controllers[0], p.controllers[1], dataclasses.replace(p.controllers[2], kp=1e308, k_alpha=2.0, k_beta=0.0)),
+        controllers=tuple(controllers),
         filters=(p.filters[0], FirstOrderFilter(tau=1e-300), p.filters[2]),
     )
     _, fail = test_kernel.kernel_linsolve(problem)
-    assert fail == (1, "unknown 1: filter state became non-finite: nan (iteration 1)")
+    assert fail == (1, message)
     with literal_steps():
         test_kernel.assert_same_linsolve(problem)

@@ -75,13 +75,14 @@ def test_records_are_plain_trace_records(tmp_path):
         path = str(tmp_path / f"{name}.csv")
         write_trace(records, path)
         records += read_trace(path)
-    for r in trained + solved:
-        cls = type(r)
-        assert cls in (TraceRecord, LinsolveRecord) and not hasattr(cls, "__post_init__")
-        made = cls(**{f.name: getattr(r, f.name) for f in dataclasses.fields(cls)})
-        assert r == made and hash(r) == hash(made)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            r.y = 0.0
+    for cls, records in ((TraceRecord, trained), (LinsolveRecord, solved)):
+        assert not hasattr(cls, "__post_init__")
+        for r in records:
+            assert type(r) is cls
+            made = cls(**{f.name: getattr(r, f.name) for f in dataclasses.fields(cls)})
+            assert r == made and hash(r) == hash(made)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                r.y = 0.0
     assert len(trained) == len(solved) == 40
     assert trained[:20] == trained[20:] and solved[:20] == solved[20:]
 
