@@ -12,9 +12,12 @@ re-reading a trace reproduces the recorded values exactly.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Iterable, Iterator
 
 import yaml
@@ -92,7 +95,20 @@ def tracking_error(rec: TraceRecord | LinsolveRecord) -> float:
     """|y - y_ref| of a training record, max_j |y_j - b_j| of a solver record."""
     if isinstance(rec, TraceRecord):
         return abs(rec.y - rec.y_ref)
-    return max(abs(y - b) for y, b in zip(rec.y, rec.b))
+    # max() over the unknowns as a plain loop, which costs less per record;
+    # like max() it keeps the first value unless a later one is strictly
+    # greater, so a NaN is returned exactly when max() would return it
+    pairs = zip(rec.y, rec.b)
+    for y, b in pairs:
+        err = abs(y - b)
+        break
+    else:
+        raise ValueError("tracking_error() of a record with no unknowns")
+    for y, b in pairs:
+        d = abs(y - b)
+        if d > err:
+            err = d
+    return err
 
 
 def segment_settling(violations, starts, horizon: int) -> list[tuple[int, int, bool]]:
@@ -117,11 +133,42 @@ def segment_settling(violations, starts, horizon: int) -> list[tuple[int, int, b
 # ---------------------------------------------------------------------------
 # parsing
 
+#: Plain scalars read as floats.  PyYAML follows YAML 1.1, whose floats need
+#: a dot and a signed exponent, so ``1e-5``, ``2e3`` and ``1.0e308`` would
+#: load as strings.  This adds YAML 1.2's forms (an exponent without a dot
+#: or without a sign, a sign before a leading dot) to the 1.1 ones; a
+#: plain integer still reads as an int.
+_FLOAT = re.compile(
+    r"""^(?:[-+]?[0-9][0-9_]*\.[0-9_]*(?:[eE][-+]?[0-9]+)?
+    |[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+
+    |[-+]?\.[0-9][0-9_]*(?:[eE][-+]?[0-9]+)?
+    |[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*
+    |[-+]?\.(?:inf|Inf|INF)
+    |\.(?:nan|NaN|NAN))$""",
+    re.X,
+)
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that reads floats by ``_FLOAT``."""
+
+
+class _Dumper(yaml.SafeDumper):
+    """SafeDumper that quotes every string ``_Loader`` would read as a float."""
+
+
+for _cls in (_Loader, _Dumper):
+    _cls.yaml_implicit_resolvers = {
+        first: [(tag, _FLOAT if tag == "tag:yaml.org,2002:float" else regexp) for tag, regexp in resolvers]
+        for first, resolvers in _cls.yaml_implicit_resolvers.items()
+    }
+del _cls
+
 
 def load_config_dict(text: str) -> dict:
     """YAML text to a configuration dict, ``builtin: NAME`` expanded."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.MarkedYAMLError as err:
         line = err.problem_mark.line + 1 if err.problem_mark else None
         raise ParseError(str(err.problem or err), line=line) from None
@@ -414,7 +461,7 @@ def _problem_from_dict(d: dict, key: str = "problem") -> LinearTrackingProblem:
 
 def serialize_config(config: RunConfig) -> str:
     """YAML form of a RunConfig; parse_config(serialize_config(c)) == c."""
-    return yaml.safe_dump(config_to_dict(config), sort_keys=False)
+    return yaml.dump(config_to_dict(config), Dumper=_Dumper, sort_keys=False)
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -516,6 +563,74 @@ def builtin_config_dict(name: str) -> dict:
 # ---------------------------------------------------------------------------
 # trace CSV
 
+#: The column layout of each record type: its scalar fields (the int ``k``,
+#: then floats) and then its tuple fields, all of one width, each written as
+#: columns ``<field>1..<field><width>``.  A tuple field in the last entry
+#: keeps its text while consecutive rows hold the same tuple object, as
+#: every solver record holds ``problem.b``.
+_LAYOUTS = {
+    TraceRecord: (("k", "t", "y", "y_ref"), ("w", "u"), ()),
+    LinsolveRecord: (("k",), ("y", "b", "x"), ("b",)),
+}
+
+
+def _header(cls, width: int) -> str:
+    scalars, vectors, _ = _LAYOUTS[cls]
+    return ",".join([*scalars, *(f"{v}{i + 1}" for v in vectors for i in range(width))])
+
+
+@functools.cache
+def _codec(cls, width: int):
+    """(header, rows, parse) of ``cls`` at ``width``, generated from its layout.
+
+    ``rows(records, decimation)`` yields the CSV line of every record whose
+    ``k`` is a multiple of ``decimation``: one f-string with ``!r`` (the
+    shortest round-trip repr) per float.  ``parse(line)`` splits a line
+    once and builds the record through its slots with straight-line
+    ``int``/``float`` calls; it raises ValueError for a wrong field count
+    or a non-numeric field.  Both are generated with one statement per
+    field, as ``slot_constructor`` generates its constructor, and name
+    their locals after the columns.
+    """
+    scalars, vectors, reused = _LAYOUTS[cls]
+    if [*scalars, *vectors] != [f.name for f in fields(cls)]:
+        raise TypeError(f"the layout of {cls.__name__} does not match its fields")
+    header = _header(cls, width)
+    names = header.split(",")
+    cols = {v: names[len(scalars) + i * width :][:width] for i, v in enumerate(vectors)}
+    reused = reused if width else ()
+
+    def reprs(v):
+        return ",".join(f"{{{c}!r}}" for c in cols[v])
+
+    row = ["{k}", *(f"{{rec.{s}!r}}" for s in scalars[1:])]
+    row += [f"{{{v}_text}}" if v in reused else reprs(v) for v in vectors if width]
+    lines = ["def rows(records, decimation):"]
+    lines += [f"    {v}_obj = _unset" for v in reused]
+    lines += ["    for rec in records:", "        k = rec.k", "        if k % decimation == 0:"]
+    for v in vectors:
+        if v in reused:
+            lines += [
+                f"            if rec.{v} is not {v}_obj:",
+                f"                {v}_obj = rec.{v}",
+                f"                [{', '.join(cols[v])}] = {v}_obj",
+                f'                {v}_text = f"{reprs(v)}"',
+            ]
+        else:
+            lines.append(f"            [{', '.join(cols[v])}] = rec.{v}")
+    lines.append(f'            yield f"{",".join(row)}\\n"')
+
+    args = [f"int({scalars[0]})", *(f"float({s})" for s in scalars[1:])]
+    args += [f"({''.join(f'float({c}), ' for c in cols[v])})" for v in vectors]
+    lines += [
+        "def parse(line):",
+        f"    [{', '.join(names)}] = line.split(',')",
+        f"    return make({', '.join(args)})",
+    ]
+    env = {"_unset": object(), "make": slot_constructor(cls)}
+    exec("\n".join(lines), env)
+    return header, env["rows"], env["parse"]
+
 
 def write_trace(records: Iterable, path: str, decimation: int = 1) -> None:
     """Write records as CSV, keeping every ``decimation``-th iteration.
@@ -523,8 +638,10 @@ def write_trace(records: Iterable, path: str, decimation: int = 1) -> None:
     Train-mode records give ``k,t,y,y_ref,w1..wq,u1..uq``; linear-solver
     records give ``k,y1..yn,b1..bn,x1..xn``.  Floats are written with
     shortest round-trip formatting, so reading the file back reproduces
-    the values bit-exactly.  An empty record sequence produces a file with
-    the scalar train-mode header only.
+    the values bit-exactly.  The rows are streamed to the file, never
+    joined in memory.  An empty record sequence produces a file with the
+    scalar train-mode header only.  Every record must have the width of
+    the first: a tuple of another length raises ValueError.
     """
     if decimation < 1:
         raise ValidationError(f"must be >= 1, got {decimation}", key="decimation")
@@ -532,87 +649,60 @@ def write_trace(records: Iterable, path: str, decimation: int = 1) -> None:
     first = next(it, None)
     with open(path, "w", encoding="ascii", newline="") as fh:
         if first is None:
-            fh.write("k,t,y,y_ref\n")
+            fh.write(_header(TraceRecord, 0) + "\n")
             return
-        fh.write(_header_for(first) + "\n")
-        for rec in _chain_one(first, it):
-            if rec.k % decimation == 0:
-                fh.write(_format_row(rec) + "\n")
-
-
-def _chain_one(first, rest):
-    yield first
-    yield from rest
-
-
-def _header_for(rec) -> str:
-    if isinstance(rec, TraceRecord):
-        q = len(rec.w)
-        cols = ["k", "t", "y", "y_ref"]
-        cols += [f"w{i + 1}" for i in range(q)]
-        cols += [f"u{i + 1}" for i in range(q)]
-        return ",".join(cols)
-    if isinstance(rec, LinsolveRecord):
-        n = len(rec.x)
-        cols = ["k"]
-        cols += [f"y{j + 1}" for j in range(n)]
-        cols += [f"b{j + 1}" for j in range(n)]
-        cols += [f"x{j + 1}" for j in range(n)]
-        return ",".join(cols)
-    raise ValidationError(f"cannot write records of type {type(rec).__name__}")
-
-
-def _format_row(rec) -> str:
-    if isinstance(rec, TraceRecord):
-        parts = [str(rec.k), repr(rec.t), repr(rec.y), repr(rec.y_ref)]
-        parts += [repr(v) for v in rec.w]
-        parts += [repr(v) for v in rec.u]
-    else:
-        parts = [str(rec.k)]
-        parts += [repr(v) for v in rec.y]
-        parts += [repr(v) for v in rec.b]
-        parts += [repr(v) for v in rec.x]
-    return ",".join(parts)
-
-
-_trace_record = slot_constructor(TraceRecord)
-_linsolve_record = slot_constructor(LinsolveRecord)
+        cls = next((c for c in _LAYOUTS if isinstance(first, c)), None)
+        if cls is None:
+            raise ValidationError(f"cannot write records of type {type(first).__name__}")
+        header, rows, _ = _codec(cls, len(getattr(first, _LAYOUTS[cls][1][0])))
+        fh.write(header + "\n")
+        fh.writelines(rows(chain((first,), it), decimation))
 
 
 def read_trace(path: str) -> list:
-    """Read a trace CSV back into records (inverse of write_trace)."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        records = []
-        if cols[:4] == ["k", "t", "y", "y_ref"]:
-            q = (len(cols) - 4) // 2
-            make = _trace_record
-            for line in fh:
-                v = line.strip().split(",")
-                records.append(
-                    make(
-                        int(v[0]),
-                        float(v[1]),
-                        float(v[2]),
-                        float(v[3]),
-                        tuple(float(s) for s in v[4 : 4 + q]),
-                        tuple(float(s) for s in v[4 + q : 4 + 2 * q]),
-                    )
-                )
-        elif cols[0] == "k":
-            n = (len(cols) - 1) // 3
-            make = _linsolve_record
-            for line in fh:
-                v = line.strip().split(",")
-                records.append(
-                    make(
-                        int(v[0]),
-                        tuple(float(s) for s in v[1 : 1 + n]),
-                        tuple(float(s) for s in v[1 + n : 1 + 2 * n]),
-                        tuple(float(s) for s in v[1 + 2 * n : 1 + 3 * n]),
-                    )
-                )
-        else:
-            raise ParseError(f"unrecognized trace header: {header!r}")
-    return records
+    """Read a trace CSV back into records (inverse of write_trace).
+
+    Raises ParseError, with the 1-based line number, for a header other
+    than one write_trace emits, a row whose field count differs from the
+    header's, or a field that is not a number (an integer for ``k``).
+    The file is decoded as Latin-1, which maps every byte, so a byte
+    outside ASCII is reported as such a field rather than as a
+    UnicodeDecodeError.
+    """
+    with open(path, "r", encoding="latin-1") as fh:
+        header = fh.readline()
+        header = header[:-1] if header.endswith("\n") else header
+        parse = _parser_for(header)
+        try:
+            return list(map(parse, fh))
+        except ValueError:
+            fh.seek(0)
+            err = _first_bad_row(fh, header.split(","))
+            if err is None:
+                raise
+    raise err
+
+
+def _parser_for(header: str):
+    ncols = header.count(",") + 1
+    for cls, (scalars, vectors, _) in _LAYOUTS.items():
+        width, rest = divmod(ncols - len(scalars), len(vectors))
+        if width >= 0 and not rest and header == _header(cls, width):
+            return _codec(cls, width)[2]
+    raise ParseError(f"unrecognized trace header: {header!r}", line=1)
+
+
+def _first_bad_row(lines, cols: list[str]) -> ParseError | None:
+    """The error of the first malformed row after the header, if any."""
+    next(lines)
+    for lineno, line in enumerate(lines, start=2):
+        values = line.split(",")
+        if len(values) != len(cols):
+            return ParseError(f"expected {len(cols)} fields, got {len(values)}", line=lineno)
+        for i, (col, field) in enumerate(zip(cols, values)):
+            try:
+                int(field) if i == 0 else float(field)
+            except ValueError:
+                kind = "an integer" if i == 0 else "a number"
+                return ParseError(f"{col} is not {kind}: {field.rstrip()!r}", line=lineno)
+    return None

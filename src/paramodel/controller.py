@@ -177,23 +177,31 @@ def stagger_params(base: ControllerParams, n: int, rho: float) -> list[Controlle
     """Geometrically staggered gain sets: kp and ki shrink by rho per index.
 
     k_alpha and k_beta are shared by all instances; rho = 1 degenerates to
-    n identical copies of the base gains.  ``rho**j`` is the C library's
-    pow, the one libm call left on the simulation path; for the built-in
-    ratios 1 and 0.5 its results are powers of two, which libms return
-    exactly.
+    n identical copies of the base gains.  Instance j scales kp and ki by
+    the correctly rounded ``rho**j``: with ``rho = num/den`` exactly,
+    ``num**j / den**j`` is exact integer arithmetic and one correctly
+    rounded int/int division, so the gains do not depend on the C
+    library's ``pow``.
     """
     if n < 1:
         raise ValidationError(f"need at least one controller, got n={n}")
     if not (0.0 < rho <= 1.0):
         raise ValidationError(f"stagger ratio must be in (0, 1], got {rho}")
-    return [
-        ControllerParams(
-            kp=base.kp * rho**j,
-            ki=base.ki * rho**j,
-            k_alpha=base.k_alpha,
-            k_beta=base.k_beta,
-            dt=base.dt,
-            init_decay=base.init_decay,
+    num, den = rho.as_integer_ratio()
+    out = []
+    num_j = den_j = 1
+    for _ in range(n):
+        scale = num_j / den_j
+        out.append(
+            ControllerParams(
+                kp=base.kp * scale,
+                ki=base.ki * scale,
+                k_alpha=base.k_alpha,
+                k_beta=base.k_beta,
+                dt=base.dt,
+                init_decay=base.init_decay,
+            )
         )
-        for j in range(n)
-    ]
+        num_j *= num
+        den_j *= den
+    return out

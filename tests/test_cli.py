@@ -272,3 +272,18 @@ def test_bad_config_exits_2(tmp_path, capsys, content, flags, message):
     cfg.write_bytes(content)
     assert main(["run", str(cfg), *flags]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_exponent_float_in_file_equals_flag(tmp_path, capsys):
+    # YAML 1.1 reads 2e-5 as a string; the loader reads it as YAML 1.2 does
+    base = tmp_path / "base.yaml"
+    base.write_text(FAST_TRAIN)
+    edited = tmp_path / "edited.yaml"
+    edited.write_text(FAST_TRAIN.replace("dt: 1.0e-05", "dt: 2e-5"))
+    out_a = tmp_path / "a.csv"
+    out_b = tmp_path / "b.csv"
+    code_a = main(["run", str(edited), "--out", str(out_a)])
+    code_b = main(["run", str(base), "--dt", "2e-5", "--out", str(out_b)])
+    capsys.readouterr()
+    assert code_a == code_b == 0
+    assert out_a.read_bytes() == out_b.read_bytes()

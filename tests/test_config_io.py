@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paramodel import (
     ControllerParams,
@@ -22,8 +27,15 @@ from paramodel import (
     train_online,
     write_trace,
 )
-from paramodel.config_io import config_from_dict, segment_settling, tracking_error
-from paramodel.linsolve import as_records, solve_linear
+from paramodel.config_io import (
+    config_from_dict,
+    config_to_dict,
+    load_config_dict,
+    segment_settling,
+    tracking_error,
+)
+from paramodel.linsolve import LinsolveRecord, as_records, solve_linear
+from paramodel.trainer import TraceRecord
 
 CUSTOM = """\
 mode: train
@@ -276,3 +288,205 @@ def test_linsolve_trace_roundtrip_bitexact(tmp_path):
 def test_write_trace_bad_decimation(tmp_path):
     with pytest.raises(ValidationError):
         write_trace([], str(tmp_path / "x.csv"), 0)
+
+
+# --- YAML 1.2 floats ---
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e-5", 1e-5), ("2e3", 2000.0), ("1E+3", 1000.0), ("1.0e308", 1.0e308), ("-.5", -0.5), ("+1e5", 1e5)],
+)
+def test_exponent_floats_load_as_floats(text, value):
+    d = load_config_dict(f"mode: train\nscenario:\n  gains: {{dt: {text}}}\n")
+    got = d["scenario"]["gains"]["dt"]
+    assert type(got) is float and got == value
+
+
+def test_plain_scalars_keep_their_yaml_types():
+    d = load_config_dict("mode: train\ndecimation: 10\noutput: x1e5\nscenario: {horizon: 1_000, tau: 1.0e-05}\n")
+    assert d["decimation"] == 10 and type(d["decimation"]) is int
+    assert d["scenario"]["horizon"] == 1000 and type(d["scenario"]["horizon"]) is int
+    assert d["scenario"]["tau"] == 1e-5
+    assert d["output"] == "x1e5"
+
+
+def test_exponent_dt_in_a_file_parses():
+    # at YAML 1.1 this was the string '1e-5' and exit 2
+    cfg = parse_config(CUSTOM.replace("dt: 1.0e-05", "dt: 1e-5"))
+    assert cfg.scenario.base_params.dt == 1e-5
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_serialized_text_is_unchanged(name):
+    cfg = config_from_dict(builtin_config_dict(name))
+    assert serialize_config(cfg) == yaml.safe_dump(config_to_dict(cfg), sort_keys=False)
+
+
+def test_float_like_strings_roundtrip():
+    # a node name that the loader would read as a float is quoted when written
+    cfg = parse_config(CUSTOM.replace("h1", "'1e3'"))
+    assert cfg.scenario.net.hidden == ("1e3", "h2")
+    assert "'1e3'" in serialize_config(cfg)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+# --- trace CSV: generated codecs ---
+
+# every double, including -0.0, subnormals, +-1.7e308 and 17-digit values
+any_float = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308]),
+    st.sampled_from([0.1 + 0.2, 1 / 3, 2 / 3, 0.17032763475060728, 1.0000000000000002]),
+)
+
+
+@st.composite
+def record_lists(draw):
+    """(records, decimation): one record type and width per list, k from 1."""
+    m = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        q = draw(st.integers(0, 9))
+        vec = st.tuples(*[any_float] * q)
+        recs = [
+            TraceRecord(k, draw(any_float), draw(any_float), draw(any_float), draw(vec), draw(vec))
+            for k in range(1, m + 1)
+        ]
+    else:
+        n = draw(st.integers(1, 5))
+        vec = st.tuples(*[any_float] * n)
+        b = draw(vec)
+        recs = []
+        for k in range(1, m + 1):
+            # the same b object (as as_records passes), an equal copy, or a new b
+            how = draw(st.sampled_from(["same", "copy", "new"]))
+            b = b if how == "same" else tuple(list(b)) if how == "copy" else draw(vec)
+            recs.append(LinsolveRecord(k, draw(vec), b, draw(vec)))
+    return recs, draw(st.integers(1, 7))
+
+
+def reference_csv(records, decimation) -> str:
+    """The trace CSV written out literally: str(k), then repr of each float."""
+    if not records:
+        return "k,t,y,y_ref\n"
+    r = records[0]
+    if isinstance(r, TraceRecord):
+        q = len(r.w)
+        cols = ["k", "t", "y", "y_ref", *[f"w{i + 1}" for i in range(q)], *[f"u{i + 1}" for i in range(q)]]
+    else:
+        n = len(r.y)
+        cols = ["k", *[f"{c}{j + 1}" for c in "ybx" for j in range(n)]]
+    lines = [",".join(cols)]
+    for r in records:
+        if r.k % decimation == 0:
+            if isinstance(r, TraceRecord):
+                values = (r.t, r.y, r.y_ref, *r.w, *r.u)
+            else:
+                values = (*r.y, *r.b, *r.x)
+            lines.append(",".join([str(r.k), *map(repr, values)]))
+    return "\n".join(lines) + "\n"
+
+
+def hexed(rec):
+    """The record's values as float.hex, which tells -0.0 from 0.0."""
+    return [type(rec), rec.k] + [
+        [v.hex() for v in value] if isinstance(value, tuple) else value.hex()
+        for value in (getattr(rec, f) for f in rec.__dataclass_fields__ if f != "k")
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_lists())
+def test_trace_roundtrip_is_bit_exact(tmp_path_factory, case):
+    records, decimation = case
+    path = tmp_path_factory.mktemp("rt") / "t.csv"
+    write_trace(records, str(path), decimation)
+    text = path.read_text()
+    assert text == reference_csv(records, decimation)
+    kept = [r for r in records if r.k % decimation == 0]
+    back = read_trace(str(path))
+    assert [hexed(r) for r in back] == [hexed(r) for r in kept]
+    again = path.with_name("again.csv")
+    write_trace(back, str(again), 1)
+    if kept or not records:
+        assert again.read_text() == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[st.tuples(st.floats(), st.floats())] * n)))
+def test_tracking_error_equals_max(pairs):
+    # NaN included: the loop must keep max()'s first-unless-strictly-greater rule
+    y, b = (tuple(col) for col in zip(*pairs))
+    got = tracking_error(LinsolveRecord(1, y, b, y))
+    want = max(abs(yj - bj) for yj, bj in zip(y, b))
+    assert got.hex() == want.hex()
+
+
+def test_tracking_error_keeps_the_position_of_a_nan():
+    nan = math.nan
+    for y in [(nan, 1.0, 2.0), (1.0, nan, 2.0), (3.0, nan, 2.0), (1.0, 2.0, nan)]:
+        got = tracking_error(LinsolveRecord(1, y, (0.0, 0.0, 0.0), y))
+        want = max(abs(v) for v in y)
+        assert math.isnan(got) == math.isnan(want) and (math.isnan(got) or got == want)
+
+
+def test_tracking_error_of_no_unknowns_raises():
+    with pytest.raises(ValueError):
+        tracking_error(LinsolveRecord(1, (), (), ()))
+
+
+LINSOLVE_CSV = "k,y1,y2,b1,b2,x1,x2\n1,0.1,0.2,1.0,2.0,0.5,0.6\n2,0.1,0.2,1.0,2.0,0.5,0.6\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (LINSOLVE_CSV.replace("0.5,0.6\n2", "0.5\n2"), 2),  # a row missing its last field
+        (LINSOLVE_CSV.replace(",0.6\n", ",0.6,0.7\n", 1), 2),  # an extra field
+        (LINSOLVE_CSV + "3,0.1,0.2,1.0,2.0,0.5\n", 4),
+        (LINSOLVE_CSV.replace("2,0.1", "2,abc"), 3),  # a non-numeric field
+        (LINSOLVE_CSV.replace("2,0.1", "2.0,0.1"), 3),  # a non-integer k
+        (LINSOLVE_CSV.replace("\n2,", "\n\n2,"), 3),  # a blank line
+        (LINSOLVE_CSV + "\n", 4),  # a blank line at the end
+        ("k,t,y,y_ref,w1,u1\n1,0.0,0.5,0.5,0.1,x\n", 2),
+        (LINSOLVE_CSV.replace("2,0.1", "2,0.\u00e91"), 3),  # a byte outside ASCII
+        ("k,y1,b1,x\u00e91\n", 1),
+        ("k,t,y,y_ref\n1,0.0,0.5\n", 2),
+        ("k,y1,b1,x1,z1\n1,0,0,0,0\n", 1),  # headers no writer emits
+        ("k,y1,y2,b1,b2,x1,x3\n", 1),
+        ("k,t,y,yref,w1,u1\n", 1),
+        ("k, t,y,y_ref\n", 1),
+        ("t,k,y,y_ref\n", 1),
+        ("", 1),
+    ],
+)
+def test_read_trace_rejects_malformed_files(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_trace(str(path))
+    assert err.value.line == line
+
+
+def test_read_trace_names_the_bad_field(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(LINSOLVE_CSV.replace("2,0.1,0.2,1.0", "2,0.1,0.2,1.0x"))
+    with pytest.raises(ParseError, match=r"line 3: b1 is not a number: '1.0x'"):
+        read_trace(str(path))
+    path.write_text(LINSOLVE_CSV.replace(",0.6\n", "\n", 1))
+    with pytest.raises(ParseError, match="line 2: expected 7 fields, got 6"):
+        read_trace(str(path))
+
+
+def test_read_trace_of_headers_only(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text("k,t,y,y_ref\n")
+    assert read_trace(str(path)) == []
+    path.write_text("k,y1,b1,x1")  # no newline after the header
+    assert read_trace(str(path)) == []
+
+
+def test_write_trace_rejects_a_row_of_another_width(tmp_path):
+    recs = [LinsolveRecord(1, (0.0,), (1.0,), (0.0,)), LinsolveRecord(2, (0.0, 0.0), (1.0, 1.0), (0.0, 0.0))]
+    with pytest.raises(ValueError):
+        write_trace(recs, str(tmp_path / "w.csv"), 1)

@@ -4,13 +4,16 @@ transcendental anywhere on the simulation path."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import math
 import random
 
 import pytest
 
 from paramodel import (
+    ControllerParams,
     Edge,
     FeedforwardNet,
     ScenarioEvent,
@@ -23,6 +26,7 @@ from paramodel import (
     linsolve,
     network,
     solve_linear,
+    stagger_params,
     train_online,
     trainer,
 )
@@ -184,3 +188,45 @@ def test_no_libm_transcendental_on_the_simulation_path(monkeypatch):
     assert exp(-740.0) > 0.0 and exp(800.0) == INF and tanh(7.5) < 1.0
     assert elementary._exp_exact(-0.5) == exp(-0.5)
     assert elementary._tanh_exact(0.25) == tanh(0.25) and elementary._tanh_exact(2.5) == tanh(2.5)
+
+
+def test_no_float_power_on_the_simulation_path():
+    """The guard above cannot see ``**`` or ``pow()``, which call the C pow
+    for floats: every power left in the simulation modules raises 2 to a
+    literal integer, which any libm returns exactly."""
+
+    def literal(node):
+        try:
+            return ast.literal_eval(node)
+        except ValueError:
+            return None
+
+    for mod in (controller, dynamics, network, trainer, linsolve, elementary):
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "pow", f"{mod.__name__}:{node.lineno} calls pow()"
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+                raise AssertionError(f"{mod.__name__}:{node.lineno} uses **=")
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                base, exponent = literal(node.left), literal(node.right)
+                assert base == 2 and type(exponent) is int, f"{mod.__name__}:{node.lineno} uses **"
+
+
+def test_stagger_powers_are_correctly_rounded():
+    """stagger_params scales instance j by rho**j correctly rounded, over a
+    seeded sweep of rho in [0.01, 1) and j < 64 (the C pow of glibc 2.36
+    misrounds about 0.1% of such pairs)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261018)
+    rhos = [0.17032763475060728, 0.9, 0.5, 0.25, 1.0] + [rng.uniform(0.01, 1.0) for _ in range(400)]
+    base = ControllerParams(kp=1.0, ki=1.0, k_alpha=166.5, k_beta=40.0, dt=1e-5)
+    wrong = []
+    with mpmath.workprec(53 * 64):  # the powers are exact
+        for rho in rhos:
+            for j, p in enumerate(stagger_params(base, 64, rho)):
+                want = rounded(mpmath.mpf(rho) ** j)
+                if p.kp != want or p.ki != want:
+                    wrong.append((rho.hex(), j, p.kp.hex(), want.hex()))
+    assert not wrong, f"{len(wrong)} of {64 * len(rhos)} powers misrounded, e.g. {wrong[:5]}"
+    # libm's pow gives ...583p-64 here
+    assert stagger_params(base, 26, 0.17032763475060728)[25].kp.hex() == "0x1.1df2c6600d584p-64"

@@ -1,12 +1,17 @@
-"""The flat step kernel of both simulation loops against a step-by-step reference.
+"""Both simulation loops against a step-by-step reference.
 
 The reference loops below run the documented algorithm one public call at
 a time: ``controller_step`` and ``filter_step`` on immutable state objects
 for every enabled weight or unknown.  ``train_online`` and
-``solve_linear`` keep flat float state and call the law and RK4 directly,
-so they must agree with the reference bit for bit (``-0.0`` told apart
-from ``0.0``), and must report a divergence at the same loop iteration,
-for the same weight or unknown, naming the same quantity.
+``solve_linear`` keep flat float state and make one
+``controller.step_all`` call per iteration, so they must agree with the
+reference bit for bit (``-0.0`` told apart from ``0.0``), and must report
+a divergence at the same loop iteration, for the same weight or unknown,
+naming the same quantity.  The loops' bookkeeping (events, lags, groups,
+records) is what this checks: ``controller_step`` and ``filter_step`` are
+one-element views of ``step_all`` themselves, so
+``tests/test_step_all.py`` re-runs these reference loops with the law and
+the RK4 step written out literally, to check the kernel's arithmetic.
 """
 
 from __future__ import annotations
