@@ -670,8 +670,7 @@ def read_trace(path: str) -> list:
     UnicodeDecodeError.
     """
     with open(path, "r", encoding="latin-1") as fh:
-        header = fh.readline()
-        header = header[:-1] if header.endswith("\n") else header
+        header = fh.readline().removesuffix("\n")
         parse = _parser_for(header)
         try:
             return list(map(parse, fh))
