@@ -9,13 +9,13 @@ import argparse
 import pathlib
 
 from paramodel.cli import main as cli_main
-from paramodel.config_io import builtin_names
+from paramodel.config_io import DEFAULT_DECIMATION, builtin_names
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out")
-    parser.add_argument("--decimate", type=int, default=100)
+    parser.add_argument("--decimate", type=int, default=DEFAULT_DECIMATION)
     args = parser.parse_args()
 
     outdir = pathlib.Path(args.outdir)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 
 from paramodel.config_io import (
+    DEFAULT_TOLERANCE,
     builtin_config_dict,
     builtin_names,
     config_from_dict,
@@ -26,7 +27,7 @@ from paramodel.config_io import (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tol", type=float, default=0.01)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     args = parser.parse_args()
 
     budget_source = None

@@ -82,10 +82,13 @@ def _load_config_dict(args) -> dict:
 def _apply_overrides(d: dict, args) -> dict:
     """Edit the config dict in place exactly as a user editing the file would.
 
-    A key the file's explicit controllers or filters list replaces is then
-    rejected by the parser, so no override is silently ignored.
+    The gain, horizon, tau and rho flags edit the section the mode runs.  A
+    key the file's explicit controllers or filters list replaces is then
+    rejected by the parser, so no override is silently ignored; without a
+    valid mode the parser rejects the file.
     """
-    root = "scenario" if "scenario" in d else "problem" if "problem" in d else None
+    mode = d.get("mode")
+    root = config_io.SECTIONS.get(mode) if isinstance(mode, str) else None
     gain_overrides = {g: getattr(args, g) for g in GAIN_FLAGS if getattr(args, g) is not None}
     structural = {
         "horizon": args.horizon,
@@ -93,13 +96,11 @@ def _apply_overrides(d: dict, args) -> dict:
         "stagger_rho": args.rho,
     }
     structural = {k: v for k, v in structural.items() if v is not None}
-    if gain_overrides or structural:
-        if root is None:
-            raise ValidationError("gain/horizon overrides need a scenario or problem section")
-        section = config_io._require_map(d[root], root)
+    if root is not None and (gain_overrides or structural):
+        section = config_io._map(d.setdefault(root, {}), root)
         if gain_overrides:
             gains = section.setdefault("gains", {})
-            config_io._require_map(gains, f"{root}.gains").update(gain_overrides)
+            config_io._map(gains, f"{root}.gains").update(gain_overrides)
         section.update(structural)
     if args.out is not None:
         d["output"] = args.out

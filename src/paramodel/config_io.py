@@ -16,7 +16,7 @@ import functools
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -27,9 +27,9 @@ from .controller import ControllerParams, stagger_params
 from .dynamics import DEFAULT_TAU, FirstOrderFilter
 from .errors import InvalidEvent, InvalidParams, ParseError, ValidationError
 from .linsolve import LinearTrackingProblem, LinsolveRecord
-from .network import Edge, FeedforwardNet, TrainingSample, default_topology
+from .network import Edge, FeedforwardNet, TrainingSample
 from .records import slot_constructor
-from .trainer import Scenario, ScenarioEvent, TraceRecord, builtin_scenarios
+from .trainer import EVENT_ARGS, Scenario, ScenarioEvent, TraceRecord, builtin_scenarios
 
 __all__ = [
     "RunConfig",
@@ -50,7 +50,8 @@ __all__ = [
 DEFAULT_DECIMATION = 100
 DEFAULT_TOLERANCE = 0.01
 
-MODES = ("train", "linsolve")
+#: The section each mode runs; a configuration leaves the other one out.
+SECTIONS = {"train": "scenario", "linsolve": "problem"}
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,14 @@ class RunConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"must be one of {MODES}, got {self.mode!r}", key="mode")
-        if self.mode == "train" and self.scenario is None:
-            raise ValidationError("train mode needs a scenario", key="scenario")
-        if self.mode == "linsolve" and self.problem is None:
-            raise ValidationError("linsolve mode needs a problem", key="problem")
+        if self.mode not in SECTIONS:
+            raise ValidationError(f"must be one of {tuple(SECTIONS)}, got {self.mode!r}", key="mode")
+        for mode, section in SECTIONS.items():
+            given = getattr(self, section) is not None
+            if mode == self.mode and not given:
+                raise ValidationError(f"{mode} mode needs a {section}", key=section)
+            if mode != self.mode and given:
+                raise ValidationError(f"{self.mode} mode does not use a {section}", key=section)
         if self.decimation < 1:
             raise ValidationError(f"must be >= 1, got {self.decimation}", key="decimation")
         if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
@@ -207,252 +210,236 @@ def expand_builtin(raw: dict) -> dict:
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from a parsed document (builtin expansion included)."""
-    d = expand_builtin(raw)
-    known = {"mode", "scenario", "problem", "output", "decimation", "tolerance"}
-    for key in d:
-        if key not in known:
-            raise ValidationError("unknown configuration key", key=key)
-    mode = d.get("mode")
-    if mode is None:
-        raise ValidationError("missing required key", key="mode")
-    scenario = problem = None
-    if "scenario" in d:
-        scenario = _scenario_from_dict(_require_map(d["scenario"], "scenario"))
-    if "problem" in d:
-        problem = _problem_from_dict(_require_map(d["problem"], "problem"))
-    output = d.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ValidationError("must be a string path", key="output")
-    decimation = d.get("decimation", DEFAULT_DECIMATION)
-    if not isinstance(decimation, int) or isinstance(decimation, bool):
-        raise ValidationError(f"must be an integer, got {decimation!r}", key="decimation")
-    tolerance = _require_number(d.get("tolerance", DEFAULT_TOLERANCE), "tolerance")
-    return RunConfig(
-        mode=str(mode),
-        scenario=scenario,
-        problem=problem,
-        output=output,
-        decimation=decimation,
-        tolerance=tolerance,
-    )
+    return _section(RunConfig)(expand_builtin(raw), "")
 
 
-def _require_map(value, key: str) -> dict:
+def _key(key: str, sub) -> str:
+    return f"{key}.{sub}" if key else str(sub)
+
+
+def _map(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"must be a mapping, got {type(value).__name__}", key=key)
     return value
 
 
-def _require_list(value, key: str) -> list:
+def _list(value, key: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"must be a list, got {type(value).__name__}", key=key)
     return value
 
 
-def _require_number(value, key: str) -> float:
+def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValidationError(f"must be a finite number, got {value!r}", key=key)
     return float(value)
 
 
-def _require_int(value, key: str) -> int:
+def _int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"must be an integer, got {value!r}", key=key)
     return value
 
 
-def _gains_from_dict(d: dict, key: str) -> ControllerParams:
-    allowed = {"kp", "ki", "k_alpha", "k_beta", "dt", "init_decay"}
-    for sub in d:
-        if sub not in allowed:
-            raise ValidationError("unknown gain", key=f"{key}.{sub}")
-    try:
-        return ControllerParams(
-            kp=_require_number(d.get("kp", 1.0), f"{key}.kp"),
-            ki=_require_number(d.get("ki", 0.01), f"{key}.ki"),
-            k_alpha=_require_number(d.get("k_alpha", 166.5), f"{key}.k_alpha"),
-            k_beta=_require_number(d.get("k_beta", 40.0), f"{key}.k_beta"),
-            dt=_require_number(d.get("dt", 1e-5), f"{key}.dt"),
-            init_decay=str(d.get("init_decay", "time")),
-        )
-    except InvalidParams as err:
-        raise ValidationError(str(err), key=key) from None
+def _str(value, key: str) -> str:
+    # a node name YAML reads as a number (1e3, 1.50) would otherwise be renamed
+    if not isinstance(value, str):
+        raise ValidationError(f"must be a string, got {value!r}", key=key)
+    return value
 
 
-def _net_from_dict(d: dict, key: str) -> FeedforwardNet:
-    for sub in d:
-        if sub not in {"inputs", "hidden", "output", "edges", "weights", "mask", "w_max"}:
-            raise ValidationError("unknown network key", key=f"{key}.{sub}")
+def _bool(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"must be true or false, got {value!r}", key=key)
+    return value
+
+
+def _optional(check):
+    return lambda value, key: None if value is None else check(value, key)
+
+
+def _list_of(check):
+    """Checker of a list whose items ``check`` checks, under the list's key."""
+    return lambda value, key: tuple(check(v, key) for v in _list(value, key))
+
+
+def _list_of_maps(check):
+    """Checker of a list of mappings, each checked under its key ``key[i]``."""
+    return lambda value, key: tuple(check(v, f"{key}[{i}]") for i, v in enumerate(_list(value, key)))
+
+
+def _section(cls):
+    """Checker of a mapping that builds ``cls`` from the keys of its table."""
+
+    def check(d, key: str):
+        table = _TABLES[cls]
+        return _make(cls, table, _read(table, d, key), key)
+
+    return check
+
+
+def _read(table: dict, d, key: str) -> dict:
+    """The checked value of each key of mapping ``d``; a key the table does
+    not hold is an error."""
+    values = {}
+    for sub, value in _map(d, key).items():
+        if sub not in table:
+            raise ValidationError("unknown key", key=_key(key, sub))
+        values[sub] = table[sub][1](value, _key(key, sub))
+    return values
+
+
+def _make(cls, table: dict, values: dict, key: str):
+    """``cls`` from checked values; a key left out takes its field's default."""
+    kwargs = {table[sub][0]: v for sub, v in values.items() if table[sub][0]}
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    for sub, (name, _) in table.items():
+        if name in required and name not in kwargs:
+            raise ValidationError("missing required key", key=_key(key, sub))
     try:
-        inputs = tuple(str(v) for v in _require_list(d.get("inputs", []), f"{key}.inputs"))
-        hidden = tuple(str(v) for v in _require_list(d.get("hidden", []), f"{key}.hidden"))
-        output = str(d.get("output", "y"))
-        edges = []
-        for i, e in enumerate(_require_list(d.get("edges", []), f"{key}.edges")):
-            e = _require_map(e, f"{key}.edges[{i}]")
-            edges.append(
-                Edge(
-                    src=str(e["from"]),
-                    dst=str(e["to"]),
-                    weight=_require_int(e["weight"], f"{key}.edges[{i}].weight"),
-                )
-            )
-        q = 1 + max((e.weight for e in edges), default=-1)
-        weights = _require_list(d.get("weights", [0.0] * q), f"{key}.weights")
-        if len(weights) < q:
-            raise ValidationError(
-                f"the edges use weight indices up to {q - 1}, so {q} entries are needed, got {len(weights)}",
-                key=f"{key}.weights",
-            )
-        mask = _require_list(d.get("mask", [True] * len(weights)), f"{key}.mask")
-        if len(mask) != len(weights):
-            raise ValidationError(
-                f"needs one entry per weight ({len(weights)}), got {len(mask)}", key=f"{key}.mask"
-            )
-        return FeedforwardNet(
-            inputs=inputs,
-            hidden=hidden,
-            output=output,
-            edges=tuple(edges),
-            weights=tuple(_require_number(w, f"{key}.weights") for w in weights),
-            mask=tuple(bool(m) for m in mask),
-            w_max=_require_number(d.get("w_max", 1.0), f"{key}.w_max"),
-        )
-    except KeyError as err:
-        raise ValidationError(f"missing edge key {err}", key=f"{key}.edges") from None
+        return cls(**kwargs)
+    except (InvalidParams, InvalidEvent) as err:
+        raise ValidationError(str(err), key=key or None) from None
     except ValidationError as err:
-        if err.key is None or not err.key.startswith(key):
-            raise ValidationError(str(err), key=key) from None
-        raise
+        if err.key is not None:
+            raise
+        raise ValidationError(str(err), key=key or None) from None
 
 
-def _event_from_dict(d: dict, key: str) -> ScenarioEvent:
-    d = dict(d)
-    if "at" not in d:
-        raise ValidationError("event needs an 'at' iteration", key=f"{key}.at")
-    at = _require_int(d.pop("at"), f"{key}.at")
-    try:
-        if "set_input" in d:
-            spec = _require_map(d.pop("set_input"), f"{key}.set_input")
-            ev = ScenarioEvent.set_input(
-                at,
-                _require_int(spec.get("index"), f"{key}.set_input.index"),
-                _require_number(spec.get("value"), f"{key}.set_input.value"),
-            )
-        elif "set_reference" in d:
-            ev = ScenarioEvent.set_reference(at, _require_number(d.pop("set_reference"), f"{key}.set_reference"))
-        elif "drop_weight" in d:
-            ev = ScenarioEvent.drop_weight(at, _require_int(d.pop("drop_weight"), f"{key}.drop_weight"))
-        elif "restore_weight" in d:
-            ev = ScenarioEvent.restore_weight(at, _require_int(d.pop("restore_weight"), f"{key}.restore_weight"))
-        else:
-            raise ValidationError(
-                "event needs one of set_input/set_reference/drop_weight/restore_weight",
-                key=key,
-            )
-    except InvalidEvent as err:
-        raise ValidationError(str(err), key=key) from None
-    if d:
-        raise ValidationError(f"unknown event keys {sorted(d)}", key=key)
-    return ev
-
-
-def _scenario_from_dict(d: dict, key: str = "scenario") -> Scenario:
-    for sub in d:
-        if sub not in {"horizon", "stagger_rho", "tau", "w_max", "gains", "sample", "network", "events"}:
-            raise ValidationError("unknown scenario key", key=f"{key}.{sub}")
-    gains = _gains_from_dict(_require_map(d.get("gains", {}), f"{key}.gains"), f"{key}.gains")
-    sample_d = _require_map(d.get("sample", {}), f"{key}.sample")
-    xs = _require_list(sample_d.get("x", []), f"{key}.sample.x")
-    try:
-        sample = TrainingSample(
-            x=tuple(_require_number(v, f"{key}.sample.x") for v in xs),
-            y=_require_number(sample_d.get("y"), f"{key}.sample.y"),
+def _network(d, key: str) -> FeedforwardNet:
+    """The net of a ``network`` mapping.  Its node and edge lists default to
+    empty and its output node to ``y``; ``weights`` to zeros, one per edge
+    weight index, and ``mask`` to all enabled, one entry per weight."""
+    table = _TABLES[FeedforwardNet]
+    v = {"inputs": (), "hidden": (), "output": "y", "edges": (), **_read(table, d, key)}
+    q = 1 + max((e.weight for e in v["edges"]), default=-1)
+    weights = v.setdefault("weights", (0.0,) * q)
+    if len(weights) < q:
+        raise ValidationError(
+            f"the edges use weight indices up to {q - 1}, so {q} entries are needed, got {len(weights)}",
+            key=f"{key}.weights",
         )
-    except ValidationError as err:
-        if err.key is None:
-            raise ValidationError(str(err), key=f"{key}.sample") from None
-        raise
-    if "network" in d:
-        net = _net_from_dict(_require_map(d["network"], f"{key}.network"), f"{key}.network")
-    else:
-        net = default_topology()
-    events = tuple(
-        _event_from_dict(_require_map(e, f"{key}.events[{i}]"), f"{key}.events[{i}]")
-        for i, e in enumerate(_require_list(d.get("events", []), f"{key}.events"))
-    )
-    try:
-        return Scenario(
-            net=net,
-            base_params=gains,
-            initial_sample=sample,
-            events=events,
-            horizon=_require_int(d.get("horizon", 100_000), f"{key}.horizon"),
-            stagger_rho=_require_number(d.get("stagger_rho", 1.0), f"{key}.stagger_rho"),
-            tau=_require_number(d.get("tau", 1e-5), f"{key}.tau"),
-            w_max=_require_number(d.get("w_max", 1.0), f"{key}.w_max"),
-        )
-    except ValidationError as err:
-        if err.key is None:
-            raise ValidationError(str(err), key=key) from None
-        raise
+    mask = v.setdefault("mask", (True,) * len(weights))
+    if len(mask) != len(weights):
+        raise ValidationError(f"needs one entry per weight ({len(weights)}), got {len(mask)}", key=f"{key}.mask")
+    return _make(FeedforwardNet, table, v, key)
 
 
-def _problem_from_dict(d: dict, key: str = "problem") -> LinearTrackingProblem:
-    for sub in d:
-        if sub not in {"a", "b", "horizon", "gains", "stagger_rho", "tau", "controllers", "filters"}:
-            raise ValidationError("unknown problem key", key=f"{key}.{sub}")
-    # an explicit list replaces the keys it would otherwise be generated from
+def _problem(d, key: str) -> LinearTrackingProblem:
+    """The problem of a ``problem`` mapping.  Without explicit lists, its n
+    = len(b) controllers are staggered from ``gains`` by ``stagger_rho``
+    (default ``linsolve.DEMO_RHO``) and its n filters take ``tau``."""
+    table = _TABLES[LinearTrackingProblem]
+    v = _read(table, d, key)
     for sub, explicit in (("gains", "controllers"), ("stagger_rho", "controllers"), ("tau", "filters")):
-        if sub in d and explicit in d:
+        if sub in v and explicit in v:
             raise ValidationError(f"cannot be combined with an explicit {explicit} list", key=f"{key}.{sub}")
-    a = _require_list(d.get("a"), f"{key}.a")
-    b = _require_list(d.get("b"), f"{key}.b")
-    for i, row in enumerate(a):
-        _require_list(row, f"{key}.a[{i}]")
-    n = len(b)
-    horizon = _require_int(d.get("horizon", 50_000), f"{key}.horizon")
-    tau = _require_number(d.get("tau", DEFAULT_TAU), f"{key}.tau")
-    if "controllers" in d:
-        controllers = tuple(
-            _gains_from_dict(_require_map(c, f"{key}.controllers[{i}]"), f"{key}.controllers[{i}]")
-            for i, c in enumerate(_require_list(d["controllers"], f"{key}.controllers"))
-        )
-    else:
-        gains = _gains_from_dict(_require_map(d.get("gains", {}), f"{key}.gains"), f"{key}.gains")
-        rho = _require_number(d.get("stagger_rho", 0.5), f"{key}.stagger_rho")
+    n = len(v.get("b", ()))
+    if "controllers" not in v:
+        rho = v.get("stagger_rho", linsolve.DEMO_RHO)
         try:
-            controllers = tuple(stagger_params(gains, n, rho))
+            v["controllers"] = tuple(stagger_params(v.get("gains", ControllerParams()), n, rho)) if n else ()
         except ValidationError as err:
             raise ValidationError(str(err), key=f"{key}.stagger_rho") from None
+    if "filters" not in v:
+        try:
+            v["filters"] = (FirstOrderFilter(v.get("tau", DEFAULT_TAU)),) * n
+        except InvalidParams as err:
+            raise ValidationError(str(err), key=f"{key}.tau") from None
+    return _make(LinearTrackingProblem, table, v, key)
+
+
+#: The checker of each event argument (see ``trainer.EVENT_ARGS``).
+_EVENT_ARG_CHECKS = {"index": _int, "value": _number}
+
+
+def _event(d, key: str) -> ScenarioEvent:
+    """``{at: K, KIND: ARGUMENT}``, or ``{at: K, KIND: {NAME: ARGUMENT, ...}}``
+    for a kind of more than one argument."""
+    d = dict(_map(d, key))
+    if "at" not in d:
+        raise ValidationError("event needs an 'at' iteration", key=f"{key}.at")
+    at = _int(d.pop("at"), f"{key}.at")
+    kind = next((k for k in d if k in EVENT_ARGS), None)
+    if kind is None:
+        raise ValidationError(f"event needs one of {'/'.join(EVENT_ARGS)}", key=key)
+    spec = d.pop(kind)
+    if d:
+        raise ValidationError(f"unknown event keys {sorted(map(str, d))}", key=key)
+    names, sub = EVENT_ARGS[kind], f"{key}.{kind}"
+    if len(names) == 1:
+        args = {names[0]: _EVENT_ARG_CHECKS[names[0]](spec, sub)}
+    else:
+        args = _read({name: (name, _EVENT_ARG_CHECKS[name]) for name in names}, spec, sub)
     try:
-        if "filters" in d:
-            filters = []
-            for i, f in enumerate(_require_list(d["filters"], f"{key}.filters")):
-                f = _require_map(f, f"{key}.filters[{i}]")
-                filters.append(
-                    FirstOrderFilter(
-                        tau=_require_number(f.get("tau", tau), f"{key}.filters[{i}].tau"),
-                        state=_require_number(f.get("state", 0.0), f"{key}.filters[{i}].state"),
-                    )
-                )
-            filters = tuple(filters)
-        else:
-            filters = tuple(FirstOrderFilter(tau=tau, state=0.0) for _ in range(n))
-    except InvalidParams as err:
-        raise ValidationError(str(err), key=f"{key}.filters") from None
-    try:
-        return LinearTrackingProblem(
-            a=tuple(tuple(_require_number(v, f"{key}.a") for v in row) for row in a),
-            b=tuple(_require_number(v, f"{key}.b") for v in b),
-            controllers=controllers,
-            filters=filters,
-            horizon=horizon,
-        )
-    except ValidationError as err:
-        if err.key is None:
-            raise ValidationError(str(err), key=key) from None
-        raise
+        return ScenarioEvent(at, kind, **args)
+    except InvalidEvent as err:
+        raise ValidationError(str(err), key=key) from None
+
+
+#: One table per section: each key, the field it sets and the checker of
+#: its value.  The parser, the serializer and the unknown-key check read
+#: these, and a key the document leaves out takes the default of its field.
+#: The keys of field None are read only: the generator form of a problem.
+_TABLES = {
+    RunConfig: {
+        "mode": ("mode", _str),
+        "scenario": ("scenario", _section(Scenario)),
+        "problem": ("problem", _problem),
+        "output": ("output", _optional(_str)),
+        "decimation": ("decimation", _int),
+        "tolerance": ("tolerance", _number),
+    },
+    Scenario: {
+        "horizon": ("horizon", _int),
+        "stagger_rho": ("stagger_rho", _number),
+        "tau": ("tau", _number),
+        "w_max": ("w_max", _number),
+        "gains": ("base_params", _section(ControllerParams)),
+        "sample": ("initial_sample", _section(TrainingSample)),
+        "network": ("net", _network),
+        "events": ("events", _list_of_maps(_event)),
+    },
+    ControllerParams: {
+        "kp": ("kp", _number),
+        "ki": ("ki", _number),
+        "k_alpha": ("k_alpha", _number),
+        "k_beta": ("k_beta", _number),
+        "dt": ("dt", _number),
+        "init_decay": ("init_decay", _str),
+    },
+    TrainingSample: {
+        "x": ("x", _list_of(_number)),
+        "y": ("y", _number),
+    },
+    FeedforwardNet: {
+        "inputs": ("inputs", _list_of(_str)),
+        "hidden": ("hidden", _list_of(_str)),
+        "output": ("output", _str),
+        "edges": ("edges", _list_of_maps(_section(Edge))),
+        "weights": ("weights", _list_of(_number)),
+        "mask": ("mask", _list_of(_bool)),
+    },
+    Edge: {
+        "from": ("src", _str),
+        "to": ("dst", _str),
+        "weight": ("weight", _int),
+    },
+    LinearTrackingProblem: {
+        "a": ("a", _list_of(_list_of(_number))),
+        "b": ("b", _list_of(_number)),
+        "horizon": ("horizon", _int),
+        "controllers": ("controllers", _list_of_maps(_section(ControllerParams))),
+        "filters": ("filters", _list_of_maps(_section(FirstOrderFilter))),
+        "gains": (None, _section(ControllerParams)),
+        "stagger_rho": (None, _number),
+        "tau": (None, _number),
+    },
+    FirstOrderFilter: {
+        "tau": ("tau", _number),
+        "state": ("state", _number),
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -465,68 +452,23 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    d: dict = {"mode": config.mode}
-    if config.scenario is not None:
-        d["scenario"] = _scenario_to_dict(config.scenario)
-    if config.problem is not None:
-        d["problem"] = _problem_to_dict(config.problem)
-    if config.output is not None:
-        d["output"] = config.output
-    d["decimation"] = config.decimation
-    d["tolerance"] = config.tolerance
-    return d
+    """The document of a configuration: every key that sets a field, the
+    problem in its explicit form, and no key whose value is None."""
+    return _dump(config)
 
 
-def _gains_to_dict(p: ControllerParams) -> dict:
-    d = {"kp": p.kp, "ki": p.ki, "k_alpha": p.k_alpha, "k_beta": p.k_beta, "dt": p.dt}
-    if p.init_decay != "time":
-        d["init_decay"] = p.init_decay
-    return d
-
-
-def _net_to_dict(net: FeedforwardNet) -> dict:
-    return {
-        "inputs": list(net.inputs),
-        "hidden": list(net.hidden),
-        "output": net.output,
-        "w_max": net.w_max,
-        "edges": [{"from": e.src, "to": e.dst, "weight": e.weight} for e in net.edges],
-        "weights": list(net.weights),
-        "mask": list(net.mask),
-    }
-
-
-def _event_to_dict(ev: ScenarioEvent) -> dict:
-    if ev.kind == "set_input":
-        return {"at": ev.at, "set_input": {"index": ev.index, "value": ev.value}}
-    if ev.kind == "set_reference":
-        return {"at": ev.at, "set_reference": ev.value}
-    if ev.kind == "drop_weight":
-        return {"at": ev.at, "drop_weight": ev.index}
-    return {"at": ev.at, "restore_weight": ev.index}
-
-
-def _scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "horizon": s.horizon,
-        "stagger_rho": s.stagger_rho,
-        "tau": s.tau,
-        "w_max": s.w_max,
-        "gains": _gains_to_dict(s.base_params),
-        "sample": {"x": list(s.initial_sample.x), "y": s.initial_sample.y},
-        "network": _net_to_dict(s.net),
-        "events": [_event_to_dict(e) for e in s.events],
-    }
-
-
-def _problem_to_dict(p: LinearTrackingProblem) -> dict:
-    return {
-        "a": [list(row) for row in p.a],
-        "b": list(p.b),
-        "horizon": p.horizon,
-        "controllers": [_gains_to_dict(c) for c in p.controllers],
-        "filters": [{"tau": f.tau, "state": f.state} for f in p.filters],
-    }
+def _dump(value):
+    if isinstance(value, ScenarioEvent):
+        names = EVENT_ARGS[value.kind]
+        args = {name: getattr(value, name) for name in names}
+        return {"at": value.at, value.kind: args if len(names) > 1 else args[names[0]]}
+    table = _TABLES.get(type(value))
+    if table is not None:
+        items = ((sub, getattr(value, name)) for sub, (name, _) in table.items() if name)
+        return {sub: _dump(v) for sub, v in items if v is not None}
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +494,7 @@ def builtin_config_dict(name: str) -> dict:
         d = config_to_dict(RunConfig(mode="linsolve", problem=linsolve.builtin_problem(), output=output))
         problem = d["problem"]
         del problem["controllers"], problem["filters"]
-        problem.update(stagger_rho=linsolve.DEMO_RHO, tau=DEFAULT_TAU, gains=_gains_to_dict(linsolve.DEMO_GAINS))
+        problem.update(stagger_rho=linsolve.DEMO_RHO, tau=DEFAULT_TAU, gains=_dump(linsolve.DEMO_GAINS))
         return d
     raise ValidationError(
         f"unknown built-in {name!r}; available: {', '.join(builtin_names())}",

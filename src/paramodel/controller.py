@@ -36,8 +36,6 @@ __all__ = [
 #: Allowed values for ControllerParams.init_decay.
 DECAY_MODES = ("time", "index")
 
-DEFAULT_DT = 1e-5  # simulation step of the built-in runs, in seconds
-
 
 @dataclass(frozen=True, slots=True)
 class ControllerParams:
@@ -45,7 +43,8 @@ class ControllerParams:
 
     ``kp``/``ki`` scale the recursive series and the error integral;
     ``k_alpha``/``k_beta`` shape the decaying initialization term;
-    ``dt`` is the simulation step in seconds.
+    ``dt`` is the simulation step in seconds.  The defaults are the
+    paper's operating point, which the built-in training runs use.
 
     ``init_decay`` selects the argument of the initialization exponential:
     ``"time"`` uses elapsed time ``k*dt`` (default), ``"index"`` uses the
@@ -54,11 +53,11 @@ class ControllerParams:
     bootstrap from an all-zero start, so "time" is the practical choice.
     """
 
-    kp: float
-    ki: float
-    k_alpha: float
-    k_beta: float
-    dt: float
+    kp: float = 1.0
+    ki: float = 0.01
+    k_alpha: float = 166.5
+    k_beta: float = 40.0
+    dt: float = 1e-5
     init_decay: str = "time"
 
     def __post_init__(self):

@@ -27,7 +27,7 @@ DEFAULT_TAU = 1e-5  # filter time constant of the built-in runs, in seconds
 class FirstOrderFilter:
     """Time constant and current output of one first-order lag."""
 
-    tau: float
+    tau: float = DEFAULT_TAU
     state: float = 0.0
 
     def __post_init__(self):

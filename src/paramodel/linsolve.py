@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
-from .controller import DEFAULT_DT, ControllerParams, decay, divergence, stagger_params, step_all
-from .dynamics import DEFAULT_TAU, FirstOrderFilter
+from .controller import ControllerParams, decay, divergence, stagger_params, step_all
+from .dynamics import FirstOrderFilter
 from .errors import DivergenceError, ValidationError
 from .records import slot_constructor
 
@@ -24,16 +24,16 @@ __all__ = [
     "as_records",
     "builtin_problem",
     "matvec",
-    "residual",
     "solve_linear",
     "stagger_params",
 ]
 
 # 3x3 demo system used by the built-in "linsolve3" run, and the base gains
-# and stagger ratio of its controllers.
+# and stagger ratio of its controllers.  A problem configured without a
+# stagger ratio also takes DEMO_RHO.
 DEMO_A = ((3.0, 0.5, 8.0), (4.0, 7.0, 4.5), (1.0, 9.0, 3.0))
 DEMO_B = (7.95, 6.30, 3.80)
-DEMO_GAINS = ControllerParams(kp=1.0, ki=0.01, k_alpha=166.5, k_beta=4.0, dt=DEFAULT_DT)
+DEMO_GAINS = ControllerParams(k_beta=4.0)
 DEMO_RHO = 0.5
 
 
@@ -45,7 +45,7 @@ class LinearTrackingProblem:
     b: tuple[float, ...]
     controllers: tuple[ControllerParams, ...]
     filters: tuple[FirstOrderFilter, ...]
-    horizon: int
+    horizon: int = 50_000
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(tuple(float(v) for v in row) for row in self.a))
@@ -153,21 +153,16 @@ def as_records(problem: LinearTrackingProblem, x_trace, y_trace) -> list[Linsolv
     return [_record(k, y, b, x) for k, (x, y) in enumerate(zip(x_trace, y_trace), start=1)]
 
 
-def residual(problem: LinearTrackingProblem, y: tuple[float, ...]) -> float:
-    """Largest componentwise tracking error |y_j - b_j|."""
-    return max(abs(y[j] - problem.b[j]) for j in range(len(problem.b)))
-
-
-def builtin_problem(horizon: int = 50_000) -> LinearTrackingProblem:
+def builtin_problem(horizon: int = LinearTrackingProblem.horizon) -> LinearTrackingProblem:
     """The 3x3 demo system with tuned staggered gains.
 
     The initialization decay is slower here (k_beta = 4) than in the
     network-training runs because the references are an order of magnitude
     larger: the series psi needs a correspondingly larger plateau to hold
-    its sign over the whole run.
+    its sign over the whole run.  The filters take their default tau.
     """
     controllers = tuple(stagger_params(DEMO_GAINS, n=3, rho=DEMO_RHO))
-    filters = tuple(FirstOrderFilter(tau=DEFAULT_TAU, state=0.0) for _ in range(3))
+    filters = (FirstOrderFilter(),) * 3
     return LinearTrackingProblem(
         a=DEMO_A, b=DEMO_B, controllers=controllers, filters=filters, horizon=horizon
     )

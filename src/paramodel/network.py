@@ -2,9 +2,10 @@
 
 The network is the plant under control: a directed acyclic graph whose
 non-input nodes apply tanh to the weighted sum of their enabled incoming
-edges.  Every edge carries an index into a shared weight vector, weights
-saturate at +-w_max, and edges can be disabled through a boolean mask
-(dropout-style topology events) without losing their stored weight.
+edges.  Every edge carries an index into a shared weight vector, and
+edges can be disabled through a boolean mask (dropout-style topology
+events) without losing their stored weight.  The net stores weights as
+given; the training loop bounds them (``Scenario.w_max``).
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class FeedforwardNet:
     edges: tuple[Edge, ...]
     weights: tuple[float, ...]
     mask: tuple[bool, ...]
-    w_max: float = 1.0
     # eval plan: per non-input node in topological order,
     # (value slot, [(source value slot, weight index), ...])
     _plan: tuple = field(init=False, repr=False, compare=False, default=())
@@ -76,14 +76,7 @@ class FeedforwardNet:
         object.__setattr__(self, "hidden", tuple(self.hidden))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "mask", tuple(bool(m) for m in self.mask))
-        if not (self.w_max > 0.0 and math.isfinite(self.w_max)):
-            raise ValidationError(f"w_max must be finite and positive, got {self.w_max}")
-        # stored weights always satisfy the bound (saturating clamp)
-        object.__setattr__(
-            self,
-            "weights",
-            tuple(_clamp(float(w), self.w_max) for w in self.weights),
-        )
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "_plan", self._build_plan())
         object.__setattr__(self, "_pad", (0.0,) * (len(self.hidden) + 1))
 
@@ -171,7 +164,7 @@ def default_topology() -> FeedforwardNet:
 
     w0..w3 connect the inputs to two hidden nodes, w4/w5 connect the
     hidden nodes to the output, and w6 is an input-to-output skip edge.
-    All weights start at zero with every edge enabled and w_max = 1.
+    All weights start at zero with every edge enabled.
     """
     edges = (
         Edge("x1", "h1", 0),
@@ -189,7 +182,6 @@ def default_topology() -> FeedforwardNet:
         edges=edges,
         weights=(0.0,) * 7,
         mask=(True,) * 7,
-        w_max=1.0,
     )
 
 
@@ -203,11 +195,11 @@ def forward(net: FeedforwardNet, x: Sequence[float]) -> float:
 
 
 def set_weight(net: FeedforwardNet, index: int, value: float) -> FeedforwardNet:
-    """Return a copy of the net with weight ``index`` set (clamped to +-w_max)."""
+    """Return a copy of the net with weight ``index`` set."""
     if not 0 <= index < net.weight_count:
         raise IndexOutOfRange(f"weight index {index} out of range [0, {net.weight_count})")
     w = list(net.weights)
-    w[index] = _clamp(float(value), net.w_max)
+    w[index] = float(value)
     return replace(net, weights=tuple(w))
 
 
@@ -218,11 +210,3 @@ def set_mask(net: FeedforwardNet, index: int, enabled: bool) -> FeedforwardNet:
     m = list(net.mask)
     m[index] = bool(enabled)
     return replace(net, mask=tuple(m))
-
-
-def _clamp(value: float, bound: float) -> float:
-    if value > bound:
-        return bound
-    if value < -bound:
-        return -bound
-    return value

@@ -16,16 +16,17 @@ stepping, so a drop/restore pair at the same iteration is an exact no-op.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
-from .controller import DEFAULT_DT, ControllerParams, decay, divergence, stagger_params, step_all
+from .controller import ControllerParams, decay, divergence, stagger_params, step_all
 from .dynamics import DEFAULT_TAU
 from .errors import DivergenceError, InvalidEvent, ValidationError
 from .network import FeedforwardNet, TrainingSample, default_topology
 from .records import slot_constructor
 
 __all__ = [
+    "EVENT_ARGS",
     "Scenario",
     "ScenarioEvent",
     "TraceRecord",
@@ -33,16 +34,23 @@ __all__ = [
     "train_online",
 ]
 
-EVENT_KINDS = ("set_input", "set_reference", "drop_weight", "restore_weight")
+#: The ScenarioEvent fields each event kind takes as its arguments.
+EVENT_ARGS = {
+    "set_input": ("index", "value"),
+    "set_reference": ("value",),
+    "drop_weight": ("index",),
+    "restore_weight": ("index",),
+}
 
 
 @dataclass(frozen=True, slots=True)
 class ScenarioEvent:
     """Timed change to the training data or the network topology.
 
-    ``kind`` is one of set_input (index, value), set_reference (value),
-    drop_weight (index), restore_weight (index).  Events at iteration 0
-    describe the initial configuration and are applied before the loop.
+    ``kind`` is a key of ``EVENT_ARGS``, which names the fields it takes:
+    set_input (index, value), set_reference (value), drop_weight (index),
+    restore_weight (index).  Events at iteration 0 describe the initial
+    configuration and are applied before the loop.
     """
 
     at: int
@@ -51,16 +59,13 @@ class ScenarioEvent:
     value: float | None = None
 
     def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
+        if self.kind not in EVENT_ARGS:
             raise InvalidEvent(f"unknown event kind {self.kind!r}")
         if self.at < 0:
             raise InvalidEvent(f"event iteration must be >= 0, got {self.at}")
-        if self.kind == "set_input" and (self.index is None or self.value is None):
-            raise InvalidEvent("set_input needs an input index and a value")
-        if self.kind == "set_reference" and self.value is None:
-            raise InvalidEvent("set_reference needs a value")
-        if self.kind in ("drop_weight", "restore_weight") and self.index is None:
-            raise InvalidEvent(f"{self.kind} needs a weight index")
+        missing = [name for name in EVENT_ARGS[self.kind] if getattr(self, name) is None]
+        if missing:
+            raise InvalidEvent(f"{self.kind} needs {' and '.join(missing)}")
 
     @classmethod
     def set_input(cls, at: int, index: int, value: float) -> "ScenarioEvent":
@@ -81,11 +86,15 @@ class ScenarioEvent:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete description of one training run."""
+    """Complete description of one training run.
 
-    net: FeedforwardNet
-    base_params: ControllerParams
+    Every field but the training sample has the default of the built-in
+    runs: the default topology, the paper's gains, |w| <= 1.
+    """
+
     initial_sample: TrainingSample
+    net: FeedforwardNet = field(default_factory=default_topology)
+    base_params: ControllerParams = ControllerParams()
     events: tuple[ScenarioEvent, ...] = ()
     horizon: int = 100_000
     stagger_rho: float = 1.0
@@ -247,53 +256,37 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
 def builtin_scenarios() -> dict[str, Scenario]:
     """The four named training runs, keyed fig4..fig7.
 
-    All share the training sample (0.2, 0.6) -> 0.55, the gain set
-    kp = 1, ki = 1/100, k_alpha = 333/2, k_beta = 40, dt = tau = 1e-5,
-    uniform gains (rho = 1), zero-initialized weights and |w| <= 1.
+    All share the training sample (0.2, 0.6) -> 0.55 and take every other
+    Scenario default, the paper's gains ``ControllerParams()`` among them.
     Event iterations are placed well after the measured settling of the
     preceding transient (see scripts/settling_report.py).
     """
-    base = ControllerParams(kp=1.0, ki=0.01, k_alpha=166.5, k_beta=40.0, dt=DEFAULT_DT)
     sample = TrainingSample(x=(0.2, 0.6), y=0.55)
-    net = default_topology()
-    horizon = 100_000
     k1, k2, k3 = 20_000, 40_000, 60_000
-    common = dict(
-        net=net,
-        base_params=base,
-        initial_sample=sample,
-        horizon=horizon,
-        stagger_rho=1.0,
-        tau=DEFAULT_TAU,
-        w_max=1.0,
-    )
     drop_w7 = ScenarioEvent.drop_weight(0, 6)
     return {
         # constant training data, skip edge disabled
-        "fig4": Scenario(events=(drop_w7,), **common),
+        "fig4": Scenario(sample, events=(drop_w7,)),
         # training-data changes: inputs at k1, reference at k2
         "fig5": Scenario(
+            sample,
             events=(
                 drop_w7,
                 ScenarioEvent.set_input(k1, 0, 0.15),
                 ScenarioEvent.set_input(k1, 1, 0.7),
                 ScenarioEvent.set_reference(k2, 0.6),
             ),
-            **common,
         ),
         # topology change: a hidden-layer weight dropped at k1
-        "fig6": Scenario(
-            events=(drop_w7, ScenarioEvent.drop_weight(k1, 3)),
-            **common,
-        ),
+        "fig6": Scenario(sample, events=(drop_w7, ScenarioEvent.drop_weight(k1, 3))),
         # combined: data change at k1, skip edge dropped at k2, reference at k3
         "fig7": Scenario(
+            sample,
             events=(
                 ScenarioEvent.set_input(k1, 0, 0.15),
                 ScenarioEvent.set_input(k1, 1, 0.8),
                 ScenarioEvent.drop_weight(k2, 6),
                 ScenarioEvent.set_reference(k3, 0.6),
             ),
-            **common,
         ),
     }

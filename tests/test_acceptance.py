@@ -33,7 +33,7 @@ from paramodel import (
     train_online,
     write_trace,
 )
-from paramodel.linsolve import DEMO_A, DEMO_B, as_records, residual
+from paramodel.linsolve import DEMO_A, DEMO_B, as_records
 
 from conftest import (
     EQ3_X_STAR,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 import yaml
 
-from paramodel.cli import main
+from paramodel.cli import _apply_overrides, _build_parser, main
 from paramodel.config_io import builtin_config_dict, builtin_names, parse_config, serialize_config
 
 FAST_TRAIN = """\
@@ -287,3 +287,51 @@ def test_exponent_float_in_file_equals_flag(tmp_path, capsys):
     capsys.readouterr()
     assert code_a == code_b == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+SCENARIO_SECTION = """\
+scenario:
+  horizon: 300
+  sample: {x: [0.2, 0.6], y: 0.55}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, unused",
+    [(DIVERGING_LINSOLVE.replace("50000", "300") + SCENARIO_SECTION, "scenario"), (FAST_TRAIN + "problem: {a: [[1.0]], b: [1.0]}\n", "problem")],
+    ids=["linsolve-with-scenario", "train-with-problem"],
+)
+@pytest.mark.parametrize("flags", [[], ["--kp", "0.3", "--horizon", "5"]])
+def test_section_the_mode_does_not_use_exits_2(tmp_path, capsys, text, unused, flags):
+    cfg = tmp_path / "leftover.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "trace.csv"
+    assert main(["run", str(cfg), "--out", str(out), *flags]) == 2
+    mode = "linsolve" if unused == "scenario" else "train"
+    assert f"ValidationError: {unused}: {mode} mode does not use a {unused}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overrides_edit_the_section_of_the_mode():
+    args = _build_parser().parse_args(["run", "x.yaml", "--kp", "0.3", "--horizon", "5", "--rho", "0.5"])
+    for mode, used, unused in (("linsolve", "problem", "scenario"), ("train", "scenario", "problem")):
+        # the unused section comes first, as it did in the file that used to be edited wrongly
+        d = {"mode": mode, unused: {"horizon": 300}, used: {"horizon": 300}}
+        _apply_overrides(d, args)
+        assert d[unused] == {"horizon": 300}
+        assert d[used] == {"horizon": 5, "gains": {"kp": 0.3}, "stagger_rho": 0.5}
+    # no section yet: the flags add the one the mode runs, as an edit of the file would
+    d = _apply_overrides({"mode": "train"}, args)
+    assert d["scenario"] == {"horizon": 5, "gains": {"kp": 0.3}, "stagger_rho": 0.5}
+    # no valid mode: nothing to edit, the parser rejects the document
+    for mode in (None, "bogus", [1]):
+        d = {"mode": mode, "scenario": {}}
+        assert _apply_overrides(d, args)["scenario"] == {}
+
+
+@pytest.mark.parametrize("content", ["mode: bogus\n", "mode: [1]\n", "decimation: 5\n"])
+def test_overrides_with_no_valid_mode_exit_2(tmp_path, capsys, content):
+    cfg = tmp_path / "nomode.yaml"
+    cfg.write_text(content)
+    assert main(["run", str(cfg), "--kp", "0.3"]) == 2
+    assert "ValidationError: mode:" in capsys.readouterr().err

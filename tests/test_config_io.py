@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import pathlib
+import re
 
 import pytest
 import yaml
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from paramodel import (
     ControllerParams,
+    FirstOrderFilter,
     ParseError,
     RunConfig,
     Scenario,
@@ -53,7 +56,6 @@ scenario:
     inputs: [x1, x2]
     hidden: [h1, h2]
     output: y
-    w_max: 0.8
     edges:
       - {from: x1, to: h1, weight: 0}
       - {from: x2, to: h1, weight: 1}
@@ -117,7 +119,6 @@ def test_custom_config_parses():
     )
     assert s.initial_sample == TrainingSample(x=(0.2, 0.6), y=0.5)
     assert len(s.events) == 4
-    assert s.net.w_max == 0.8
 
 
 def test_default_mask_follows_the_weights_list():
@@ -321,6 +322,95 @@ def test_exponent_dt_in_a_file_parses():
 def test_serialized_text_is_unchanged(name):
     cfg = config_from_dict(builtin_config_dict(name))
     assert serialize_config(cfg) == yaml.safe_dump(config_to_dict(cfg), sort_keys=False)
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("hidden: [h1, h2]", "hidden: [1e3, h2]", "scenario.network.hidden"),
+        ("inputs: [x1, x2]", "inputs: [1.50, x2]", "scenario.network.inputs"),
+        ("output: y\n", "output: 7\n", "scenario.network.output"),
+        ("{from: h1, to: y, weight: 4}", "{from: 1000.0, to: y, weight: 4}", "scenario.network.edges[4].from"),
+        ("{from: x1, to: h1, weight: 0}", "{from: x1, to: 1e3, weight: 0}", "scenario.network.edges[0].to"),
+        ("{from: x1, to: h1, weight: 0}", "{from: x1, to: null, weight: 0}", "scenario.network.edges[0].to"),
+    ],
+)
+def test_numeric_node_names_are_rejected(old, new, key):
+    # YAML reads these as numbers; str() of them would rename the node
+    assert old in CUSTOM
+    with pytest.raises(ValidationError, match="must be a string") as err:
+        parse_config(CUSTOM.replace(old, new))
+    assert err.value.key == key
+
+
+def test_network_w_max_is_not_a_key():
+    # the one weight bound is scenario.w_max, which the trainer applies
+    text = CUSTOM.replace("    output: y\n", "    output: y\n    w_max: 0.8\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.key == "scenario.network.w_max"
+
+
+@pytest.mark.parametrize(
+    "event, key, message",
+    [
+        ("{at: 300, set_input: {index: 0}}", "scenario.events[3]", "set_input needs value"),
+        ("{at: 300, set_input: {index: 0, value: 0.1, scale: 2}}", "scenario.events[3].set_input.scale", "unknown key"),
+        ("{at: 300, set_input: 0.1}", "scenario.events[3].set_input", "must be a mapping"),
+        ("{at: 300, drop_weight: 0.5}", "scenario.events[3].drop_weight", "must be an integer"),
+        ("{at: 300, set_reference: 1}", "scenario", "set_reference value must satisfy"),
+        # keys of two types: sorting them for the message used to raise TypeError
+        ("{at: 300, drop_weight: 1, 7: 2, x: 3}", "scenario.events[3]", "unknown event keys ['7', 'x']"),
+        ("{at: -1, drop_weight: 1}", "scenario.events[3]", "event iteration must be >= 0"),
+    ],
+)
+def test_event_errors_name_their_key(event, key, message):
+    with pytest.raises(ValidationError, match=re.escape(message)) as err:
+        parse_config(CUSTOM.replace("{at: 300, restore_weight: 6}", event))
+    assert err.value.key == key
+
+
+def test_a_left_out_key_takes_its_field_default():
+    # the paper's operating point is the gain set's default, and every other
+    # scenario default is the built-in runs' value: fig4 needs only its sample
+    # and its one event
+    assert ControllerParams() == ControllerParams(kp=1.0, ki=0.01, k_alpha=166.5, k_beta=40.0, dt=1e-5)
+    cfg = parse_config("mode: train\nscenario:\n  sample: {x: [0.2, 0.6], y: 0.55}\n  events: [{at: 0, drop_weight: 6}]\n")
+    assert cfg.scenario == builtin_scenarios()["fig4"]
+    assert (cfg.decimation, cfg.tolerance, cfg.output) == (100, 0.01, None)
+    problem = parse_config("mode: linsolve\nproblem: {a: [[1.0]], b: [0.5]}\n").problem
+    assert problem.horizon == 50_000
+    assert problem.controllers == (ControllerParams(),)
+    assert problem.filters == (FirstOrderFilter(tau=1e-5, state=0.0),)
+    explicit = parse_config("mode: linsolve\nproblem: {a: [[1.0]], b: [0.5], controllers: [{}], filters: [{}]}\n")
+    assert explicit.problem == problem
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("mode: train\n", "scenario"),
+        ("mode: train\nscenario: {horizon: 5}\n", "scenario.sample"),
+        ("mode: train\nscenario: {sample: {x: [0.2, 0.6]}}\n", "scenario.sample.y"),
+        ("mode: linsolve\nproblem: {b: [1.0]}\n", "problem.a"),
+        ("mode: linsolve\nproblem: {a: [[1.0]]}\n", "problem.b"),
+        ("mode: linsolve\nproblem: {a: [], b: []}\n", "problem"),
+        ("mode: train\nscenario: {sample: {x: [0.2], y: 0.5}, network: {inputs: [x1], edges: [{from: x1, weight: 0}]}}\n", "scenario.network.edges[0].to"),
+    ],
+)
+def test_missing_keys_are_named(text, key):
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.key == key
+
+
+def test_readme_yaml_blocks_parse():
+    # the documented schema is the parser's: every yaml example must load
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        parse_config(block)
 
 
 def test_float_like_strings_roundtrip():

@@ -44,7 +44,6 @@ def test_default_topology_shape():
     assert len(net.hidden) + 1 == 3  # three tanh nodes in total
     assert net.weights == (0.0,) * 7
     assert net.mask == (True,) * 7
-    assert net.w_max == 1.0
 
 
 def test_forward_all_zero():
@@ -68,28 +67,6 @@ def test_forward_hand_value():
 def test_forward_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         forward(default_topology(), (0.5,))
-
-
-def test_set_weight_clamps():
-    net = set_weight(default_topology(), 0, 1.7)
-    assert net.weights[0] == 1.0
-    net = set_weight(net, 0, -5.0)
-    assert net.weights[0] == -1.0
-    net = set_weight(net, 0, 0.25)
-    assert net.weights[0] == 0.25
-
-
-def test_constructor_clamps():
-    net = default_topology()
-    clamped = FeedforwardNet(
-        inputs=net.inputs,
-        hidden=net.hidden,
-        output=net.output,
-        edges=net.edges,
-        weights=(1.7, -3.0, 0.5, 0.0, 0.0, 0.0, 0.0),
-        mask=(True,) * 7,
-    )
-    assert clamped.weights[:3] == (1.0, -1.0, 0.5)
 
 
 def test_index_out_of_range():
