@@ -3,9 +3,10 @@ the traces with the committed goldens.
 
 exp and tanh are evaluated by mpmath at 200 bits and rounded to the
 nearest double; everything else is the package's own arithmetic.  The
-package's exp and tanh are correctly rounded, so the goldens must equal
-these traces byte for byte.  mpmath is needed (it is in the ``test``
-extra); the run takes about a minute.
+traces are written through the CLI, the path that writes the goldens.
+The package's exp and tanh are correctly rounded, so the goldens must
+equal these traces byte for byte.  mpmath is needed (it is in the
+``test`` extra); the run takes about a minute.
 
 Usage: python scripts/reference_traces.py [--outdir DIR]
 """
@@ -19,13 +20,8 @@ import mpmath
 
 import paramodel.controller
 import paramodel.network
-from paramodel.config_io import (
-    builtin_config_dict,
-    builtin_names,
-    config_from_dict,
-    run_records,
-    write_trace,
-)
+from paramodel.cli import main as cli_main
+from paramodel.config_io import builtin_names
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
 DECIMATION = 100
@@ -75,7 +71,7 @@ def main() -> int:
     paths = []
     for name in builtin_names():
         paths.append(outdir / f"{name}_trace.csv")
-        write_trace(run_records(config_from_dict(builtin_config_dict(name))), str(paths[-1]), DECIMATION)
+        cli_main(["run", "--builtin", name, "--out", str(paths[-1]), "--decimate", str(DECIMATION)])
 
     differ = 0
     for path in paths:

@@ -82,33 +82,25 @@ def _load_config_dict(args) -> dict:
 def _apply_overrides(d: dict, args) -> dict:
     """Edit the config dict in place exactly as a user editing the file would.
 
-    The gain, horizon, tau and rho flags edit the section the mode runs.  A
-    key the file's explicit controllers or filters list replaces is then
-    rejected by the parser, so no override is silently ignored; without a
-    valid mode the parser rejects the file.
+    The flags form one edit document, merged into the file by
+    ``config_io.merge``.  The gain, horizon, tau and rho flags edit the
+    section the mode runs.  A key the file's explicit controllers or
+    filters list replaces is then rejected by the parser, so no override
+    is silently ignored; without a valid mode the parser rejects the file.
     """
     mode = d.get("mode")
     root = config_io.SECTIONS.get(mode) if isinstance(mode, str) else None
-    gain_overrides = {g: getattr(args, g) for g in GAIN_FLAGS if getattr(args, g) is not None}
-    structural = {
-        "horizon": args.horizon,
-        "tau": args.tau,
-        "stagger_rho": args.rho,
-    }
-    structural = {k: v for k, v in structural.items() if v is not None}
-    if root is not None and (gain_overrides or structural):
-        section = config_io._map(d.setdefault(root, {}), root)
-        if gain_overrides:
-            gains = section.setdefault("gains", {})
-            config_io._map(gains, f"{root}.gains").update(gain_overrides)
-        section.update(structural)
-    if args.out is not None:
-        d["output"] = args.out
-    if args.decimate is not None:
-        d["decimation"] = args.decimate
-    if args.tol is not None:
-        d["tolerance"] = args.tol
-    return d
+    gains = _given({g: getattr(args, g) for g in GAIN_FLAGS})
+    section = _given({"gains": gains or None, "horizon": args.horizon, "tau": args.tau, "stagger_rho": args.rho})
+    edit = _given({"output": args.out, "decimation": args.decimate, "tolerance": args.tol})
+    if root is not None and section:
+        edit[root] = section
+    return config_io.merge(d, edit)
+
+
+def _given(flags: dict) -> dict:
+    """The entries of flags that were given (not None)."""
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def _run(config: config_io.RunConfig, label: str) -> int:
@@ -129,12 +121,22 @@ def _run(config: config_io.RunConfig, label: str) -> int:
     # violations are errors >= tol, so the run settles within the horizon
     # exactly when its final error is < tol
     [(_, settle, converged)] = config_io.segment_settling(violations, [1], spec.horizon)
+    starts = config_io.segment_starts(config.scenario.events if train else ())
+    segments = config_io.segment_settling(violations, starts, spec.horizon)
     measure = "|y - y_ref|" if train else "max |y_j - b_j|"
     print(f"final {measure} = {err:.3e} (tolerance {tol!r})")
     if converged:
         print(f"settled from iteration {1 + settle} of {spec.horizon}")
     else:
         print("did not settle within the horizon")
+    for k0, n, settled in segments if len(segments) > 1 else ():
+        if not settled:
+            verdict = "did not settle within its segment"
+        elif k0 == 1:
+            verdict = f"settled from iteration {1 + n}"
+        else:
+            verdict = f"re-settled after {n} iterations"
+        print(f"{'initial segment' if k0 == 1 else f'event at iteration {k0}'}: {verdict}")
     if not train:
         print("x =", [f"{v:.6f}" for v in rec.x])
     if config.output:

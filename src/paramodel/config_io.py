@@ -2,12 +2,13 @@
 
 A run is described by a small YAML document (see README for the schema).
 ``builtin: NAME`` expands to the configuration of one of the named
-built-in runs; explicit keys in the same document override the expanded
-ones.  The CLI, the tests and the scripts load, run and judge a
-configuration through the one definition of each here: ``load_config_dict``,
-``run_records``, ``tracking_error`` and ``segment_settling``.  Traces are
-written as plain CSV with shortest round-trip float formatting, so
-re-reading a trace reproduces the recorded values exactly.
+built-in runs, and the rest of the document is merged into it
+(``merge``).  The CLI and the tests load, run and judge a configuration
+through the one definition of each here: ``load_config_dict``,
+``run_records``, ``tracking_error``, ``segment_starts`` and
+``segment_settling``.  Traces are written as plain CSV with shortest
+round-trip float formatting, so re-reading a trace reproduces the
+recorded values exactly.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ __all__ = [
     "config_from_dict",
     "expand_builtin",
     "load_config_dict",
+    "merge",
     "parse_config",
     "read_trace",
     "run_records",
     "segment_settling",
+    "segment_starts",
     "serialize_config",
     "tracking_error",
     "write_trace",
@@ -112,6 +115,12 @@ def tracking_error(rec: TraceRecord | LinsolveRecord) -> float:
         if d > err:
             err = d
     return err
+
+
+def segment_starts(events) -> list[int]:
+    """The first iteration of each segment of a run: 1, then the iteration
+    of each event after 0 (an event at 0 is the initial state)."""
+    return [1, *(e.at for e in events if e.at > 0)]
 
 
 def segment_settling(violations, starts, horizon: int) -> list[tuple[int, int, bool]]:
@@ -192,7 +201,7 @@ def parse_config(text: str) -> RunConfig:
 def expand_builtin(raw: dict) -> dict:
     """Resolve a top-level ``builtin: NAME`` key into a full config dict.
 
-    Other keys present alongside ``builtin`` override the expanded ones.
+    The other keys of the document are merged into the expanded ones.
     """
     d = dict(raw)
     builtin = d.pop("builtin", None)
@@ -204,7 +213,21 @@ def expand_builtin(raw: dict) -> dict:
             f"builtin {builtin!r} runs in {base['mode']!r} mode, got {d['mode']!r}",
             key="mode",
         )
-    base.update(d)
+    return merge(base, d)
+
+
+def merge(base: dict, edit: dict, key: str = "") -> dict:
+    """Apply ``edit`` to the document ``base`` in place and return it.
+
+    A mapping merges into a mapping, key by key; any other value replaces
+    the old one.  A mapping applied to an existing value that is not one
+    is an error naming that key.
+    """
+    for sub, value in edit.items():
+        if isinstance(value, dict) and sub in base:
+            merge(_map(base[sub], _key(key, sub)), value, _key(key, sub))
+        else:
+            base[sub] = value
     return base
 
 

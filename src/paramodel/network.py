@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from graphlib import CycleError, TopologicalSorter
 from typing import Sequence
 
 from .elementary import ROUNDER, TANH_TABLE, tanh_slow
@@ -96,6 +97,7 @@ class FeedforwardNet:
             raise ValidationError("mask and weights must have the same length")
         slot = {name: i for i, name in enumerate(nodes)}
         incoming: dict[str, list[tuple[int, int]]] = {n: [] for n in nodes}
+        graph = TopologicalSorter({n: () for n in nodes})
         for e in self.edges:
             if e.src not in slot:
                 raise ValidationError(f"edge source {e.src!r} is not a declared node")
@@ -108,24 +110,12 @@ class FeedforwardNet:
                     f"edge {e.src}->{e.dst}: weight index {e.weight} out of range"
                 )
             incoming[e.dst].append((slot[e.src], e.weight))
-        # Kahn's algorithm over the non-input nodes; cycle -> error
-        order: list[str] = []
-        deps = {
-            n: {self.edges[i].src for i in range(len(self.edges)) if self.edges[i].dst == n}
-            for n in nodes
-        }
-        ready = [n for n in nodes if n in self.inputs or not deps[n]]
-        done: set[str] = set()
-        while ready:
-            n = ready.pop(0)
-            done.add(n)
-            if n not in self.inputs:
-                order.append(n)
-            for m in nodes:
-                if m not in done and m not in ready and deps[m] <= done:
-                    ready.append(m)
-        if len(done) != len(nodes):
-            raise ValidationError("network graph has a cycle")
+            graph.add(e.dst, e.src)
+        # any topological order gives the same values: a node reads only its sources
+        try:
+            order = [n for n in graph.static_order() if n not in self.inputs]
+        except CycleError:
+            raise ValidationError("network graph has a cycle") from None
         return tuple((slot[n], tuple(incoming[n])) for n in order)
 
     def eval_with(self, weights: Sequence[float], mask: Sequence[bool], x: Sequence[float]) -> float:

@@ -49,8 +49,9 @@ class ScenarioEvent:
 
     ``kind`` is a key of ``EVENT_ARGS``, which names the fields it takes:
     set_input (index, value), set_reference (value), drop_weight (index),
-    restore_weight (index).  Events at iteration 0 describe the initial
-    configuration and are applied before the loop.
+    restore_weight (index); the other fields must stay None.  Events at
+    iteration 0 describe the initial configuration and are applied before
+    the loop.
     """
 
     at: int
@@ -63,9 +64,13 @@ class ScenarioEvent:
             raise InvalidEvent(f"unknown event kind {self.kind!r}")
         if self.at < 0:
             raise InvalidEvent(f"event iteration must be >= 0, got {self.at}")
-        missing = [name for name in EVENT_ARGS[self.kind] if getattr(self, name) is None]
+        takes = EVENT_ARGS[self.kind]
+        missing = [name for name in takes if getattr(self, name) is None]
         if missing:
             raise InvalidEvent(f"{self.kind} needs {' and '.join(missing)}")
+        extra = [name for name in ("index", "value") if name not in takes and getattr(self, name) is not None]
+        if extra:
+            raise InvalidEvent(f"{self.kind} takes no {' or '.join(extra)}")
 
     @classmethod
     def set_input(cls, at: int, index: int, value: float) -> "ScenarioEvent":
@@ -259,7 +264,8 @@ def builtin_scenarios() -> dict[str, Scenario]:
     All share the training sample (0.2, 0.6) -> 0.55 and take every other
     Scenario default, the paper's gains ``ControllerParams()`` among them.
     Event iterations are placed well after the measured settling of the
-    preceding transient (see scripts/settling_report.py).
+    preceding transient (``paramodel run --builtin NAME`` prints it per
+    event segment).
     """
     sample = TrainingSample(x=(0.2, 0.6), y=0.55)
     k1, k2, k3 = 20_000, 40_000, 60_000

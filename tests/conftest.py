@@ -13,6 +13,7 @@ from paramodel.config_io import (
     config_from_dict,
     run_records,
     segment_settling,
+    segment_starts,
     tracking_error,
     write_trace,
 )
@@ -23,7 +24,7 @@ from paramodel.trainer import Scenario, TraceRecord
 TRACK_TOL = 0.01
 
 #: fig4 initial settling iteration, measured once with
-#: scripts/settling_report.py and frozen as a regression pin.
+#: ``paramodel run --builtin fig4`` and frozen as a regression pin.
 FIG4_SETTLED_FROM = 1979
 
 #: regression budget: twice the measured fig4 settling iteration.  Every
@@ -93,8 +94,9 @@ def settled_from(violations: list[int], horizon: int) -> int | None:
 
 def event_resettled_within(scenario: Scenario, violations: list[int]) -> list[tuple[int, int]]:
     """(event iteration, iterations needed to re-enter the band) pairs."""
-    segments = segment_settling(violations, [e.at for e in scenario.events if e.at > 0], scenario.horizon)
-    return [(k0, settle) for k0, settle, _ in segments]
+    events = {e.at for e in scenario.events}
+    segments = segment_settling(violations, segment_starts(scenario.events), scenario.horizon)
+    return [(k0, settle) for k0, settle, _ in segments if k0 in events]
 
 
 @pytest.fixture(scope="session")

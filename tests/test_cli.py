@@ -161,6 +161,39 @@ def test_run_builtin_linsolve(tmp_path, capsys):
     assert out_csv.read_text().splitlines()[0] == "k,y1,y2,y3,b1,b2,b3,x1,x2,x3"
 
 
+def test_builtin_with_a_partial_section_equals_the_flag(tmp_path, capsys):
+    # the file's section merges into the expanded one, as the flag edits it
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text("builtin: fig4\nscenario: {horizon: 5}\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    code_a = main(["run", str(cfg), "--out", str(a), "--decimate", "1"])
+    code_b = main(["run", "--builtin", "fig4", "--horizon", "5", "--out", str(b), "--decimate", "1"])
+    capsys.readouterr()
+    assert code_a == code_b == 1
+    assert len(a.read_text().splitlines()) == 1 + 5
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_summary_has_no_segment_lines_without_events(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(FAST_TRAIN)
+    assert main(["run", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["run:", "final", "settled", "converged:"]
+
+
+def test_summary_of_a_segment_that_does_not_settle(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(FAST_TRAIN.replace("horizon: 3000", "horizon: 2020") + "    - {at: 2000, set_reference: 0.6}\n")
+    assert main(["run", str(cfg)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:5] == [
+        "did not settle within the horizon",
+        "initial segment: settled from iteration 1979",
+        "event at iteration 2000: did not settle within its segment",
+    ]
+
+
 def test_unknown_builtin_exit_code(capsys):
     assert main(["run", "--builtin", "fig99"]) == 2
     assert "fig99" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import pathlib
 import re
@@ -34,7 +35,9 @@ from paramodel.config_io import (
     config_from_dict,
     config_to_dict,
     load_config_dict,
+    merge,
     segment_settling,
+    segment_starts,
     tracking_error,
 )
 from paramodel.linsolve import LinsolveRecord, as_records, solve_linear
@@ -97,6 +100,38 @@ def test_builtin_alias_allows_top_level_overrides():
 def test_builtin_mode_conflict():
     with pytest.raises(ValidationError):
         parse_config("builtin: fig4\nmode: linsolve\n")
+
+
+def test_merge_edits_the_base_in_place():
+    base = {"a": {"b": 1, "c": [1, 2]}, "d": 2}
+    assert merge(base, {"a": {"c": [3], "e": {"f": 4}}, "d": None}) is base
+    # a mapping merges into a mapping; a list, a scalar and None replace
+    assert base == {"a": {"b": 1, "c": [3], "e": {"f": 4}}, "d": None}
+    # a key the base lacks takes the edit's value
+    assert merge({}, {"a": {"b": 2}}) == {"a": {"b": 2}}
+
+
+def test_merge_of_a_mapping_onto_a_value_names_the_key():
+    for base in ({"a": {"b": [1]}}, {"a": {"b": None}}):
+        with pytest.raises(ValidationError) as err:
+            merge(base, {"a": {"b": {"c": 1}}})
+        assert err.value.key == "a.b"
+        assert "must be a mapping" in str(err.value)
+
+
+def test_builtin_merges_a_partial_section():
+    cfg = parse_config("builtin: fig4\nscenario: {horizon: 5, gains: {kp: 0.5}}\n")
+    fig4 = builtin_scenarios()["fig4"]
+    gains = dataclasses.replace(fig4.base_params, kp=0.5)
+    assert cfg.scenario == dataclasses.replace(fig4, horizon=5, base_params=gains)
+
+
+def test_builtin_beside_an_explicit_list_cannot_be_combined():
+    text = "builtin: linsolve3\nproblem:\n  controllers: [{kp: 1.0}, {kp: 0.5}, {kp: 0.25}]\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.key == "problem.gains"
+    assert "cannot be combined with an explicit controllers list" in str(err.value)
 
 
 def test_unknown_builtin():
@@ -220,6 +255,14 @@ def test_segment_settling():
     # ...and one just before it leaves the earlier segment unsettled
     assert segment_settling([49], [1, 50], 100) == [(1, 49, False), (50, 0, True)]
     assert segment_settling([5], [], 100) == []
+
+
+def test_segment_starts():
+    ev = builtin_scenarios()["fig7"].events
+    assert segment_starts(ev) == [1, 20_000, 20_000, 40_000, 60_000]
+    # an event at 0 is the initial state and starts no segment
+    assert segment_starts(builtin_scenarios()["fig4"].events) == [1]
+    assert segment_starts(()) == [1]
 
 
 def test_tracking_error_of_both_record_kinds():

@@ -150,6 +150,45 @@ def test_edge_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "hidden, edges, message",
+    [
+        (("h1", "h2"), (("a", "h1"), ("h1", "h2"), ("h2", "h1"), ("h2", "y")), "network graph has a cycle"),
+        (("h",), (("a", "h"), ("h", "h"), ("h", "y")), "network graph has a cycle"),
+        (("a",), (("a", "y"),), "node ids must be unique across inputs/hidden/output"),
+        (("y",), (("a", "y"),), "node ids must be unique across inputs/hidden/output"),
+        ((), (("b", "y"),), "edge source 'b' is not a declared node"),
+        ((), (("a", "z"),), "edge target 'z' is not a declared node"),
+        ((), (("a", "y"), ("y", "a")), "edge target 'a' is an input node"),
+    ],
+    ids=["cycle", "self-loop", "input-named-as-hidden", "output-named-as-hidden", "undeclared-source", "undeclared-target", "edge-into-input"],
+)
+def test_graph_errors(hidden, edges, message):
+    with pytest.raises(ValidationError) as info:
+        FeedforwardNet(
+            inputs=("a",),
+            hidden=hidden,
+            output="y",
+            edges=tuple(Edge(src, dst, i) for i, (src, dst) in enumerate(edges)),
+            weights=(0.0,) * len(edges),
+            mask=(True,) * len(edges),
+        )
+    assert str(info.value) == message
+
+
+def test_plan_is_a_topological_order():
+    # hidden nodes declared after the nodes they feed still evaluate first
+    net = FeedforwardNet(
+        inputs=("a",),
+        hidden=("h2", "h1"),
+        output="y",
+        edges=(Edge("a", "h1", 0), Edge("h1", "h2", 1), Edge("h2", "y", 2)),
+        weights=(1.0, 1.0, 1.0),
+        mask=(True, True, True),
+    )
+    assert forward(net, (0.5,)) == tanh(tanh(tanh(0.5)))
+
+
 def test_disconnected_hidden_node_is_fine():
     # a hidden node nobody feeds evaluates to tanh(0); the output slot is
     # still the one returned

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paramodel import (
     ControllerParams,
@@ -225,6 +227,42 @@ def test_event_kind_validation():
         ScenarioEvent(at=-1, kind="set_reference", value=0.5)
     with pytest.raises(InvalidEvent):
         ScenarioEvent(at=1, kind="set_input", index=0)  # missing value
+    # a field the kind does not take would be lost by serialize_config
+    with pytest.raises(InvalidEvent, match="set_reference takes no index"):
+        ScenarioEvent(at=0, kind="set_reference", index=3, value=0.5)
+    with pytest.raises(InvalidEvent, match="restore_weight takes no value"):
+        ScenarioEvent(at=0, kind="restore_weight", index=3, value=0.0)
+
+
+@st.composite
+def drop_restore_pairs(draw):
+    """A built-in scenario cut to a short horizon, and the same scenario with
+    drop_weight(k, i) and then restore_weight(k, i) after its events at k,
+    for a weight i enabled at k."""
+    base = builtin_scenarios()[draw(st.sampled_from(["fig4", "fig5", "fig6", "fig7"]))]
+    horizon = draw(st.integers(20, 300))
+    events = [dataclasses.replace(e, at=e.at * horizon // base.horizon) for e in base.events]
+    k = draw(st.integers(0, horizon))
+    enabled = list(base.net.mask)
+    for e in events:
+        if e.at <= k and e.kind in ("drop_weight", "restore_weight"):
+            enabled[e.index] = e.kind == "restore_weight"
+    i = draw(st.sampled_from([j for j, on in enumerate(enabled) if on]))
+    at_k = sum(e.at <= k for e in events)
+    pair = [ScenarioEvent.drop_weight(k, i), ScenarioEvent.restore_weight(k, i)]
+    cut = dataclasses.replace(base, events=tuple(events), horizon=horizon)
+    return cut, dataclasses.replace(cut, events=(*events[:at_k], *pair, *events[at_k:]))
+
+
+def hexed_trace(scenario):
+    return [(r.k, *map(float.hex, (r.t, r.y, r.y_ref, *r.w, *r.u))) for r in train_online(scenario)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(drop_restore_pairs())
+def test_drop_restore_pair_is_a_no_op(scenarios):
+    without, with_pair = scenarios
+    assert hexed_trace(with_pair) == hexed_trace(without)
 
 
 def test_builtin_scenarios_shapes():
