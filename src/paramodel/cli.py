@@ -51,9 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a configured run")
     run.add_argument("config_path", nargs="?", help="YAML run configuration file")
-    src = run.add_mutually_exclusive_group()
-    src.add_argument("--config", help="YAML run configuration file")
-    src.add_argument("--builtin", help="name of a built-in run (see 'list')")
+    run.add_argument("--builtin", help="name of a built-in run (see 'list')")
     run.add_argument("--out", help="trace CSV path (overrides config 'output')")
     run.add_argument("--decimate", type=int, help="record every M-th iteration")
     run.add_argument("--tol", type=float, help="convergence tolerance")
@@ -68,14 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_dict(args) -> dict:
-    sources = [s for s in (args.config_path, args.config, args.builtin) if s is not None]
-    if len(sources) != 1:
+    if (args.config_path is None) == (args.builtin is None):
         raise ValidationError(
             "exactly one of a config path or --builtin is required", key="run"
         )
-    if args.builtin:
+    if args.builtin is not None:
         return config_io.builtin_config_dict(args.builtin)
-    with open(args.config_path or args.config, "r", encoding="utf-8") as fh:
+    with open(args.config_path, "r", encoding="utf-8") as fh:
         return config_io.load_config_dict(fh.read())
 
 
@@ -140,7 +137,9 @@ def _run(config: config_io.RunConfig, label: str) -> int:
     if not train:
         print("x =", [f"{v:.6f}" for v in rec.x])
     if config.output:
-        config_io.write_trace(rows, config.output, config.decimation)
+        # with no row kept, the last record, which the decimation drops,
+        # still gives the header of its mode and width
+        config_io.write_trace(rows or [rec], config.output, config.decimation)
         print(f"trace: {config.output} ({len(rows)} rows, decimation {config.decimation})")
     print(f"converged: {'yes' if converged else 'no'}")
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
@@ -160,7 +159,7 @@ def cmd_run(args) -> int:
     except (ValidationError, InvalidParams, InvalidEvent) as err:
         print(f"ValidationError: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    label = args.builtin or args.config_path or args.config
+    label = args.builtin or args.config_path
     try:
         return _run(config, label)
     except DivergenceError as err:

@@ -429,7 +429,6 @@ _TABLES = {
         "k_alpha": ("k_alpha", _number),
         "k_beta": ("k_beta", _number),
         "dt": ("dt", _number),
-        "init_decay": ("init_decay", _str),
     },
     TrainingSample: {
         "x": ("x", _list_of(_number)),
@@ -550,8 +549,8 @@ def _codec(cls, width: int):
 
     ``rows(records, decimation)`` yields the CSV line of every record whose
     ``k`` is a multiple of ``decimation``: one f-string with ``!r`` (the
-    shortest round-trip repr) per float.  ``parse(line)`` splits a line
-    once and builds the record through its slots with straight-line
+    shortest round-trip repr) per float.  ``parse(line)`` splits a line of
+    bytes once and builds the record through its slots with straight-line
     ``int``/``float`` calls; it raises ValueError for a wrong field count
     or a non-numeric field.  Both are generated with one statement per
     field, as ``slot_constructor`` generates its constructor, and name
@@ -589,7 +588,7 @@ def _codec(cls, width: int):
     args += [f"({''.join(f'float({c}), ' for c in cols[v])})" for v in vectors]
     lines += [
         "def parse(line):",
-        f"    [{', '.join(names)}] = line.split(',')",
+        f"    [{', '.join(names)}] = line.split(b',')",
         f"    return make({', '.join(args)})",
     ]
     env = {"_unset": object(), "make": slot_constructor(cls)}
@@ -604,7 +603,8 @@ def write_trace(records: Iterable, path: str, decimation: int = 1) -> None:
     records give ``k,y1..yn,b1..bn,x1..xn``.  Floats are written with
     shortest round-trip formatting, so reading the file back reproduces
     the values bit-exactly.  The rows are streamed to the file, never
-    joined in memory.  An empty record sequence produces a file with the
+    joined in memory.  The first record, even one the decimation drops,
+    gives the header of its mode and width; no record at all gives the
     scalar train-mode header only.  Every record must have the width of
     the first: a tuple of another length raises ValueError.
     """
@@ -624,27 +624,36 @@ def write_trace(records: Iterable, path: str, decimation: int = 1) -> None:
         fh.writelines(rows(chain((first,), it), decimation))
 
 
+#: Every byte a row of write_trace holds: those of a float's repr, comma
+#: and newline, not the whitespace and underscores float() passes over.
+_ROW_BYTES = b"0123456789+-.eainf,\n"
+
+
 def read_trace(path: str) -> list:
     """Read a trace CSV back into records (inverse of write_trace).
 
     Raises ParseError, with the 1-based line number, for a header other
     than one write_trace emits, a row whose field count differs from the
-    header's, or a field that is not a number (an integer for ``k``).
-    The file is decoded as Latin-1, which maps every byte, so a byte
-    outside ASCII is reported as such a field rather than as a
-    UnicodeDecodeError.
+    header's, or a field that is not a number (an integer for ``k``) as
+    write_trace writes it: a field holding a byte write_trace never
+    writes, such as a space, an underscore or a byte outside ASCII, is
+    reported with its column.  The file is read in blocks of lines, each
+    checked for such bytes at once, and never held whole in memory.
     """
-    with open(path, "r", encoding="latin-1") as fh:
-        header = fh.readline().removesuffix("\n")
+    records = []
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("latin-1").removesuffix("\n")
         parse = _parser_for(header)
-        try:
-            return list(map(parse, fh))
-        except ValueError:
-            fh.seek(0)
-            err = _first_bad_row(fh, header.split(","))
-            if err is None:
-                raise
-    raise err
+        lineno = 2  # of the block's first line
+        while lines := fh.readlines(1 << 16):
+            try:
+                if b"".join(lines).translate(None, _ROW_BYTES):
+                    raise ValueError("a byte write_trace never writes")
+                records += map(parse, lines)
+            except ValueError:
+                raise _first_bad_row(lines, lineno, header.split(",")) from None
+            lineno += len(lines)
+    return records
 
 
 def _parser_for(header: str):
@@ -656,17 +665,18 @@ def _parser_for(header: str):
     raise ParseError(f"unrecognized trace header: {header!r}", line=1)
 
 
-def _first_bad_row(lines, cols: list[str]) -> ParseError | None:
-    """The error of the first malformed row after the header, if any."""
-    next(lines)
-    for lineno, line in enumerate(lines, start=2):
-        values = line.split(",")
+def _first_bad_row(lines, lineno: int, cols: list[str]) -> ParseError:
+    """The error of the first malformed row of ``lines``, whose first line
+    is line ``lineno``."""
+    for lineno, line in enumerate(lines, start=lineno):
+        values = line.removesuffix(b"\n").split(b",")
         if len(values) != len(cols):
             return ParseError(f"expected {len(cols)} fields, got {len(values)}", line=lineno)
         for i, (col, field) in enumerate(zip(cols, values)):
             try:
+                if field.translate(None, _ROW_BYTES):
+                    raise ValueError
                 int(field) if i == 0 else float(field)
             except ValueError:
                 kind = "an integer" if i == 0 else "a number"
-                return ParseError(f"{col} is not {kind}: {field.rstrip()!r}", line=lineno)
-    return None
+                return ParseError(f"{col} is not {kind}: {field.decode('latin-1')!r}", line=lineno)

@@ -33,10 +33,6 @@ __all__ = [
     "decay", "divergence", "stagger_params", "step_all",
 ]
 
-#: Allowed values for ControllerParams.init_decay.
-DECAY_MODES = ("time", "index")
-
-
 @dataclass(frozen=True, slots=True)
 class ControllerParams:
     """Tuning gain set of one controller instance.
@@ -45,12 +41,6 @@ class ControllerParams:
     ``k_alpha``/``k_beta`` shape the decaying initialization term;
     ``dt`` is the simulation step in seconds.  The defaults are the
     paper's operating point, which the built-in training runs use.
-
-    ``init_decay`` selects the argument of the initialization exponential:
-    ``"time"`` uses elapsed time ``k*dt`` (default), ``"index"`` uses the
-    bare iteration index ``k``.  With the index variant and k_beta of a
-    few tens, the term is gone after one step and the controller cannot
-    bootstrap from an all-zero start, so "time" is the practical choice.
     """
 
     kp: float = 1.0
@@ -58,7 +48,6 @@ class ControllerParams:
     k_alpha: float = 166.5
     k_beta: float = 40.0
     dt: float = 1e-5
-    init_decay: str = "time"
 
     def __post_init__(self):
         if not (self.kp >= 0.0 and math.isfinite(self.kp)):
@@ -71,10 +60,6 @@ class ControllerParams:
             raise InvalidParams(f"k_beta must be finite and >= 0, got {self.k_beta}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise InvalidParams(f"dt must be a finite positive step, got {self.dt}")
-        if self.init_decay not in DECAY_MODES:
-            raise InvalidParams(
-                f"init_decay must be one of {DECAY_MODES}, got {self.init_decay!r}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,11 +83,11 @@ def controller_new(params: ControllerParams, psi0: float = 0.0) -> ControllerSta
     return ControllerState(psi=psi0, integral=0.0, k=0)
 
 
-def decay(k_beta: float, k: int, dt: float, by_time: bool) -> float:
-    """Initialization decay of step ``k`` (see ControllerParams.init_decay),
-    by the package's correctly rounded exp; controllers with equal arguments
-    can share one value."""
-    return exp(-k_beta * (k * dt if by_time else k))
+def decay(k_beta: float, k: int, dt: float) -> float:
+    """Initialization decay ``exp(-k_beta * k * dt)`` of step ``k``, in
+    elapsed time, by the package's correctly rounded exp; controllers with
+    equal arguments can share one value."""
+    return exp(-k_beta * (k * dt))
 
 
 def step_all(idx, psis, integrals, xs, us, kps, kis, a, e, dt, tau) -> int:
@@ -153,7 +138,7 @@ def controller_step(
     """
     k = state.k + 1
     p = params
-    d = decay(p.k_beta, k, p.dt, p.init_decay == "time")
+    d = decay(p.k_beta, k, p.dt)
     # the filter state is a dummy: with tau = inf it stays finite exactly
     # while u is finite
     psis, integrals, us = [state.psi], [state.integral], [0.0]
@@ -198,7 +183,6 @@ def stagger_params(base: ControllerParams, n: int, rho: float) -> list[Controlle
                 k_alpha=base.k_alpha,
                 k_beta=base.k_beta,
                 dt=base.dt,
-                init_decay=base.init_decay,
             )
         )
         num_j *= num

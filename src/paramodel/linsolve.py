@@ -107,8 +107,8 @@ def solve_linear(
     ctrl = problem.controllers
     kps = [p.kp for p in ctrl]
     kis = [p.ki for p in ctrl]
-    # one k_alpha * decay per iteration for each distinct (k_alpha, k_beta, dt, init_decay)
-    keys = [(p.k_alpha, p.k_beta, p.dt, p.init_decay == "time") for p in ctrl]
+    # one k_alpha * decay per iteration for each distinct (k_alpha, k_beta, dt)
+    keys = [(p.k_alpha, p.k_beta, p.dt) for p in ctrl]
     law_keys = list(dict.fromkeys(keys))
     slots = [law_keys.index(key) for key in keys]
     # one kernel call per iteration for each distinct (dt, tau), in practice one
@@ -124,7 +124,7 @@ def solve_linear(
     x_trace: list[tuple[float, ...]] = []
     y_trace: list[tuple[float, ...]] = []
     for k in range(1, problem.horizon + 1):
-        kd = [k_alpha * decay(k_beta, k, dt, by_time) for k_alpha, k_beta, dt, by_time in law_keys]
+        kd = [k_alpha * decay(k_beta, k, dt) for k_alpha, k_beta, dt in law_keys]
         a = [kd[slot] - y_j for slot, y_j in zip(slots, y)]
         e = list(map(sub, b, y))
         bad = -1  # the lowest diverging unknown of all groups

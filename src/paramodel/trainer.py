@@ -11,6 +11,7 @@ current weights, step each enabled controller and filter, clamp, record.
 Dropped weights are held at zero with their controller and filter frozen;
 restoring a weight re-installs the frozen filter state and resumes
 stepping, so a drop/restore pair at the same iteration is an exact no-op.
+A weight masked from the start is held so too, as if dropped at iteration 0.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ class TraceRecord:
 
     ``y`` is the output measured before this iteration's weight update;
     ``w`` holds the post-filter, post-clamp weights and ``u`` the raw
-    controller outputs (zero for weights frozen by a drop event).
+    controller outputs (both zero for a weight that is masked, by a drop
+    event or from the start).
     """
 
     k: int
@@ -178,8 +180,8 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
     base = scenario.base_params
     params = stagger_params(base, q, scenario.stagger_rho)
     dt, tau, w_max = base.dt, scenario.tau, scenario.w_max
-    # stagger_params gives every controller the base k_alpha, k_beta, dt, init_decay
-    k_alpha, k_beta, by_time = base.k_alpha, base.k_beta, base.init_decay == "time"
+    # stagger_params gives every controller the base k_alpha, k_beta and dt
+    k_alpha, k_beta = base.k_alpha, base.k_beta
     kps = [p.kp for p in params]
     kis = [p.ki for p in params]
 
@@ -194,6 +196,8 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
     psis = [0.0] * q
     integrals = [0.0] * q
     xs = list(w)
+    # a weight masked at the start is zero, its frozen filter state its clamped value
+    w = [v if m else 0.0 for v, m in zip(w, mask)]
     u = [0.0] * q
     lag = [0] * q
     dropped_at = [1] * q  # iteration 0 events act before the step of iteration 1
@@ -241,9 +245,9 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
         if not isfinite(y):
             raise DivergenceError(f"network output became non-finite: {y}", iteration=k)
         if len(lags) == 1:  # every enabled controller takes the same step
-            a = [k_alpha * decay(k_beta, k - lags[0], dt, by_time) - y] * q
+            a = [k_alpha * decay(k_beta, k - lags[0], dt) - y] * q
         else:  # a restored weight lags the others
-            by_lag = {n: k_alpha * decay(k_beta, k - n, dt, by_time) - y for n in lags}
+            by_lag = {n: k_alpha * decay(k_beta, k - n, dt) - y for n in lags}
             a = [by_lag.get(n, 0.0) for n in lag]
         bad = step_all(active, psis, integrals, xs, u, kps, kis, a, [y_ref - y] * q, dt, tau)
         if bad >= 0:  # before the clamp, which would hide it

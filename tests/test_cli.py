@@ -105,6 +105,24 @@ def test_run_needs_exactly_one_source(capsys):
     assert main(["run", "a.yaml", "--builtin", "fig4"]) == 2
 
 
+def test_config_path_is_positional_only(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--config", "a.yaml"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["fig4", "linsolve3"])
+def test_trace_with_no_row_has_the_header_of_its_mode(tmp_path, capsys, name):
+    # a horizon below the decimation keeps no row, yet the header is the
+    # one the same run writes at --decimate 1
+    empty, full = tmp_path / "empty.csv", tmp_path / "full.csv"
+    main(["run", "--builtin", name, "--horizon", "50", "--out", str(empty)])
+    main(["run", "--builtin", name, "--horizon", "50", "--decimate", "1", "--out", str(full)])
+    assert "(0 rows, decimation 100)" in capsys.readouterr().out
+    assert empty.read_text() == full.read_text().splitlines(keepends=True)[0]
+
+
 def test_override_flags_equal_config_edit(tmp_path, capsys):
     base = tmp_path / "base.yaml"
     base.write_text(FAST_TRAIN)
@@ -197,6 +215,8 @@ def test_summary_of_a_segment_that_does_not_settle(tmp_path, capsys):
 def test_unknown_builtin_exit_code(capsys):
     assert main(["run", "--builtin", "fig99"]) == 2
     assert "fig99" in capsys.readouterr().err
+    assert main(["run", "--builtin", ""]) == 2
+    assert "unknown built-in ''" in capsys.readouterr().err
 
 
 def short_builtin(path, name, horizon=300, **edits):
@@ -288,6 +308,21 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
             [],
             "ValidationError: scenario.network.mask: needs one entry per weight (3), got 1",
         ),
+        (
+            FAST_TRAIN.replace("dt: 1.0e-05}", "dt: 1.0e-05, init_decay: time}").encode(),
+            [],
+            "ValidationError: scenario.gains.init_decay: unknown key",
+        ),
+        (
+            DIVERGING_LINSOLVE.replace("dt: 1.0e-05}", "dt: 1.0e-05, init_decay: time}").encode(),
+            [],
+            "ValidationError: problem.gains.init_decay: unknown key",
+        ),
+        (
+            b"mode: linsolve\nproblem:\n  a: [[2.0]]\n  b: [1.0]\n  controllers: [{kp: 1.0, init_decay: time}]\n",
+            [],
+            "ValidationError: problem.controllers[0].init_decay: unknown key",
+        ),
     ],
     ids=[
         "sample-not-a-list",
@@ -298,6 +333,9 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
         "gains-not-a-mapping",
         "weights-shorter-than-edges",
         "mask-length",
+        "init-decay-in-scenario-gains",
+        "init-decay-in-problem-gains",
+        "init-decay-in-a-controller",
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, content, flags, message):

@@ -611,6 +611,45 @@ def test_read_trace_names_the_bad_field(tmp_path):
         read_trace(str(path))
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        # float() and int() take these, write_trace never writes them
+        (b"2,0.5,1_0, 2.5", "b1 is not a number: '1_0'"),
+        (b"2,0.5,1.0, 2.5", "x1 is not a number: ' 2.5'"),
+        (b"2,0.5,1.0,2.5 ", "x1 is not a number: '2.5 '"),
+        (b"2,0.5,1.0,\t2.5", "x1 is not a number: '\\t2.5'"),
+        (b"2,0.5,1.0,2.5\r", "x1 is not a number: '2.5\\r'"),
+        (b"2,0.5,1.0,\x0c2.5", "x1 is not a number: '\\x0c2.5'"),
+        (b"2,0.5,1.0,\x1f2.5", "x1 is not a number: '\\x1f2.5'"),
+        (b"2,0.5,\xa01.0,2.5", "b1 is not a number: '\\xa01.0'"),
+        (b"2,0.5,1.0\x85,2.5", "b1 is not a number: '1.0\\x85'"),
+        (b" 2,0.5,1.0,2.5", "k is not an integer: ' 2'"),
+        (b"2_0,0.5,1.0,2.5", "k is not an integer: '2_0'"),
+    ],
+)
+def test_read_trace_rejects_a_byte_write_trace_never_writes(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"k,y1,b1,x1\n1,0.5,1.0,2.5\n" + row + b"\n3,0.5,1.0,2.5\n")
+    with pytest.raises(ParseError) as err:
+        read_trace(str(path))
+    assert err.value.line == 3
+    assert str(err.value) == f"line 3: {message}"
+
+
+def test_read_trace_numbers_lines_across_blocks(tmp_path):
+    # enough rows for several blocks of lines, the bad one in a later block
+    rows = [f"{k},0.5,1.0,2.5\n".encode() for k in range(1, 20_001)]
+    rows[15_000] = b"15001,0.5,1.0,2.5 \n"
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"k,y1,b1,x1\n" + b"".join(rows))
+    with pytest.raises(ParseError, match=r"^line 15002: x1 is not a number: '2.5 '$"):
+        read_trace(str(path))
+    rows[15_000] = b"15001,0.5,1.0,2.5\n"
+    path.write_bytes(b"k,y1,b1,x1\n" + b"".join(rows))
+    assert [r.k for r in read_trace(str(path))] == list(range(1, 20_001))
+
+
 def test_read_trace_of_headers_only(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("k,t,y,y_ref\n")

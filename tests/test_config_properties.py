@@ -61,7 +61,6 @@ def gains(draw):
     optional(draw, d, "k_alpha", st.sampled_from([100.0, 166.5]))
     optional(draw, d, "k_beta", st.sampled_from([4.0, 40.0]))
     optional(draw, d, "dt", DTS)
-    optional(draw, d, "init_decay", st.sampled_from(["time", "index"]))
     return d
 
 
@@ -203,7 +202,7 @@ DEFAULT_NETWORK = {
         for i, (a, b) in enumerate([("x1", "h1"), ("x2", "h1"), ("x1", "h2"), ("x2", "h2"), ("h1", "y"), ("h2", "y"), ("x1", "y")])
     ],
 }
-GAINS = {"kp": 1.0, "ki": 0.01, "k_alpha": 166.5, "k_beta": 40.0, "dt": 1e-5, "init_decay": "time"}
+GAINS = {"kp": 1.0, "ki": 0.01, "k_alpha": 166.5, "k_beta": 40.0, "dt": 1e-5}
 DEFAULTS = {
     "top": {"decimation": 100, "tolerance": 0.01, "output": None},
     "scenario": {

@@ -53,7 +53,6 @@ def test_new_passthrough():
         dict(dt=0.0),
         dict(dt=-1e-5),
         dict(dt=math.inf),
-        dict(init_decay="bogus"),
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -146,17 +145,10 @@ def test_integral_linear_in_ki(errs):
     assert s2.integral == 2.0 * s1.integral
 
 
-def test_index_decay_variant():
-    p_time = ControllerParams(kp=1.0, ki=0.01, k_alpha=1.0, k_beta=40.0, dt=1e-5)
-    p_index = ControllerParams(
-        kp=1.0, ki=0.01, k_alpha=1.0, k_beta=40.0, dt=1e-5, init_decay="index"
-    )
-    s_time, _ = controller_step(controller_new(p_time), p_time, 0.0, 0.0)
-    s_index, _ = controller_step(controller_new(p_index), p_index, 0.0, 0.0)
-    assert s_time.psi == exp(-40.0 * 1e-5)
-    assert s_index.psi == exp(-40.0)
-    # the index variant is effectively dead after one step at this k_beta
-    assert s_index.psi < 1e-17
+def test_first_step_decays_in_elapsed_time():
+    p = ControllerParams(kp=1.0, ki=0.01, k_alpha=1.0, k_beta=40.0, dt=1e-5)
+    s, _ = controller_step(controller_new(p), p, 0.0, 0.0)
+    assert s.psi == exp(-40.0 * 1e-5)
 
 
 def test_divergence_reports_iteration():

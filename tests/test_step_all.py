@@ -45,7 +45,7 @@ SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.22507385
 def literal_controller_step(state, params, y_ref, y_meas):
     """The para-model law of the controller module's docstring."""
     k = state.k + 1
-    d = exp(-params.k_beta * (k * params.dt if params.init_decay == "time" else k))
+    d = exp(-params.k_beta * (k * params.dt))
     psi = state.psi + params.kp * (params.k_alpha * d - y_meas)
     integral = state.integral + params.ki * (y_ref - y_meas) * params.dt
     u = psi * integral
@@ -99,13 +99,12 @@ step_size = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from(
     k_alpha=gain,
     k_beta=gain,
     dt=step_size,
-    init_decay=st.sampled_from(["time", "index"]),
     y_ref=any_float,
     y_meas=any_float,
 )
-def test_controller_step_is_the_literal_law(psi, integral, k, kp, ki, k_alpha, k_beta, dt, init_decay, y_ref, y_meas):
+def test_controller_step_is_the_literal_law(psi, integral, k, kp, ki, k_alpha, k_beta, dt, y_ref, y_meas):
     state = ControllerState(psi=psi, integral=integral, k=k)
-    params = ControllerParams(kp=kp, ki=ki, k_alpha=k_alpha, k_beta=k_beta, dt=dt, init_decay=init_decay)
+    params = ControllerParams(kp=kp, ki=ki, k_alpha=k_alpha, k_beta=k_beta, dt=dt)
     assert outcome(controller_step, state, params, y_ref, y_meas) == outcome(
         literal_controller_step, state, params, y_ref, y_meas
     )
@@ -177,9 +176,11 @@ def lagging_scenario(**overrides) -> Scenario:
     return Scenario(**fields)
 
 
-@pytest.mark.parametrize("init_decay, k_beta", [("time", 40.0), ("index", 0.25)])
-def test_train_with_a_lagging_restored_weight(init_decay, k_beta):
-    base = dataclasses.replace(lagging_scenario().base_params, init_decay=init_decay, k_beta=k_beta)
+# k_beta = 25000 decays by exp(-0.25) per step at dt = 1e-5, so the three
+# lags see clearly different decays
+@pytest.mark.parametrize("k_beta", [40.0, 25_000.0])
+def test_train_with_a_lagging_restored_weight(k_beta):
+    base = dataclasses.replace(lagging_scenario().base_params, k_beta=k_beta)
     with literal_steps():
         test_kernel.assert_same_train(lagging_scenario(base_params=base))
 

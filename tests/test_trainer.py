@@ -21,6 +21,7 @@ from paramodel import (
     builtin_scenarios,
     default_topology,
     forward,
+    set_mask,
     set_weight,
     solve_linear,
     train_online,
@@ -263,6 +264,39 @@ def hexed_trace(scenario):
 def test_drop_restore_pair_is_a_no_op(scenarios):
     without, with_pair = scenarios
     assert hexed_trace(with_pair) == hexed_trace(without)
+
+
+@st.composite
+def masked_or_dropped(draw):
+    """A scenario whose net starts with some weights masked, at random initial
+    weights, and the same scenario with those weights enabled and dropped at
+    iteration 0; either may restore one of them later."""
+    masked = sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=3)))
+    horizon = draw(st.integers(1, 120))
+    net = default_topology()
+    for i in range(7):
+        net = set_weight(net, i, draw(st.floats(-1.5, 1.5)))
+    later = ()
+    if draw(st.booleans()):
+        later = (ScenarioEvent.restore_weight(draw(st.integers(0, horizon)), draw(st.sampled_from(masked))),)
+    dropped = Scenario(
+        net=net,
+        base_params=BASE,
+        initial_sample=TrainingSample(x=(0.2, 0.6), y=0.55),
+        events=(*(ScenarioEvent.drop_weight(0, i) for i in masked), *later),
+        horizon=horizon,
+        w_max=draw(st.floats(0.5, 1.0)),
+    )
+    for i in masked:
+        net = set_mask(net, i, False)
+    return dataclasses.replace(dropped, net=net, events=later), dropped
+
+
+@settings(max_examples=50, deadline=None)
+@given(masked_or_dropped())
+def test_a_weight_masked_at_the_start_is_traced_as_dropped_at_0(scenarios):
+    masked, dropped = scenarios
+    assert hexed_trace(masked) == hexed_trace(dropped)
 
 
 def test_builtin_scenarios_shapes():
