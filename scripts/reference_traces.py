@@ -5,8 +5,9 @@ exp and tanh are evaluated by mpmath at 200 bits and rounded to the
 nearest double; everything else is the package's own arithmetic.  The
 traces are written through the CLI, the path that writes the goldens.
 The package's exp and tanh are correctly rounded, so the goldens must
-equal these traces byte for byte.  mpmath is needed (it is in the
-``test`` extra); the run takes about a minute.
+equal these traces byte for byte.  The script exits 1 if a line differs,
+or if the reference exp or tanh was never called.  mpmath is needed (it
+is in the ``test`` extra); the run takes about a minute.
 
 Usage: python scripts/reference_traces.py [--outdir DIR]
 """
@@ -34,11 +35,16 @@ def nearest(value) -> float:
     return -magnitude if sign else magnitude
 
 
+CALLS = {"exp": 0, "tanh": 0}
+
+
 def reference(name: str):
-    """mpmath's exp or tanh at 200 bits, rounded to nearest; tanh keeps -0.0."""
+    """mpmath's exp or tanh at 200 bits, rounded to nearest; tanh keeps -0.0.
+    Each call is counted in CALLS."""
     fn = getattr(mpmath, name)
 
     def call(x: float) -> float:
+        CALLS[name] += 1
         if x == 0.0 and name == "tanh":
             return x
         with mpmath.workprec(200):
@@ -47,26 +53,13 @@ def reference(name: str):
     return call
 
 
-def eval_with(self, weights, mask, x):
-    """FeedforwardNet.eval_with with the reference tanh."""
-    tanh = reference("tanh")
-    values = [*x, *self._pad]
-    for node_slot, terms in self._plan:
-        acc = 0.0
-        for src_slot, w_idx in terms:
-            if mask[w_idx]:
-                acc += weights[w_idx] * values[src_slot]
-        values[node_slot] = tanh(acc)
-    return values[-1]
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out/reference")
     outdir = pathlib.Path(parser.parse_args().outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paramodel.network.FeedforwardNet.eval_with = eval_with
     paramodel.controller.exp = reference("exp")
+    paramodel.network.tanh = reference("tanh")
 
     paths = []
     for name in builtin_names():
@@ -80,7 +73,13 @@ def main() -> int:
         rows = sum(a != b for a, b in zip(ours, ref)) + abs(len(ours) - len(ref))
         differ += rows
         print(f"{path.name}: {rows} of {len(ref)} lines differ from the golden")
-    return 1 if differ else 0
+    # a binding the substitution missed would leave the package's own
+    # function running, and the traces would match without checking anything
+    uncalled = [name for name, n in CALLS.items() if not n]
+    print("reference calls:", ", ".join(f"{name} {n}" for name, n in CALLS.items()))
+    if uncalled:
+        print(f"the reference {' and '.join(uncalled)} was never called")
+    return 1 if differ or uncalled else 0
 
 
 if __name__ == "__main__":

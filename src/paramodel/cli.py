@@ -106,6 +106,11 @@ def _run(config: config_io.RunConfig, label: str) -> int:
     spec = config.scenario if train else config.problem
     dt = spec.base_params.dt if train else spec.controllers[0].dt
     tol = config.tolerance
+    if config.output is not None:
+        # an unwritable path fails here, not after the whole run; the rows
+        # are written after the run, so a divergence leaves the file empty
+        with open(config.output, "w"):
+            pass
     print(f"run: {label} ({config.mode}, horizon {spec.horizon}, dt {dt!r})")
     violations: list[int] = []
     rows = []
@@ -136,7 +141,7 @@ def _run(config: config_io.RunConfig, label: str) -> int:
         print(f"{'initial segment' if k0 == 1 else f'event at iteration {k0}'}: {verdict}")
     if not train:
         print("x =", [f"{v:.6f}" for v in rec.x])
-    if config.output:
+    if config.output is not None:
         # with no row kept, the last record, which the decimation drops,
         # still gives the header of its mode and width
         config_io.write_trace(rows or [rec], config.output, config.decimation)

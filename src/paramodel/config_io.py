@@ -19,6 +19,7 @@ import re
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain
+from operator import sub
 from typing import Iterable, Iterator
 
 import yaml
@@ -29,7 +30,6 @@ from .dynamics import DEFAULT_TAU, FirstOrderFilter
 from .errors import InvalidEvent, InvalidParams, ParseError, ValidationError
 from .linsolve import LinearTrackingProblem, LinsolveRecord
 from .network import Edge, FeedforwardNet, TrainingSample
-from .records import slot_constructor
 from .trainer import EVENT_ARGS, Scenario, ScenarioEvent, TraceRecord, builtin_scenarios
 
 __all__ = [
@@ -77,6 +77,8 @@ class RunConfig:
                 raise ValidationError(f"{mode} mode needs a {section}", key=section)
             if mode != self.mode and given:
                 raise ValidationError(f"{self.mode} mode does not use a {section}", key=section)
+        if self.output == "":
+            raise ValidationError("must be a file path, or null for no trace, got ''", key="output")
         if self.decimation < 1:
             raise ValidationError(f"must be >= 1, got {self.decimation}", key="decimation")
         if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
@@ -101,20 +103,7 @@ def tracking_error(rec: TraceRecord | LinsolveRecord) -> float:
     """|y - y_ref| of a training record, max_j |y_j - b_j| of a solver record."""
     if isinstance(rec, TraceRecord):
         return abs(rec.y - rec.y_ref)
-    # max() over the unknowns as a plain loop, which costs less per record;
-    # like max() it keeps the first value unless a later one is strictly
-    # greater, so a NaN is returned exactly when max() would return it
-    pairs = zip(rec.y, rec.b)
-    for y, b in pairs:
-        err = abs(y - b)
-        break
-    else:
-        raise ValueError("tracking_error() of a record with no unknowns")
-    for y, b in pairs:
-        d = abs(y - b)
-        if d > err:
-            err = d
-    return err
+    return max(map(abs, map(sub, rec.y, rec.b)))
 
 
 def segment_starts(events) -> list[int]:
@@ -550,14 +539,13 @@ def _codec(cls, width: int):
     ``rows(records, decimation)`` yields the CSV line of every record whose
     ``k`` is a multiple of ``decimation``: one f-string with ``!r`` (the
     shortest round-trip repr) per float.  ``parse(line)`` splits a line of
-    bytes once and builds the record through its slots with straight-line
-    ``int``/``float`` calls; it raises ValueError for a wrong field count
-    or a non-numeric field.  Both are generated with one statement per
-    field, as ``slot_constructor`` generates its constructor, and name
-    their locals after the columns.
+    bytes once and calls ``cls`` with straight-line ``int``/``float``
+    calls; it raises ValueError for a wrong field count or a non-numeric
+    field.  Both are generated with one statement per field and name their
+    locals after the columns.
     """
     scalars, vectors, reused = _LAYOUTS[cls]
-    if [*scalars, *vectors] != [f.name for f in fields(cls)]:
+    if (*scalars, *vectors) != cls._fields:
         raise TypeError(f"the layout of {cls.__name__} does not match its fields")
     header = _header(cls, width)
     names = header.split(",")
@@ -589,9 +577,9 @@ def _codec(cls, width: int):
     lines += [
         "def parse(line):",
         f"    [{', '.join(names)}] = line.split(b',')",
-        f"    return make({', '.join(args)})",
+        f"    return {cls.__name__}({', '.join(args)})",
     ]
-    env = {"_unset": object(), "make": slot_constructor(cls)}
+    env = {"_unset": object(), cls.__name__: cls}
     exec("\n".join(lines), env)
     return header, env["rows"], env["parse"]
 

@@ -19,9 +19,6 @@ that hi is the correctly rounded value (the test of Ziv's strategy, as in
 CRlibm and CORE-MATH).  Fewer than one call in 250 fails the test; it is
 then decided exactly in integer arithmetic at increasing precision, which
 always ends because e**x and tanh(x) are transcendental for x != 0.
-
-``network.FeedforwardNet.eval_with`` inlines the tanh fast path; keep the
-two copies identical.
 """
 
 from __future__ import annotations

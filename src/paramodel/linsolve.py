@@ -5,18 +5,19 @@ row value y_j = (A x)_j toward the reference b_j, treating the coupling
 through the other variables as a disturbance.  The controllers are
 staggered: gains decrease geometrically with the variable index so each
 loop stabilizes at a distinct speed.  When every y_j is held close to
-b_j, x is close to the solution of the system.
+b_j, x is close to the solution of the system.  ``as_records`` turns a
+solve's traces into one ``LinsolveRecord`` NamedTuple per iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
+from typing import NamedTuple
 
 from .controller import ControllerParams, decay, divergence, stagger_params, step_all
 from .dynamics import FirstOrderFilter
 from .errors import DivergenceError, ValidationError
-from .records import slot_constructor
 
 __all__ = [
     "LinearTrackingProblem",
@@ -65,8 +66,7 @@ class LinearTrackingProblem:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
 
 
-@dataclass(frozen=True, slots=True)
-class LinsolveRecord:
+class LinsolveRecord(NamedTuple):
     """One recorded iteration: measured row values, references, unknowns."""
 
     k: int
@@ -143,14 +143,10 @@ def solve_linear(
     return x_trace, y_trace
 
 
-#: LinsolveRecord(k, y, b, x) built through its slots (see slot_constructor)
-_record = slot_constructor(LinsolveRecord)
-
-
 def as_records(problem: LinearTrackingProblem, x_trace, y_trace) -> list[LinsolveRecord]:
     """Zip solver traces into per-iteration records for CSV output."""
     b = problem.b
-    return [_record(k, y, b, x) for k, (x, y) in enumerate(zip(x_trace, y_trace), start=1)]
+    return [LinsolveRecord(k, y, b, x) for k, (x, y) in enumerate(zip(x_trace, y_trace), start=1)]
 
 
 def builtin_problem(horizon: int = LinearTrackingProblem.horizon) -> LinearTrackingProblem:

@@ -1,11 +1,12 @@
 """Small feedforward tanh network with indexed weights and an edge mask.
 
 The network is the plant under control: a directed acyclic graph whose
-non-input nodes apply tanh to the weighted sum of their enabled incoming
-edges.  Every edge carries an index into a shared weight vector, and
-edges can be disabled through a boolean mask (dropout-style topology
-events) without losing their stored weight.  The net stores weights as
-given; the training loop bounds them (``Scenario.w_max``).
+non-input nodes apply tanh (``elementary.tanh``, correctly rounded) to
+the weighted sum of their enabled incoming edges.  Every edge carries an
+index into a shared weight vector, and edges can be disabled through a
+boolean mask (dropout-style topology events) without losing their stored
+weight.  The net stores weights as given; the training loop bounds them
+(``Scenario.w_max``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from graphlib import CycleError, TopologicalSorter
 from typing import Sequence
 
-from .elementary import ROUNDER, TANH_TABLE, tanh_slow
+from .elementary import tanh
 from .errors import DimensionMismatch, IndexOutOfRange, ValidationError
 
 __all__ = [
@@ -124,8 +125,8 @@ class FeedforwardNet:
         This is the single evaluation path: ``forward`` and the training
         loop both come through here, so masked-vs-zeroed comparisons stay
         bit-exact.  Each node applies ``elementary.tanh``, correctly
-        rounded, whose fast path is inlined here (acc starts at +0.0, so it
-        is never -0.0 and needs no zero check).
+        rounded, looked up as a global of this module at each call, so
+        ``scripts/reference_traces.py`` can put mpmath's tanh in its place.
         """
         values = [*x, *self._pad]
         for node_slot, terms in self._plan:
@@ -133,18 +134,7 @@ class FeedforwardNet:
             for src_slot, w_idx in terms:
                 if mask[w_idx]:
                     acc += weights[w_idx] * values[src_slot]
-            if -4.0 < acc < 4.0:
-                c, h, l, a1h, a1l, a2, a3, a4, a5, a6, a7, g, f = TANH_TABLE[(acc * 64.0 + ROUNDER) - ROUNDER]
-                t = acc - c
-                xg = (acc + g) - g
-                s = h + a1h * (xg - c)
-                lo = a1h * (acc - xg) + (l + t * (a1l + t * (a2 + t * (a3 + t * (a4 + t * (a5 + t * (a6 + t * a7)))))))
-                y = s + lo
-                if y + (lo - (y - s)) * f != y:
-                    y = tanh_slow(acc)
-            else:
-                y = tanh_slow(acc)
-            values[node_slot] = y
+            values[node_slot] = tanh(acc)
         # the output node always occupies the last slot
         return values[-1]
 

@@ -4,7 +4,7 @@ Every synaptic weight gets its own controller and first-order filter, all
 tracking the same (network output, training target) pair; they differ only
 in their staggered gains.  A scenario schedules training-data changes and
 dropout-style topology events at prescribed iterations, and the loop emits
-one trace record per iteration.
+one trace record, a ``TraceRecord`` NamedTuple, per iteration.
 
 Loop order within one iteration: apply events, measure the output with the
 current weights, step each enabled controller and filter, clamp, record.
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .controller import ControllerParams, decay, divergence, stagger_params, step_all
 from .dynamics import DEFAULT_TAU
 from .errors import DivergenceError, InvalidEvent, ValidationError
 from .network import FeedforwardNet, TrainingSample, default_topology
-from .records import slot_constructor
 
 __all__ = [
     "EVENT_ARGS",
@@ -146,8 +145,7 @@ class Scenario:
                 )
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Full observable state of one iteration.
 
     ``y`` is the output measured before this iteration's weight update;
@@ -162,11 +160,6 @@ class TraceRecord:
     y_ref: float
     w: tuple[float, ...]
     u: tuple[float, ...]
-
-
-#: TraceRecord(k, t, y, y_ref, w, u) built through its slots: the frozen
-#: dataclass __init__ costs about a tenth of a training iteration
-_record = slot_constructor(TraceRecord)
 
 
 def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
@@ -259,7 +252,7 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
             elif xi < -w_max:
                 xi = -w_max
             w[i] = xi
-        yield _record(k, k * dt, y, y_ref, tuple(w), tuple(u))
+        yield TraceRecord(k, k * dt, y, y_ref, tuple(w), tuple(u))
 
 
 def builtin_scenarios() -> dict[str, Scenario]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -18,7 +18,7 @@ from paramodel.config_io import (
     write_trace,
 )
 from paramodel.linsolve import LinsolveRecord
-from paramodel.trainer import Scenario, TraceRecord
+from paramodel.trainer import Scenario, ScenarioEvent, TraceRecord, builtin_scenarios
 
 #: tracking band used throughout (|y - y_ref| < TRACK_TOL counts as settled)
 TRACK_TOL = 0.01
@@ -97,6 +97,19 @@ def event_resettled_within(scenario: Scenario, violations: list[int]) -> list[tu
     events = {e.at for e in scenario.events}
     segments = segment_settling(violations, segment_starts(scenario.events), scenario.horizon)
     return [(k0, settle) for k0, settle, _ in segments if k0 in events]
+
+
+def short_fig7() -> Scenario:
+    """fig7 with every kind of event, shortened to 2000 iterations."""
+    ev = ScenarioEvent
+    events = (
+        ev.set_input(300, 0, 0.15),
+        ev.set_input(300, 1, 0.8),
+        ev.drop_weight(600, 6),
+        ev.restore_weight(900, 6),
+        ev.set_reference(1200, 0.6),
+    )
+    return replace(builtin_scenarios()["fig7"], horizon=2000, events=events)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 import yaml
 
+from paramodel import config_io
 from paramodel.cli import _apply_overrides, _build_parser, main
 from paramodel.config_io import builtin_config_dict, builtin_names, parse_config, serialize_config
 
@@ -121,6 +122,25 @@ def test_trace_with_no_row_has_the_header_of_its_mode(tmp_path, capsys, name):
     main(["run", "--builtin", name, "--horizon", "50", "--decimate", "1", "--out", str(full)])
     assert "(0 rows, decimation 100)" in capsys.readouterr().out
     assert empty.read_text() == full.read_text().splitlines(keepends=True)[0]
+
+
+def test_unwritable_out_exits_4_before_the_run(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(config_io, "run_records", lambda config: ran.append(config) or iter(()))
+    assert main(["run", "--builtin", "fig4", "--out", str(tmp_path / "missing" / "x.csv")]) == 4
+    out, err = capsys.readouterr()
+    assert not ran and out == ""
+    assert "IoError: [Errno 2] No such file or directory" in err
+
+
+def test_diverging_run_leaves_an_empty_trace(tmp_path, capsys):
+    cfg = tmp_path / "diverge.yaml"
+    cfg.write_text(DIVERGING_LINSOLVE)
+    out = tmp_path / "trace.csv"
+    out.write_text("an earlier trace\n")
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert "divergence:" in capsys.readouterr().err
+    assert out.read_bytes() == b""
 
 
 def test_override_flags_equal_config_edit(tmp_path, capsys):
@@ -241,6 +261,7 @@ OVERRIDES = [
     ("--horizon", "200"),
     ("--decimate", "7"),
     ("--tol", "0.05"),
+    ("--out", ""),
 ]
 
 
@@ -323,6 +344,8 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
             [],
             "ValidationError: problem.controllers[0].init_decay: unknown key",
         ),
+        ((FAST_TRAIN + 'output: ""\n').encode(), [], "ValidationError: output: must be a file path, or null for no trace"),
+        (FAST_TRAIN.encode(), ["--out", ""], "ValidationError: output: must be a file path, or null for no trace"),
     ],
     ids=[
         "sample-not-a-list",
@@ -336,6 +359,8 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
         "init-decay-in-scenario-gains",
         "init-decay-in-problem-gains",
         "init-decay-in-a-controller",
+        "empty-output",
+        "empty-out-flag",
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, content, flags, message):

@@ -524,7 +524,7 @@ def hexed(rec):
     """The record's values as float.hex, which tells -0.0 from 0.0."""
     return [type(rec), rec.k] + [
         [v.hex() for v in value] if isinstance(value, tuple) else value.hex()
-        for value in (getattr(rec, f) for f in rec.__dataclass_fields__ if f != "k")
+        for value in (getattr(rec, f) for f in rec._fields if f != "k")
     ]
 
 

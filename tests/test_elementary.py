@@ -1,11 +1,10 @@
 """The package's own exp and tanh: correct rounding against mpmath, special
-values, the copy of the tanh fast path inlined in the network, and no libm
-transcendental anywhere on the simulation path."""
+values, the tanh the network calls, and no libm transcendental anywhere on
+the simulation path."""
 
 from __future__ import annotations
 
 import ast
-import dataclasses
 import inspect
 import math
 import random
@@ -16,9 +15,7 @@ from paramodel import (
     ControllerParams,
     Edge,
     FeedforwardNet,
-    ScenarioEvent,
     builtin_problem,
-    builtin_scenarios,
     controller,
     dynamics,
     elementary,
@@ -31,6 +28,8 @@ from paramodel import (
     trainer,
 )
 from paramodel.elementary import exp, tanh
+
+from conftest import short_fig7
 
 INF = math.inf
 LIBM = ("exp", "expm1", "tanh", "pow", "log", "log1p", "sinh", "cosh", "atanh", "sin", "cos")
@@ -139,33 +138,20 @@ def test_exp_special_values():
 
 
 def test_eval_inlines_tanh(monkeypatch):
-    # a one-edge net computes tanh(0.0 + 1.0 * x) = tanh(x) through the copy
-    # of the fast path inlined in eval_with; the fallback must be reached too
+    # a one-edge net computes tanh(0.0 + 1.0 * x) = tanh(x) through the
+    # tanh eval_with calls; the fallback must be reached too
     net = FeedforwardNet(
         inputs=("a",), hidden=(), output="y", edges=(Edge("a", "y", 0),), weights=(1.0,), mask=(True,)
     )
     fallbacks = []
-    slow = network.tanh_slow
-    monkeypatch.setattr(network, "tanh_slow", lambda x: fallbacks.append(x) or slow(x))
+    slow = elementary.tanh_slow
+    monkeypatch.setattr(elementary, "tanh_slow", lambda x: fallbacks.append(x) or slow(x))
     rng = random.Random(20226)
     xs = [rng.uniform(-4.5, 4.5) for _ in range(20_000)]
     xs += [0.0, 2.0**-30, 1e-300, 3.9999999999999996, 4.0, -4.0, 4.0078125, 7.5, 19.1, -25.0]
     for x in xs:
         assert forward(net, (x,)) == tanh(x), x.hex()
     assert any(-4.0 < x < 4.0 for x in fallbacks)
-
-
-def short_fig7():
-    """fig7 with every kind of event, shortened to 2000 iterations."""
-    ev = ScenarioEvent
-    events = (
-        ev.set_input(300, 0, 0.15),
-        ev.set_input(300, 1, 0.8),
-        ev.drop_weight(600, 6),
-        ev.restore_weight(900, 6),
-        ev.set_reference(1200, 0.6),
-    )
-    return dataclasses.replace(builtin_scenarios()["fig7"], horizon=2000, events=events)
 
 
 def test_no_libm_transcendental_on_the_simulation_path(monkeypatch):

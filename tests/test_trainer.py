@@ -69,8 +69,8 @@ def test_trace_indexing_and_time():
 
 
 def test_records_are_plain_trace_records(tmp_path):
-    # the loops and the trace reader build records through the slots,
-    # bypassing __init__; they must be indistinguishable from constructed ones
+    # the loops and the trace reader build records positionally; they must
+    # be indistinguishable from ones constructed by keyword
     problem = dataclasses.replace(builtin_problem(), horizon=20)
     solved = as_records(problem, *solve_linear(problem))
     trained = list(train_online(small_scenario(horizon=20)))
@@ -82,9 +82,9 @@ def test_records_are_plain_trace_records(tmp_path):
         assert not hasattr(cls, "__post_init__")
         for r in records:
             assert type(r) is cls
-            made = cls(**{f.name: getattr(r, f.name) for f in dataclasses.fields(cls)})
+            made = cls(**{name: getattr(r, name) for name in cls._fields})
             assert r == made and hash(r) == hash(made)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 r.y = 0.0
     assert len(trained) == len(solved) == 40
     assert trained[:20] == trained[20:] and solved[:20] == solved[20:]
