@@ -3,16 +3,7 @@ systems and online neural-network weight tuning."""
 
 from .controller import ControllerParams, ControllerState, controller_new, controller_step
 from .dynamics import FirstOrderFilter, filter_step
-from .errors import (
-    DimensionMismatch,
-    DivergenceError,
-    IndexOutOfRange,
-    InvalidEvent,
-    InvalidParams,
-    ParamodelError,
-    ParseError,
-    ValidationError,
-)
+from .errors import DivergenceError, ParamodelError, ParseError, ValidationError
 from .linsolve import (
     LinearTrackingProblem,
     LinsolveRecord,
@@ -52,14 +43,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ControllerParams",
     "ControllerState",
-    "DimensionMismatch",
     "DivergenceError",
     "Edge",
     "FeedforwardNet",
     "FirstOrderFilter",
-    "IndexOutOfRange",
-    "InvalidEvent",
-    "InvalidParams",
     "LinearTrackingProblem",
     "LinsolveRecord",
     "ParamodelError",

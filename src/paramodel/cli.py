@@ -14,13 +14,7 @@ import argparse
 import sys
 
 from . import config_io
-from .errors import (
-    DivergenceError,
-    InvalidEvent,
-    InvalidParams,
-    ParseError,
-    ValidationError,
-)
+from .errors import DivergenceError, ParseError, ValidationError
 
 __all__ = ["main"]
 
@@ -151,28 +145,23 @@ def _run(config: config_io.RunConfig, label: str) -> int:
 
 
 def cmd_run(args) -> int:
+    """Load, edit, validate and run a configuration; every error of any of
+    these steps is mapped to its exit code here."""
     try:
-        d = _load_config_dict(args)
-        d = _apply_overrides(d, args)
-        config = config_io.config_from_dict(d)
+        d = _apply_overrides(_load_config_dict(args), args)
+        return _run(config_io.config_from_dict(d), args.builtin or args.config_path)
     except OSError as err:
         print(f"IoError: {err}", file=sys.stderr)
         return EXIT_IO
     except (ParseError, UnicodeDecodeError) as err:
         print(f"ParseError: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValidationError, InvalidParams, InvalidEvent) as err:
+    except ValidationError as err:
         print(f"ValidationError: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    label = args.builtin or args.config_path
-    try:
-        return _run(config, label)
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except OSError as err:
-        print(f"IoError: {err}", file=sys.stderr)
-        return EXIT_IO
 
 
 def cmd_list() -> int:

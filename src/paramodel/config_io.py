@@ -27,7 +27,7 @@ import yaml
 from . import linsolve, trainer
 from .controller import ControllerParams, stagger_params
 from .dynamics import DEFAULT_TAU, FirstOrderFilter
-from .errors import InvalidEvent, InvalidParams, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .linsolve import LinearTrackingProblem, LinsolveRecord
 from .network import Edge, FeedforwardNet, TrainingSample
 from .trainer import EVENT_ARGS, Scenario, ScenarioEvent, TraceRecord, builtin_scenarios
@@ -151,7 +151,19 @@ _FLOAT = re.compile(
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that reads floats by ``_FLOAT``."""
+    """SafeLoader that reads floats by ``_FLOAT`` and rejects a key written
+    twice in one mapping, which PyYAML would silently let the last value
+    win; a key a ``<<`` merge brings in may still be set beside it."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                if (key.tag, key.value) in seen:
+                    raise yaml.composer.ComposerError(None, None, f"duplicate key {key.value!r}", key.start_mark)
+                seen.add((key.tag, key.value))
+        return node
 
 
 class _Dumper(yaml.SafeDumper):
@@ -173,8 +185,10 @@ def load_config_dict(text: str) -> dict:
     except yaml.MarkedYAMLError as err:
         line = err.problem_mark.line + 1 if err.problem_mark else None
         raise ParseError(str(err.problem or err), line=line) from None
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: a date that does not exist, an int of over 4300 digits
         raise ParseError(str(err)) from None
+    except RecursionError:
+        raise ParseError("nested too deeply") from None
     if raw is None:
         raise ParseError("empty configuration")
     if not isinstance(raw, dict):
@@ -242,9 +256,12 @@ def _list(value, key: str) -> list:
 
 
 def _number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValidationError(f"must be a finite number, got {value!r}", key=key)
-    return float(value)
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise ValidationError(f"must be a finite number, got {value!r}", key=key)
 
 
 def _int(value, key: str) -> int:
@@ -310,8 +327,6 @@ def _make(cls, table: dict, values: dict, key: str):
             raise ValidationError("missing required key", key=_key(key, sub))
     try:
         return cls(**kwargs)
-    except (InvalidParams, InvalidEvent) as err:
-        raise ValidationError(str(err), key=key or None) from None
     except ValidationError as err:
         if err.key is not None:
             raise
@@ -356,7 +371,7 @@ def _problem(d, key: str) -> LinearTrackingProblem:
     if "filters" not in v:
         try:
             v["filters"] = (FirstOrderFilter(v.get("tau", DEFAULT_TAU)),) * n
-        except InvalidParams as err:
+        except ValidationError as err:
             raise ValidationError(str(err), key=f"{key}.tau") from None
     return _make(LinearTrackingProblem, table, v, key)
 
@@ -385,7 +400,7 @@ def _event(d, key: str) -> ScenarioEvent:
         args = _read({name: (name, _EVENT_ARG_CHECKS[name]) for name in names}, spec, sub)
     try:
         return ScenarioEvent(at, kind, **args)
-    except InvalidEvent as err:
+    except ValidationError as err:
         raise ValidationError(str(err), key=key) from None
 
 

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .elementary import exp
-from .errors import DivergenceError, InvalidParams, ValidationError
+from .errors import DivergenceError, ValidationError
 
 __all__ = [
     "ControllerParams", "ControllerState", "controller_new", "controller_step",
@@ -51,15 +51,15 @@ class ControllerParams:
 
     def __post_init__(self):
         if not (self.kp >= 0.0 and math.isfinite(self.kp)):
-            raise InvalidParams(f"kp must be a finite non-negative gain, got {self.kp}")
+            raise ValidationError(f"kp must be a finite non-negative gain, got {self.kp}")
         if not (self.ki >= 0.0 and math.isfinite(self.ki)):
-            raise InvalidParams(f"ki must be a finite non-negative gain, got {self.ki}")
+            raise ValidationError(f"ki must be a finite non-negative gain, got {self.ki}")
         if not (self.k_alpha >= 0.0 and math.isfinite(self.k_alpha)):
-            raise InvalidParams(f"k_alpha must be finite and >= 0, got {self.k_alpha}")
+            raise ValidationError(f"k_alpha must be finite and >= 0, got {self.k_alpha}")
         if not (self.k_beta >= 0.0 and math.isfinite(self.k_beta)):
-            raise InvalidParams(f"k_beta must be finite and >= 0, got {self.k_beta}")
+            raise ValidationError(f"k_beta must be finite and >= 0, got {self.k_beta}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise InvalidParams(f"dt must be a finite positive step, got {self.dt}")
+            raise ValidationError(f"dt must be a finite positive step, got {self.dt}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +79,7 @@ def controller_new(params: ControllerParams, psi0: float = 0.0) -> ControllerSta
     overridable), so the first control output is exactly zero.
     """
     if not isinstance(params, ControllerParams):
-        raise InvalidParams(f"expected ControllerParams, got {type(params).__name__}")
+        raise ValidationError(f"expected ControllerParams, got {type(params).__name__}")
     return ControllerState(psi=psi0, integral=0.0, k=0)
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .controller import ONE, step_all
-from .errors import DivergenceError, InvalidParams
+from .errors import DivergenceError, ValidationError
 
 __all__ = ["FirstOrderFilter", "filter_step"]
 
@@ -32,7 +32,7 @@ class FirstOrderFilter:
 
     def __post_init__(self):
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise InvalidParams(f"tau must be a finite positive time constant, got {self.tau}")
+            raise ValidationError(f"tau must be a finite positive time constant, got {self.tau}")
 
 
 def filter_step(filt: FirstOrderFilter, u: float, dt: float) -> FirstOrderFilter:
@@ -43,7 +43,7 @@ def filter_step(filt: FirstOrderFilter, u: float, dt: float) -> FirstOrderFilter
     bit for bit (adding -0.0 keeps a signed zero).
     """
     if not dt > 0.0:
-        raise InvalidParams(f"dt must be positive, got {dt}")
+        raise ValidationError(f"dt must be positive, got {dt}")
     xs = [filt.state]
     if step_all(ONE, [u], [1.0], xs, [0.0], [0.0], [0.0], [-0.0], [0.0], dt, filt.tau) >= 0:
         raise DivergenceError(f"filter state became non-finite: {xs[0]}")

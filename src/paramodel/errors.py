@@ -1,14 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every invalid input, from a configuration file or from a library call,
+raises ``ValidationError``; the CLI maps each type to its exit code.
+"""
 
 from __future__ import annotations
 
 
 class ParamodelError(Exception):
     """Base class for all package-specific errors."""
-
-
-class InvalidParams(ParamodelError, ValueError):
-    """Controller or filter parameters violate their constraints."""
 
 
 class DivergenceError(ParamodelError, ArithmeticError):
@@ -25,18 +25,6 @@ class DivergenceError(ParamodelError, ArithmeticError):
         self.iteration = iteration
 
 
-class DimensionMismatch(ParamodelError, ValueError):
-    """An input vector does not match the expected dimension."""
-
-
-class IndexOutOfRange(ParamodelError, IndexError):
-    """A weight or input index is outside the valid range."""
-
-
-class InvalidEvent(ParamodelError, ValueError):
-    """A scenario event refers to an invalid target or is malformed."""
-
-
 class ParseError(ParamodelError, ValueError):
     """Configuration text could not be parsed.
 
@@ -51,9 +39,10 @@ class ParseError(ParamodelError, ValueError):
 
 
 class ValidationError(ParamodelError, ValueError):
-    """Parsed configuration is semantically invalid.
+    """An input is invalid: a configuration value, parameters, an event,
+    an input vector or a weight index.
 
-    ``key`` names the offending configuration entry.
+    ``key`` names the offending configuration entry when known, else None.
     """
 
     def __init__(self, message: str, key: str | None = None):

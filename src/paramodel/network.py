@@ -17,7 +17,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Sequence
 
 from .elementary import tanh
-from .errors import DimensionMismatch, IndexOutOfRange, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "Edge",
@@ -168,16 +168,14 @@ def default_topology() -> FeedforwardNet:
 def forward(net: FeedforwardNet, x: Sequence[float]) -> float:
     """Evaluate the network on input vector x; output is in (-1, 1)."""
     if len(x) != net.input_count:
-        raise DimensionMismatch(
-            f"expected {net.input_count} inputs, got {len(x)}"
-        )
+        raise ValidationError(f"expected {net.input_count} inputs, got {len(x)}")
     return net.eval_with(net.weights, net.mask, x)
 
 
 def set_weight(net: FeedforwardNet, index: int, value: float) -> FeedforwardNet:
     """Return a copy of the net with weight ``index`` set."""
     if not 0 <= index < net.weight_count:
-        raise IndexOutOfRange(f"weight index {index} out of range [0, {net.weight_count})")
+        raise ValidationError(f"weight index {index} out of range [0, {net.weight_count})")
     w = list(net.weights)
     w[index] = float(value)
     return replace(net, weights=tuple(w))
@@ -186,7 +184,7 @@ def set_weight(net: FeedforwardNet, index: int, value: float) -> FeedforwardNet:
 def set_mask(net: FeedforwardNet, index: int, enabled: bool) -> FeedforwardNet:
     """Return a copy of the net with edge weight ``index`` enabled/disabled."""
     if not 0 <= index < net.weight_count:
-        raise IndexOutOfRange(f"weight index {index} out of range [0, {net.weight_count})")
+        raise ValidationError(f"weight index {index} out of range [0, {net.weight_count})")
     m = list(net.mask)
     m[index] = bool(enabled)
     return replace(net, mask=tuple(m))

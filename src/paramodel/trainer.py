@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 
 from .controller import ControllerParams, decay, divergence, stagger_params, step_all
 from .dynamics import DEFAULT_TAU
-from .errors import DivergenceError, InvalidEvent, ValidationError
+from .errors import DivergenceError, ValidationError
 from .network import FeedforwardNet, TrainingSample, default_topology
 
 __all__ = [
@@ -61,16 +61,16 @@ class ScenarioEvent:
 
     def __post_init__(self):
         if self.kind not in EVENT_ARGS:
-            raise InvalidEvent(f"unknown event kind {self.kind!r}")
+            raise ValidationError(f"unknown event kind {self.kind!r}")
         if self.at < 0:
-            raise InvalidEvent(f"event iteration must be >= 0, got {self.at}")
+            raise ValidationError(f"event iteration must be >= 0, got {self.at}")
         takes = EVENT_ARGS[self.kind]
         missing = [name for name in takes if getattr(self, name) is None]
         if missing:
-            raise InvalidEvent(f"{self.kind} needs {' and '.join(missing)}")
+            raise ValidationError(f"{self.kind} needs {' and '.join(missing)}")
         extra = [name for name in ("index", "value") if name not in takes and getattr(self, name) is not None]
         if extra:
-            raise InvalidEvent(f"{self.kind} takes no {' or '.join(extra)}")
+            raise ValidationError(f"{self.kind} takes no {' or '.join(extra)}")
 
     @classmethod
     def set_input(cls, at: int, index: int, value: float) -> "ScenarioEvent":
@@ -116,6 +116,8 @@ class Scenario:
             raise ValidationError(f"tau must be finite and positive, got {self.tau}")
         if not (self.w_max > 0.0 and math.isfinite(self.w_max)):
             raise ValidationError(f"w_max must be finite and positive, got {self.w_max}")
+        if self.net.weight_count == 0:
+            raise ValidationError("network has no weight to train: it needs at least one edge")
         if len(self.initial_sample.x) != self.net.input_count:
             raise ValidationError(
                 f"sample has {len(self.initial_sample.x)} inputs, "

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -41,6 +46,15 @@ scenario:
     output: y
     edges: [{from: x1, to: y, weight: 2}]
     weights: [0.1]
+"""
+
+# a network with no edge has no weight to train
+EDGELESS_NET = """\
+mode: train
+scenario:
+  horizon: 10
+  sample: {x: [0.2], y: 0.5}
+  network: {inputs: [x1], output: y}
 """
 
 
@@ -273,10 +287,12 @@ def test_every_override_takes_effect_or_is_rejected(tmp_path, capsys, name, flag
     results = []
     for extra in ([], [flag, value]):
         code = main(["run", cfg, "--out", str(out), *extra])
-        results.append((code, capsys.readouterr().out, out.read_bytes() if out.exists() else b""))
+        results.append((code, capsys.readouterr().out, out.exists(), out.read_bytes() if out.exists() else b""))
         out.unlink(missing_ok=True)
     (base_code, *base), (code, *flagged) = results
     assert base_code in (0, 1)
+    # a run that is not rejected writes its trace, so a missing one is no change
+    assert base[1] and (code not in (0, 1) or flagged[1]), f"{flag} {value} wrote no trace on {name}"
     # --tol leaves the trace alone and changes the printed summary
     assert code == 2 or flagged != base, f"{flag} {value} was ignored on {name}"
 
@@ -346,6 +362,15 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
         ),
         ((FAST_TRAIN + 'output: ""\n').encode(), [], "ValidationError: output: must be a file path, or null for no trace"),
         (FAST_TRAIN.encode(), ["--out", ""], "ValidationError: output: must be a file path, or null for no trace"),
+        (
+            FAST_TRAIN.replace("kp: 1.0", "kp: 1" + "0" * 400).encode(),
+            [],
+            "ValidationError: scenario.gains.kp: must be a finite number, got 1000",
+        ),
+        (b"mode: train\nscenario:\n  gains: " + b"[" * 900 + b"]" * 900 + b"\n", [], "ParseError: nested too deeply"),
+        (EDGELESS_NET.encode(), [], "ValidationError: scenario: network has no weight to train"),
+        (b"mode: train\nscenario: {horizon: 10, horizon: 20}\n", [], "ParseError: line 2: duplicate key 'horizon'"),
+        (b"mode: train\nscenario: {horizon: 2020-02-30}\n", [], "ParseError: day is out of range for month"),
     ],
     ids=[
         "sample-not-a-list",
@@ -361,13 +386,33 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
         "init-decay-in-a-controller",
         "empty-output",
         "empty-out-flag",
+        "integer-beyond-float-range",
+        "nested-900-deep",
+        "network-with-no-edge",
+        "duplicate-key",
+        "date-that-does-not-exist",
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, content, flags, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_bytes(content)
     assert main(["run", str(cfg), *flags]) == 2
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err
+    # rejected before the run: no summary line, no trace truncated
+    assert out == ""
+
+
+@pytest.mark.parametrize("content,status", [(EDGELESS_NET, 2), (DIVERGING_LINSOLVE, 3)], ids=["edgeless", "diverging"])
+def test_exit_status_reaches_the_shell_without_a_traceback(tmp_path, content, status):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(content)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "paramodel", "run", str(cfg)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == status
+    assert "Traceback" not in proc.stderr
 
 
 def test_exponent_float_in_file_equals_flag(tmp_path, capsys):

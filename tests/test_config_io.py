@@ -203,6 +203,17 @@ def test_parse_error_reports_line():
         parse_config("")
 
 
+def test_a_key_a_merge_brings_in_may_be_set_beside_it():
+    text = (
+        "mode: linsolve\nproblem:\n  a: [[2.0, 0.0], [0.0, 2.0]]\n  b: [1.0, 1.0]\n"
+        "  controllers: [&c {kp: 1.0, ki: 0.02}, {<<: *c, kp: 0.5}]\n"
+    )
+    first, second = parse_config(text).problem.controllers
+    assert (first.kp, first.ki, second.kp, second.ki) == (1.0, 0.02, 0.5, 0.02)
+    with pytest.raises(ParseError, match="^line 5: duplicate key 'kp'$"):
+        parse_config(text.replace("{<<: *c, kp: 0.5}", "{<<: *c, kp: 0.5, kp: 0.4}"))
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ValidationError) as err:
         parse_config("builtin: fig4\nturbo: yes\n")

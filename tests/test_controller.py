@@ -12,7 +12,7 @@ from paramodel import (
     ControllerParams,
     ControllerState,
     DivergenceError,
-    InvalidParams,
+    ValidationError,
     controller_new,
     controller_step,
 )
@@ -58,7 +58,7 @@ def test_new_passthrough():
 def test_invalid_params_rejected(kwargs):
     base = dict(kp=1.0, ki=0.01, k_alpha=166.5, k_beta=40.0, dt=1e-5)
     base.update(kwargs)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValidationError):
         ControllerParams(**base)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from paramodel import DivergenceError, FirstOrderFilter, InvalidParams, filter_step
+from paramodel import DivergenceError, FirstOrderFilter, ValidationError, filter_step
 
 vals = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
@@ -19,14 +19,14 @@ def exact_response(x0: float, u: float, t: float, tau: float) -> float:
 
 
 def test_invalid_tau():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValidationError):
         FirstOrderFilter(tau=0.0)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValidationError):
         FirstOrderFilter(tau=-1e-5)
 
 
 def test_invalid_dt():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValidationError):
         filter_step(FirstOrderFilter(tau=1.0), 0.0, 0.0)
 
 

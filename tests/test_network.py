@@ -9,10 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paramodel import (
-    DimensionMismatch,
     Edge,
     FeedforwardNet,
-    IndexOutOfRange,
     TrainingSample,
     ValidationError,
     default_topology,
@@ -65,15 +63,15 @@ def test_forward_hand_value():
 
 
 def test_forward_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError):
         forward(default_topology(), (0.5,))
 
 
 def test_index_out_of_range():
     net = default_topology()
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValidationError):
         set_weight(net, 7, 0.1)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValidationError):
         set_mask(net, -1, False)
 
 

@@ -27,11 +27,11 @@ from paramodel import (
     ControllerState,
     DivergenceError,
     FirstOrderFilter,
-    InvalidParams,
     LinearTrackingProblem,
     Scenario,
     ScenarioEvent,
     TrainingSample,
+    ValidationError,
     controller_step,
     default_topology,
     filter_step,
@@ -59,7 +59,7 @@ def literal_controller_step(state, params, y_ref, y_meas):
 def literal_filter_step(filt, u, dt):
     """One classical RK4 step of x' = (u - x)/tau with u held over the step."""
     if not dt > 0.0:
-        raise InvalidParams(f"dt must be positive, got {dt}")
+        raise ValidationError(f"dt must be positive, got {dt}")
     x, tau = filt.state, filt.tau
     k1 = (u - x) / tau
     k2 = (u - (x + 0.5 * dt * k1)) / tau
@@ -75,7 +75,7 @@ def outcome(step, *args):
     """The result of one step with every float as its bits, or the error."""
     try:
         result = step(*args)
-    except (DivergenceError, InvalidParams) as err:
+    except (DivergenceError, ValidationError) as err:
         return type(err).__name__, str(err)
     if isinstance(result, FirstOrderFilter):
         return result.tau.hex(), result.state.hex()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from paramodel import (
     ControllerParams,
-    InvalidEvent,
     LinsolveRecord,
     Scenario,
     ScenarioEvent,
@@ -222,16 +221,16 @@ def test_scenario_validation():
 
 
 def test_event_kind_validation():
-    with pytest.raises(InvalidEvent):
+    with pytest.raises(ValidationError):
         ScenarioEvent(at=1, kind="nonsense")
-    with pytest.raises(InvalidEvent):
+    with pytest.raises(ValidationError):
         ScenarioEvent(at=-1, kind="set_reference", value=0.5)
-    with pytest.raises(InvalidEvent):
+    with pytest.raises(ValidationError):
         ScenarioEvent(at=1, kind="set_input", index=0)  # missing value
     # a field the kind does not take would be lost by serialize_config
-    with pytest.raises(InvalidEvent, match="set_reference takes no index"):
+    with pytest.raises(ValidationError, match="set_reference takes no index"):
         ScenarioEvent(at=0, kind="set_reference", index=3, value=0.5)
-    with pytest.raises(InvalidEvent, match="restore_weight takes no value"):
+    with pytest.raises(ValidationError, match="restore_weight takes no value"):
         ScenarioEvent(at=0, kind="restore_weight", index=3, value=0.0)
 
 
