@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain
@@ -165,6 +166,15 @@ class _Loader(yaml.SafeLoader):
                 seen.add((key.tag, key.value))
         return node
 
+    def construct_object(self, node, deep=False):
+        """A ValueError raised while a node is built (a date that does not
+        exist, an integer past Python's limit on decimal digits) becomes an
+        error marked with the node's line."""
+        try:
+            return super().construct_object(node, deep)
+        except ValueError as err:
+            raise yaml.constructor.ConstructorError(None, None, str(err), node.start_mark) from None
+
 
 class _Dumper(yaml.SafeDumper):
     """SafeDumper that quotes every string ``_Loader`` would read as a float."""
@@ -178,15 +188,22 @@ for _cls in (_Loader, _Dumper):
 del _cls
 
 
+def _without_advice(message: str) -> str:
+    """The message without advice to call sys.set_int_max_str_digits, which a configuration cannot follow."""
+    if "sys.set_int_max_str_digits" in message:
+        return f"integer too long: more than {sys.get_int_max_str_digits()} digits"
+    return message
+
+
 def load_config_dict(text: str) -> dict:
     """YAML text to a configuration dict, ``builtin: NAME`` expanded."""
     try:
         raw = yaml.load(text, Loader=_Loader)
     except yaml.MarkedYAMLError as err:
         line = err.problem_mark.line + 1 if err.problem_mark else None
-        raise ParseError(str(err.problem or err), line=line) from None
-    except (yaml.YAMLError, ValueError) as err:  # ValueError: a date that does not exist, an int of over 4300 digits
-        raise ParseError(str(err)) from None
+        raise ParseError(_without_advice(str(err.problem or err)), line=line) from None
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: a %YAML directive of 5000 digits
+        raise ParseError(_without_advice(str(err))) from None
     except RecursionError:
         raise ParseError("nested too deeply") from None
     if raw is None:

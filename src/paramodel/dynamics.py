@@ -33,6 +33,8 @@ class FirstOrderFilter:
     def __post_init__(self):
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise ValidationError(f"tau must be a finite positive time constant, got {self.tau}")
+        if not math.isfinite(self.state):
+            raise ValidationError(f"filter state must be finite, got {self.state}")
 
 
 def filter_step(filt: FirstOrderFilter, u: float, dt: float) -> FirstOrderFilter:

@@ -1,14 +1,13 @@
-"""Correctly rounded exp and tanh from IEEE-754 binary64 arithmetic alone.
+"""Correctly rounded exp and tanh, with no call to the host's libm.
 
 The simulation promises the same trace bits on every platform, so it must
 not call the host's libm: libm's exp and tanh are not correctly rounded,
 and they differ between C libraries and versions.  These two functions
 return the correctly rounded (to nearest, ties to even) value of e**x and
 tanh(x) for every double x, so their results are fixed by IEEE-754 alone.
-They use only + - * / and comparisons on floats, which IEEE-754 rounds
-exactly the same way everywhere, exact conversions between floats and
-ints (``int``, ``float.as_integer_ratio`` and int / int true division),
-and ``math.ldexp`` by an exact power of two.
+The fast paths use only + - * / and comparisons on floats, which IEEE-754
+rounds exactly the same way everywhere, ``int`` of an integral float, and
+``math.ldexp`` by an exact power of two.
 
 Each function has a fast path (Tang's table method for exp, a table of
 local polynomials for tanh; constants in ``elementary_tables``, written by
@@ -17,13 +16,15 @@ unevaluated sum hi + lo with a relative error below a known bound eps, and
 a rounding test: ``hi + lo * f == hi``, with f derived from eps, proves
 that hi is the correctly rounded value (the test of Ziv's strategy, as in
 CRlibm and CORE-MATH).  Fewer than one call in 250 fails the test; it is
-then decided exactly in integer arithmetic at increasing precision, which
-always ends because e**x and tanh(x) are transcendental for x != 0.
+then decided with the standard ``decimal`` module, whose ``exp`` is
+correctly rounded, at doubling precision until a Decimal interval around
+the exact value rounds to one double (e**x and tanh(x) are transcendental
+for x != 0, so that always ends).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
 from math import ldexp
 
 from .elementary_tables import (
@@ -43,7 +44,6 @@ __all__ = ["exp", "tanh"]
 
 _INF = float("inf")
 ROUNDER = 6755399441055744.0  # 1.5 * 2**52: (z + ROUNDER) - ROUNDER rounds z to an integer
-_INV_LN2 = 1.4426950408889634  # only picks the reduction multiple of the exact paths
 
 
 def _tanh_table() -> dict:
@@ -115,47 +115,43 @@ def tanh_slow(x: float) -> float:
     return -y if x < 0.0 else y
 
 
-# Exact paths: fixed-point integers with explicit error bounds, at doubling
-# precision until both ends of the error interval round to the same double
-# (int / int true division rounds correctly, subnormals included).
+# Exact paths: a Decimal interval that contains the exact value, at doubling
+# precision until both ends round to the same double.  Context.exp is
+# correctly rounded, float(Decimal) rounds correctly (subnormals included)
+# and rounding is monotone, so that double is the correctly rounded value.
+# Each context sets every field that can change a value and floats enter by
+# Decimal.from_float (Decimal(float) signals to the thread's context), so
+# neither the thread's context nor decimal.DefaultContext reaches a result;
+# the traps raise where a NaN (inf/inf, out of the domain) would loop forever.
 
 
-@lru_cache(maxsize=16)
-def _ln2(w: int) -> int:
-    """ln2 * 2**w within 2 units: 2 atanh(1/3) = sum 2/((2j+1) 3**(2j+1))."""
-    term = (2 << (w + 16)) // 3
-    total, j = 0, 0
-    while term:
-        total += term // (2 * j + 1)
-        term //= 9
-        j += 1
-    return total >> 16
+def _context(prec: int, rounding: str) -> Context:
+    return Context(prec, rounding, Emin=-9999, Emax=9999, clamp=0, traps=[InvalidOperation, DivisionByZero, Overflow])
 
 
-def _fixed(num: int, b: int, w: int) -> int:
-    """floor(num / 2**b * 2**w)."""
-    return num << (w - b) if w >= b else num >> (b - w)
+def _exact(bounds, x: float) -> float:
+    prec = 24
+    while True:
+        lo, hi = bounds(x, prec)
+        y = float(lo)
+        if y == float(hi):
+            return y
+        prec *= 2
 
 
-def _exp_reduced(y: int, k: int, w: int) -> tuple[int, int]:
-    """(s, err) with |s - e**(y/2**w - k ln2) 2**w| <= err, for y within
-    1 unit of the argument and |y/2**w - k ln2| < 0.4."""
-    r = y - k * _ln2(w)  # within 2|k| + 1 units
-    s = term = 1 << w
-    n = 1
-    while term:  # each term within 2 units; the tail below 6
-        term = term * r // (n << w)
-        s += term
-        n += 1
-    return s, 2 * n + 3 * abs(k) + 8
+def _exp_bounds(x: float, prec: int) -> tuple[Decimal, Decimal]:
+    c = _context(prec, ROUND_FLOOR)
+    y = c.exp(Decimal.from_float(x))  # rounded to nearest whatever the context's rounding
+    return c.next_minus(y), c.next_plus(y)
 
 
-def _scaled(m: int, e: int) -> float:
-    """m * 2**e rounded to nearest."""
-    try:
-        return m / (1 << -e) if e < 0 else float(m << e)
-    except OverflowError:
-        return _INF
+def _tanh_bounds(a: float, prec: int) -> tuple[Decimal, Decimal]:
+    """tanh(a) = m/(m + 2), m = e**(2a) - 1 > 0, each step rounded outward."""
+    down, up = _context(prec, ROUND_FLOOR), _context(prec, ROUND_CEILING)
+    e = down.exp(Decimal.from_float(2.0 * a))  # rounded to nearest whatever the context's rounding
+    m_lo = down.subtract(down.next_minus(e), 1)
+    m_hi = up.subtract(up.next_plus(e), 1)
+    return down.divide(m_lo, up.add(m_lo, 2)), up.divide(m_hi, down.add(m_hi, 2))
 
 
 def _exp_exact(x: float) -> float:
@@ -165,45 +161,9 @@ def _exp_exact(x: float) -> float:
         return _INF
     if x < -745.2:  # e**x < 2**-1075
         return 0.0
-    if -(2.0**-54) <= x <= 2.0**-54:
-        return 1.0
-    num, den = x.as_integer_ratio()
-    b = den.bit_length() - 1
-    k = round(x * _INV_LN2)
-    prec = 64
-    while True:
-        w = prec + 8
-        s, err = _exp_reduced(_fixed(num, b, w), k, w)
-        lo = _scaled(s - err, k - w)
-        if lo == _scaled(s + err, k - w):
-            return lo
-        prec *= 2
+    return _exact(_exp_bounds, x)
 
 
 def _tanh_exact(a: float) -> float:
-    """tanh(a) = m/(m + 2), m = e**(2a) - 1, for 2**-27 <= a < 19.0625."""
-    num, den = a.as_integer_ratio()
-    b = den.bit_length() - 2  # 2a = num / 2**b
-    prec = 64
-    while True:
-        if a < 0.5:  # series of e**y - 1, y = 2a >= 2**-26: relative error
-            w = prec + 36
-            y = _fixed(num, b, w)
-            s = term = y
-            n = 2
-            while term:
-                term = term * y // (n << w)
-                s += term
-                n += 1
-            m_lo, m_hi = s - 2 * n - 8, s + 2 * n + 8
-        else:
-            w = prec + 8
-            k = round(2.0 * a * _INV_LN2)
-            s, err = _exp_reduced(_fixed(num, b, w), k, w)
-            m_lo = ((s - err) << k) - (1 << w)
-            m_hi = ((s + err) << k) - (1 << w)
-        two = 2 << w
-        lo = m_lo / (m_lo + two)  # m/(m + 2) increases with m
-        if lo == m_hi / (m_hi + two):
-            return lo
-        prec *= 2
+    """tanh(a) for 2**-27 <= a < 19.0625."""
+    return _exact(_tanh_bounds, a)

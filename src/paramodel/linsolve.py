@@ -12,6 +12,8 @@ solve's traces into one ``LinsolveRecord`` NamedTuple per iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import isfinite
 from operator import sub
 from typing import NamedTuple
 
@@ -58,6 +60,8 @@ class LinearTrackingProblem:
             raise ValidationError("system must have at least one variable")
         if len(self.a) != n or any(len(row) != n for row in self.a):
             raise ValidationError(f"matrix must be square {n}x{n} to match b")
+        if not all(map(isfinite, chain(self.b, *self.a))):
+            raise ValidationError("every entry of the matrix and of b must be finite")
         if len(self.controllers) != n:
             raise ValidationError(f"need {n} controller parameter sets, got {len(self.controllers)}")
         if len(self.filters) != n:

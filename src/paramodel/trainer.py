@@ -71,6 +71,8 @@ class ScenarioEvent:
         extra = [name for name in ("index", "value") if name not in takes and getattr(self, name) is not None]
         if extra:
             raise ValidationError(f"{self.kind} takes no {' or '.join(extra)}")
+        if self.value is not None and not math.isfinite(self.value):
+            raise ValidationError(f"{self.kind} value must be finite, got {self.value}")
 
     @classmethod
     def set_input(cls, at: int, index: int, value: float) -> "ScenarioEvent":

@@ -370,7 +370,12 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
         (b"mode: train\nscenario:\n  gains: " + b"[" * 900 + b"]" * 900 + b"\n", [], "ParseError: nested too deeply"),
         (EDGELESS_NET.encode(), [], "ValidationError: scenario: network has no weight to train"),
         (b"mode: train\nscenario: {horizon: 10, horizon: 20}\n", [], "ParseError: line 2: duplicate key 'horizon'"),
-        (b"mode: train\nscenario: {horizon: 2020-02-30}\n", [], "ParseError: day is out of range for month"),
+        (b"mode: train\nscenario: {horizon: 2020-02-30}\n", [], "ParseError: line 2: day is out of range for month"),
+        (
+            FAST_TRAIN.replace("kp: 1.0", "kp: 1" + "0" * 4999).encode(),
+            [],
+            "ParseError: line 5: integer too long: more than 4300 digits\n",
+        ),
     ],
     ids=[
         "sample-not-a-list",
@@ -391,6 +396,7 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
         "network-with-no-edge",
         "duplicate-key",
         "date-that-does-not-exist",
+        "integer-of-5000-digits",
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, content, flags, message):

@@ -25,6 +25,12 @@ def test_invalid_tau():
         FirstOrderFilter(tau=-1e-5)
 
 
+@pytest.mark.parametrize("state", [math.nan, math.inf, -math.inf])
+def test_invalid_state(state):
+    with pytest.raises(ValidationError, match="filter state must be finite"):
+        FirstOrderFilter(state=state)
+
+
 def test_invalid_dt():
     with pytest.raises(ValidationError):
         filter_step(FirstOrderFilter(tau=1.0), 0.0, 0.0)

@@ -5,9 +5,11 @@ the simulation path."""
 from __future__ import annotations
 
 import ast
+import decimal
 import inspect
 import math
 import random
+import threading
 
 import pytest
 
@@ -102,13 +104,79 @@ def test_exp_whole_domain():
     check("exp", exp, [x for x in xs if x < 710.0])
 
 
-def test_exact_paths():
-    # the integer paths decide the arguments whose fast result the rounding
-    # test cannot prove; check them on their own
+@pytest.fixture(scope="module")
+def rejected():
+    """The arguments a seeded sweep through exp and tanh hands to the exact
+    paths: the ones whose fast result the rounding test could not prove."""
+    seen = {"exp": [], "tanh": []}
+    exp_exact, tanh_exact = elementary._exp_exact, elementary._tanh_exact
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elementary, "_exp_exact", lambda x: seen["exp"].append(x) or exp_exact(x))
+        mp.setattr(elementary, "_tanh_exact", lambda a: seen["tanh"].append(a) or tanh_exact(a))
+        rng = random.Random(20227)
+        for _ in range(100_000):
+            exp(rng.uniform(-50.0, 0.0))
+            tanh(rng.uniform(-4.5, 4.5))
+    assert len(seen["exp"]) > 300 and len(seen["tanh"]) > 80
+    return seen
+
+
+def exact_bits(rejected) -> list[str]:
+    return [elementary._exp_exact(x).hex() for x in rejected["exp"]] + [
+        elementary._tanh_exact(a).hex() for a in rejected["tanh"]
+    ]
+
+
+def test_exact_paths(rejected):
+    # the exact paths decide the arguments whose fast result the rounding
+    # test cannot prove; check them on those and on random ones
+    check("exp", elementary._exp_exact, rejected["exp"])
+    check("tanh", elementary._tanh_exact, rejected["tanh"])
     rng = random.Random(20225)
     check("exp", elementary._exp_exact, [rng.uniform(-745.0, 709.0) for _ in range(200)])
     check("tanh", elementary._tanh_exact, [rng.uniform(2.0**-27, 19.0) for _ in range(200)])
     check("tanh", elementary._tanh_exact, [math.ldexp(1.0 + rng.random(), -rng.randint(2, 27)) for _ in range(200)])
+
+
+def test_exact_paths_under_pure_python_decimal(rejected, monkeypatch):
+    # the C decimal and the pure-Python one are two implementations of one
+    # correctly rounded specification: they must give the same bits
+    pydecimal = pytest.importorskip("_pydecimal")
+    want = exact_bits(rejected)
+    names = [n for n, value in vars(elementary).items() if not n.startswith("_") and getattr(decimal, n, None) is value]
+    assert {"Context", "Decimal", "ROUND_FLOOR", "ROUND_CEILING", "InvalidOperation"} <= set(names)
+    for name in names:
+        monkeypatch.setattr(elementary, name, getattr(pydecimal, name))
+    assert exact_bits(rejected) == want
+
+
+def test_exact_paths_ignore_the_thread_and_default_contexts(rejected):
+    want = exact_bits(rejected)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = 2, decimal.ROUND_DOWN
+        ctx.traps.update(dict.fromkeys(ctx.traps, True))  # FloatOperation too
+        assert exact_bits(rejected) == want
+    # a new thread starts from a copy of DefaultContext
+    default, saved = decimal.DefaultContext, decimal.DefaultContext.copy()
+    got = []
+    try:
+        default.prec, default.rounding, default.Emin, default.Emax, default.clamp = 2, decimal.ROUND_DOWN, -1, 1, 1
+        default.traps.update(dict.fromkeys(default.traps, True))
+        assert exact_bits(rejected) == want
+        thread = threading.Thread(target=lambda: got.append(exact_bits(rejected)))
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        default.prec, default.rounding, default.Emin, default.Emax = saved.prec, saved.rounding, saved.Emin, saved.Emax
+        default.clamp = saved.clamp
+        default.traps.update(saved.traps)
+    assert got == [want]
+
+
+def test_exact_paths_raise_rather_than_loop_on_a_nan():
+    # tanh(inf) by the exact path would divide inf by inf: the trap stops it
+    with pytest.raises(decimal.InvalidOperation):
+        elementary._tanh_exact(INF)
 
 
 def test_tanh_special_values():
@@ -170,7 +238,7 @@ def test_no_libm_transcendental_on_the_simulation_path(monkeypatch):
     x_trace, _ = solve_linear(builtin_problem(horizon=2000))
     assert len(x_trace) == 2000
     # the slow paths too: subnormal and overflowing exp, tanh beyond the
-    # table, and the integer paths
+    # table, and the exact paths
     assert exp(-740.0) > 0.0 and exp(800.0) == INF and tanh(7.5) < 1.0
     assert elementary._exp_exact(-0.5) == exp(-0.5)
     assert elementary._tanh_exact(0.25) == tanh(0.25) and elementary._tanh_exact(2.5) == tanh(2.5)

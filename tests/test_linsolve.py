@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,9 @@ def test_problem_validation():
         )
     with pytest.raises(ValidationError):  # bad horizon
         make_problem(((1.0,),), (1.0,), horizon=0)
+    for a, b in ((((1.0, 2.0), (3.0, math.nan)), (1.0, 2.0)), (((1.0, 2.0), (3.0, 4.0)), (-math.inf, 2.0))):
+        with pytest.raises(ValidationError, match="must be finite"):
+            make_problem(a, b)
 
 
 def test_oracle_confirms_frozen_solution():

@@ -84,7 +84,10 @@ def outcome(step, *args):
 
 
 any_float = st.floats() | st.sampled_from(SPECIAL)
-# what ControllerParams and FirstOrderFilter accept: >= 0 (-0.0 included) or > 0, finite
+FINITE = [v for v in SPECIAL if math.isfinite(v)]
+# what ControllerParams and FirstOrderFilter accept: >= 0 (-0.0 included) or > 0, finite;
+# a filter state is any finite float
+state_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FINITE)
 gain = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308])
 step_size = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from([5e-324, 1e-5, 1.7976931348623157e308])
 
@@ -111,7 +114,7 @@ def test_controller_step_is_the_literal_law(psi, integral, k, kp, ki, k_alpha, k
 
 
 @settings(max_examples=800, deadline=None)
-@given(tau=step_size, x=any_float, u=any_float, dt=any_float)
+@given(tau=step_size, x=state_float, u=any_float, dt=any_float)
 def test_filter_step_is_the_literal_rk4(tau, x, u, dt):
     filt = FirstOrderFilter(tau=tau, state=x)
     assert outcome(filter_step, filt, u, dt) == outcome(literal_filter_step, filt, u, dt)
@@ -128,9 +131,12 @@ def test_views_on_every_combination_of_special_values(kp, ki, k_alpha, k_beta, t
         assert outcome(controller_step, state, params, y_ref, y_meas) == outcome(
             literal_controller_step, state, params, y_ref, y_meas
         )
-    for x, u, dt in itertools.product(SPECIAL, repeat=3):
+    for x, u, dt in itertools.product(FINITE, SPECIAL, SPECIAL):
         filt = FirstOrderFilter(tau=tau, state=x)
         assert outcome(filter_step, filt, u, dt) == outcome(literal_filter_step, filt, u, dt)
+    for x in (math.inf, -math.inf, math.nan):  # no step starts from a non-finite state
+        with pytest.raises(ValidationError, match="filter state must be finite"):
+            FirstOrderFilter(tau=tau, state=x)
 
 
 @contextlib.contextmanager

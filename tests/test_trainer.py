@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -232,6 +233,11 @@ def test_event_kind_validation():
         ScenarioEvent(at=0, kind="set_reference", index=3, value=0.5)
     with pytest.raises(ValidationError, match="restore_weight takes no value"):
         ScenarioEvent(at=0, kind="restore_weight", index=3, value=0.0)
+    # a non-finite value would only show as a diverged network output mid-run
+    with pytest.raises(ValidationError, match="set_input value must be finite, got nan"):
+        ScenarioEvent.set_input(5, 0, math.nan)
+    with pytest.raises(ValidationError, match="set_reference value must be finite, got inf"):
+        ScenarioEvent.set_reference(5, math.inf)
 
 
 @st.composite
