@@ -198,14 +198,20 @@ def _without_advice(message: str) -> str:
 def load_config_dict(text: str) -> dict:
     """YAML text to a configuration dict, ``builtin: NAME`` expanded."""
     try:
-        raw = yaml.load(text, Loader=_Loader)
+        loader = _Loader(text)
+    except yaml.reader.ReaderError as err:  # a character YAML does not allow, such as NUL
+        raise ParseError(str(err).partition("\n")[0], line=text.count("\n", 0, err.position) + 1) from None
+    try:
+        raw = loader.get_single_data()
     except yaml.MarkedYAMLError as err:
         line = err.problem_mark.line + 1 if err.problem_mark else None
         raise ParseError(_without_advice(str(err.problem or err)), line=line) from None
     except (yaml.YAMLError, ValueError) as err:  # ValueError: a %YAML directive of 5000 digits
-        raise ParseError(_without_advice(str(err))) from None
+        raise ParseError(_without_advice(str(err)), line=loader.line + 1) from None
     except RecursionError:
         raise ParseError("nested too deeply") from None
+    finally:
+        loader.dispose()
     if raw is None:
         raise ParseError("empty configuration")
     if not isinstance(raw, dict):
@@ -336,7 +342,8 @@ def _read(table: dict, d, key: str) -> dict:
 
 
 def _make(cls, table: dict, values: dict, key: str):
-    """``cls`` from checked values; a key left out takes its field's default."""
+    """``cls`` from checked values; a key left out takes its field's default.
+    An error of ``cls`` names ``key``, joined with the field key it names."""
     kwargs = {table[sub][0]: v for sub, v in values.items() if table[sub][0]}
     required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
     for sub, (name, _) in table.items():
@@ -345,28 +352,7 @@ def _make(cls, table: dict, values: dict, key: str):
     try:
         return cls(**kwargs)
     except ValidationError as err:
-        if err.key is not None:
-            raise
-        raise ValidationError(str(err), key=key or None) from None
-
-
-def _network(d, key: str) -> FeedforwardNet:
-    """The net of a ``network`` mapping.  Its node and edge lists default to
-    empty and its output node to ``y``; ``weights`` to zeros, one per edge
-    weight index, and ``mask`` to all enabled, one entry per weight."""
-    table = _TABLES[FeedforwardNet]
-    v = {"inputs": (), "hidden": (), "output": "y", "edges": (), **_read(table, d, key)}
-    q = 1 + max((e.weight for e in v["edges"]), default=-1)
-    weights = v.setdefault("weights", (0.0,) * q)
-    if len(weights) < q:
-        raise ValidationError(
-            f"the edges use weight indices up to {q - 1}, so {q} entries are needed, got {len(weights)}",
-            key=f"{key}.weights",
-        )
-    mask = v.setdefault("mask", (True,) * len(weights))
-    if len(mask) != len(weights):
-        raise ValidationError(f"needs one entry per weight ({len(weights)}), got {len(mask)}", key=f"{key}.mask")
-    return _make(FeedforwardNet, table, v, key)
+        raise ValidationError(err.message, key=_key(key, err.key) if err.key else key or None) from None
 
 
 def _problem(d, key: str) -> LinearTrackingProblem:
@@ -441,7 +427,7 @@ _TABLES = {
         "w_max": ("w_max", _number),
         "gains": ("base_params", _section(ControllerParams)),
         "sample": ("initial_sample", _section(TrainingSample)),
-        "network": ("net", _network),
+        "network": ("net", _section(FeedforwardNet)),
         "events": ("events", _list_of_maps(_event)),
     },
     ControllerParams: {

@@ -42,10 +42,12 @@ class ValidationError(ParamodelError, ValueError):
     """An input is invalid: a configuration value, parameters, an event,
     an input vector or a weight index.
 
-    ``key`` names the offending configuration entry when known, else None.
+    ``key`` names the offending configuration entry when known, else None;
+    ``message`` is the text without it.
     """
 
     def __init__(self, message: str, key: str | None = None):
+        self.message = message
         if key is not None:
             message = f"{key}: {message}"
         super().__init__(message)

@@ -57,16 +57,17 @@ class FeedforwardNet:
     """Immutable network description plus a cached evaluation plan.
 
     ``inputs`` fixes the order in which an input vector is bound to input
-    nodes.  ``weights`` and ``mask`` are indexed by edge weight index; a
-    masked-off edge contributes exactly zero regardless of its weight.
+    nodes.  ``weights`` (default zeros) and ``mask`` (default all enabled)
+    hold one entry per edge weight index; a masked-off edge contributes
+    exactly zero regardless of its weight.
     """
 
-    inputs: tuple[str, ...]
-    hidden: tuple[str, ...]
-    output: str
-    edges: tuple[Edge, ...]
-    weights: tuple[float, ...]
-    mask: tuple[bool, ...]
+    inputs: tuple[str, ...] = ()
+    hidden: tuple[str, ...] = ()
+    output: str = "y"
+    edges: tuple[Edge, ...] = ()
+    weights: tuple[float, ...] | None = None
+    mask: tuple[bool, ...] | None = None
     # eval plan: per non-input node in topological order,
     # (value slot, [(source value slot, weight index), ...])
     _plan: tuple = field(init=False, repr=False, compare=False, default=())
@@ -77,8 +78,21 @@ class FeedforwardNet:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "hidden", tuple(self.hidden))
         object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "mask", tuple(bool(m) for m in self.mask))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        q = 1 + max((e.weight for e in self.edges), default=-1)
+        weights = (0.0,) * q if self.weights is None else tuple(float(w) for w in self.weights)
+        object.__setattr__(self, "weights", weights)
+        for w in weights:
+            if not math.isfinite(w):
+                raise ValidationError(f"must be finite, got {w}", key="weights")
+        if len(weights) < q:
+            raise ValidationError(
+                f"the edges use weight indices up to {q - 1}, so {q} entries are needed, got {len(weights)}",
+                key="weights",
+            )
+        mask = (True,) * len(weights) if self.mask is None else tuple(bool(m) for m in self.mask)
+        object.__setattr__(self, "mask", mask)
+        if len(mask) != len(weights):
+            raise ValidationError(f"needs one entry per weight ({len(weights)}), got {len(mask)}", key="mask")
         object.__setattr__(self, "_plan", self._build_plan())
         object.__setattr__(self, "_pad", (0.0,) * (len(self.hidden) + 1))
 
@@ -94,8 +108,6 @@ class FeedforwardNet:
         nodes = list(self.inputs) + list(self.hidden) + [self.output]
         if len(set(nodes)) != len(nodes):
             raise ValidationError("node ids must be unique across inputs/hidden/output")
-        if len(self.mask) != len(self.weights):
-            raise ValidationError("mask and weights must have the same length")
         slot = {name: i for i, name in enumerate(nodes)}
         incoming: dict[str, list[tuple[int, int]]] = {n: [] for n in nodes}
         graph = TopologicalSorter({n: () for n in nodes})
@@ -106,10 +118,8 @@ class FeedforwardNet:
                 raise ValidationError(f"edge target {e.dst!r} is not a declared node")
             if e.dst in self.inputs:
                 raise ValidationError(f"edge target {e.dst!r} is an input node")
-            if not 0 <= e.weight < len(self.weights):
-                raise ValidationError(
-                    f"edge {e.src}->{e.dst}: weight index {e.weight} out of range"
-                )
+            if e.weight < 0:
+                raise ValidationError(f"edge {e.src}->{e.dst}: weight index {e.weight} out of range")
             incoming[e.dst].append((slot[e.src], e.weight))
             graph.add(e.dst, e.src)
         # any topological order gives the same values: a node reads only its sources
@@ -144,7 +154,7 @@ def default_topology() -> FeedforwardNet:
 
     w0..w3 connect the inputs to two hidden nodes, w4/w5 connect the
     hidden nodes to the output, and w6 is an input-to-output skip edge.
-    All weights start at zero with every edge enabled.
+    All weights start at zero with every edge enabled, the defaults.
     """
     edges = (
         Edge("x1", "h1", 0),
@@ -158,10 +168,7 @@ def default_topology() -> FeedforwardNet:
     return FeedforwardNet(
         inputs=("x1", "x2"),
         hidden=("h1", "h2"),
-        output="y",
         edges=edges,
-        weights=(0.0,) * 7,
-        mask=(True,) * 7,
     )
 
 

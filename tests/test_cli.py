@@ -376,6 +376,38 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
             [],
             "ParseError: line 5: integer too long: more than 4300 digits\n",
         ),
+        (
+            b"%YAML 1." + b"1" * 5000 + b"\n---\n" + FAST_TRAIN.encode(),
+            [],
+            "ParseError: line 1: integer too long: more than 4300 digits\n",
+        ),
+        (
+            FAST_TRAIN.replace("y: 0.55", "y: \x000.55").encode(),
+            [],
+            "ParseError: line 6: unacceptable character #x0000: special characters are not allowed\n",
+        ),
+        (
+            DIVERGING_LINSOLVE.replace("stagger_rho: 1.0", "stagger_rho: 1.5").encode(),
+            [],
+            "ValidationError: problem.stagger_rho: stagger ratio must be in (0, 1], got 1.5",
+        ),
+        ((FAST_TRAIN + "tolerance: 0\n").encode(), [], "ValidationError: tolerance: must be finite and > 0, got 0.0"),
+        (
+            FAST_TRAIN.replace("horizon: 3000", "horizon: 3000\n  w_max: 0").encode(),
+            [],
+            "ValidationError: scenario: w_max must be finite and positive, got 0.0",
+        ),
+        (FAST_TRAIN.replace("horizon: 3000", "horizon: 0").encode(), [], "ValidationError: scenario: horizon must be >= 1, got 0"),
+        (
+            FAST_TRAIN.replace("  events:", "  network: {mask: [1]}\n  events:").encode(),
+            [],
+            "ValidationError: scenario.network.mask: must be true or false, got 1",
+        ),
+        (
+            b"mode: linsolve\nproblem:\n  a: [[2.0]]\n  b: [1.0]\n  filters: []\n",
+            [],
+            "ValidationError: problem: need 1 filters, got 0",
+        ),
     ],
     ids=[
         "sample-not-a-list",
@@ -397,6 +429,14 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
         "duplicate-key",
         "date-that-does-not-exist",
         "integer-of-5000-digits",
+        "yaml-directive-of-5000-digits",
+        "nul-byte",
+        "stagger-rho-above-1",
+        "zero-tolerance",
+        "zero-w-max",
+        "zero-horizon",
+        "mask-entry-not-a-bool",
+        "empty-filters-list",
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, content, flags, message):

@@ -345,6 +345,11 @@ def test_write_trace_bad_decimation(tmp_path):
         write_trace([], str(tmp_path / "x.csv"), 0)
 
 
+def test_write_trace_rejects_a_record_of_unknown_type(tmp_path):
+    with pytest.raises(ValidationError, match="^cannot write records of type int$"):
+        write_trace([1, 2], str(tmp_path / "x.csv"))
+
+
 # --- YAML 1.2 floats ---
 
 

@@ -256,6 +256,19 @@ def test_divergence_reports_loop_iteration_and_weight():
     assert str(err.value).startswith("weight 0: controller state became non-finite: psi=inf")
 
 
+def test_divergence_of_the_network_output():
+    # finite weights and inputs whose products overflow: inf - inf in h1
+    scenario = Scenario(
+        net=dataclasses.replace(default_topology(), weights=(1e308, -1e308) + (0.0,) * 5),
+        initial_sample=TrainingSample(x=(1e308, 1e308), y=0.5),
+        w_max=1e308,
+    )
+    with pytest.raises(DivergenceError) as err:
+        list(train_online(scenario))
+    assert err.value.iteration == 1
+    assert str(err.value) == "network output became non-finite: nan (iteration 1)"
+
+
 @pytest.mark.parametrize(
     "scenario",
     [

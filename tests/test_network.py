@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -199,6 +200,31 @@ def test_disconnected_hidden_node_is_fine():
         mask=(True, True),
     )
     assert forward(net, (0.5,)) == tanh(tanh(0.5))
+
+
+def test_defaults_follow_the_edges():
+    # zeros, one per edge weight index, and every weight enabled
+    net = FeedforwardNet(inputs=("a",), edges=(Edge("a", "y", 2),))
+    assert (net.hidden, net.output) == ((), "y")
+    assert net.weights == (0.0, 0.0, 0.0)
+    assert net.mask == (True, True, True)
+    assert FeedforwardNet() == FeedforwardNet(inputs=(), hidden=(), output="y", edges=(), weights=(), mask=())
+
+
+@pytest.mark.parametrize(
+    "net, key, message",
+    [
+        (dict(weights=(math.nan,) + (0.0,) * 6), "weights", "must be finite, got nan"),
+        (dict(weights=(0.0,) * 6 + (math.inf,)), "weights", "must be finite, got inf"),
+        (dict(weights=(0.0,) * 6), "weights", "the edges use weight indices up to 6, so 7 entries are needed, got 6"),
+        (dict(mask=(True,) * 6), "mask", "needs one entry per weight (7), got 6"),
+    ],
+    ids=["nan-weight", "inf-weight", "weights-shorter-than-edges", "mask-length"],
+)
+def test_weights_and_mask_rules(net, key, message):
+    with pytest.raises(ValidationError) as info:
+        replace(default_topology(), **net)
+    assert (info.value.key, info.value.message) == (key, message)
 
 
 def test_training_sample_validation():

@@ -1,0 +1,46 @@
+"""The CI workflow, checked where it is written: it runs only on a push, so
+a typo in it would stay hidden until then."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def workflow() -> dict:
+    return yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+
+
+def runs() -> list[str]:
+    return [step["run"] for job in workflow()["jobs"].values() for step in job["steps"] if "run" in step]
+
+
+def version(text: str) -> tuple[int, ...]:
+    return tuple(map(int, text.split(".")))
+
+
+def test_runs_on_push_and_pull_request():
+    # YAML 1.1 reads the key "on" as True
+    assert set(workflow()[True]) == {"push", "pull_request"}
+
+
+def test_python_matrix_spans_the_supported_versions():
+    oldest = re.search(r'^requires-python = ">=([\d.]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    pythons = sorted(map(version, workflow()["jobs"]["tier1"]["strategy"]["matrix"]["python"]))
+    assert pythons[0] == version(oldest.group(1))
+    assert (3, 13) in pythons
+
+
+def test_every_script_a_step_runs_exists():
+    paths = [p for run in runs() for p in re.findall(r"\b(?:scripts|perfbench)/[\w./-]+", run)]
+    assert paths
+    assert [p for p in paths if not (ROOT / p).is_file()] == []
+
+
+def test_tier1_step_runs_the_verify_command():
+    verify = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", (ROOT / "ROADMAP.md").read_text(), re.M)
+    assert verify.group(1) in runs()
