@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
 import time
 from dataclasses import dataclass, replace
 
@@ -38,6 +40,18 @@ EQ3_X_STAR = (0.5, 0.1, 0.8)
 
 GOLDEN_DECIMATION = 100
 
+#: sha256 of every record of each built-in (``record_bytes``).  The goldens
+#: keep every 100th row, and a 1-ulp difference can heal within 100 rows;
+#: these check every iteration.  Like the goldens, they move only with a
+#: deliberate change to the simulation arithmetic, recorded in CHANGES.md.
+GOLDEN_DIGESTS = {
+    "fig4": "47067d20403c6f810fdcca917482573ff4bf1ad843beffee5b5377cfb4454518",
+    "fig5": "2260b831f2d789724aac7baa6389faf299926e28a18aaa28d5baa82354cdb324",
+    "fig6": "ced64ed204927a45cce3b4620ffd977446c091fda4d8ef6c183be9590b30320f",
+    "fig7": "5a89efe7d7c2694f54ff2e93ba0667b9f349783e712a985bfef2cfd24c52032c",
+    "linsolve3": "39a2aa53d3224e9cd4a78af258d890463b21906ae13e867005db28a3ffc3681b",
+}
+
 
 @dataclass
 class Run:
@@ -48,6 +62,7 @@ class Run:
     final: TraceRecord | LinsolveRecord
     max_abs_w: float  # training runs only
     csv_text: str
+    digest: str  # sha256 of record_bytes of every record
     wall: float
 
     @property
@@ -67,14 +82,30 @@ class Run:
         return tracking_error(self.final)
 
 
+def record_bytes(rec: TraceRecord | LinsolveRecord) -> bytes:
+    """Every field of a record at full resolution: k as a little-endian
+    int64, then each float, a tuple field item by item, as a little-endian
+    double, in field order."""
+    if isinstance(rec, TraceRecord):
+        k, t, y, y_ref, w, u = rec
+        floats = (t, y, y_ref, *w, *u)
+    else:
+        k, y, b, x = rec
+        floats = (*y, *b, *x)
+    return struct.pack(f"<q{len(floats)}d", k, *floats)
+
+
 def run(config: RunConfig, csv_path) -> Run:
-    """Band violations, largest |w|, decimated CSV and wall time of one pass."""
+    """Band violations, largest |w|, decimated CSV, digest and wall time of
+    one pass."""
     train = config.mode == "train"
     violations: list[int] = []
     rows = []
     max_abs_w = 0.0
+    digest = hashlib.sha256()
     t0 = time.perf_counter()
     for rec in run_records(config):
+        digest.update(record_bytes(rec))
         if tracking_error(rec) >= TRACK_TOL:
             violations.append(rec.k)
         if train:
@@ -83,7 +114,7 @@ def run(config: RunConfig, csv_path) -> Run:
             rows.append(rec)
     wall = time.perf_counter() - t0
     write_trace(rows, str(csv_path), GOLDEN_DECIMATION)
-    return Run(config, violations, rec, max_abs_w, csv_path.read_text(), wall)
+    return Run(config, violations, rec, max_abs_w, csv_path.read_text(), digest.hexdigest(), wall)
 
 
 def settled_from(violations: list[int], horizon: int) -> int | None:

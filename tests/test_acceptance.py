@@ -33,11 +33,13 @@ from paramodel import (
     train_online,
     write_trace,
 )
+from paramodel.config_io import builtin_names
 from paramodel.linsolve import DEMO_A, DEMO_B, as_records
 
 from conftest import (
     EQ3_X_STAR,
     GOLDEN_DECIMATION,
+    GOLDEN_DIGESTS,
     SETTLE_BUDGET,
     TRACK_TOL,
     event_resettled_within,
@@ -212,6 +214,13 @@ def test_criterion_7_determinism_and_goldens(builtin_run, builtin_linsolve_run, 
     assert path.read_text() == builtin_linsolve_run.csv_text
     assert path.read_text() == (GOLDEN_DIR / "linsolve3_trace.csv").read_text()
     print("[criterion 7] PASS: all 5 builtins byte-identical across runs and goldens")
+
+
+def test_criterion_7_full_resolution_digests(builtin_run):
+    # the goldens keep every 100th row, and a 1-ulp difference can heal
+    # within 100 rows: the digests cover every field of every iteration
+    digests = {name: builtin_run(name).digest for name in builtin_names()}
+    assert digests == GOLDEN_DIGESTS, f"new digests: {digests}"
 
 
 def test_criterion_8_stagger_ordering():
