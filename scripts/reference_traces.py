@@ -3,11 +3,11 @@ the traces with the committed goldens.
 
 exp and tanh are evaluated by mpmath at 200 bits and rounded to the
 nearest double; everything else is the package's own arithmetic.  The
-traces are written through the CLI, the path that writes the goldens.
-The package's exp and tanh are correctly rounded, so the goldens must
-equal these traces byte for byte.  The script exits 1 if a line differs,
-or if the reference exp or tanh was never called.  mpmath is needed (it
-is in the ``test`` extra); the run takes about a minute.
+traces are written by ``run_builtins.py --decimate 100``, the command that
+writes the goldens.  The package's exp and tanh are correctly rounded, so
+the goldens must equal these traces byte for byte.  The script exits 1 if
+a line differs, or if the reference exp or tanh was never called.  mpmath
+is needed (it is in the ``test`` extra); the run takes about a minute.
 
 Usage: python scripts/reference_traces.py [--outdir DIR]
 """
@@ -21,11 +21,9 @@ import mpmath
 
 import paramodel.controller
 import paramodel.network
-from paramodel.cli import main as cli_main
-from paramodel.config_io import builtin_names
+import run_builtins
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
-DECIMATION = 100
 
 
 def nearest(value) -> float:
@@ -57,22 +55,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out/reference")
     outdir = pathlib.Path(parser.parse_args().outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     paramodel.controller.exp = reference("exp")
     paramodel.network.tanh = reference("tanh")
-
-    paths = []
-    for name in builtin_names():
-        paths.append(outdir / f"{name}_trace.csv")
-        cli_main(["run", "--builtin", name, "--out", str(paths[-1]), "--decimate", str(DECIMATION)])
+    run_builtins.main(["--outdir", str(outdir), "--decimate", "100"])
 
     differ = 0
-    for path in paths:
-        ours = (GOLDEN_DIR / path.name).read_text().splitlines()
-        ref = path.read_text().splitlines()
+    for golden in sorted(GOLDEN_DIR.iterdir()):
+        ours = golden.read_text().splitlines()
+        ref = (outdir / golden.name).read_text().splitlines()
         rows = sum(a != b for a, b in zip(ours, ref)) + abs(len(ours) - len(ref))
         differ += rows
-        print(f"{path.name}: {rows} of {len(ref)} lines differ from the golden")
+        print(f"{golden.name}: {rows} of {len(ref)} lines differ from the golden")
     # a binding the substitution missed would leave the package's own
     # function running, and the traces would match without checking anything
     uncalled = [name for name, n in CALLS.items() if not n]

@@ -111,28 +111,26 @@ def solve_linear(
     ctrl = problem.controllers
     kps = [p.kp for p in ctrl]
     kis = [p.ki for p in ctrl]
-    # one k_alpha * decay per iteration for each distinct (k_alpha, k_beta, dt)
-    keys = [(p.k_alpha, p.k_beta, p.dt) for p in ctrl]
-    law_keys = list(dict.fromkeys(keys))
-    slots = [law_keys.index(key) for key in keys]
-    # one kernel call per iteration for each distinct (dt, tau), in practice one
-    groups: dict[tuple[float, float], list[int]] = {}
-    for j in range(n):
-        groups.setdefault((ctrl[j].dt, problem.filters[j].tau), []).append(j)
-    calls = [(idx, dt, tau) for (dt, tau), idx in groups.items()]
+    # the unknowns of each distinct (k_alpha, k_beta, dt, tau) in index order:
+    # one decay and one kernel call per group and iteration, in practice one
+    groups: dict[tuple[float, float, float, float], list[int]] = {}
+    for j, (p, f) in enumerate(zip(ctrl, problem.filters)):
+        groups.setdefault((p.k_alpha, p.k_beta, p.dt, f.tau), []).append(j)
     psis = [0.0] * n
     integrals = [0.0] * n
     us = [0.0] * n
+    a = [0.0] * n
     x = [f.state for f in problem.filters]
     y = matvec(problem.a, x)
     x_trace: list[tuple[float, ...]] = []
     y_trace: list[tuple[float, ...]] = []
     for k in range(1, problem.horizon + 1):
-        kd = [k_alpha * decay(k_beta, k, dt) for k_alpha, k_beta, dt in law_keys]
-        a = [kd[slot] - y_j for slot, y_j in zip(slots, y)]
         e = list(map(sub, b, y))
         bad = -1  # the lowest diverging unknown of all groups
-        for idx, dt, tau in calls:
+        for (k_alpha, k_beta, dt, tau), idx in groups.items():
+            kd = k_alpha * decay(k_beta, k, dt)
+            for j in idx:
+                a[j] = kd - y[j]
             j = step_all(idx, psis, integrals, x, us, kps, kis, a, e, dt, tau)
             if j >= 0 and (bad < 0 or j < bad):
                 bad = j

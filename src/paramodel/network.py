@@ -38,6 +38,12 @@ class Edge:
     dst: str
     weight: int
 
+    def __post_init__(self):
+        if isinstance(self.weight, bool) or not isinstance(self.weight, int) or self.weight < 0:
+            raise ValidationError(
+                f"edge {self.src}->{self.dst}: weight index must be an integer >= 0, got {self.weight!r}"
+            )
+
 
 @dataclass(frozen=True, slots=True)
 class TrainingSample:
@@ -89,8 +95,11 @@ class FeedforwardNet:
                 f"the edges use weight indices up to {q - 1}, so {q} entries are needed, got {len(weights)}",
                 key="weights",
             )
-        mask = (True,) * len(weights) if self.mask is None else tuple(bool(m) for m in self.mask)
+        mask = (True,) * len(weights) if self.mask is None else tuple(self.mask)
         object.__setattr__(self, "mask", mask)
+        for m in mask:
+            if not isinstance(m, bool):
+                raise ValidationError(f"must be true or false, got {m!r}", key="mask")
         if len(mask) != len(weights):
             raise ValidationError(f"needs one entry per weight ({len(weights)}), got {len(mask)}", key="mask")
         object.__setattr__(self, "_plan", self._build_plan())
@@ -118,8 +127,6 @@ class FeedforwardNet:
                 raise ValidationError(f"edge target {e.dst!r} is not a declared node")
             if e.dst in self.inputs:
                 raise ValidationError(f"edge target {e.dst!r} is an input node")
-            if e.weight < 0:
-                raise ValidationError(f"edge {e.src}->{e.dst}: weight index {e.weight} out of range")
             incoming[e.dst].append((slot[e.src], e.weight))
             graph.add(e.dst, e.src)
         # any topological order gives the same values: a node reads only its sources

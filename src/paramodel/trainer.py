@@ -11,12 +11,14 @@ current weights, step each enabled controller and filter, clamp, record.
 Dropped weights are held at zero with their controller and filter frozen;
 restoring a weight re-installs the frozen filter state and resumes
 stepping, so a drop/restore pair at the same iteration is an exact no-op.
-A weight masked from the start is held so too, as if dropped at iteration 0.
+A weight the net's mask disables is dropped at iteration 0 by the trainer
+itself, before the scenario's own events of iteration 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -49,9 +51,10 @@ class ScenarioEvent:
 
     ``kind`` is a key of ``EVENT_ARGS``, which names the fields it takes:
     set_input (index, value), set_reference (value), drop_weight (index),
-    restore_weight (index); the other fields must stay None.  Events at
-    iteration 0 describe the initial configuration and are applied before
-    the loop.
+    restore_weight (index); the other fields must stay None.  ``at`` and
+    ``index`` are integers and ``value`` a finite number, as in a
+    configuration file.  Events at iteration 0 describe the initial
+    configuration; they act with those of iteration 1, before its step.
     """
 
     at: int
@@ -62,6 +65,8 @@ class ScenarioEvent:
     def __post_init__(self):
         if self.kind not in EVENT_ARGS:
             raise ValidationError(f"unknown event kind {self.kind!r}")
+        if isinstance(self.at, bool) or not isinstance(self.at, int):
+            raise ValidationError(f"event iteration must be an integer, got {self.at!r}")
         if self.at < 0:
             raise ValidationError(f"event iteration must be >= 0, got {self.at}")
         takes = EVENT_ARGS[self.kind]
@@ -71,8 +76,15 @@ class ScenarioEvent:
         extra = [name for name in ("index", "value") if name not in takes and getattr(self, name) is not None]
         if extra:
             raise ValidationError(f"{self.kind} takes no {' or '.join(extra)}")
-        if self.value is not None and not math.isfinite(self.value):
-            raise ValidationError(f"{self.kind} value must be finite, got {self.value}")
+        if self.index is not None and (isinstance(self.index, bool) or not isinstance(self.index, int)):
+            raise ValidationError(f"{self.kind} index must be an integer, got {self.index!r}")
+        if self.value is not None:
+            if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
+                raise ValidationError(f"{self.kind} value must be a number, got {self.value!r}")
+            # abs(v) <= max also rejects an integer beyond float range
+            if not abs(self.value) <= sys.float_info.max:
+                raise ValidationError(f"{self.kind} value must be finite, got {self.value}")
+            object.__setattr__(self, "value", float(self.value))
 
     @classmethod
     def set_input(cls, at: int, index: int, value: float) -> "ScenarioEvent":
@@ -133,20 +145,19 @@ class Scenario:
         q = self.net.weight_count
         n = self.net.input_count
         last_at = 0
-        for ev in self.events:
+        for i, ev in enumerate(self.events):
+            key = f"events[{i}]"
             if ev.at > self.horizon:
-                raise ValidationError(f"event at iteration {ev.at} is beyond horizon {self.horizon}")
+                raise ValidationError(f"event at iteration {ev.at} is beyond horizon {self.horizon}", key=key)
             if ev.at < last_at:
-                raise ValidationError("events must be sorted by iteration")
+                raise ValidationError("events must be sorted by iteration", key=key)
             last_at = ev.at
             if ev.kind == "set_input" and not 0 <= ev.index < n:
-                raise ValidationError(f"set_input index {ev.index} out of range [0, {n})")
+                raise ValidationError(f"set_input index {ev.index} out of range [0, {n})", key=key)
             if ev.kind in ("drop_weight", "restore_weight") and not 0 <= ev.index < q:
-                raise ValidationError(f"{ev.kind} index {ev.index} out of range [0, {q})")
+                raise ValidationError(f"{ev.kind} index {ev.index} out of range [0, {q})", key=key)
             if ev.kind == "set_reference" and not abs(ev.value) < 1.0:
-                raise ValidationError(
-                    f"set_reference value must satisfy |y| < 1, got {ev.value}"
-                )
+                raise ValidationError(f"set_reference value must satisfy |y| < 1, got {ev.value}", key=key)
 
 
 class TraceRecord(NamedTuple):
@@ -184,7 +195,7 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
 
     # working copies: the loop never touches the scenario's own net
     w = [min(max(v, -w_max), w_max) for v in net.weights]
-    mask = list(net.mask)
+    mask = [True] * q
     x_train = list(scenario.initial_sample.x)
     y_ref = scenario.initial_sample.y
     # flat controller and filter state per weight.  An enabled weight's
@@ -193,49 +204,41 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
     psis = [0.0] * q
     integrals = [0.0] * q
     xs = list(w)
-    # a weight masked at the start is zero, its frozen filter state its clamped value
-    w = [v if m else 0.0 for v, m in zip(w, mask)]
     u = [0.0] * q
     lag = [0] * q
-    dropped_at = [1] * q  # iteration 0 events act before the step of iteration 1
+    dropped_at = [0] * q
 
-    # events by iteration, in their listed order
-    events: dict[int, list[ScenarioEvent]] = {}
+    # events by iteration, in their listed order, those of 0 with those of 1;
+    # first the weights the net's mask disables are dropped at 0, so
+    # iteration 1 always builds the enabled weights and their distinct lags
+    events: dict[int, list[ScenarioEvent]] = {
+        1: [ScenarioEvent.drop_weight(0, i) for i in range(q) if not net.mask[i]]
+    }
     for event in scenario.events:
-        events.setdefault(event.at, []).append(event)
-
-    def fire(event: ScenarioEvent, k: int) -> None:
-        nonlocal y_ref
-        i = event.index
-        if event.kind == "set_input":
-            x_train[i] = float(event.value)
-        elif event.kind == "set_reference":
-            y_ref = float(event.value)
-        elif event.kind == "drop_weight":
-            if mask[i]:
-                dropped_at[i] = k
-            mask[i] = False
-            w[i] = 0.0
-            u[i] = 0.0
-        elif event.kind == "restore_weight":
-            # re-install the clamped frozen filter state so an immediate
-            # drop/restore pair is an exact no-op
-            if not mask[i]:
-                lag[i] += k - dropped_at[i]
-            mask[i] = True
-            w[i] = min(max(xs[i], -w_max), w_max)
-
-    for event in events.get(0, ()):
-        fire(event, 1)
-    # the enabled weights and their distinct lags, rebuilt after each event
-    active = [i for i in range(q) if mask[i]]
-    lags = sorted({lag[i] for i in active})
+        events.setdefault(max(event.at, 1), []).append(event)
 
     eval_with, isfinite = net.eval_with, math.isfinite
     for k in range(1, scenario.horizon + 1):
         if k in events:
             for event in events[k]:
-                fire(event, k)
+                i = event.index
+                if event.kind == "set_input":
+                    x_train[i] = event.value
+                elif event.kind == "set_reference":
+                    y_ref = event.value
+                elif event.kind == "drop_weight":
+                    if mask[i]:
+                        dropped_at[i] = k
+                    mask[i] = False
+                    w[i] = 0.0
+                    u[i] = 0.0
+                elif event.kind == "restore_weight":
+                    # re-install the clamped frozen filter state so an
+                    # immediate drop/restore pair is an exact no-op
+                    if not mask[i]:
+                        lag[i] += k - dropped_at[i]
+                    mask[i] = True
+                    w[i] = min(max(xs[i], -w_max), w_max)
             active = [i for i in range(q) if mask[i]]
             lags = sorted({lag[i] for i in active})
         y = eval_with(w, mask, x_train)

@@ -417,10 +417,18 @@ def test_network_w_max_is_not_a_key():
         ("{at: 300, set_input: {index: 0, value: 0.1, scale: 2}}", "scenario.events[3].set_input.scale", "unknown key"),
         ("{at: 300, set_input: 0.1}", "scenario.events[3].set_input", "must be a mapping"),
         ("{at: 300, drop_weight: 0.5}", "scenario.events[3].drop_weight", "must be an integer"),
-        ("{at: 300, set_reference: 1}", "scenario", "set_reference value must satisfy"),
+        ("{at: 300, set_reference: 1}", "scenario.events[3]", "set_reference value must satisfy"),
         # keys of two types: sorting them for the message used to raise TypeError
         ("{at: 300, drop_weight: 1, 7: 2, x: 3}", "scenario.events[3]", "unknown event keys ['7', 'x']"),
         ("{at: -1, drop_weight: 1}", "scenario.events[3]", "event iteration must be >= 0"),
+        ("{at: 501, drop_weight: 1}", "scenario.events[3]", "event at iteration 501 is beyond horizon 500"),
+        ("{at: 150, drop_weight: 1}", "scenario.events[3]", "events must be sorted by iteration"),
+        ("{at: 300, drop_weight: 7}", "scenario.events[3]", "drop_weight index 7 out of range [0, 7)"),
+        ("{at: 300, set_input: {index: 2, value: 0.1}}", "scenario.events[3]", "set_input index 2 out of range [0, 2)"),
+        # the YAML checkers reject these before the event's own type rules
+        ("{at: 300.5, drop_weight: 1}", "scenario.events[3].at", "must be an integer, got 300.5"),
+        ("{at: 300, drop_weight: true}", "scenario.events[3].drop_weight", "must be an integer, got True"),
+        ("{at: 300, set_reference: '0.3'}", "scenario.events[3].set_reference", "must be a finite number, got '0.3'"),
     ],
 )
 def test_event_errors_name_their_key(event, key, message):

@@ -134,10 +134,12 @@ def test_determinism(pairs, psi0):
     assert us1 == us2
 
 
-@given(errs=st.lists(finite, min_size=1, max_size=40))
+@given(errs=st.lists(finite.filter(lambda e: e == 0.0 or abs(e) >= 2.0**-1019), min_size=1, max_size=40))
 def test_integral_linear_in_ki(errs):
     # doubling ki doubles every increment exactly (scaling by 2 is exact),
-    # so the accumulated integral doubles bit for bit
+    # so the accumulated integral doubles bit for bit.  An error below
+    # 2**-1019 is left out: its increment ki*e*dt = e/8 would round into
+    # the subnormal range, where scaling by 2 is not exact
     p1 = ControllerParams(kp=0.0, ki=0.25, k_alpha=0.0, k_beta=1.0, dt=0.5)
     p2 = ControllerParams(kp=0.0, ki=0.5, k_alpha=0.0, k_beta=1.0, dt=0.5)
     s1, _ = run_steps(p1, controller_new(p1), [(e, 0.0) for e in errs])

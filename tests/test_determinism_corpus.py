@@ -48,7 +48,7 @@ def gains(rng: random.Random) -> dict:
 
 
 def tau(rng: random.Random) -> float:
-    # at most twice dt: the RK4 step of the filter stays stable
+    # no shorter than any dt of gains(): the filter's RK4 step stays stable
     return rng.choice([4e-5, 8e-5])
 
 

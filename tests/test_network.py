@@ -218,13 +218,22 @@ def test_defaults_follow_the_edges():
         (dict(weights=(0.0,) * 6 + (math.inf,)), "weights", "must be finite, got inf"),
         (dict(weights=(0.0,) * 6), "weights", "the edges use weight indices up to 6, so 7 entries are needed, got 6"),
         (dict(mask=(True,) * 6), "mask", "needs one entry per weight (7), got 6"),
+        (dict(mask=("false",) + (True,) * 6), "mask", "must be true or false, got 'false'"),
+        (dict(mask=(True,) * 6 + (1,)), "mask", "must be true or false, got 1"),
     ],
-    ids=["nan-weight", "inf-weight", "weights-shorter-than-edges", "mask-length"],
+    ids=["nan-weight", "inf-weight", "weights-shorter-than-edges", "mask-length", "str-mask", "int-mask"],
 )
 def test_weights_and_mask_rules(net, key, message):
     with pytest.raises(ValidationError) as info:
         replace(default_topology(), **net)
     assert (info.value.key, info.value.message) == (key, message)
+
+
+@pytest.mark.parametrize("index", [-1, 1.5, True, "0"], ids=["negative", "float", "bool", "str"])
+def test_edge_weight_index_is_an_integer_from_0(index):
+    with pytest.raises(ValidationError) as info:
+        Edge("a", "y", index)
+    assert str(info.value) == f"edge a->y: weight index must be an integer >= 0, got {index!r}"
 
 
 def test_training_sample_validation():

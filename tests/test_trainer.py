@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,46 @@ def test_event_kind_validation():
         ScenarioEvent.set_input(5, 0, math.nan)
     with pytest.raises(ValidationError, match="set_reference value must be finite, got inf"):
         ScenarioEvent.set_reference(5, math.inf)
+
+
+@pytest.mark.parametrize(
+    "kind, args, message",
+    [
+        ("drop_weight", (5, 1.5), "drop_weight index must be an integer, got 1.5"),
+        ("drop_weight", (5, True), "drop_weight index must be an integer, got True"),
+        ("set_reference", (5.5, 0.3), "event iteration must be an integer, got 5.5"),
+        ("set_reference", (True, 0.3), "event iteration must be an integer, got True"),
+        ("set_input", (5, 0, "0.3"), "set_input value must be a number, got '0.3'"),
+        ("set_reference", (5, False), "set_reference value must be a number, got False"),
+        ("set_reference", (5, 2**1024), "set_reference value must be finite, got 1797693"),
+    ],
+    ids=["float-index", "bool-index", "float-at", "bool-at", "str-value", "bool-value", "int-beyond-float"],
+)
+def test_event_fields_follow_the_yaml_type_rules(kind, args, message):
+    # the same inputs a configuration file's checkers reject
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        getattr(ScenarioEvent, kind)(*args)
+
+
+def test_an_integer_event_value_is_a_float():
+    assert repr(ScenarioEvent.set_input(5, 0, 1).value) == "1.0"
+
+
+@pytest.mark.parametrize(
+    "event, message",
+    [
+        (ScenarioEvent.drop_weight(201, 6), "event at iteration 201 is beyond horizon 200"),
+        (ScenarioEvent.drop_weight(10, 6), "events must be sorted by iteration"),
+        (ScenarioEvent.drop_weight(50, 7), "drop_weight index 7 out of range [0, 7)"),
+        (ScenarioEvent.set_input(50, 2, 0.1), "set_input index 2 out of range [0, 2)"),
+        (ScenarioEvent.set_reference(50, 1.0), "set_reference value must satisfy |y| < 1, got 1.0"),
+    ],
+    ids=["beyond-horizon", "out-of-order", "weight-index", "input-index", "reference"],
+)
+def test_event_range_errors_name_the_event(event, message):
+    with pytest.raises(ValidationError) as info:
+        small_scenario(events=(ScenarioEvent.set_reference(20, 0.5), event))
+    assert (info.value.key, info.value.message) == ("events[1]", message)
 
 
 @st.composite
