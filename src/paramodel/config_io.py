@@ -23,8 +23,6 @@ from itertools import chain
 from operator import sub
 from typing import Iterable, Iterator
 
-import yaml
-
 from . import linsolve, trainer
 from .controller import ControllerParams, stagger_params
 from .dynamics import DEFAULT_TAU, FirstOrderFilter
@@ -151,41 +149,96 @@ _FLOAT = re.compile(
 )
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that reads floats by ``_FLOAT`` and rejects a key written
-    twice in one mapping, which PyYAML would silently let the last value
-    win; a key a ``<<`` merge brings in may still be set beside it."""
-
-    def compose_mapping_node(self, anchor):
-        node = super().compose_mapping_node(anchor)
-        seen = set()
-        for key, _ in node.value:
-            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
-                if (key.tag, key.value) in seen:
-                    raise yaml.composer.ComposerError(None, None, f"duplicate key {key.value!r}", key.start_mark)
-                seen.add((key.tag, key.value))
-        return node
-
-    def construct_object(self, node, deep=False):
-        """A ValueError raised while a node is built (a date that does not
-        exist, an integer past Python's limit on decimal digits) becomes an
-        error marked with the node's line."""
-        try:
-            return super().construct_object(node, deep)
-        except ValueError as err:
-            raise yaml.constructor.ConstructorError(None, None, str(err), node.start_mark) from None
-
-
-class _Dumper(yaml.SafeDumper):
-    """SafeDumper that quotes every string ``_Loader`` would read as a float."""
-
-
-for _cls in (_Loader, _Dumper):
-    _cls.yaml_implicit_resolvers = {
+def _with_yaml12_floats(cls):
+    """``cls`` with its float resolver replaced by ``_FLOAT``."""
+    cls.yaml_implicit_resolvers = {
         first: [(tag, _FLOAT if tag == "tag:yaml.org,2002:float" else regexp) for tag, regexp in resolvers]
-        for first, resolvers in _cls.yaml_implicit_resolvers.items()
+        for first, resolvers in cls.yaml_implicit_resolvers.items()
     }
-del _cls
+    return cls
+
+
+@functools.cache
+def _loader():
+    """(the loader class, PyYAML's module), built at the first parse.
+
+    PyYAML is imported here, not with the package.  The loader takes its
+    events from libyaml's parser and composes, resolves and constructs
+    them with PyYAML's Python classes, so the checks below run on every
+    document (``yaml.CSafeLoader`` composes in C and would skip them).
+    There is no pure-Python event source to fall back on: one document
+    would then parse differently on two machines.
+    """
+    import yaml
+    from yaml.composer import Composer, ComposerError
+    from yaml.constructor import ConstructorError, SafeConstructor
+    from yaml.resolver import Resolver
+
+    try:
+        from yaml.cyaml import CParser
+    except ImportError as err:
+        raise ImportError(
+            "paramodel reads YAML with libyaml, and this PyYAML has no libyaml bindings (yaml.cyaml); "
+            "install a PyYAML wheel, which ships them"
+        ) from err
+
+    class Loader(Composer, SafeConstructor, Resolver, CParser):
+        """Reads floats by ``_FLOAT`` and rejects a key written twice in one
+        mapping, which PyYAML would silently let the last value win; a key
+        a ``<<`` merge brings in may still be set beside it."""
+
+        def __init__(self, text: str):
+            """Checks the whole text first, by the set of PyYAML's reader: a
+            character YAML does not allow (such as NUL or a lone surrogate)
+            is an error, and so is a byte order mark that is not the first.
+            libyaml reads the text in 16 KB blocks, so it would report an
+            error before such a character further on first; and it skips a
+            byte order mark at the start of any line, which PyYAML read as
+            text."""
+            bad = yaml.reader.Reader.NON_PRINTABLE.search(text)
+            at = bad.start() if bad else text.find("\ufeff", 1)
+            if at >= 0:
+                why = "special characters are not allowed" if bad else "only the first character may be a byte order mark"
+                line = text.count("\n", 0, at) + 1
+                raise ParseError(f"unacceptable character #x{ord(text[at]):04x}: {why}", line=line)
+            CParser.__init__(self, text)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+
+        def compose_mapping_node(self, anchor):
+            node = super().compose_mapping_node(anchor)
+            seen = set()
+            for key, _ in node.value:
+                if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                    if (key.tag, key.value) in seen:
+                        raise ComposerError(None, None, f"duplicate key {key.value!r}", key.start_mark)
+                    seen.add((key.tag, key.value))
+            return node
+
+        def construct_object(self, node, deep=False):
+            """A ValueError raised while a node is built (a date that does
+            not exist, an integer past Python's limit on decimal digits)
+            becomes an error marked with the node's line."""
+            try:
+                return super().construct_object(node, deep)
+            except ValueError as err:
+                raise ConstructorError(None, None, str(err), node.start_mark) from None
+
+    return _with_yaml12_floats(Loader), yaml
+
+
+@functools.cache
+def _dumper():
+    """(SafeDumper quoting every string the loader would read as a float,
+    PyYAML's module); the pure-Python emitter, as before the loader moved
+    to libyaml, so ``serialize_config`` writes the same bytes."""
+    import yaml
+
+    class Dumper(yaml.SafeDumper):
+        pass
+
+    return _with_yaml12_floats(Dumper), yaml
 
 
 def _without_advice(message: str) -> str:
@@ -197,17 +250,15 @@ def _without_advice(message: str) -> str:
 
 def load_config_dict(text: str) -> dict:
     """YAML text to a configuration dict, ``builtin: NAME`` expanded."""
-    try:
-        loader = _Loader(text)
-    except yaml.reader.ReaderError as err:  # a character YAML does not allow, such as NUL
-        raise ParseError(str(err).partition("\n")[0], line=text.count("\n", 0, err.position) + 1) from None
+    Loader, yaml = _loader()
+    loader = Loader(text)
     try:
         raw = loader.get_single_data()
     except yaml.MarkedYAMLError as err:
-        line = err.problem_mark.line + 1 if err.problem_mark else None
-        raise ParseError(_without_advice(str(err.problem or err)), line=line) from None
-    except (yaml.YAMLError, ValueError) as err:  # ValueError: a %YAML directive of 5000 digits
-        raise ParseError(_without_advice(str(err)), line=loader.line + 1) from None
+        # libyaml puts the end of a text with no final line break on a line
+        # of its own; count it on the text's last line
+        last = len((text + ".").splitlines()) - 1
+        raise ParseError(_without_advice(str(err.problem)), line=min(err.problem_mark.line, last) + 1) from None
     except RecursionError:
         raise ParseError("nested too deeply") from None
     finally:
@@ -477,7 +528,8 @@ _TABLES = {
 
 def serialize_config(config: RunConfig) -> str:
     """YAML form of a RunConfig; parse_config(serialize_config(c)) == c."""
-    return yaml.dump(config_to_dict(config), Dumper=_Dumper, sort_keys=False)
+    dumper, yaml = _dumper()
+    return yaml.dump(config_to_dict(config), Dumper=dumper, sort_keys=False)
 
 
 def config_to_dict(config: RunConfig) -> dict:

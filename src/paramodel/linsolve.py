@@ -66,6 +66,8 @@ class LinearTrackingProblem:
             raise ValidationError(f"need {n} controller parameter sets, got {len(self.controllers)}")
         if len(self.filters) != n:
             raise ValidationError(f"need {n} filters, got {len(self.filters)}")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
+            raise ValidationError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
 

@@ -64,7 +64,8 @@ class FeedforwardNet:
 
     ``inputs`` fixes the order in which an input vector is bound to input
     nodes.  ``weights`` (default zeros) and ``mask`` (default all enabled)
-    hold one entry per edge weight index; a masked-off edge contributes
+    hold one entry per edge weight index; without ``weights`` every index
+    must be below the number of edges.  A masked-off edge contributes
     exactly zero regardless of its weight.
     """
 
@@ -84,6 +85,16 @@ class FeedforwardNet:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "hidden", tuple(self.hidden))
         object.__setattr__(self, "edges", tuple(self.edges))
+        if self.weights is None:
+            # the default weights hold one entry per index: bound the index
+            # by the edges, not by memory
+            for i, e in enumerate(self.edges):
+                if e.weight >= len(self.edges):
+                    raise ValidationError(
+                        f"edge {e.src}->{e.dst}: weight index {e.weight} needs a weights list; "
+                        f"without one an index must be < {len(self.edges)}, the number of edges",
+                        key=f"edges[{i}]",
+                    )
         q = 1 + max((e.weight for e in self.edges), default=-1)
         weights = (0.0,) * q if self.weights is None else tuple(float(w) for w in self.weights)
         object.__setattr__(self, "weights", weights)

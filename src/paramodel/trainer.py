@@ -122,6 +122,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
+            raise ValidationError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if not (0.0 < self.stagger_rho <= 1.0):

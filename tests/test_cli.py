@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -379,7 +380,7 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
         (
             b"%YAML 1." + b"1" * 5000 + b"\n---\n" + FAST_TRAIN.encode(),
             [],
-            "ParseError: line 1: integer too long: more than 4300 digits\n",
+            "ParseError: line 1: found extremely long version number\n",
         ),
         (
             FAST_TRAIN.replace("y: 0.55", "y: \x000.55").encode(),
@@ -447,6 +448,27 @@ def test_bad_config_exits_2(tmp_path, capsys, content, flags, message):
     assert message in err
     # rejected before the run: no summary line, no trace truncated
     assert out == ""
+
+
+def test_an_edge_weight_index_costs_no_memory(tmp_path, capsys):
+    # without weights, the default ones would hold 4,000,001 entries (61 MB)
+    cfg = tmp_path / "big-index.yaml"
+    cfg.write_text(
+        "mode: train\n"
+        "scenario: {sample: {x: [0.2], y: 0.5}, network: {inputs: [x1], edges: [{from: x1, to: y, weight: 4000000}]}}\n"
+    )
+    config_io.load_config_dict("mode: train\n")  # PyYAML imported before the trace
+    tracemalloc.start()
+    try:
+        assert main(["run", str(cfg)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == (
+        "ValidationError: scenario.network.edges[0]: edge x1->y: weight index 4000000 needs a weights list; "
+        "without one an index must be < 1, the number of edges\n"
+    )
 
 
 @pytest.mark.parametrize("content,status", [(EDGELESS_NET, 2), (DIVERGING_LINSOLVE, 3)], ids=["edgeless", "diverging"])

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -369,6 +372,71 @@ def test_plain_scalars_keep_their_yaml_types():
     assert d["scenario"]["horizon"] == 1000 and type(d["scenario"]["horizon"]) is int
     assert d["scenario"]["tau"] == 1e-5
     assert d["output"] == "x1e5"
+
+
+def run_python(code: str) -> str:
+    """stdout of ``code`` in a fresh interpreter that imports paramodel from src."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_pyyaml_is_imported_at_the_first_parse_only():
+    out = run_python(
+        "import sys\n"
+        "import paramodel\n"
+        "from paramodel import cli, config_io\n"
+        "print('yaml' in sys.modules)\n"
+        "cli.main(['run', '--builtin', 'linsolve3', '--horizon', '10'])\n"
+        "print('yaml' in sys.modules)\n"
+        "config_io.load_config_dict('builtin: fig4')\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    assert out.splitlines()[0] == "False"
+    assert out.splitlines()[-2:] == ["False", "True"]
+
+
+def test_without_libyaml_the_first_parse_says_so():
+    out = run_python(
+        "import sys\n"
+        "sys.modules['yaml._yaml'] = None  # a PyYAML built without its libyaml bindings\n"
+        "from paramodel import config_io, builtin_scenarios, serialize_config, RunConfig\n"
+        "try:\n"
+        "    config_io.load_config_dict('builtin: fig4')\n"
+        "except ImportError as err:\n"
+        "    print(err)\n"
+        "print(serialize_config(RunConfig(mode='train', scenario=builtin_scenarios()['fig4']))[:11])\n"
+    )
+    assert out.splitlines() == [
+        "paramodel reads YAML with libyaml, and this PyYAML has no libyaml bindings (yaml.cyaml); "
+        "install a PyYAML wheel, which ships them",
+        "mode: train",
+    ]
+
+
+#: Each end of each range of the characters YAML allows, and its neighbours.
+EDGES = [0x00, 0x08, 0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x0E, 0x1F, 0x20, 0x7E, 0x7F, 0x84, 0x85, 0x86, 0x9F, 0xA0]
+EDGES += [0xD7FF, 0xE000, 0xFEFF, 0xFFFD, 0xFFFE, 0xFFFF, 0x10000, 0x10FFFF]
+
+
+@pytest.mark.parametrize("code", EDGES, ids=[f"{c:#x}" for c in EDGES])
+def test_libyaml_rejects_no_character_the_loader_lets_through(code):
+    # so libyaml's reader never raises: the loader checks the whole text
+    # first, by the set PyYAML's reader checks (a lone surrogate, which
+    # libyaml's input cannot hold, included)
+    from yaml.cyaml import CParser
+
+    text = f"a: '{chr(code)}'\n"
+    try:
+        CParser(text).raw_parse()
+        libyaml_rejects = False
+    except yaml.reader.ReaderError:
+        libyaml_rejects = True
+    assert libyaml_rejects == bool(yaml.reader.Reader.NON_PRINTABLE.search(text))
+    if libyaml_rejects:
+        with pytest.raises(ParseError, match=f"^line 1: unacceptable character #x{code:04x}: special characters"):
+            load_config_dict(text)
 
 
 def test_exponent_dt_in_a_file_parses():

@@ -6,7 +6,8 @@ mode that is no mode, floats with an exponent but no dot (``1e-05``, as
 ``repr`` writes them), node names YAML reads as numbers (an unquoted
 ``1e3``), the retired ``network.w_max`` key, a generator key beside the
 explicit list it replaces, and one junk value or deleted key at a random
-place.
+place.  The same grammar checks the loader, whose events come from
+libyaml, against PyYAML's pure-Python reader, scanner and parser.
 """
 
 from __future__ import annotations
@@ -14,10 +15,18 @@ from __future__ import annotations
 import copy
 import math
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.parser import Parser
+from yaml.reader import Reader, ReaderError
+from yaml.resolver import Resolver
+from yaml.scanner import Scanner
 
+from paramodel import config_io
 from paramodel.cli import main
 from paramodel.config_io import config_from_dict, load_config_dict, parse_config, serialize_config
 from paramodel.errors import ParseError, ValidationError
@@ -301,3 +310,138 @@ def test_main_returns_an_exit_code_and_never_raises(tmp_path_factory, text, flag
     cfg.write_text(text)
     out = ["--out", str(tmp / "trace.csv")] if write else []
     assert main(["run", str(cfg), *out, *(f for pair in flags for f in pair)]) in {0, 1, 2, 3, 4}
+
+
+# ---------------------------------------------------------------------------
+# libyaml's events against PyYAML's pure-Python reader, scanner and parser
+
+
+class PythonEventsLoader(Reader, Scanner, Parser, config_io._loader()[0]):
+    """The loader's own composer, constructor and resolvers (its duplicate-key
+    check, ``_FLOAT`` and its marked errors) over PyYAML's pure-Python
+    reader, scanner and parser, which come first in the MRO: the loader as
+    it was before its events came from libyaml.  libyaml's parser, last in
+    the MRO, is neither initialized nor called."""
+
+    def __init__(self, text):
+        Reader.__init__(self, text)
+        Scanner.__init__(self)
+        Parser.__init__(self)
+        Composer.__init__(self)
+        SafeConstructor.__init__(self)
+        Resolver.__init__(self)
+
+
+def python_events_load(text: str) -> dict:
+    """``load_config_dict`` as it was over PyYAML's pure-Python parser."""
+    try:
+        loader = PythonEventsLoader(text)
+    except ReaderError as err:
+        raise ParseError(str(err).partition("\n")[0], line=text.count("\n", 0, err.position) + 1) from None
+    try:
+        raw = loader.get_single_data()
+    except yaml.MarkedYAMLError as err:
+        raise ParseError(config_io._without_advice(str(err.problem)), line=err.problem_mark.line + 1) from None
+    except (yaml.YAMLError, ValueError) as err:  # a %YAML directive of 5000 digits
+        raise ParseError(config_io._without_advice(str(err)), line=loader.line + 1) from None
+    except RecursionError:
+        raise ParseError("nested too deeply") from None
+    finally:
+        loader.dispose()
+    if raw is None:
+        raise ParseError("empty configuration")
+    if not isinstance(raw, dict):
+        raise ParseError(f"top level must be a mapping, got {type(raw).__name__}")
+    return config_io.expand_builtin(raw)
+
+
+def read(load, text):
+    """The dict ``load`` reads from ``text``, or the line of its ParseError."""
+    try:
+        return load(text)
+    except ParseError as err:
+        return ("ParseError", err.line)
+
+
+def assert_read_alike(text):
+    assert read(load_config_dict, text) == read(python_events_load, text)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(texts())
+def test_libyaml_reads_each_text_as_the_python_parser(text):
+    assert_read_alike(text)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents())
+def test_libyaml_reads_each_document_as_the_python_parser(doc):
+    assert_read_alike(yaml.safe_dump(doc, sort_keys=False))
+
+
+#: past libyaml's 16 KB read block
+PAD = "".join(f"k{i}: {i}\n" for i in range(3000))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("mode: train\nname: é€😀\nscenario:\n  horizon: 1\x00\n", ("ParseError", 4)),
+        ("mode: train\n# \ud800\nscenario: {}\n", ("ParseError", 2)),
+        ("mode: train\nscenario:\n\thorizon: 3\n", ("ParseError", 3)),
+        ("mode: train\nscenario:\n  gains: " + "[" * 900 + "]" * 900 + "\n", ("ParseError", None)),
+        ("mode: train\nscenario: {horizon: 10, horizon: 20}\n", ("ParseError", 2)),
+        (
+            "base: &b {kp: 0.5, ki: 0.02}\nmode: train\nscenario:\n  gains: {<<: *b, kp: 0.7}\n",
+            {"base": {"kp": 0.5, "ki": 0.02}, "mode": "train", "scenario": {"gains": {"kp": 0.7, "ki": 0.02}}},
+        ),
+        ("\ufeffmode: train\x85scenario:\x85  horizon: 5\x85", {"mode": "train", "scenario": {"horizon": 5}}),
+        ("\ufeffmode: train\x85scenario: [\x85", ("ParseError", 3)),
+        ("mode: train\u2028scenario: [\r\n", ("ParseError", 3)),
+        ("mode: train\nscenario: {horizon: 2020-02-30}\n", ("ParseError", 2)),
+        ("%YAML 1." + "1" * 5000 + "\n---\nmode: train\n", ("ParseError", 1)),
+        ("mode: train\nscenario: {horizon: 1" + "0" * 4999 + "}\n", ("ParseError", 2)),
+        ("mode: train\nscenario: [", ("ParseError", 2)),
+        ("mode: train\nscenario: {a: 1, a: 2}\n" + PAD + "end: \x00\n", ("ParseError", 3003)),
+        ("mode: train\nscenario: [\n\tx]\n" + PAD + "end: \x00\n", ("ParseError", 3004)),
+    ],
+    ids=[
+        "nul-after-non-ascii-lines",
+        "lone-surrogate",
+        "tab-indentation",
+        "nested-900-deep",
+        "duplicate-key",
+        "merge",
+        "bom-and-nel-line-breaks",
+        "bom-and-nel-line-breaks-error",
+        "ls-and-crlf-line-breaks-error",
+        "date-that-does-not-exist",
+        "yaml-directive-of-5000-digits",
+        "integer-of-5000-digits",
+        "error-at-the-end-of-a-text-without-a-final-line-break",
+        "nul-beyond-16-kb-after-a-duplicate-key",
+        "nul-beyond-16-kb-after-a-syntax-error",
+    ],
+)
+def test_libyaml_reads_each_edge_case_as_the_python_parser(text, expected):
+    assert read(load_config_dict, text) == read(python_events_load, text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, libyaml, python",
+    [
+        ("mode:\ttrain\n", {"mode": "train"}, ("ParseError", 1)),
+        ("mode: train\n\ufeffscenario: {}\n", ("ParseError", 2), {"mode": "train", "\ufeffscenario": {}}),
+        ("%FOO bar\n---\nmode: train\n", ("ParseError", 1), {"mode": "train"}),
+        ('mode: "\\ud800"\n', ("ParseError", 1), {"mode": "\ud800"}),
+        ("mode: train\ntau: !!floa, 1\nx: [\n", ("ParseError", 2), ("ParseError", 4)),
+    ],
+    ids=["tab-between-tokens", "bom-after-the-first-character", "unknown-directive", "escaped-surrogate", "bad-tag"],
+)
+def test_where_libyaml_reads_otherwise(text, libyaml, python):
+    # the documented differences: YAML allows a tab between the tokens of a
+    # line, where PyYAML's scanner rejected it; the loader rejects a byte
+    # order mark that is not the first character, which libyaml would skip
+    # at the start of a line; libyaml rejects an unknown directive and an
+    # escaped lone surrogate, and checks a tag's characters where it reads them
+    assert (read(load_config_dict, text), read(python_events_load, text)) == (libyaml, python)

@@ -204,7 +204,7 @@ def test_disconnected_hidden_node_is_fine():
 
 def test_defaults_follow_the_edges():
     # zeros, one per edge weight index, and every weight enabled
-    net = FeedforwardNet(inputs=("a",), edges=(Edge("a", "y", 2),))
+    net = FeedforwardNet(inputs=("a", "b", "c"), edges=(Edge("a", "y", 2), Edge("b", "y", 0), Edge("c", "y", 2)))
     assert (net.hidden, net.output) == ((), "y")
     assert net.weights == (0.0, 0.0, 0.0)
     assert net.mask == (True, True, True)
@@ -227,6 +227,20 @@ def test_weights_and_mask_rules(net, key, message):
     with pytest.raises(ValidationError) as info:
         replace(default_topology(), **net)
     assert (info.value.key, info.value.message) == (key, message)
+
+
+def test_without_weights_an_edge_index_is_below_the_edge_count():
+    # the default weights hold one entry per index, so an index of 4,000,000
+    # would ask for two 4,000,000-entry tuples
+    edges = (Edge("a", "y", 0), Edge("a", "y", 2))
+    with pytest.raises(ValidationError) as info:
+        FeedforwardNet(inputs=("a",), edges=edges)
+    assert (info.value.key, info.value.message) == (
+        "edges[1]",
+        "edge a->y: weight index 2 needs a weights list; without one an index must be < 2, the number of edges",
+    )
+    # with weights given, their length bounds the index
+    assert FeedforwardNet(inputs=("a",), edges=edges, weights=(0.5, 0.0, 0.25)).weight_count == 3
 
 
 @pytest.mark.parametrize("index", [-1, 1.5, True, "0"], ids=["negative", "float", "bool", "str"])

@@ -222,6 +222,13 @@ def test_scenario_validation():
         small_scenario(stagger_rho=0.0)
 
 
+@pytest.mark.parametrize("horizon", [5.5, 200.0, True, "200"], ids=["float", "integral-float", "bool", "str"])
+def test_horizon_is_an_integer(horizon):
+    # as a configuration's horizon key: the run would fail in range()
+    with pytest.raises(ValidationError, match=re.escape(f"horizon must be an integer, got {horizon!r}")):
+        small_scenario(horizon=horizon)
+
+
 def test_event_kind_validation():
     with pytest.raises(ValidationError):
         ScenarioEvent(at=1, kind="nonsense")

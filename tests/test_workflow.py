@@ -4,6 +4,9 @@ a typo in it would stay hidden until then."""
 from __future__ import annotations
 
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
@@ -44,3 +47,16 @@ def test_every_script_a_step_runs_exists():
 def test_tier1_step_runs_the_verify_command():
     verify = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", (ROOT / "ROADMAP.md").read_text(), re.M)
     assert verify.group(1) in runs()
+
+
+def test_every_leg_checks_that_pyyaml_has_libyaml():
+    steps = workflow()["jobs"]["tier1"]["steps"]
+    [step] = [s for s in steps if "yaml.__with_libyaml__" in s.get("run", "")]
+    assert "if" not in step
+    assert steps.index(step) < [s.get("name") for s in steps].index("Tier-1 tests")
+    python, *args = shlex.split(step["run"])
+    assert python == "python"
+    assert subprocess.run([sys.executable, *args], timeout=60).returncode == 0
+    # and it fails where PyYAML has no libyaml
+    without = ["-c", "import yaml; yaml.__with_libyaml__ = False; " + args[-1]]
+    assert subprocess.run([sys.executable, *without], capture_output=True, timeout=60).returncode == 1
