@@ -51,6 +51,9 @@ __all__ = [
 
 DEFAULT_DECIMATION = 100
 DEFAULT_TOLERANCE = 0.01
+#: the deepest node nesting a document may have (a configuration needs six);
+#: composing takes three Python frames a level, 600 of the default limit 1000
+MAX_DEPTH = 200
 
 #: The section each mode runs; a configuration leaves the other one out.
 SECTIONS = {"train": "scenario", "linsolve": "problem"}
@@ -187,6 +190,8 @@ def _loader():
         mapping, which PyYAML would silently let the last value win; a key
         a ``<<`` merge brings in may still be set beside it."""
 
+        depth = 0  # of the node being composed
+
         def __init__(self, text: str):
             """Checks the whole text first, by the set of PyYAML's reader: a
             character YAML does not allow (such as NUL or a lone surrogate)
@@ -206,14 +211,22 @@ def _loader():
             SafeConstructor.__init__(self)
             Resolver.__init__(self)
 
-        def compose_mapping_node(self, anchor):
-            node = super().compose_mapping_node(anchor)
-            seen = set()
-            for key, _ in node.value:
-                if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
-                    if (key.tag, key.value) in seen:
-                        raise ComposerError(None, None, f"duplicate key {key.value!r}", key.start_mark)
-                    seen.add((key.tag, key.value))
+        def compose_node(self, parent, index):
+            """A node deeper than ``MAX_DEPTH`` is an error at its line, before
+            Python's recursion limit; a composed mapping may repeat no key."""
+            if self.depth == MAX_DEPTH:
+                raise ComposerError(None, None, "nested too deeply", self.peek_event().start_mark)
+            mapping = self.check_event(yaml.MappingStartEvent)  # not an alias of one
+            self.depth += 1
+            node = super().compose_node(parent, index)
+            self.depth -= 1
+            if mapping:
+                seen = set()
+                for key, _ in node.value:
+                    if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                        if (key.tag, key.value) in seen:
+                            raise ComposerError(None, None, f"duplicate key {key.value!r}", key.start_mark)
+                        seen.add((key.tag, key.value))
             return node
 
         def construct_object(self, node, deep=False):
@@ -259,7 +272,7 @@ def load_config_dict(text: str) -> dict:
         # of its own; count it on the text's last line
         last = len((text + ".").splitlines()) - 1
         raise ParseError(_without_advice(str(err.problem)), line=min(err.problem_mark.line, last) + 1) from None
-    except RecursionError:
+    except RecursionError:  # under MAX_DEPTH, only from a caller deep in its own recursion
         raise ParseError("nested too deeply") from None
     finally:
         loader.dispose()

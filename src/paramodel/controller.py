@@ -15,9 +15,10 @@ it sees only the reference and the last measured output.
 
 ``step_all`` is the one definition of the law and of the RK4 step of
 each controller's first-order filter (see ``dynamics``): both simulation
-loops call it once per iteration over their flat per-controller state,
-and ``controller_step`` and ``dynamics.filter_step`` are one-element
-views of it.
+loops call it once per iteration over their flat per-controller state
+(the trainer on one controller of each class of bit-identical ones), and
+``controller_step`` and ``dynamics.filter_step`` are one-element views
+of it.
 """
 
 from __future__ import annotations

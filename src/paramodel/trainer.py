@@ -2,12 +2,15 @@
 
 Every synaptic weight gets its own controller and first-order filter, all
 tracking the same (network output, training target) pair; they differ only
-in their staggered gains.  A scenario schedules training-data changes and
-dropout-style topology events at prescribed iterations, and the loop emits
-one trace record, a ``TraceRecord`` NamedTuple, per iteration.
+in their staggered gains.  Controllers with the same gains, lag and state
+bits take the same step, so the loop steps one of each such class.  A
+scenario schedules training-data changes and dropout-style topology events
+at prescribed iterations, and the loop emits one trace record, a
+``TraceRecord`` NamedTuple, per iteration.
 
 Loop order within one iteration: apply events, measure the output with the
-current weights, step each enabled controller and filter, clamp, record.
+current weights, step one controller and filter of each class, clamp, copy
+the step to the rest of the class, record.
 Dropped weights are held at zero with their controller and filter frozen;
 restoring a weight re-installs the frozen filter state and resumes
 stepping, so a drop/restore pair at the same iteration is an exact no-op.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from struct import pack
 from typing import Iterator, NamedTuple
 
 from .controller import ControllerParams, decay, divergence, stagger_params, step_all
@@ -122,6 +126,11 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
+        for name in ("stagger_rho", "tau", "w_max"):  # a number as in a configuration file
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or isinstance(v, int) and abs(v) > sys.float_info.max:
+                raise ValidationError(f"must be a finite number, got {v!r}", key=name)
+            object.__setattr__(self, name, float(v))
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
             raise ValidationError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
@@ -243,6 +252,10 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
                     w[i] = min(max(xs[i], -w_max), w_max)
             active = [i for i in range(q) if mask[i]]
             lags = sorted({lag[i] for i in active})
+            # a class of the same gains, lag and state bits steps its lowest index
+            first: dict[bytes, int] = {}
+            rep = [first.setdefault(pack("<5dq", kps[i], kis[i], psis[i], integrals[i], xs[i], lag[i]), i) for i in active]
+            reps, copies = list(first.values()), [(i, r) for i, r in zip(active, rep) if i != r]
         y = eval_with(w, mask, x_train)
         if not isfinite(y):
             raise DivergenceError(f"network output became non-finite: {y}", iteration=k)
@@ -251,16 +264,22 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
         else:  # a restored weight lags the others
             by_lag = {n: k_alpha * decay(k_beta, k - n, dt) - y for n in lags}
             a = [by_lag.get(n, 0.0) for n in lag]
-        bad = step_all(active, psis, integrals, xs, u, kps, kis, a, [y_ref - y] * q, dt, tau)
+        bad = step_all(reps, psis, integrals, xs, u, kps, kis, a, [y_ref - y] * q, dt, tau)
         if bad >= 0:  # before the clamp, which would hide it
             raise divergence(k, psis[bad], integrals[bad], u[bad], xs[bad], f"weight {bad}: ")
-        for i in active:
+        for i in reps:
             xi = xs[i]
             if xi > w_max:
                 xi = w_max
             elif xi < -w_max:
                 xi = -w_max
             w[i] = xi
+        for i, r in copies:
+            psis[i] = psis[r]
+            integrals[i] = integrals[r]
+            xs[i] = xs[r]
+            u[i] = u[r]
+            w[i] = w[r]
         yield TraceRecord(k, k * dt, y, y_ref, tuple(w), tuple(u))
 
 

@@ -64,6 +64,9 @@ class Run:
     csv_text: str
     digest: str  # sha256 of record_bytes of every record
     wall: float
+    # training runs only: (first iteration, classes) each time the classes
+    # change, a weight's class being the lowest index with its w and u bits
+    weight_classes: list[tuple[int, tuple[int, ...]]]
 
     @property
     def scenario(self) -> Scenario:
@@ -103,18 +106,26 @@ def run(config: RunConfig, csv_path) -> Run:
     rows = []
     max_abs_w = 0.0
     digest = hashlib.sha256()
+    weight_classes = [(0, ())]
     t0 = time.perf_counter()
     for rec in run_records(config):
-        digest.update(record_bytes(rec))
+        data = record_bytes(rec)
+        digest.update(data)
         if tracking_error(rec) >= TRACK_TOL:
             violations.append(rec.k)
         if train:
             max_abs_w = max(max_abs_w, *map(abs, rec.w))
+            bits = memoryview(data)[32:].cast("q")  # w then u, after k, t, y and y_ref
+            q = len(rec.w)
+            pairs = list(zip(bits[:q], bits[q:]))
+            classes = tuple(map(pairs.index, pairs))
+            if classes != weight_classes[-1][1]:
+                weight_classes.append((rec.k, classes))
         if rec.k % GOLDEN_DECIMATION == 0:
             rows.append(rec)
     wall = time.perf_counter() - t0
     write_trace(rows, str(csv_path), GOLDEN_DECIMATION)
-    return Run(config, violations, rec, max_abs_w, csv_path.read_text(), digest.hexdigest(), wall)
+    return Run(config, violations, rec, max_abs_w, csv_path.read_text(), digest.hexdigest(), wall, weight_classes[1:])
 
 
 def settled_from(violations: list[int], horizon: int) -> int | None:

@@ -223,6 +223,21 @@ def test_criterion_7_full_resolution_digests(builtin_run):
     assert digests == GOLDEN_DIGESTS, f"new digests: {digests}"
 
 
+def test_criterion_7_enabled_weights_share_their_bits(builtin_run):
+    # with uniform gains every enabled weight has the w and u bits of the
+    # lowest one at every iteration, so the trainer steps only that one;
+    # a dropped weight is w = u = 0.0 (weight 6 dropped at 0, or at 40000
+    # in fig7, and weight 3 dropped at 20000 in fig6)
+    enabled = (0, 0, 0, 0, 0, 0, 0)
+    without_6 = (0, 0, 0, 0, 0, 0, 6)
+    assert {name: builtin_run(name).weight_classes for name in TRAIN_BUILTINS} == {
+        "fig4": [(1, without_6)],
+        "fig5": [(1, without_6)],
+        "fig6": [(1, without_6), (20_000, (0, 0, 0, 3, 0, 0, 3))],
+        "fig7": [(1, enabled), (40_000, without_6)],
+    }
+
+
 def test_criterion_8_stagger_ordering():
     base = ControllerParams(kp=1.0, ki=0.01, k_alpha=166.5, k_beta=40.0, dt=1e-5)
     for rho in (0.9, 0.5, 0.25):

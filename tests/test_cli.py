@@ -368,7 +368,7 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
             [],
             "ValidationError: scenario.gains.kp: must be a finite number, got 1000",
         ),
-        (b"mode: train\nscenario:\n  gains: " + b"[" * 900 + b"]" * 900 + b"\n", [], "ParseError: nested too deeply"),
+        (b"mode: train\nscenario:\n  gains: " + b"[" * 900 + b"]" * 900 + b"\n", [], "ParseError: line 3: nested too deeply"),
         (EDGELESS_NET.encode(), [], "ValidationError: scenario: network has no weight to train"),
         (b"mode: train\nscenario: {horizon: 10, horizon: 20}\n", [], "ParseError: line 2: duplicate key 'horizon'"),
         (b"mode: train\nscenario: {horizon: 2020-02-30}\n", [], "ParseError: line 2: day is out of range for month"),

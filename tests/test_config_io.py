@@ -35,6 +35,7 @@ from paramodel import (
     write_trace,
 )
 from paramodel.config_io import (
+    MAX_DEPTH,
     config_from_dict,
     config_to_dict,
     load_config_dict,
@@ -204,6 +205,28 @@ def test_parse_error_reports_line():
         parse_config("- just\n- a list\n")
     with pytest.raises(ParseError):
         parse_config("")
+
+
+@pytest.mark.parametrize(
+    "nested",
+    [
+        # the root mapping is level 1: x's value is level 2
+        lambda levels: "x:\n  " + "[" * (levels - 1) + "]" * (levels - 1) + "\n",
+        lambda levels: "x:\n  " + "{a: " * (levels - 2) + "1" + "}" * (levels - 2) + "\n",
+    ],
+    ids=["sequences", "mappings"],
+)
+def test_nesting_deeper_than_the_limit_is_an_error_at_its_line(nested):
+    assert "x" in load_config_dict(nested(MAX_DEPTH))
+    with pytest.raises(ParseError, match=re.escape("line 2: nested too deeply")):
+        load_config_dict(nested(MAX_DEPTH + 1))
+
+    # a caller that leaves less of the recursion limit than the limit takes
+    def deep(n):
+        return deep(n - 1) if n else load_config_dict(nested(MAX_DEPTH))
+
+    with pytest.raises(ParseError, match="^nested too deeply$"):
+        deep(sys.getrecursionlimit() - 2 * MAX_DEPTH)
 
 
 def test_a_key_a_merge_brings_in_may_be_set_beside_it():

@@ -389,7 +389,7 @@ PAD = "".join(f"k{i}: {i}\n" for i in range(3000))
         ("mode: train\nname: é€😀\nscenario:\n  horizon: 1\x00\n", ("ParseError", 4)),
         ("mode: train\n# \ud800\nscenario: {}\n", ("ParseError", 2)),
         ("mode: train\nscenario:\n\thorizon: 3\n", ("ParseError", 3)),
-        ("mode: train\nscenario:\n  gains: " + "[" * 900 + "]" * 900 + "\n", ("ParseError", None)),
+        ("mode: train\nscenario:\n  gains: " + "[" * 900 + "]" * 900 + "\n", ("ParseError", 3)),
         ("mode: train\nscenario: {horizon: 10, horizon: 20}\n", ("ParseError", 2)),
         (
             "base: &b {kp: 0.5, ki: 0.02}\nmode: train\nscenario:\n  gains: {<<: *b, kp: 0.7}\n",

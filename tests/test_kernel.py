@@ -4,14 +4,16 @@ The reference loops below run the documented algorithm one public call at
 a time: ``controller_step`` and ``filter_step`` on immutable state objects
 for every enabled weight or unknown.  ``train_online`` and
 ``solve_linear`` keep flat float state and make one
-``controller.step_all`` call per iteration, so they must agree with the
-reference bit for bit (``-0.0`` told apart from ``0.0``), and must report
-a divergence at the same loop iteration, for the same weight or unknown,
-naming the same quantity.  The loops' bookkeeping (events, lags, groups,
-records) is what this checks: ``controller_step`` and ``filter_step`` are
-one-element views of ``step_all`` themselves, so
-``tests/test_step_all.py`` re-runs these reference loops with the law and
-the RK4 step written out literally, to check the kernel's arithmetic.
+``controller.step_all`` call per iteration (the trainer steps one
+controller of each class of identical ones and copies its step to the
+rest), so they must agree with the reference bit for bit (``-0.0`` told
+apart from ``0.0``), and must report a divergence at the same loop
+iteration, for the same weight or unknown, naming the same quantity.  The
+loops' bookkeeping (events, lags, groups, classes, records) is what this
+checks: ``controller_step`` and ``filter_step`` are one-element views of
+``step_all`` themselves, so ``tests/test_step_all.py`` re-runs these
+reference loops with the law and the RK4 step written out literally, to
+check the kernel's arithmetic.
 """
 
 from __future__ import annotations
@@ -189,6 +191,13 @@ def scenarios(draw):
     if draw(st.booleans()):
         for i in range(q):
             net = set_weight(net, i, draw(st.floats(-1.5, 1.5)))
+    elif draw(st.booleans()):
+        # one start for every weight, so that with uniform gains controllers
+        # share a step; a zero of either sign, or a start above w_max
+        v = draw(st.just(0.0) | st.sampled_from([1.2, -1.5]) | st.floats(-1.5, 1.5))
+        for i in range(q):
+            # -0.0 beside 0.0: equal, but other bits, so another class
+            net = set_weight(net, i, -v if v == 0.0 and draw(st.booleans()) else v)
     # weights masked from the start, as built-in nets never are
     for i in draw(st.sets(st.integers(0, q - 1), max_size=2)):
         net = set_mask(net, i, False)
@@ -200,7 +209,8 @@ def scenarios(draw):
         ),
         events=tuple(sorted(events, key=lambda ev: ev.at)),
         horizon=horizon,
-        stagger_rho=draw(st.floats(0.2, 1.0)),
+        # uniform gains about half the time: floats(0.2, 1.0) almost never draws 1
+        stagger_rho=draw(st.just(1.0) | st.floats(0.2, 1.0)),
         tau=draw(st.sampled_from([1e-5, 3e-5])),
         w_max=draw(st.floats(0.2, 1.0)),
     )

@@ -27,7 +27,7 @@ from paramodel import (
     solve_linear,
     train_online,
 )
-from paramodel.config_io import read_trace, write_trace
+from paramodel.config_io import config_from_dict, read_trace, write_trace
 from paramodel.linsolve import as_records
 
 from conftest import SETTLE_BUDGET, FIG4_SETTLED_FROM, TRACK_TOL, event_resettled_within, settled_from
@@ -227,6 +227,23 @@ def test_horizon_is_an_integer(horizon):
     # as a configuration's horizon key: the run would fail in range()
     with pytest.raises(ValidationError, match=re.escape(f"horizon must be an integer, got {horizon!r}")):
         small_scenario(horizon=horizon)
+
+
+@pytest.mark.parametrize("name", ["stagger_rho", "tau", "w_max"])
+@pytest.mark.parametrize("value", [True, "1", 2**1024], ids=["bool", "str", "int-beyond-float-range"])
+def test_float_fields_follow_the_yaml_type_rules(name, value):
+    with pytest.raises(ValidationError) as err:
+        small_scenario(**{name: value})
+    assert (err.value.key, err.value.message) == (name, f"must be a finite number, got {value!r}")
+    # a configuration reads the same, its own check naming the same key
+    doc = {"mode": "train", "scenario": {"sample": {"x": [0.2, 0.6], "y": 0.55}, name: value}}
+    with pytest.raises(ValidationError, match=re.escape(f"scenario.{name}: must be a finite number, got {value!r}")):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["stagger_rho", "tau", "w_max"])
+def test_an_integer_float_field_is_a_float(name):
+    assert type(getattr(small_scenario(**{name: 1}), name)) is float
 
 
 def test_event_kind_validation():
