@@ -14,21 +14,21 @@ recorded values exactly.
 from __future__ import annotations
 
 import functools
-import math
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from itertools import chain
 from operator import sub
-from typing import Iterable, Iterator
+from types import UnionType
+from typing import Iterable, Iterator, Union, get_args, get_origin
 
 from . import linsolve, trainer
 from .controller import ControllerParams, stagger_params
 from .dynamics import DEFAULT_TAU, FirstOrderFilter
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_fields, field_types, rule
 from .linsolve import LinearTrackingProblem, LinsolveRecord
-from .network import Edge, FeedforwardNet, TrainingSample
+from .network import Edge
 from .trainer import EVENT_ARGS, Scenario, ScenarioEvent, TraceRecord, builtin_scenarios
 
 __all__ = [
@@ -71,8 +71,9 @@ class RunConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
+        check_fields(self)
         if self.mode not in SECTIONS:
-            raise ValidationError(f"must be one of {tuple(SECTIONS)}, got {self.mode!r}", key="mode")
+            raise ValidationError(f"must be one of {tuple(SECTIONS)}", key="mode", got=self.mode)
         for mode, section in SECTIONS.items():
             given = getattr(self, section) is not None
             if mode == self.mode and not given:
@@ -82,8 +83,8 @@ class RunConfig:
         if self.output == "":
             raise ValidationError("must be a file path, or null for no trace, got ''", key="output")
         if self.decimation < 1:
-            raise ValidationError(f"must be >= 1, got {self.decimation}", key="decimation")
-        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
+            raise ValidationError("must be >= 1", key="decimation", got=self.decimation)
+        if not self.tolerance > 0.0:
             raise ValidationError(f"must be finite and > 0, got {self.tolerance}", key="tolerance")
 
 
@@ -299,10 +300,7 @@ def expand_builtin(raw: dict) -> dict:
         return d
     base = builtin_config_dict(str(builtin))
     if "mode" in d and d["mode"] != base["mode"]:
-        raise ValidationError(
-            f"builtin {builtin!r} runs in {base['mode']!r} mode, got {d['mode']!r}",
-            key="mode",
-        )
+        raise ValidationError(f"builtin {builtin!r} runs in {base['mode']!r} mode", key="mode", got=d["mode"])
     return merge(base, d)
 
 
@@ -323,7 +321,7 @@ def merge(base: dict, edit: dict, key: str = "") -> dict:
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from a parsed document (builtin expansion included)."""
-    return _section(RunConfig)(expand_builtin(raw), "")
+    return _section(RunConfig, expand_builtin(raw), "")
 
 
 def _key(key: str, sub) -> str:
@@ -342,118 +340,117 @@ def _list(value, key: str) -> list:
     return value
 
 
-def _number(value, key: str) -> float:
-    try:
-        if not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an integer beyond float range
-        pass
-    raise ValidationError(f"must be a finite number, got {value!r}", key=key)
+#: The YAML keys of the sections whose keys are not their field names in
+#: field order, each with its field: what a field's annotation cannot say.
+_KEYS = {
+    Scenario: dict(horizon="horizon", stagger_rho="stagger_rho", tau="tau", w_max="w_max", gains="base_params",
+                   sample="initial_sample", network="net", events="events"),
+    Edge: {"from": "src", "to": "dst", "weight": "weight"},
+    LinearTrackingProblem: dict(a="a", b="b", horizon="horizon", controllers="controllers", filters="filters"),
+}
+
+#: The keys of a ``problem`` that generate the list named beside them, none
+#: a field, with their types.
+_GENERATOR = {"gains": ("controllers", ControllerParams), "stagger_rho": ("controllers", float), "tau": ("filters", float)}
 
 
-def _int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"must be an integer, got {value!r}", key=key)
-    return value
+@functools.cache
+def _table(cls) -> dict:
+    """{YAML key: (field, reader, required)} of each init field of ``cls``,
+    in the order a document is written."""
+    hints = field_types(cls)
+    keys = _KEYS.get(cls, {name: name for name in hints})
+    if sorted(keys.values()) != sorted(hints):
+        raise TypeError(f"the YAML keys of {cls.__name__} do not match its fields")
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    return {sub: (name, _reader(hints[name]), name in required) for sub, name in keys.items()}
 
 
-def _str(value, key: str) -> str:
-    # a node name YAML reads as a number (1e3, 1.50) would otherwise be renamed
-    if not isinstance(value, str):
-        raise ValidationError(f"must be a string, got {value!r}", key=key)
-    return value
+def _of(tp):
+    """X of an annotation ``X | None``, else the annotation."""
+    if get_origin(tp) in (Union, UnionType):
+        return next(t for t in get_args(tp) if t is not type(None))
+    return tp
 
 
-def _bool(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(f"must be true or false, got {value!r}", key=key)
-    return value
-
-
-def _optional(check):
-    return lambda value, key: None if value is None else check(value, key)
-
-
-def _list_of(check):
-    """Checker of a list whose items ``check`` checks, under the list's key."""
-    return lambda value, key: tuple(check(v, key) for v in _list(value, key))
-
-
-def _list_of_maps(check):
-    """Checker of a list of mappings, each checked under its key ``key[i]``."""
-    return lambda value, key: tuple(check(v, f"{key}[{i}]") for i, v in enumerate(_list(value, key)))
-
-
-def _section(cls):
-    """Checker of a mapping that builds ``cls`` from the keys of its table."""
-
-    def check(d, key: str):
-        table = _TABLES[cls]
-        return _make(cls, table, _read(table, d, key), key)
-
-    return check
+@functools.cache
+def _reader(tp):
+    """``read(value, key)``, the checked value of a key of annotation ``tp``:
+    a section from a mapping, a tuple of sections from a list of mappings
+    each keyed ``key[i]``, and any other value by the rule of its annotation."""
+    if is_dataclass(section := _of(tp)):
+        return functools.partial(_READERS.get(section, _section), section)
+    item = get_args(tp)[0] if get_origin(tp) is tuple else None
+    if is_dataclass(item):
+        read = _reader(item)
+        return lambda value, key: tuple(read(v, f"{key}[{i}]") for i, v in enumerate(_list(value, key)))
+    return rule(tp)
 
 
 def _read(table: dict, d, key: str) -> dict:
-    """The checked value of each key of mapping ``d``; a key the table does
-    not hold is an error."""
+    """The checked value of each key of mapping ``d``, by field; a key the
+    table does not hold is an error.  Keys are checked in document order, so
+    an error names the first bad key of the document (the class checks the
+    value again, for library callers)."""
     values = {}
     for sub, value in _map(d, key).items():
         if sub not in table:
             raise ValidationError("unknown key", key=_key(key, sub))
-        values[sub] = table[sub][1](value, _key(key, sub))
+        name, read, _ = table[sub]
+        values[name] = read(value, _key(key, sub))
     return values
 
 
-def _make(cls, table: dict, values: dict, key: str):
+def _make(cls, values: dict, key: str):
     """``cls`` from checked values; a key left out takes its field's default.
     An error of ``cls`` names ``key``, joined with the field key it names."""
-    kwargs = {table[sub][0]: v for sub, v in values.items() if table[sub][0]}
-    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
-    for sub, (name, _) in table.items():
-        if name in required and name not in kwargs:
+    for sub, (name, _, required) in _table(cls).items():
+        if required and name not in values:
             raise ValidationError("missing required key", key=_key(key, sub))
     try:
-        return cls(**kwargs)
+        return cls(**values)
     except ValidationError as err:
         raise ValidationError(err.message, key=_key(key, err.key) if err.key else key or None) from None
 
 
-def _problem(d, key: str) -> LinearTrackingProblem:
+def _section(cls, d, key: str):
+    """The ``cls`` of a mapping of its keys."""
+    return _make(cls, _read(_table(cls), d, key), key)
+
+
+def _problem(cls, d, key: str) -> LinearTrackingProblem:
     """The problem of a ``problem`` mapping.  Without explicit lists, its n
     = len(b) controllers are staggered from ``gains`` by ``stagger_rho``
     (default ``linsolve.DEMO_RHO``) and its n filters take ``tau``."""
-    table = _TABLES[LinearTrackingProblem]
+    table = {**_table(cls), **{sub: (sub, _reader(tp), False) for sub, (_, tp) in _GENERATOR.items()}}
     v = _read(table, d, key)
-    for sub, explicit in (("gains", "controllers"), ("stagger_rho", "controllers"), ("tau", "filters")):
-        if sub in v and explicit in v:
+    gen = {sub: v.pop(sub) for sub in _GENERATOR if sub in v}
+    for sub, (explicit, _) in _GENERATOR.items():
+        if sub in gen and explicit in v:
             raise ValidationError(f"cannot be combined with an explicit {explicit} list", key=f"{key}.{sub}")
     n = len(v.get("b", ()))
     if "controllers" not in v:
-        rho = v.get("stagger_rho", linsolve.DEMO_RHO)
+        rho = gen.get("stagger_rho", linsolve.DEMO_RHO)
         try:
-            v["controllers"] = tuple(stagger_params(v.get("gains", ControllerParams()), n, rho)) if n else ()
+            v["controllers"] = tuple(stagger_params(gen.get("gains", ControllerParams()), n, rho)) if n else ()
         except ValidationError as err:
-            raise ValidationError(str(err), key=f"{key}.stagger_rho") from None
+            raise ValidationError(err.message, key=f"{key}.stagger_rho") from None
     if "filters" not in v:
         try:
-            v["filters"] = (FirstOrderFilter(v.get("tau", DEFAULT_TAU)),) * n
+            v["filters"] = (FirstOrderFilter(gen.get("tau", DEFAULT_TAU)),) * n
         except ValidationError as err:
-            raise ValidationError(str(err), key=f"{key}.tau") from None
-    return _make(LinearTrackingProblem, table, v, key)
+            raise ValidationError(err.message, key=f"{key}.tau") from None
+    return _make(cls, v, key)
 
 
-#: The checker of each event argument (see ``trainer.EVENT_ARGS``).
-_EVENT_ARG_CHECKS = {"index": _int, "value": _number}
-
-
-def _event(d, key: str) -> ScenarioEvent:
+def _event(cls, d, key: str) -> ScenarioEvent:
     """``{at: K, KIND: ARGUMENT}``, or ``{at: K, KIND: {NAME: ARGUMENT, ...}}``
-    for a kind of more than one argument."""
+    for a kind of more than one argument; an argument may not be null."""
+    hints = field_types(cls)
     d = dict(_map(d, key))
     if "at" not in d:
         raise ValidationError("event needs an 'at' iteration", key=f"{key}.at")
-    at = _int(d.pop("at"), f"{key}.at")
+    at = rule(hints["at"])(d.pop("at"), f"{key}.at")
     kind = next((k for k in d if k in EVENT_ARGS), None)
     if kind is None:
         raise ValidationError(f"event needs one of {'/'.join(EVENT_ARGS)}", key=key)
@@ -461,78 +458,16 @@ def _event(d, key: str) -> ScenarioEvent:
     if d:
         raise ValidationError(f"unknown event keys {sorted(map(str, d))}", key=key)
     names, sub = EVENT_ARGS[kind], f"{key}.{kind}"
-    if len(names) == 1:
-        args = {names[0]: _EVENT_ARG_CHECKS[names[0]](spec, sub)}
-    else:
-        args = _read({name: (name, _EVENT_ARG_CHECKS[name]) for name in names}, spec, sub)
+    table = {name: (name, rule(_of(hints[name])), True) for name in names}
+    args = _read(table, spec, sub) if len(names) > 1 else {names[0]: table[names[0]][1](spec, sub)}
     try:
-        return ScenarioEvent(at, kind, **args)
+        return cls(at, kind, **args)
     except ValidationError as err:
         raise ValidationError(str(err), key=key) from None
 
 
-#: One table per section: each key, the field it sets and the checker of
-#: its value.  The parser, the serializer and the unknown-key check read
-#: these, and a key the document leaves out takes the default of its field.
-#: The keys of field None are read only: the generator form of a problem.
-_TABLES = {
-    RunConfig: {
-        "mode": ("mode", _str),
-        "scenario": ("scenario", _section(Scenario)),
-        "problem": ("problem", _problem),
-        "output": ("output", _optional(_str)),
-        "decimation": ("decimation", _int),
-        "tolerance": ("tolerance", _number),
-    },
-    Scenario: {
-        "horizon": ("horizon", _int),
-        "stagger_rho": ("stagger_rho", _number),
-        "tau": ("tau", _number),
-        "w_max": ("w_max", _number),
-        "gains": ("base_params", _section(ControllerParams)),
-        "sample": ("initial_sample", _section(TrainingSample)),
-        "network": ("net", _section(FeedforwardNet)),
-        "events": ("events", _list_of_maps(_event)),
-    },
-    ControllerParams: {
-        "kp": ("kp", _number),
-        "ki": ("ki", _number),
-        "k_alpha": ("k_alpha", _number),
-        "k_beta": ("k_beta", _number),
-        "dt": ("dt", _number),
-    },
-    TrainingSample: {
-        "x": ("x", _list_of(_number)),
-        "y": ("y", _number),
-    },
-    FeedforwardNet: {
-        "inputs": ("inputs", _list_of(_str)),
-        "hidden": ("hidden", _list_of(_str)),
-        "output": ("output", _str),
-        "edges": ("edges", _list_of_maps(_section(Edge))),
-        "weights": ("weights", _list_of(_number)),
-        "mask": ("mask", _list_of(_bool)),
-    },
-    Edge: {
-        "from": ("src", _str),
-        "to": ("dst", _str),
-        "weight": ("weight", _int),
-    },
-    LinearTrackingProblem: {
-        "a": ("a", _list_of(_list_of(_number))),
-        "b": ("b", _list_of(_number)),
-        "horizon": ("horizon", _int),
-        "controllers": ("controllers", _list_of_maps(_section(ControllerParams))),
-        "filters": ("filters", _list_of_maps(_section(FirstOrderFilter))),
-        "gains": (None, _section(ControllerParams)),
-        "stagger_rho": (None, _number),
-        "tau": (None, _number),
-    },
-    FirstOrderFilter: {
-        "tau": ("tau", _number),
-        "state": ("state", _number),
-    },
-}
+#: The reader of each section a mapping of its fields cannot express.
+_READERS = {LinearTrackingProblem: _problem, ScenarioEvent: _event}
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +491,8 @@ def _dump(value):
         names = EVENT_ARGS[value.kind]
         args = {name: getattr(value, name) for name in names}
         return {"at": value.at, value.kind: args if len(names) > 1 else args[names[0]]}
-    table = _TABLES.get(type(value))
-    if table is not None:
-        items = ((sub, getattr(value, name)) for sub, (name, _) in table.items() if name)
+    if is_dataclass(value):
+        items = ((sub, getattr(value, name)) for sub, (name, _, _) in _table(type(value)).items())
         return {sub: _dump(v) for sub, v in items if v is not None}
     if isinstance(value, tuple):
         return [_dump(v) for v in value]

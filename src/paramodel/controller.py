@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .elementary import exp
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, check_fields
 
 __all__ = [
     "ControllerParams", "ControllerState", "controller_new", "controller_step",
@@ -51,15 +51,16 @@ class ControllerParams:
     dt: float = 1e-5
 
     def __post_init__(self):
-        if not (self.kp >= 0.0 and math.isfinite(self.kp)):
+        check_fields(self)
+        if not self.kp >= 0.0:
             raise ValidationError(f"kp must be a finite non-negative gain, got {self.kp}")
-        if not (self.ki >= 0.0 and math.isfinite(self.ki)):
+        if not self.ki >= 0.0:
             raise ValidationError(f"ki must be a finite non-negative gain, got {self.ki}")
-        if not (self.k_alpha >= 0.0 and math.isfinite(self.k_alpha)):
+        if not self.k_alpha >= 0.0:
             raise ValidationError(f"k_alpha must be finite and >= 0, got {self.k_alpha}")
-        if not (self.k_beta >= 0.0 and math.isfinite(self.k_beta)):
+        if not self.k_beta >= 0.0:
             raise ValidationError(f"k_beta must be finite and >= 0, got {self.k_beta}")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+        if not self.dt > 0.0:
             raise ValidationError(f"dt must be a finite positive step, got {self.dt}")
 
 

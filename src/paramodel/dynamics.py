@@ -12,11 +12,10 @@ dt <= tau, strictly contracting toward the input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .controller import ONE, step_all
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, check_fields
 
 __all__ = ["FirstOrderFilter", "filter_step"]
 
@@ -31,10 +30,9 @@ class FirstOrderFilter:
     state: float = 0.0
 
     def __post_init__(self):
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+        check_fields(self)
+        if not self.tau > 0.0:
             raise ValidationError(f"tau must be a finite positive time constant, got {self.tau}")
-        if not math.isfinite(self.state):
-            raise ValidationError(f"filter state must be finite, got {self.state}")
 
 
 def filter_step(filt: FirstOrderFilter, u: float, dt: float) -> FirstOrderFilter:

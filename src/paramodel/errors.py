@@ -1,10 +1,19 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the type rules of its
+configuration dataclasses.
 
 Every invalid input, from a configuration file or from a library call,
 raises ``ValidationError``; the CLI maps each type to its exit code.
+``check_fields`` checks each field of a configuration dataclass by the
+rule of its annotation, so a field states its type once.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import functools
+import reprlib
+import types
+import typing
 
 
 class ParamodelError(Exception):
@@ -38,17 +47,112 @@ class ParseError(ParamodelError, ValueError):
         self.line = line
 
 
+#: The form of an offending value in a message: its repr, three levels
+#: deep, three items a container and 40 characters a scalar at most.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel = 3
+_SHOWN.maxtuple = _SHOWN.maxlist = _SHOWN.maxdict = _SHOWN.maxset = _SHOWN.maxfrozenset = 3
+_SHOWN.maxstring = _SHOWN.maxlong = _SHOWN.maxother = 40
+_NOTHING = object()
+
+
 class ValidationError(ParamodelError, ValueError):
     """An input is invalid: a configuration value, parameters, an event,
     an input vector or a weight index.
 
     ``key`` names the offending configuration entry when known, else None;
-    ``message`` is the text without it.
+    ``message`` is the text without it.  ``got``, when given, is the
+    offending value: the message ends in ``, got`` and its bounded repr.
     """
 
-    def __init__(self, message: str, key: str | None = None):
+    def __init__(self, message: str, key: str | None = None, got=_NOTHING):
+        if got is not _NOTHING:
+            message = f"{message}, got {_SHOWN.repr(got)}"
         self.message = message
         if key is not None:
             message = f"{key}: {message}"
         super().__init__(message)
         self.key = key
+
+
+def check_fields(obj) -> None:
+    """Check every init field of the dataclass ``obj`` by the rule of its
+    annotation (see ``rule``), storing the value the rule returns.
+
+    Raises ValidationError whose ``key`` is the field name.  The rules of a
+    class are resolved once, at its first instance.
+    """
+    for name, check in _rules(type(obj)):
+        value = getattr(obj, name)
+        stored = check(value, name)
+        if stored is not value:
+            object.__setattr__(obj, name, stored)
+
+
+@functools.cache
+def field_types(cls) -> dict:
+    """{field name: annotation} of each init field of the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+
+@functools.cache
+def _rules(cls) -> tuple:
+    return tuple((name, rule(tp)) for name, tp in field_types(cls).items())
+
+
+@functools.cache
+def rule(tp):
+    """The check of annotation ``tp``: ``rule(tp)(value, key)`` returns the
+    value to store or raises ValidationError(key=key).
+
+    - ``float``: a finite number, not a bool; an int is stored as a float.
+    - ``int``: an int, not a bool.
+    - ``str``, ``bool``, a dataclass: an instance of it.
+    - ``tuple[X, ...]``: a list or tuple, each item checked by X's rule
+      under the same key, stored as a tuple.
+    - ``X | None``: None, or a value of X.
+
+    Any other annotation is a TypeError, so no field goes unchecked.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union) and len(args) == 2 and type(None) in args:
+        check = rule(args[args[0] is type(None)])
+        return lambda value, key: None if value is None else check(value, key)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return functools.partial(_tuple, rule(args[0]))
+    if tp is float:
+        return _float
+    if tp in _NAMES or dataclasses.is_dataclass(tp):
+        return functools.partial(_instance, tp, _NAMES.get(tp) or f"a {tp.__name__}")
+    raise TypeError(f"no type rule for the annotation {tp!r}")
+
+
+def _float(value, key):
+    number = value
+    if type(value) is not float:  # an int, a float subclass, or no number
+        number = None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:  # an int beyond float range
+                pass
+    if number is not None and number - number == 0.0:
+        return number
+    raise ValidationError("must be a finite number", key, got=value)
+
+
+_NAMES = {int: "an integer", str: "a string", bool: "true or false"}
+
+
+def _instance(cls, name, value, key):
+    # a bool is an int, but not as a field's value
+    if isinstance(value, cls) and (cls is bool or not isinstance(value, bool)):
+        return value
+    raise ValidationError(f"must be {name}", key, got=value)
+
+
+def _tuple(item, value, key):
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"must be a list, got {type(value).__name__}", key)
+    return tuple([item(v, key) for v in value])

@@ -12,14 +12,12 @@ solve's traces into one ``LinsolveRecord`` NamedTuple per iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from math import isfinite
 from operator import sub
 from typing import NamedTuple
 
 from .controller import ControllerParams, decay, divergence, stagger_params, step_all
 from .dynamics import FirstOrderFilter
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, check_fields
 
 __all__ = [
     "LinearTrackingProblem",
@@ -51,25 +49,18 @@ class LinearTrackingProblem:
     horizon: int = 50_000
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(tuple(float(v) for v in row) for row in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        object.__setattr__(self, "controllers", tuple(self.controllers))
-        object.__setattr__(self, "filters", tuple(self.filters))
+        check_fields(self)
         n = len(self.b)
         if n == 0:
             raise ValidationError("system must have at least one variable")
         if len(self.a) != n or any(len(row) != n for row in self.a):
             raise ValidationError(f"matrix must be square {n}x{n} to match b")
-        if not all(map(isfinite, chain(self.b, *self.a))):
-            raise ValidationError("every entry of the matrix and of b must be finite")
         if len(self.controllers) != n:
             raise ValidationError(f"need {n} controller parameter sets, got {len(self.controllers)}")
         if len(self.filters) != n:
             raise ValidationError(f"need {n} filters, got {len(self.filters)}")
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
-            raise ValidationError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+            raise ValidationError("horizon must be >= 1", got=self.horizon)
 
 
 class LinsolveRecord(NamedTuple):

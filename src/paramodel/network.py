@@ -11,13 +11,12 @@ weight.  The net stores weights as given; the training loop bounds them
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from graphlib import CycleError, TopologicalSorter
 from typing import Sequence
 
 from .elementary import tanh
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 
 __all__ = [
     "Edge",
@@ -39,10 +38,9 @@ class Edge:
     weight: int
 
     def __post_init__(self):
-        if isinstance(self.weight, bool) or not isinstance(self.weight, int) or self.weight < 0:
-            raise ValidationError(
-                f"edge {self.src}->{self.dst}: weight index must be an integer >= 0, got {self.weight!r}"
-            )
+        check_fields(self)
+        if self.weight < 0:
+            raise ValidationError(f"edge {self.src}->{self.dst}: weight index must be an integer >= 0", got=self.weight)
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,9 +51,7 @@ class TrainingSample:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if not all(math.isfinite(v) for v in self.x) or not math.isfinite(self.y):
-            raise ValidationError("training sample values must be finite")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -82,9 +78,8 @@ class FeedforwardNet:
     _pad: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-        object.__setattr__(self, "edges", tuple(self.edges))
+        check_fields(self)
+        q = 1 + max((e.weight for e in self.edges), default=-1)
         if self.weights is None:
             # the default weights hold one entry per index: bound the index
             # by the edges, not by memory
@@ -95,24 +90,16 @@ class FeedforwardNet:
                         f"without one an index must be < {len(self.edges)}, the number of edges",
                         key=f"edges[{i}]",
                     )
-        q = 1 + max((e.weight for e in self.edges), default=-1)
-        weights = (0.0,) * q if self.weights is None else tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        for w in weights:
-            if not math.isfinite(w):
-                raise ValidationError(f"must be finite, got {w}", key="weights")
-        if len(weights) < q:
+            object.__setattr__(self, "weights", (0.0,) * q)
+        if len(self.weights) < q:
             raise ValidationError(
-                f"the edges use weight indices up to {q - 1}, so {q} entries are needed, got {len(weights)}",
+                f"the edges use weight indices up to {q - 1}, so {q} entries are needed, got {len(self.weights)}",
                 key="weights",
             )
-        mask = (True,) * len(weights) if self.mask is None else tuple(self.mask)
-        object.__setattr__(self, "mask", mask)
-        for m in mask:
-            if not isinstance(m, bool):
-                raise ValidationError(f"must be true or false, got {m!r}", key="mask")
-        if len(mask) != len(weights):
-            raise ValidationError(f"needs one entry per weight ({len(weights)}), got {len(mask)}", key="mask")
+        if self.mask is None:
+            object.__setattr__(self, "mask", (True,) * len(self.weights))
+        if len(self.mask) != len(self.weights):
+            raise ValidationError(f"needs one entry per weight ({len(self.weights)}), got {len(self.mask)}", key="mask")
         object.__setattr__(self, "_plan", self._build_plan())
         object.__setattr__(self, "_pad", (0.0,) * (len(self.hidden) + 1))
 
@@ -202,7 +189,7 @@ def set_weight(net: FeedforwardNet, index: int, value: float) -> FeedforwardNet:
     if not 0 <= index < net.weight_count:
         raise ValidationError(f"weight index {index} out of range [0, {net.weight_count})")
     w = list(net.weights)
-    w[index] = float(value)
+    w[index] = value
     return replace(net, weights=tuple(w))
 
 
@@ -211,5 +198,5 @@ def set_mask(net: FeedforwardNet, index: int, enabled: bool) -> FeedforwardNet:
     if not 0 <= index < net.weight_count:
         raise ValidationError(f"weight index {index} out of range [0, {net.weight_count})")
     m = list(net.mask)
-    m[index] = bool(enabled)
+    m[index] = enabled
     return replace(net, mask=tuple(m))

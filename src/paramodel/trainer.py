@@ -21,14 +21,13 @@ itself, before the scenario's own events of iteration 0.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from struct import pack
 from typing import Iterator, NamedTuple
 
 from .controller import ControllerParams, decay, divergence, stagger_params, step_all
 from .dynamics import DEFAULT_TAU
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, check_fields
 from .network import FeedforwardNet, TrainingSample, default_topology
 
 __all__ = [
@@ -55,10 +54,9 @@ class ScenarioEvent:
 
     ``kind`` is a key of ``EVENT_ARGS``, which names the fields it takes:
     set_input (index, value), set_reference (value), drop_weight (index),
-    restore_weight (index); the other fields must stay None.  ``at`` and
-    ``index`` are integers and ``value`` a finite number, as in a
-    configuration file.  Events at iteration 0 describe the initial
-    configuration; they act with those of iteration 1, before its step.
+    restore_weight (index); the other fields must stay None.  Events at
+    iteration 0 describe the initial configuration; they act with those of
+    iteration 1, before its step.
     """
 
     at: int
@@ -67,12 +65,11 @@ class ScenarioEvent:
     value: float | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in EVENT_ARGS:
-            raise ValidationError(f"unknown event kind {self.kind!r}")
-        if isinstance(self.at, bool) or not isinstance(self.at, int):
-            raise ValidationError(f"event iteration must be an integer, got {self.at!r}")
+            raise ValidationError("unknown event kind", got=self.kind)
         if self.at < 0:
-            raise ValidationError(f"event iteration must be >= 0, got {self.at}")
+            raise ValidationError("event iteration must be >= 0", got=self.at)
         takes = EVENT_ARGS[self.kind]
         missing = [name for name in takes if getattr(self, name) is None]
         if missing:
@@ -80,15 +77,6 @@ class ScenarioEvent:
         extra = [name for name in ("index", "value") if name not in takes and getattr(self, name) is not None]
         if extra:
             raise ValidationError(f"{self.kind} takes no {' or '.join(extra)}")
-        if self.index is not None and (isinstance(self.index, bool) or not isinstance(self.index, int)):
-            raise ValidationError(f"{self.kind} index must be an integer, got {self.index!r}")
-        if self.value is not None:
-            if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
-                raise ValidationError(f"{self.kind} value must be a number, got {self.value!r}")
-            # abs(v) <= max also rejects an integer beyond float range
-            if not abs(self.value) <= sys.float_info.max:
-                raise ValidationError(f"{self.kind} value must be finite, got {self.value}")
-            object.__setattr__(self, "value", float(self.value))
 
     @classmethod
     def set_input(cls, at: int, index: int, value: float) -> "ScenarioEvent":
@@ -125,21 +113,14 @@ class Scenario:
     w_max: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        for name in ("stagger_rho", "tau", "w_max"):  # a number as in a configuration file
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or isinstance(v, int) and abs(v) > sys.float_info.max:
-                raise ValidationError(f"must be a finite number, got {v!r}", key=name)
-            object.__setattr__(self, name, float(v))
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
-            raise ValidationError(f"horizon must be an integer, got {self.horizon!r}")
+        check_fields(self)
         if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+            raise ValidationError("horizon must be >= 1", got=self.horizon)
         if not (0.0 < self.stagger_rho <= 1.0):
             raise ValidationError(f"stagger_rho must be in (0, 1], got {self.stagger_rho}")
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+        if not self.tau > 0.0:
             raise ValidationError(f"tau must be finite and positive, got {self.tau}")
-        if not (self.w_max > 0.0 and math.isfinite(self.w_max)):
+        if not self.w_max > 0.0:
             raise ValidationError(f"w_max must be finite and positive, got {self.w_max}")
         if self.net.weight_count == 0:
             raise ValidationError("network has no weight to train: it needs at least one edge")

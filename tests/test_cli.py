@@ -450,6 +450,16 @@ def test_bad_config_exits_2(tmp_path, capsys, content, flags, message):
     assert out == ""
 
 
+def test_a_deeply_nested_value_is_shown_bounded(tmp_path, capsys):
+    # 193 levels load (the limit is 200); the message shows three of them
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text(FAST_TRAIN.replace("kp: 1.0", "kp: " + "[" * 190 + "]" * 190))
+    assert main(["run", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "ValidationError: scenario.gains.kp: must be a finite number, got [[[[...]]]]\n")
+    assert len(err.encode()) < 200
+
+
 def test_an_edge_weight_index_costs_no_memory(tmp_path, capsys):
     # without weights, the default ones would hold 4,000,001 entries (61 MB)
     cfg = tmp_path / "big-index.yaml"

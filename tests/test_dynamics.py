@@ -27,8 +27,9 @@ def test_invalid_tau():
 
 @pytest.mark.parametrize("state", [math.nan, math.inf, -math.inf])
 def test_invalid_state(state):
-    with pytest.raises(ValidationError, match="filter state must be finite"):
+    with pytest.raises(ValidationError) as err:
         FirstOrderFilter(state=state)
+    assert (err.value.key, err.value.message) == ("state", f"must be a finite number, got {state!r}")
 
 
 def test_invalid_dt():

@@ -109,14 +109,14 @@ def test_problem_validation():
     with pytest.raises(ValidationError):  # bad horizon
         make_problem(((1.0,),), (1.0,), horizon=0)
     for a, b in ((((1.0, 2.0), (3.0, math.nan)), (1.0, 2.0)), (((1.0, 2.0), (3.0, 4.0)), (-math.inf, 2.0))):
-        with pytest.raises(ValidationError, match="must be finite"):
+        with pytest.raises(ValidationError, match="must be a finite number"):
             make_problem(a, b)
 
 
 @pytest.mark.parametrize("horizon", [5.5, 10.0, True, "10"], ids=["float", "integral-float", "bool", "str"])
 def test_horizon_is_an_integer(horizon):
     # as a configuration's horizon key: the run would fail in range()
-    with pytest.raises(ValidationError, match=f"horizon must be an integer, got {re.escape(repr(horizon))}"):
+    with pytest.raises(ValidationError, match=f"horizon: must be an integer, got {re.escape(repr(horizon))}"):
         make_problem(((1.0,),), (1.0,), horizon=horizon)
 
 

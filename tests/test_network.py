@@ -76,6 +76,23 @@ def test_index_out_of_range():
         set_mask(net, -1, False)
 
 
+@pytest.mark.parametrize(
+    "setter, value, key, message",
+    [
+        (set_weight, "0.3", "weights", "must be a finite number, got '0.3'"),
+        (set_weight, True, "weights", "must be a finite number, got True"),
+        (set_mask, "false", "mask", "must be true or false, got 'false'"),
+        (set_mask, 0, "mask", "must be true or false, got 0"),
+    ],
+    ids=["str-weight", "bool-weight", "str-mask", "int-mask"],
+)
+def test_setters_follow_the_field_rules(setter, value, key, message):
+    # no float() or bool(): bool("false") would enable the edge
+    with pytest.raises(ValidationError) as info:
+        setter(default_topology(), 2, value)
+    assert (info.value.key, info.value.message) == (key, message)
+
+
 @given(ws=weights7, x=inputs2)
 def test_mask_off_equals_zero_weight(ws, x):
     net = with_weights(default_topology(), ws)
@@ -214,8 +231,8 @@ def test_defaults_follow_the_edges():
 @pytest.mark.parametrize(
     "net, key, message",
     [
-        (dict(weights=(math.nan,) + (0.0,) * 6), "weights", "must be finite, got nan"),
-        (dict(weights=(0.0,) * 6 + (math.inf,)), "weights", "must be finite, got inf"),
+        (dict(weights=(math.nan,) + (0.0,) * 6), "weights", "must be a finite number, got nan"),
+        (dict(weights=(0.0,) * 6 + (math.inf,)), "weights", "must be a finite number, got inf"),
         (dict(weights=(0.0,) * 6), "weights", "the edges use weight indices up to 6, so 7 entries are needed, got 6"),
         (dict(mask=(True,) * 6), "mask", "needs one entry per weight (7), got 6"),
         (dict(mask=("false",) + (True,) * 6), "mask", "must be true or false, got 'false'"),
@@ -243,11 +260,20 @@ def test_without_weights_an_edge_index_is_below_the_edge_count():
     assert FeedforwardNet(inputs=("a",), edges=edges, weights=(0.5, 0.0, 0.25)).weight_count == 3
 
 
-@pytest.mark.parametrize("index", [-1, 1.5, True, "0"], ids=["negative", "float", "bool", "str"])
-def test_edge_weight_index_is_an_integer_from_0(index):
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (-1, "edge a->y: weight index must be an integer >= 0, got -1"),
+        (1.5, "weight: must be an integer, got 1.5"),
+        (True, "weight: must be an integer, got True"),
+        ("0", "weight: must be an integer, got '0'"),
+    ],
+    ids=["negative", "float", "bool", "str"],
+)
+def test_edge_weight_index_is_an_integer_from_0(index, message):
     with pytest.raises(ValidationError) as info:
         Edge("a", "y", index)
-    assert str(info.value) == f"edge a->y: weight index must be an integer >= 0, got {index!r}"
+    assert str(info.value) == message
 
 
 def test_training_sample_validation():

@@ -1,0 +1,155 @@
+"""The type rules of the configuration dataclasses.
+
+Each field's annotation is the one statement of its type: the dataclass
+checks it on construction (``errors.check_fields``) and the YAML reader
+applies the same rule.  A value of the wrong type, from a library call as
+from a configuration, is a ValidationError whose key names the field.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+import math
+import types
+import typing
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import paramodel
+from paramodel import (
+    ControllerParams,
+    Edge,
+    FeedforwardNet,
+    FirstOrderFilter,
+    LinearTrackingProblem,
+    RunConfig,
+    Scenario,
+    ScenarioEvent,
+    TrainingSample,
+    ValidationError,
+    builtin_problem,
+    builtin_scenarios,
+    default_topology,
+)
+from paramodel.errors import field_types, rule
+
+SAMPLE = TrainingSample(x=(0.2, 0.6), y=0.55)
+
+#: a valid instance of each configuration dataclass, every optional field set
+VALID = {
+    RunConfig: lambda: RunConfig(mode="train", scenario=builtin_scenarios()["fig5"], output="t.csv"),
+    Scenario: lambda: builtin_scenarios()["fig5"],
+    ScenarioEvent: lambda: ScenarioEvent.set_input(5, 0, 0.1),
+    ControllerParams: ControllerParams,
+    TrainingSample: lambda: SAMPLE,
+    FeedforwardNet: lambda: dataclasses.replace(default_topology(), weights=(0.1,) * 7, mask=(True,) * 7),
+    Edge: lambda: Edge("x1", "y", 0),
+    LinearTrackingProblem: lambda: builtin_problem(horizon=10),
+    FirstOrderFilter: FirstOrderFilter,
+}
+
+FIELDS = [(cls, name) for cls in VALID for name in field_types(cls)]
+
+#: values of the wrong type for each scalar annotation: a string, a bool for
+#: a number, a float for an int, an int past float range, a container
+WRONG = {
+    float: st.sampled_from(["1", "0.5", "nan", True, False, 10**400, -(10**400), math.nan, -math.inf, [1.0], {}]),
+    int: st.sampled_from([True, False, "3", [1], {}]) | st.floats(),
+    str: st.sampled_from([1, 1.0, True, ["y"], {}, b"y"]),
+    bool: st.sampled_from([1, 0, "false", "true", 1.0, [True], {}]),
+}
+
+
+def wrong(tp, valid):
+    """A strategy of values of the wrong type for annotation ``tp``, beside
+    the valid value ``valid``; None is wrong unless ``tp`` allows it."""
+    optional = typing.get_origin(tp) in (typing.Union, types.UnionType)
+    if optional:
+        tp = next(t for t in typing.get_args(tp) if t is not type(None))
+    if typing.get_origin(tp) is tuple:
+        items = list(valid)
+        # a list or tuple holding one bad item, or no list at all
+        one_bad = wrong(typing.get_args(tp)[0], items[0] if items else None).flatmap(
+            lambda bad: st.sampled_from([(*items, bad), [bad, *items]])
+        )
+        out = one_bad | st.sampled_from(["abc", 5, {}])
+    elif tp in WRONG:
+        out = WRONG[tp]
+    else:  # a dataclass: a mapping of its keys, or another dataclass
+        other = Edge("a", "y", 0) if tp is not Edge else ControllerParams()
+        out = st.sampled_from([{}, {"kp": 1.0}, "x", 1, other])
+    return out if optional else out | st.none()
+
+
+@pytest.mark.parametrize("cls, name", FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in FIELDS])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_value_of_the_wrong_type_is_an_error_naming_its_field(cls, name, data):
+    valid = VALID[cls]()
+    bad = data.draw(wrong(field_types(cls)[name], getattr(valid, name)))
+    with pytest.raises(ValidationError) as err:  # not a TypeError, and no string converted
+        dataclasses.replace(valid, **{name: bad})
+    assert err.value.key == name
+
+
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda: FeedforwardNet(weights=("0.3",) * 7), "weights"),
+        (lambda: FeedforwardNet(weights=(True,) * 7), "weights"),
+        (lambda: FeedforwardNet(inputs=(1, 2)), "inputs"),
+        (lambda: TrainingSample(x=("0.2", 0.6), y=0.5), "x"),
+        (lambda: TrainingSample(x=(0.2, 0.6), y="0.5"), "y"),
+        (lambda: ControllerParams(kp="1"), "kp"),
+        (lambda: ControllerParams(kp=True), "kp"),
+        (lambda: ControllerParams(kp=10**400), "kp"),
+        (lambda: FirstOrderFilter(tau="1"), "tau"),
+        (lambda: FirstOrderFilter(state=10**400), "state"),
+        (lambda: Scenario(SAMPLE, base_params=None), "base_params"),
+        (lambda: Scenario(SAMPLE, net={}), "net"),
+        (lambda: dataclasses.replace(builtin_problem(), a=(("1",),)), "a"),
+        (lambda: dataclasses.replace(builtin_problem(), b=(True,)), "b"),
+        (lambda: dataclasses.replace(builtin_problem(), controllers=({"kp": 1},)), "controllers"),
+        (lambda: dataclasses.replace(VALID[RunConfig](), decimation="3"), "decimation"),
+        (lambda: dataclasses.replace(VALID[RunConfig](), tolerance=True), "tolerance"),
+        (lambda: dataclasses.replace(VALID[RunConfig](), output=5), "output"),
+    ],
+)
+def test_library_input_that_was_accepted_or_a_traceback(make, key):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.key == key
+
+
+def test_valid_values_are_stored_as_their_annotation_says():
+    # an int is a float, a list is a tuple; a float and a tuple are kept as given
+    s = TrainingSample(x=[0, 0.5], y=0)
+    assert (repr(s.x), repr(s.y)) == ("(0.0, 0.5)", "0.0")
+    x = (0.25, 0.5)
+    assert TrainingSample(x=x, y=0.5).x == x
+    net = FeedforwardNet(inputs=["a"], edges=[Edge("a", "y", 0)], weights=[1], mask=[False])
+    assert (net.inputs, net.edges, net.weights, net.mask) == (("a",), (Edge("a", "y", 0),), (1.0,), (False,))
+    assert type(net.weights[0]) is float
+
+
+def package_dataclasses():
+    for _, module in inspect.getmembers(paramodel, inspect.ismodule):
+        for _, obj in inspect.getmembers(module, inspect.isclass):
+            if dataclasses.is_dataclass(obj) and obj.__module__.startswith("paramodel."):
+                yield obj
+
+
+def test_every_field_annotation_has_a_rule():
+    # a field whose annotation has no rule would go unchecked: resolving the
+    # rules of every dataclass of the package fails on it
+    classes = set(package_dataclasses())
+    assert set(VALID) <= classes
+    for cls in classes:
+        for tp in field_types(cls).values():
+            rule(tp)
+    for tp in (dict, list[float], tuple[float, float], int | str, typing.Any):
+        with pytest.raises(TypeError, match="no type rule"):
+            rule(tp)

@@ -135,7 +135,7 @@ def test_views_on_every_combination_of_special_values(kp, ki, k_alpha, k_beta, t
         filt = FirstOrderFilter(tau=tau, state=x)
         assert outcome(filter_step, filt, u, dt) == outcome(literal_filter_step, filt, u, dt)
     for x in (math.inf, -math.inf, math.nan):  # no step starts from a non-finite state
-        with pytest.raises(ValidationError, match="filter state must be finite"):
+        with pytest.raises(ValidationError, match="state: must be a finite number"):
             FirstOrderFilter(tau=tau, state=x)
 
 

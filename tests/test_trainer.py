@@ -225,19 +225,23 @@ def test_scenario_validation():
 @pytest.mark.parametrize("horizon", [5.5, 200.0, True, "200"], ids=["float", "integral-float", "bool", "str"])
 def test_horizon_is_an_integer(horizon):
     # as a configuration's horizon key: the run would fail in range()
-    with pytest.raises(ValidationError, match=re.escape(f"horizon must be an integer, got {horizon!r}")):
+    with pytest.raises(ValidationError, match=re.escape(f"horizon: must be an integer, got {horizon!r}")):
         small_scenario(horizon=horizon)
 
 
 @pytest.mark.parametrize("name", ["stagger_rho", "tau", "w_max"])
-@pytest.mark.parametrize("value", [True, "1", 2**1024], ids=["bool", "str", "int-beyond-float-range"])
-def test_float_fields_follow_the_yaml_type_rules(name, value):
+@pytest.mark.parametrize(
+    "value, shown",
+    [(True, "True"), ("1", "'1'"), (2**1024, "179769313486231590...5356329624224137216")],
+    ids=["bool", "str", "int-beyond-float-range"],
+)
+def test_float_fields_follow_the_yaml_type_rules(name, value, shown):
     with pytest.raises(ValidationError) as err:
         small_scenario(**{name: value})
-    assert (err.value.key, err.value.message) == (name, f"must be a finite number, got {value!r}")
+    assert (err.value.key, err.value.message) == (name, f"must be a finite number, got {shown}")
     # a configuration reads the same, its own check naming the same key
     doc = {"mode": "train", "scenario": {"sample": {"x": [0.2, 0.6], "y": 0.55}, name: value}}
-    with pytest.raises(ValidationError, match=re.escape(f"scenario.{name}: must be a finite number, got {value!r}")):
+    with pytest.raises(ValidationError, match=re.escape(f"scenario.{name}: must be a finite number, got {shown}")):
         config_from_dict(doc)
 
 
@@ -259,22 +263,22 @@ def test_event_kind_validation():
     with pytest.raises(ValidationError, match="restore_weight takes no value"):
         ScenarioEvent(at=0, kind="restore_weight", index=3, value=0.0)
     # a non-finite value would only show as a diverged network output mid-run
-    with pytest.raises(ValidationError, match="set_input value must be finite, got nan"):
+    with pytest.raises(ValidationError, match="value: must be a finite number, got nan"):
         ScenarioEvent.set_input(5, 0, math.nan)
-    with pytest.raises(ValidationError, match="set_reference value must be finite, got inf"):
+    with pytest.raises(ValidationError, match="value: must be a finite number, got inf"):
         ScenarioEvent.set_reference(5, math.inf)
 
 
 @pytest.mark.parametrize(
     "kind, args, message",
     [
-        ("drop_weight", (5, 1.5), "drop_weight index must be an integer, got 1.5"),
-        ("drop_weight", (5, True), "drop_weight index must be an integer, got True"),
-        ("set_reference", (5.5, 0.3), "event iteration must be an integer, got 5.5"),
-        ("set_reference", (True, 0.3), "event iteration must be an integer, got True"),
-        ("set_input", (5, 0, "0.3"), "set_input value must be a number, got '0.3'"),
-        ("set_reference", (5, False), "set_reference value must be a number, got False"),
-        ("set_reference", (5, 2**1024), "set_reference value must be finite, got 1797693"),
+        ("drop_weight", (5, 1.5), "index: must be an integer, got 1.5"),
+        ("drop_weight", (5, True), "index: must be an integer, got True"),
+        ("set_reference", (5.5, 0.3), "at: must be an integer, got 5.5"),
+        ("set_reference", (True, 0.3), "at: must be an integer, got True"),
+        ("set_input", (5, 0, "0.3"), "value: must be a finite number, got '0.3'"),
+        ("set_reference", (5, False), "value: must be a finite number, got False"),
+        ("set_reference", (5, 2**1024), "value: must be a finite number, got 179769313486231590...5356329624224137216"),
     ],
     ids=["float-index", "bool-index", "float-at", "bool-at", "str-value", "bool-value", "int-beyond-float"],
 )
