@@ -524,10 +524,7 @@ def builtin_config_dict(name: str) -> dict:
         del problem["controllers"], problem["filters"]
         problem.update(stagger_rho=linsolve.DEMO_RHO, tau=DEFAULT_TAU, gains=_dump(linsolve.DEMO_GAINS))
         return d
-    raise ValidationError(
-        f"unknown built-in {name!r}; available: {', '.join(builtin_names())}",
-        key="builtin",
-    )
+    raise ValidationError(f"unknown built-in (available: {', '.join(builtin_names())})", key="builtin", got=name)
 
 
 # ---------------------------------------------------------------------------

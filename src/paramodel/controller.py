@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .elementary import exp
-from .errors import DivergenceError, ValidationError, check_fields
+from .errors import DivergenceError, ValidationError, check_fields, rule
 
 __all__ = [
     "ControllerParams", "ControllerState", "controller_new", "controller_step",
@@ -169,8 +169,9 @@ def stagger_params(base: ControllerParams, n: int, rho: float) -> list[Controlle
     rounded int/int division, so the gains do not depend on the C
     library's ``pow``.
     """
+    n, rho = rule(int)(n, "n"), rule(float)(rho, "rho")
     if n < 1:
-        raise ValidationError(f"need at least one controller, got n={n}")
+        raise ValidationError("need at least one controller", key="n", got=n)
     if not (0.0 < rho <= 1.0):
         raise ValidationError(f"stagger ratio must be in (0, 1], got {rho}")
     num, den = rho.as_integer_ratio()

@@ -7,16 +7,21 @@ index into a shared weight vector, and edges can be disabled through a
 boolean mask (dropout-style topology events) without losing their stored
 weight.  The net stores weights as given; the training loop bounds them
 (``Scenario.w_max``).
+
+The forward pass is generated code: ``FeedforwardNet.evaluator`` writes
+one straight-line function per mask (and weight slot map) from the
+net's plan and caches it, and ``eval_with`` calls it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from graphlib import CycleError, TopologicalSorter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .elementary import tanh
-from .errors import ValidationError, check_fields
+from .errors import ValidationError, check_fields, rule
 
 __all__ = [
     "Edge",
@@ -74,8 +79,6 @@ class FeedforwardNet:
     # eval plan: per non-input node in topological order,
     # (value slot, [(source value slot, weight index), ...])
     _plan: tuple = field(init=False, repr=False, compare=False, default=())
-    # initial values of the hidden and output slots, after the inputs
-    _pad: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         check_fields(self)
@@ -86,22 +89,23 @@ class FeedforwardNet:
             for i, e in enumerate(self.edges):
                 if e.weight >= len(self.edges):
                     raise ValidationError(
-                        f"edge {e.src}->{e.dst}: weight index {e.weight} needs a weights list; "
-                        f"without one an index must be < {len(self.edges)}, the number of edges",
+                        f"edge {e.src}->{e.dst}: without a weights list a weight index must be "
+                        f"< {len(self.edges)}, the number of edges",
                         key=f"edges[{i}]",
+                        got=e.weight,
                     )
             object.__setattr__(self, "weights", (0.0,) * q)
         if len(self.weights) < q:
             raise ValidationError(
-                f"the edges use weight indices up to {q - 1}, so {q} entries are needed, got {len(self.weights)}",
+                f"an edge's weight index must be < {len(self.weights)}, the number of weights",
                 key="weights",
+                got=q - 1,
             )
         if self.mask is None:
             object.__setattr__(self, "mask", (True,) * len(self.weights))
         if len(self.mask) != len(self.weights):
             raise ValidationError(f"needs one entry per weight ({len(self.weights)}), got {len(self.mask)}", key="mask")
         object.__setattr__(self, "_plan", self._build_plan())
-        object.__setattr__(self, "_pad", (0.0,) * (len(self.hidden) + 1))
 
     @property
     def weight_count(self) -> int:
@@ -134,24 +138,72 @@ class FeedforwardNet:
             raise ValidationError("network graph has a cycle") from None
         return tuple((slot[n], tuple(incoming[n])) for n in order)
 
+    def evaluator(self, mask: Sequence[bool], slots: Sequence[int] | None = None) -> Callable:
+        """The forward pass under ``mask``, as a function ``f(w, x)``.
+
+        ``f`` reads weight ``i`` from ``w[slots[i]]`` (from ``w[i]`` when
+        ``slots`` is None) and ``x`` one value per input.  It is straight-line
+        code generated from the plan: each node's sum starts at ``0.0`` and
+        adds the terms of its enabled edges in plan order, exactly as a loop
+        over the edges would, and masked edges are left out.  Two nodes whose
+        sums read the same weight slots from the same sources in the same
+        order share one tanh call.  Each tanh is ``elementary.tanh``,
+        correctly rounded, looked up as a global of this module at each call,
+        so ``scripts/reference_traces.py`` can put mpmath's tanh in its place.
+        The last ``EVALUATORS_CACHED`` functions are kept.
+        """
+        if len(mask) != self.weight_count:
+            raise ValidationError(f"needs one entry per weight ({self.weight_count}), got {len(mask)}", key="mask")
+        if slots is not None:
+            if len(slots) != self.weight_count:
+                raise ValidationError(f"needs one entry per weight ({self.weight_count}), got {len(slots)}", key="slots")
+            slots = tuple(slots)
+        return _compile(self._plan, len(self.inputs), tuple(mask), slots)
+
     def eval_with(self, weights: Sequence[float], mask: Sequence[bool], x: Sequence[float]) -> float:
         """Forward pass using explicit weight/mask vectors, one x per input.
 
-        This is the single evaluation path: ``forward`` and the training
-        loop both come through here, so masked-vs-zeroed comparisons stay
-        bit-exact.  Each node applies ``elementary.tanh``, correctly
-        rounded, looked up as a global of this module at each call, so
-        ``scripts/reference_traces.py`` can put mpmath's tanh in its place.
+        A view of ``evaluator``, the single evaluation path: ``forward`` and
+        the training loop both come through it, so masked-vs-zeroed
+        comparisons stay bit-exact.
         """
-        values = [*x, *self._pad]
-        for node_slot, terms in self._plan:
-            acc = 0.0
-            for src_slot, w_idx in terms:
-                if mask[w_idx]:
-                    acc += weights[w_idx] * values[src_slot]
-            values[node_slot] = tanh(acc)
-        # the output node always occupies the last slot
-        return values[-1]
+        return self.evaluator(mask)(weights, x)
+
+
+#: Compiled forward passes kept by ``FeedforwardNet.evaluator``: a run
+#: compiles one per event segment, so a long run of topology events holds
+#: at most this many.
+EVALUATORS_CACHED = 64
+
+
+@functools.lru_cache(maxsize=EVALUATORS_CACHED)
+def _compile(plan: tuple, n_inputs: int, mask: tuple, slots: tuple | None) -> Callable:
+    """Generate the forward pass of ``FeedforwardNet.evaluator``.
+
+    One statement per term, so a node of any in-degree compiles (a single
+    expression of a few thousand terms exceeds CPython's compiler
+    recursion limit).  Inputs are ``x0..``, node values ``v<slot>``; a node
+    whose sum has the key of an earlier node takes that node's variable.
+    """
+    var = [f"x{j}" for j in range(n_inputs)] + [""] * len(plan)
+    lines = ["def forward(w, x):"]
+    if n_inputs:
+        lines.append(f"    {', '.join(var[:n_inputs])}, = x")
+    shared: dict[tuple, str] = {}
+    for node, terms in plan:
+        key = tuple((var[src], i if slots is None else slots[i]) for src, i in terms if mask[i])
+        if key not in shared:
+            shared[key] = f"v{node}"
+            lines.append("    s = 0.0")
+            lines += [f"    s += w[{i}] * {v}" for v, i in key]
+            lines.append(f"    v{node} = tanh(s)")
+        var[node] = shared[key]
+    # the output node always occupies the last slot
+    lines.append(f"    return {var[-1]}")
+    namespace: dict = {}
+    # this module's globals: tanh is looked up at each call
+    exec("\n".join(lines), globals(), namespace)
+    return namespace["forward"]
 
 
 def default_topology() -> FeedforwardNet:
@@ -179,6 +231,7 @@ def default_topology() -> FeedforwardNet:
 
 def forward(net: FeedforwardNet, x: Sequence[float]) -> float:
     """Evaluate the network on input vector x; output is in (-1, 1)."""
+    x = rule(tuple[float, ...])(x, "x")
     if len(x) != net.input_count:
         raise ValidationError(f"expected {net.input_count} inputs, got {len(x)}")
     return net.eval_with(net.weights, net.mask, x)
@@ -186,8 +239,8 @@ def forward(net: FeedforwardNet, x: Sequence[float]) -> float:
 
 def set_weight(net: FeedforwardNet, index: int, value: float) -> FeedforwardNet:
     """Return a copy of the net with weight ``index`` set."""
-    if not 0 <= index < net.weight_count:
-        raise ValidationError(f"weight index {index} out of range [0, {net.weight_count})")
+    if not 0 <= rule(int)(index, "index") < net.weight_count:
+        raise ValidationError(f"weight index must be in [0, {net.weight_count})", key="index", got=index)
     w = list(net.weights)
     w[index] = value
     return replace(net, weights=tuple(w))
@@ -195,8 +248,8 @@ def set_weight(net: FeedforwardNet, index: int, value: float) -> FeedforwardNet:
 
 def set_mask(net: FeedforwardNet, index: int, enabled: bool) -> FeedforwardNet:
     """Return a copy of the net with edge weight ``index`` enabled/disabled."""
-    if not 0 <= index < net.weight_count:
-        raise ValidationError(f"weight index {index} out of range [0, {net.weight_count})")
+    if not 0 <= rule(int)(index, "index") < net.weight_count:
+        raise ValidationError(f"weight index must be in [0, {net.weight_count})", key="index", got=index)
     m = list(net.mask)
     m[index] = enabled
     return replace(net, mask=tuple(m))

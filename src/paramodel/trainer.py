@@ -8,9 +8,13 @@ scenario schedules training-data changes and dropout-style topology events
 at prescribed iterations, and the loop emits one trace record, a
 ``TraceRecord`` NamedTuple, per iteration.
 
-Loop order within one iteration: apply events, measure the output with the
-current weights, step one controller and filter of each class, clamp, copy
-the step to the rest of the class, record.
+Loop order within one iteration: at an event iteration, copy each class's
+state to its other members, apply the events and regroup the classes;
+then measure the output with the current weights, step one controller and
+filter of each class, clamp, record.  Between events a class member's
+state is not updated: the network reads each weight, and the record
+shows it, through its class's representative (``FeedforwardNet.evaluator``
+with a slot map, one tanh per distinct node sum).
 Dropped weights are held at zero with their controller and filter frozen;
 restoring a weight re-installs the frozen filter state and resumes
 stepping, so a drop/restore pair at the same iteration is an exact no-op.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from struct import pack
 from typing import Iterator, NamedTuple
 
@@ -140,14 +145,14 @@ class Scenario:
         for i, ev in enumerate(self.events):
             key = f"events[{i}]"
             if ev.at > self.horizon:
-                raise ValidationError(f"event at iteration {ev.at} is beyond horizon {self.horizon}", key=key)
+                raise ValidationError(f"event iteration is beyond horizon {self.horizon}", key=key, got=ev.at)
             if ev.at < last_at:
                 raise ValidationError("events must be sorted by iteration", key=key)
             last_at = ev.at
             if ev.kind == "set_input" and not 0 <= ev.index < n:
-                raise ValidationError(f"set_input index {ev.index} out of range [0, {n})", key=key)
+                raise ValidationError(f"set_input index must be in [0, {n})", key=key, got=ev.index)
             if ev.kind in ("drop_weight", "restore_weight") and not 0 <= ev.index < q:
-                raise ValidationError(f"{ev.kind} index {ev.index} out of range [0, {q})", key=key)
+                raise ValidationError(f"{ev.kind} index must be in [0, {q})", key=key, got=ev.index)
             if ev.kind == "set_reference" and not abs(ev.value) < 1.0:
                 raise ValidationError(f"set_reference value must satisfy |y| < 1, got {ev.value}", key=key)
 
@@ -209,9 +214,18 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
     for event in scenario.events:
         events.setdefault(max(event.at, 1), []).append(event)
 
-    eval_with, isfinite = net.eval_with, math.isfinite
+    isfinite = math.isfinite
+    copies: list[tuple[int, int]] = []
     for k in range(1, scenario.horizon + 1):
         if k in events:
+            # the members of a class take its representative's state, so the
+            # events act on each weight's own
+            for i, r in copies:
+                psis[i] = psis[r]
+                integrals[i] = integrals[r]
+                xs[i] = xs[r]
+                u[i] = u[r]
+                w[i] = w[r]
             for event in events[k]:
                 i = event.index
                 if event.kind == "set_input":
@@ -233,11 +247,17 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
                     w[i] = min(max(xs[i], -w_max), w_max)
             active = [i for i in range(q) if mask[i]]
             lags = sorted({lag[i] for i in active})
-            # a class of the same gains, lag and state bits steps its lowest index
+            # a class of the same gains, lag and state bits steps its lowest
+            # index, its representative; every slot of a weight names the
+            # representative whose w and u stand for it until the next event
             first: dict[bytes, int] = {}
-            rep = [first.setdefault(pack("<5dq", kps[i], kis[i], psis[i], integrals[i], xs[i], lag[i]), i) for i in active]
-            reps, copies = list(first.values()), [(i, r) for i, r in zip(active, rep) if i != r]
-        y = eval_with(w, mask, x_train)
+            slots = list(range(q))
+            for i in active:
+                slots[i] = first.setdefault(pack("<5dq", kps[i], kis[i], psis[i], integrals[i], xs[i], lag[i]), i)
+            reps, copies = list(first.values()), [(i, r) for i, r in enumerate(slots) if i != r]
+            evaluate = net.evaluator(mask, slots)
+            take = itemgetter(*slots) if copies else tuple
+        y = evaluate(w, x_train)
         if not isfinite(y):
             raise DivergenceError(f"network output became non-finite: {y}", iteration=k)
         if len(lags) == 1:  # every enabled controller takes the same step
@@ -255,13 +275,7 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
             elif xi < -w_max:
                 xi = -w_max
             w[i] = xi
-        for i, r in copies:
-            psis[i] = psis[r]
-            integrals[i] = integrals[r]
-            xs[i] = xs[r]
-            u[i] = u[r]
-            w[i] = w[r]
-        yield TraceRecord(k, k * dt, y, y_ref, tuple(w), tuple(u))
+        yield TraceRecord(k, k * dt, y, y_ref, take(w), take(u))
 
 
 def builtin_scenarios() -> dict[str, Scenario]:

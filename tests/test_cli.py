@@ -251,7 +251,7 @@ def test_unknown_builtin_exit_code(capsys):
     assert main(["run", "--builtin", "fig99"]) == 2
     assert "fig99" in capsys.readouterr().err
     assert main(["run", "--builtin", ""]) == 2
-    assert "unknown built-in ''" in capsys.readouterr().err
+    assert "unknown built-in (available: fig4, fig5, fig6, fig7, linsolve3), got ''" in capsys.readouterr().err
 
 
 def short_builtin(path, name, horizon=300, **edits):
@@ -339,7 +339,7 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
         (
             ONE_EDGE_NET.encode(),
             [],
-            "ValidationError: scenario.network.weights: the edges use weight indices up to 2, so 3 entries are needed, got 1",
+            "ValidationError: scenario.network.weights: an edge's weight index must be < 1, the number of weights, got 2",
         ),
         (
             ONE_EDGE_NET.replace("weights: [0.1]", "weights: [0.1, 0.2, 0.3]\n    mask: [true]").encode(),
@@ -476,8 +476,8 @@ def test_an_edge_weight_index_costs_no_memory(tmp_path, capsys):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert capsys.readouterr().err == (
-        "ValidationError: scenario.network.edges[0]: edge x1->y: weight index 4000000 needs a weights list; "
-        "without one an index must be < 1, the number of edges\n"
+        "ValidationError: scenario.network.edges[0]: edge x1->y: without a weights list a weight index must be "
+        "< 1, the number of edges, got 4000000\n"
     )
 
 

@@ -512,10 +512,10 @@ def test_network_w_max_is_not_a_key():
         # keys of two types: sorting them for the message used to raise TypeError
         ("{at: 300, drop_weight: 1, 7: 2, x: 3}", "scenario.events[3]", "unknown event keys ['7', 'x']"),
         ("{at: -1, drop_weight: 1}", "scenario.events[3]", "event iteration must be >= 0"),
-        ("{at: 501, drop_weight: 1}", "scenario.events[3]", "event at iteration 501 is beyond horizon 500"),
+        ("{at: 501, drop_weight: 1}", "scenario.events[3]", "event iteration is beyond horizon 500, got 501"),
         ("{at: 150, drop_weight: 1}", "scenario.events[3]", "events must be sorted by iteration"),
-        ("{at: 300, drop_weight: 7}", "scenario.events[3]", "drop_weight index 7 out of range [0, 7)"),
-        ("{at: 300, set_input: {index: 2, value: 0.1}}", "scenario.events[3]", "set_input index 2 out of range [0, 2)"),
+        ("{at: 300, drop_weight: 7}", "scenario.events[3]", "drop_weight index must be in [0, 7), got 7"),
+        ("{at: 300, set_input: {index: 2, value: 0.1}}", "scenario.events[3]", "set_input index must be in [0, 2), got 2"),
         # the YAML checkers reject these before the event's own type rules
         ("{at: 300.5, drop_weight: 1}", "scenario.events[3].at", "must be an integer, got 300.5"),
         ("{at: 300, drop_weight: true}", "scenario.events[3].drop_weight", "must be an integer, got True"),

@@ -1,0 +1,173 @@
+"""The generated forward pass, ``FeedforwardNet.evaluator``.
+
+Its reference is the interpreted loop it replaced, copied below as it
+stood: every comparison is of ``float.hex``, so a changed sign of zero or
+a changed rounding shows.  The tanh count pins the sharing of one tanh by
+nodes with the same sum, which the uniform-gain built-ins rely on.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from paramodel import Edge, FeedforwardNet, ScenarioEvent, builtin_scenarios, default_topology, train_online
+from paramodel import network
+from paramodel.elementary import tanh
+
+
+def interpreted(net, weights, mask, x):
+    """The forward pass as an interpreted loop over the plan."""
+    values = [*x, *(0.0,) * (len(net.hidden) + 1)]
+    for node_slot, terms in net._plan:
+        acc = 0.0
+        for src_slot, w_idx in terms:
+            if mask[w_idx]:
+                acc += weights[w_idx] * values[src_slot]
+        values[node_slot] = tanh(acc)
+    # the output node always occupies the last slot
+    return values[-1]
+
+
+def reference(net, weights, mask, x, slots=None):
+    if slots is not None:
+        weights = [weights[s] for s in slots]
+    return interpreted(net, weights, mask, x)
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+VALUES = st.one_of(SPECIAL, st.floats(min_value=-3.0, max_value=3.0), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def dags(draw):
+    """A random DAG: the output anywhere in the order of the other nodes,
+    nodes with no edge, weight indices shared by edges, and nodes that
+    copy an earlier node's edges (so their sums can share a tanh)."""
+    inputs = [f"x{j}" for j in range(draw(st.integers(0, 3)))]
+    hidden = [f"h{j}" for j in range(draw(st.integers(0, 4)))]
+    order = draw(st.permutations([*hidden, "y"]))
+    q = draw(st.integers(1, 6))
+    incoming: dict[str, list] = {}
+    edges = []
+    for pos, node in enumerate(order):
+        earlier = inputs + order[:pos]
+        if pos and draw(st.booleans()):
+            terms = incoming[draw(st.sampled_from(order[:pos]))]
+        elif earlier:
+            terms = draw(st.lists(st.tuples(st.sampled_from(earlier), st.integers(0, q - 1)), max_size=4))
+        else:
+            terms = []
+        incoming[node] = terms
+        edges += [Edge(src, node, i) for src, i in terms]
+    return FeedforwardNet(inputs=tuple(inputs), hidden=tuple(hidden), edges=tuple(edges), weights=(0.0,) * q)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(net=dags(), data=st.data())
+def test_generated_code_matches_the_interpreted_loop(net, data):
+    q = net.weight_count
+    mask = data.draw(st.lists(st.booleans(), min_size=q, max_size=q))
+    slots = data.draw(st.none() | st.lists(st.integers(0, q - 1), min_size=q, max_size=q))
+    w = data.draw(st.lists(VALUES, min_size=q, max_size=q))
+    x = data.draw(st.lists(VALUES, min_size=net.input_count, max_size=net.input_count))
+    got = net.evaluator(mask, slots)(w, x)
+    assert got.hex() == reference(net, w, mask, x, slots).hex()
+    if slots is None:
+        assert net.eval_with(w, mask, x).hex() == got.hex()
+
+
+def test_the_output_need_not_be_last_in_topological_order():
+    # y feeds h, so h is evaluated after y; h's value must not be returned
+    net = FeedforwardNet(
+        inputs=("a",),
+        hidden=("h",),
+        edges=(Edge("a", "y", 0), Edge("y", "h", 1)),
+        weights=(0.0, 0.0),
+    )
+    assert [slot for slot, _ in net._plan] == [2, 1]
+    w = [0.5, 2.0]
+    assert net.evaluator([True, True])(w, [1.0]) == tanh(0.5)
+
+
+def test_a_zero_sum_keeps_its_sign():
+    # 0.0 + -0.0 is 0.0: a sum started at its first term would give -0.0
+    net = FeedforwardNet(inputs=("a",), edges=(Edge("a", "y", 0),))
+    assert net.evaluator([True])([-0.0], [1.0]).hex() == "0x0.0p+0"
+    assert net.evaluator([False])([math.nan], [1.0]).hex() == "0x0.0p+0"
+
+
+def test_a_node_of_ten_thousand_edges_compiles_and_matches():
+    # one expression of a few thousand terms would exceed the compiler's
+    # recursion limit; one statement per term does not
+    n = 10_000
+    inputs = tuple(f"x{j}" for j in range(100))
+    edges = tuple(Edge(f"x{j % 100}", "y", j) for j in range(n))
+    net = FeedforwardNet(inputs=inputs, edges=edges)
+    w = [((-1) ** j) * (j % 97) / 5003.0 for j in range(n)]
+    x = [(j % 13 - 6) / 7.0 for j in range(100)]
+    mask = [j % 11 != 0 for j in range(n)]
+    assert net.evaluator(mask)(w, x).hex() == interpreted(net, w, mask, x).hex()
+
+
+def test_the_cache_is_bounded():
+    net = FeedforwardNet(inputs=("a",), edges=tuple(Edge("a", "y", i) for i in range(8)))
+    for bits in range(2 * network.EVALUATORS_CACHED):
+        net.evaluator([bool(bits >> i & 1) for i in range(8)])
+    info = network._compile.cache_info()
+    assert info.maxsize == network.EVALUATORS_CACHED
+    assert info.currsize <= network.EVALUATORS_CACHED
+
+
+@pytest.fixture
+def tanh_calls(monkeypatch):
+    """The number of tanh calls so far, in a one-item list."""
+    calls = [0]
+
+    def counted(s):
+        calls[0] += 1
+        return tanh(s)
+
+    monkeypatch.setattr(network, "tanh", counted)
+    return calls
+
+
+def calls_per_iteration(scenario, calls):
+    per = []
+    for _ in train_online(scenario):
+        per.append(calls[0])
+        calls[0] = 0
+    return per
+
+
+def test_nodes_with_the_same_sum_share_one_tanh(tanh_calls):
+    # uniform gains: h1 and h2 read x1 and x2 with one class's weight
+    fig4 = dataclasses.replace(builtin_scenarios()["fig4"], horizon=300)
+    assert calls_per_iteration(fig4, tanh_calls) == [2] * 300
+    # fig7-shaped: the skip edge enabled, then dropped; h1 and h2 share either way
+    events = (ScenarioEvent.set_input(100, 0, 0.15), ScenarioEvent.drop_weight(200, 6))
+    fig7 = dataclasses.replace(builtin_scenarios()["fig7"], horizon=300, events=events)
+    assert calls_per_iteration(fig7, tanh_calls) == [2] * 300
+    # fig6-shaped: dropping w3 leaves h2 one term, so it has its own tanh
+    events = (ScenarioEvent.drop_weight(0, 6), ScenarioEvent.drop_weight(100, 3))
+    fig6 = dataclasses.replace(builtin_scenarios()["fig6"], horizon=200, events=events)
+    assert calls_per_iteration(fig6, tanh_calls) == [2] * 99 + [3] * 101
+
+
+def test_staggered_gains_give_every_node_its_tanh(tanh_calls):
+    fig4 = dataclasses.replace(builtin_scenarios()["fig4"], horizon=50, stagger_rho=0.5)
+    assert calls_per_iteration(fig4, tanh_calls) == [3] * 50
+
+
+def test_a_cached_evaluator_calls_the_tanh_of_the_module(monkeypatch):
+    net = default_topology()
+    w, x = [0.5] * 7, [0.2, 0.6]
+    f = net.evaluator(net.mask)
+    before = f(w, x)
+    monkeypatch.setattr(network, "tanh", lambda s: 0.25)
+    assert net.evaluator(net.mask) is f
+    assert f(w, x) == 0.25 != before

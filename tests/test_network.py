@@ -233,7 +233,7 @@ def test_defaults_follow_the_edges():
     [
         (dict(weights=(math.nan,) + (0.0,) * 6), "weights", "must be a finite number, got nan"),
         (dict(weights=(0.0,) * 6 + (math.inf,)), "weights", "must be a finite number, got inf"),
-        (dict(weights=(0.0,) * 6), "weights", "the edges use weight indices up to 6, so 7 entries are needed, got 6"),
+        (dict(weights=(0.0,) * 6), "weights", "an edge's weight index must be < 6, the number of weights, got 6"),
         (dict(mask=(True,) * 6), "mask", "needs one entry per weight (7), got 6"),
         (dict(mask=("false",) + (True,) * 6), "mask", "must be true or false, got 'false'"),
         (dict(mask=(True,) * 6 + (1,)), "mask", "must be true or false, got 1"),
@@ -254,7 +254,7 @@ def test_without_weights_an_edge_index_is_below_the_edge_count():
         FeedforwardNet(inputs=("a",), edges=edges)
     assert (info.value.key, info.value.message) == (
         "edges[1]",
-        "edge a->y: weight index 2 needs a weights list; without one an index must be < 2, the number of edges",
+        "edge a->y: without a weights list a weight index must be < 2, the number of edges, got 2",
     )
     # with weights given, their length bounds the index
     assert FeedforwardNet(inputs=("a",), edges=edges, weights=(0.5, 0.0, 0.25)).weight_count == 3

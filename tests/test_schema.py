@@ -33,7 +33,12 @@ from paramodel import (
     builtin_problem,
     builtin_scenarios,
     default_topology,
+    forward,
+    set_mask,
+    set_weight,
 )
+from paramodel.config_io import builtin_config_dict
+from paramodel.controller import stagger_params
 from paramodel.errors import field_types, rule
 
 SAMPLE = TrainingSample(x=(0.2, 0.6), y=0.55)
@@ -122,6 +127,55 @@ def test_library_input_that_was_accepted_or_a_traceback(make, key):
     with pytest.raises(ValidationError) as err:
         make()
     assert err.value.key == key
+
+
+@pytest.mark.parametrize(
+    "call, key, shown",
+    [
+        (lambda: forward(default_topology(), ("a", 0.1)), "x", "'a'"),
+        (lambda: forward(default_topology(), (math.nan, 0.1)), "x", "nan"),
+        (lambda: forward(default_topology(), 0.1), "x", None),
+        (lambda: set_weight(default_topology(), "0", 0.3), "index", "'0'"),
+        (lambda: set_weight(default_topology(), True, 0.3), "index", "True"),
+        (lambda: set_mask(default_topology(), 1.5, True), "index", "1.5"),
+        (lambda: stagger_params(ControllerParams(), "3", 0.5), "n", "'3'"),
+        (lambda: stagger_params(ControllerParams(), 3, "0.5"), "rho", "'0.5'"),
+    ],
+)
+def test_function_arguments_follow_the_type_rules(call, key, shown):
+    # each ended in a bare TypeError, or (a nan input) in a nan output
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert err.value.key == key
+    if shown is not None:
+        assert err.value.message.endswith(f", got {shown}")
+
+
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FeedforwardNet(inputs=("a",), edges=(Edge("a", "y", HUGE),), weights=(0.0,)),
+        lambda: FeedforwardNet(inputs=("a",), edges=(Edge("a", "y", HUGE),)),
+        lambda: Scenario(SAMPLE, events=(ScenarioEvent.drop_weight(HUGE, 0),)),
+        lambda: Scenario(SAMPLE, events=(ScenarioEvent.set_input(5, HUGE, 0.1),)),
+        lambda: Scenario(SAMPLE, events=(ScenarioEvent.drop_weight(5, HUGE),)),
+        lambda: Scenario(SAMPLE, events=(ScenarioEvent.restore_weight(5, HUGE),)),
+        lambda: set_weight(default_topology(), HUGE, 0.3),
+        lambda: set_mask(default_topology(), -HUGE, False),
+        lambda: stagger_params(ControllerParams(), -HUGE, 0.5),
+        lambda: builtin_config_dict(str(HUGE)),
+    ],
+    ids=["weights", "edge", "at", "set_input", "drop_weight", "restore_weight",
+         "set_weight", "set_mask", "stagger_params", "builtin"],
+)
+def test_an_index_of_400_digits_is_shown_bounded(call):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert len(str(err.value)) < 160
+    assert "..." in str(err.value)
 
 
 def test_valid_values_are_stored_as_their_annotation_says():

@@ -295,10 +295,10 @@ def test_an_integer_event_value_is_a_float():
 @pytest.mark.parametrize(
     "event, message",
     [
-        (ScenarioEvent.drop_weight(201, 6), "event at iteration 201 is beyond horizon 200"),
+        (ScenarioEvent.drop_weight(201, 6), "event iteration is beyond horizon 200, got 201"),
         (ScenarioEvent.drop_weight(10, 6), "events must be sorted by iteration"),
-        (ScenarioEvent.drop_weight(50, 7), "drop_weight index 7 out of range [0, 7)"),
-        (ScenarioEvent.set_input(50, 2, 0.1), "set_input index 2 out of range [0, 2)"),
+        (ScenarioEvent.drop_weight(50, 7), "drop_weight index must be in [0, 7), got 7"),
+        (ScenarioEvent.set_input(50, 2, 0.1), "set_input index must be in [0, 2), got 2"),
         (ScenarioEvent.set_reference(50, 1.0), "set_reference value must satisfy |y| < 1, got 1.0"),
     ],
     ids=["beyond-horizon", "out-of-order", "weight-index", "input-index", "reference"],
