@@ -18,7 +18,7 @@ each controller's first-order filter (see ``dynamics``): both simulation
 loops call it once per iteration over their flat per-controller state
 (the trainer on one controller of each class of bit-identical ones), and
 ``controller_step`` and ``dynamics.filter_step`` are one-element views
-of it.
+of it.  It only does arithmetic, so numpy arrays run through it as lanes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .elementary import exp
-from .errors import DivergenceError, ValidationError, check_fields, rule
+from .errors import DivergenceError, ValidationError, check_fields, number, rule
 
 __all__ = [
     "ControllerParams", "ControllerState", "controller_new", "controller_step",
@@ -92,16 +92,16 @@ def decay(k_beta: float, k: int, dt: float) -> float:
     return exp(-k_beta * (k * dt))
 
 
-def step_all(idx, psis, integrals, xs, us, kps, kis, a, e, dt, tau) -> int:
+def step_all(idx, psis, integrals, xs, us, kps, kis, a, e, dt, tau) -> None:
     """One step of the law and then one RK4 step of its filter, for every
-    controller ``i`` in ``idx``, in index order, on flat per-controller lists.
+    controller ``i`` in ``idx``, on flat per-controller lists.
 
     The caller passes ``a[i] = k_alpha*d - y`` (``d`` the step's ``decay``)
     and ``e[i] = y_ref - y``; ``psis``, ``integrals``, ``xs`` (the filter
     outputs) and ``us`` (the controls) are updated in place.  The filter is
-    ``x' = (u - x)/tau`` with u held over the step.  Returns the first index
-    whose new x is non-finite, else -1; a non-finite u always makes x
-    non-finite (inf - inf in stage two), so the one check covers the law.
+    ``x' = (u - x)/tau`` with u held over the step.  It tests nothing: the
+    caller tests x for divergence, which covers the law too, as a non-finite
+    u always makes x non-finite (inf - inf in stage two).
     """
     h = 0.5 * dt
     for i in idx:
@@ -118,9 +118,6 @@ def step_all(idx, psis, integrals, xs, us, kps, kis, a, e, dt, tau) -> int:
         integrals[i] = integral
         us[i] = u
         xs[i] = x
-        if x - x != 0.0:
-            return i
-    return -1
 
 
 ONE = (0,)  # the index list of a one-controller step_all
@@ -135,17 +132,20 @@ def controller_step(
     """Advance the controller one step and return (new state, control).
 
     ``y_meas`` is the output measured before this control update, i.e. the
-    plant response to the previous control.  Raises DivergenceError if the
+    plant response to the previous control.  ``y_ref`` and ``y_meas`` may be
+    any int or float, inf and nan included; an argument of another type
+    raises ValidationError keyed by its name.  Raises DivergenceError if the
     series, the integral, or the control goes non-finite.
     """
+    state, p = rule(ControllerState)(state, "state"), rule(ControllerParams)(params, "params")
+    y_ref, y_meas = number(y_ref, "y_ref"), number(y_meas, "y_meas")
     k = state.k + 1
-    p = params
     d = decay(p.k_beta, k, p.dt)
-    # the filter state is a dummy: with tau = inf it stays finite exactly
-    # while u is finite
+    # step_all also steps a filter, which is not read
     psis, integrals, us = [state.psi], [state.integral], [0.0]
     a, e = [p.k_alpha * d - y_meas], [y_ref - y_meas]
-    if step_all(ONE, psis, integrals, [0.0], us, [p.kp], [p.ki], a, e, p.dt, math.inf) >= 0:
+    step_all(ONE, psis, integrals, [0.0], us, [p.kp], [p.ki], a, e, p.dt, math.inf)
+    if us[0] - us[0] != 0.0:  # also non-finite whenever psi or the integral is
         raise divergence(k, psis[0], integrals[0], us[0])
     return ControllerState(psi=psis[0], integral=integrals[0], k=k), us[0]
 

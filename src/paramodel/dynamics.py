@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .controller import ONE, step_all
-from .errors import DivergenceError, ValidationError, check_fields
+from .errors import DivergenceError, ValidationError, check_fields, number, rule
 
 __all__ = ["FirstOrderFilter", "filter_step"]
 
@@ -40,11 +40,16 @@ def filter_step(filt: FirstOrderFilter, u: float, dt: float) -> FirstOrderFilter
 
     The step is ``controller.step_all`` with the law made the identity:
     psi = u, integral = 1, kp = ki = 0 and a = -0.0, so u passes through
-    bit for bit (adding -0.0 keeps a signed zero).
+    bit for bit (adding -0.0 keeps a signed zero).  ``u`` and ``dt`` may be
+    any int or float, inf and nan included; an argument of another type
+    raises ValidationError keyed by its name.
     """
+    filt = rule(FirstOrderFilter)(filt, "filt")
+    u, dt = number(u, "u"), number(dt, "dt")
     if not dt > 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     xs = [filt.state]
-    if step_all(ONE, [u], [1.0], xs, [0.0], [0.0], [0.0], [-0.0], [0.0], dt, filt.tau) >= 0:
+    step_all(ONE, [u], [1.0], xs, [0.0], [0.0], [0.0], [-0.0], [0.0], dt, filt.tau)
+    if xs[0] - xs[0] != 0.0:
         raise DivergenceError(f"filter state became non-finite: {xs[0]}")
     return FirstOrderFilter(tau=filt.tau, state=xs[0])

@@ -128,17 +128,30 @@ def rule(tp):
     raise TypeError(f"no type rule for the annotation {tp!r}")
 
 
+def number(value, key):
+    """``value`` as a float: an int or a float, inf and nan included, but
+    not a bool.  Else raises ValidationError(key=key)."""
+    as_float = _as_float(value)
+    if as_float is None:
+        raise ValidationError("must be a number", key, got=value)
+    return as_float
+
+
+def _as_float(value):
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):  # an int or a float subclass
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond float range
+            pass
+    return None
+
+
 def _float(value, key):
-    number = value
-    if type(value) is not float:  # an int, a float subclass, or no number
-        number = None
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            try:
-                number = float(value)
-            except OverflowError:  # an int beyond float range
-                pass
-    if number is not None and number - number == 0.0:
-        return number
+    as_float = _as_float(value)
+    if as_float is not None and as_float - as_float == 0.0:
+        return as_float
     raise ValidationError("must be a finite number", key, got=value)
 
 

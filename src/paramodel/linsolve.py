@@ -97,7 +97,7 @@ def solve_linear(
     Iteration k measures y from the previous x, steps every controller
     against (b_j, y_j) synchronously, filters the raw controls into the
     new x, and records the pair (x_k, y_k = A x_k).  Raises DivergenceError
-    with k (and the unknown, for a step) if any value goes non-finite.
+    with k once a y is non-finite, naming the lowest non-finite unknown if any.
     """
     b = problem.b
     n = len(b)
@@ -119,19 +119,18 @@ def solve_linear(
     y_trace: list[tuple[float, ...]] = []
     for k in range(1, problem.horizon + 1):
         e = list(map(sub, b, y))
-        bad = -1  # the lowest diverging unknown of all groups
         for (k_alpha, k_beta, dt, tau), idx in groups.items():
             kd = k_alpha * decay(k_beta, k, dt)
             for j in idx:
                 a[j] = kd - y[j]
-            j = step_all(idx, psis, integrals, x, us, kps, kis, a, e, dt, tau)
-            if j >= 0 and (bad < 0 or j < bad):
-                bad = j
-        if bad >= 0:
-            raise divergence(k, psis[bad], integrals[bad], us[bad], x[bad], f"unknown {bad}: ")
+            step_all(idx, psis, integrals, x, us, kps, kis, a, e, dt, tau)
         y = matvec(problem.a, x)
         for v in y:
             if v - v != 0.0:
+                # A is finite, so a non-finite x makes every y non-finite
+                for j, xj in enumerate(x):
+                    if xj - xj != 0.0:
+                        raise divergence(k, psis[j], integrals[j], us[j], xj, f"unknown {j}: ")
                 raise DivergenceError(f"measured output became non-finite: {y}", iteration=k)
         x_trace.append(tuple(x))
         y_trace.append(y)

@@ -11,10 +11,11 @@ at prescribed iterations, and the loop emits one trace record, a
 Loop order within one iteration: at an event iteration, copy each class's
 state to its other members, apply the events and regroup the classes;
 then measure the output with the current weights, step one controller and
-filter of each class, clamp, record.  Between events a class member's
-state is not updated: the network reads each weight, and the record
-shows it, through its class's representative (``FeedforwardNet.evaluator``
-with a slot map, one tanh per distinct node sum).
+filter of each class, test the filter output for divergence, clamp it,
+record.  Between events a class member's state is not updated: the
+network reads each weight, and the record shows it, through its class's
+representative (``FeedforwardNet.evaluator`` with a slot map, one tanh
+per distinct node sum).
 Dropped weights are held at zero with their controller and filter frozen;
 restoring a weight re-installs the frozen filter state and resumes
 stepping, so a drop/restore pair at the same iteration is an exact no-op.
@@ -265,11 +266,11 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
         else:  # a restored weight lags the others
             by_lag = {n: k_alpha * decay(k_beta, k - n, dt) - y for n in lags}
             a = [by_lag.get(n, 0.0) for n in lag]
-        bad = step_all(reps, psis, integrals, xs, u, kps, kis, a, [y_ref - y] * q, dt, tau)
-        if bad >= 0:  # before the clamp, which would hide it
-            raise divergence(k, psis[bad], integrals[bad], u[bad], xs[bad], f"weight {bad}: ")
+        step_all(reps, psis, integrals, xs, u, kps, kis, a, [y_ref - y] * q, dt, tau)
         for i in reps:
             xi = xs[i]
+            if xi - xi != 0.0:  # before the clamp, which would turn inf into w_max
+                raise divergence(k, psis[i], integrals[i], u[i], xi, f"weight {i}: ")
             if xi > w_max:
                 xi = w_max
             elif xi < -w_max:

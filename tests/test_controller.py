@@ -159,3 +159,32 @@ def test_divergence_reports_iteration():
     with pytest.raises(DivergenceError) as err:
         controller_step(controller_new(p), p, 0.0, 0.0)
     assert err.value.iteration == 1
+
+
+@pytest.mark.parametrize(
+    "args, key, message",
+    [
+        (("s", PARAMS, 0.1, 0.0), "state", "must be a ControllerState, got 's'"),
+        ((PARAMS, PARAMS, 0.1, 0.0), "state", "must be a ControllerState, got ControllerParams(k...eta=40.0, dt=1e-05)"),
+        ((ControllerState(), None, 0.1, 0.0), "params", "must be a ControllerParams, got None"),
+        (
+            (ControllerState(), ControllerState(), 0.1, 0.0),
+            "params",
+            "must be a ControllerParams, got ControllerState(ps... integral=0.0, k=0)",
+        ),
+        ((ControllerState(), PARAMS, "0.1", 0.0), "y_ref", "must be a number, got '0.1'"),
+        ((ControllerState(), PARAMS, None, 0.0), "y_ref", "must be a number, got None"),
+        ((ControllerState(), PARAMS, 0.1, True), "y_meas", "must be a number, got True"),
+    ],
+)
+def test_step_argument_types(args, key, message):
+    with pytest.raises(ValidationError) as err:
+        controller_step(*args)
+    assert (err.value.key, err.value.message) == (key, message)
+
+
+def test_step_takes_ints_and_non_finite_outputs():
+    s0 = ControllerState(psi=2.0, integral=0.5, k=9)
+    assert controller_step(s0, PARAMS, 1, 0) == controller_step(s0, PARAMS, 1.0, 0.0)
+    with pytest.raises(DivergenceError, match=r"controller state became non-finite: .* u=nan \(iteration 10\)"):
+        controller_step(s0, PARAMS, 0.5, math.nan)

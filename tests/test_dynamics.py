@@ -121,3 +121,28 @@ def test_divergence_pathological_ratio():
     # dt/tau large enough to overflow the stage arithmetic
     with pytest.raises(DivergenceError):
         filter_step(FirstOrderFilter(tau=1e-300, state=0.0), 1e200, 1e10)
+
+
+@pytest.mark.parametrize(
+    "args, key, message",
+    [
+        (("f", 1.0, 1e-5), "filt", "must be a FirstOrderFilter, got 'f'"),
+        ((FirstOrderFilter(), "x", 1e-5), "u", "must be a number, got 'x'"),
+        ((FirstOrderFilter(), True, 1e-5), "u", "must be a number, got True"),
+        ((FirstOrderFilter(), None, 1e-5), "u", "must be a number, got None"),
+        ((FirstOrderFilter(), 1.0, "1e-5"), "dt", "must be a number, got '1e-5'"),
+        ((FirstOrderFilter(), 1.0, 10**400), "dt", "must be a number, got 100000000000000000...0000000000000000000"),
+    ],
+)
+def test_step_argument_types(args, key, message):
+    with pytest.raises(ValidationError) as err:
+        filter_step(*args)
+    assert (err.value.key, err.value.message) == (key, message)
+
+
+def test_step_takes_ints_and_non_finite_inputs():
+    assert filter_step(FirstOrderFilter(tau=1.0), 1, 1) == filter_step(FirstOrderFilter(tau=1.0), 1.0, 1.0)
+    with pytest.raises(DivergenceError, match=r"^filter state became non-finite: nan$"):
+        filter_step(FirstOrderFilter(), math.inf, 1e-5)
+    with pytest.raises(ValidationError, match="dt must be positive, got nan"):
+        filter_step(FirstOrderFilter(), 1.0, math.nan)

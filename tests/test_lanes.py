@@ -1,0 +1,105 @@
+"""The one kernel body on numpy lanes, and a core that imports without numpy.
+
+``controller.step_all`` and ``linsolve.matvec`` are arithmetic and list
+indexing only, so they run unchanged on numpy arrays: one array per
+unknown, one element (a lane) per configuration.  numpy's elementwise
+``+ - * /`` are single IEEE-754 operations, so a lane that takes the
+scalar solver's operations in the scalar solver's order gets its bits.
+The loop of ``lane_solve`` is only the harness of ``solve_linear`` (the
+decay, the errors, the product); it holds no copy of the law or of the
+RK4 step.
+"""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+from test_config_io import run_python
+
+from paramodel import (
+    DivergenceError,
+    FirstOrderFilter,
+    LinearTrackingProblem,
+    matvec,
+    solve_linear,
+    stagger_params,
+)
+from paramodel.controller import decay, step_all
+from paramodel.linsolve import DEMO_A, DEMO_B, DEMO_GAINS
+
+RHOS = (0.5, 0.8, 0.9, 1.0)
+HORIZON = 5_000
+
+
+def linsolve3(rho: float, horizon: int = HORIZON) -> LinearTrackingProblem:
+    """The built-in linsolve3 problem at stagger ratio ``rho``."""
+    controllers = tuple(stagger_params(DEMO_GAINS, n=3, rho=rho))
+    return LinearTrackingProblem(
+        a=DEMO_A, b=DEMO_B, controllers=controllers, filters=(FirstOrderFilter(),) * 3, horizon=horizon
+    )
+
+
+def lane_solve(problems):
+    """x of every iteration, shape (horizon, unknowns, lanes), of
+    ``solve_linear``'s loop run with one lane per problem.
+
+    The problems may differ only in kp and ki, so the lanes share one
+    group: one decay and one ``step_all`` call per iteration.  Nothing
+    stops at a divergence; a diverged lane just carries inf and nan on.
+    """
+    np = pytest.importorskip("numpy")
+    first = problems[0]
+    ((k_alpha, k_beta, dt, tau),) = {
+        (p.k_alpha, p.k_beta, p.dt, f.tau) for q in problems for p, f in zip(q.controllers, q.filters)
+    }
+    assert all((q.a, q.b, q.horizon) == (first.a, first.b, first.horizon) for q in problems)
+    n, lanes = len(first.b), len(problems)
+    kps = [np.array([q.controllers[j].kp for q in problems]) for j in range(n)]
+    kis = [np.array([q.controllers[j].ki for q in problems]) for j in range(n)]
+    psis, integrals, us = ([np.zeros(lanes) for _ in range(n)] for _ in range(3))
+    x = [np.full(lanes, f.state) for f in first.filters]
+    y = matvec(first.a, x)
+    trace = np.empty((first.horizon, n, lanes))
+    with np.errstate(all="ignore"):
+        for k in range(1, first.horizon + 1):
+            kd = k_alpha * decay(k_beta, k, dt)
+            a = [kd - y_j for y_j in y]
+            e = [b_j - y_j for b_j, y_j in zip(first.b, y)]
+            step_all(range(n), psis, integrals, x, us, kps, kis, a, e, dt, tau)
+            y = matvec(first.a, x)
+            trace[k - 1] = x
+    return trace
+
+
+def test_lanes_run_the_scalar_solve_bit_for_bit():
+    np = pytest.importorskip("numpy")
+    problems = [linsolve3(rho) for rho in RHOS]
+    trace = lane_solve(problems)
+    bits = trace.view(np.int64)  # -0.0 told apart from 0.0
+    finite = np.isfinite(trace)
+    diverged = []
+    for lane, problem in enumerate(problems):
+        try:
+            x_trace, _ = solve_linear(problem)
+        except DivergenceError as err:
+            k = err.iteration
+            unknown = int(re.match(r"unknown (\d+): ", str(err)).group(1))
+            # the lane goes non-finite first at iteration k, lowest in the unknown named
+            assert finite[: k - 1, :, lane].all()
+            assert np.flatnonzero(~finite[k - 1, :, lane])[0] == unknown
+            diverged.append((k, unknown))
+            x_trace, _ = solve_linear(linsolve3(RHOS[lane], horizon=k - 1))
+        assert np.array_equal(bits[: len(x_trace), :, lane], np.array(x_trace).view(np.int64))
+    assert diverged == [(4634, 0), (1606, 0), (1090, 0)]
+
+
+def test_the_core_imports_without_numpy():
+    out = run_python(
+        "import sys\n"
+        "import paramodel\n"
+        "from paramodel import cli\n"
+        "cli.main(['run', '--builtin', 'linsolve3', '--horizon', '10'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert out.splitlines()[-1] == "False"

@@ -208,3 +208,17 @@ def test_as_records_shape():
     assert recs[0].b == problem.b
     assert recs[2].x == x_trace[2]
     assert recs[2].y == y_trace[2]
+
+
+def test_divergence_by_an_infinite_filter_output():
+    # u is finite at iteration 1 and the RK4 step overflows to +inf
+    problem = LinearTrackingProblem(
+        a=((1.0,),),
+        b=(0.5,),
+        controllers=(ControllerParams(kp=1e160, ki=1e153, k_alpha=1.0, k_beta=0.0),),
+        filters=(FirstOrderFilter(tau=1.0),),
+        horizon=5,
+    )
+    with pytest.raises(DivergenceError) as err:
+        solve_linear(problem)
+    assert str(err.value) == "unknown 0: filter state became non-finite: inf (iteration 1)"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from paramodel import (
     ControllerParams,
+    DivergenceError,
     LinsolveRecord,
     Scenario,
     ScenarioEvent,
@@ -427,3 +428,17 @@ def test_final_state_consistency(builtin_run):
 def test_clamp_enforced_on_all_records(builtin_run):
     for name in ("fig4", "fig7"):
         assert builtin_run(name).max_abs_w <= 1.0
+
+
+def test_divergence_by_an_infinite_filter_output():
+    # u is finite at iteration 1 and the RK4 step overflows to +inf, which
+    # the clamp would turn into w_max: the test must come before it
+    scenario = Scenario(
+        TrainingSample(x=(0.2, 0.6), y=0.55),
+        base_params=ControllerParams(kp=1e160, ki=9.09e152, k_alpha=1.0, k_beta=0.0),
+        tau=1.0,
+        horizon=5,
+    )
+    with pytest.raises(DivergenceError) as err:
+        list(train_online(scenario))
+    assert str(err.value) == "weight 0: filter state became non-finite: inf (iteration 1)"
