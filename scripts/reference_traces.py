@@ -56,6 +56,8 @@ def main() -> int:
     parser.add_argument("--outdir", default="out/reference")
     outdir = pathlib.Path(parser.parse_args().outdir)
     paramodel.controller.exp = reference("exp")
+    # a decay column cached before the substitution would skip the reference
+    paramodel.controller._decay_block.cache_clear()
     paramodel.network.tanh = reference("tanh")
     run_builtins.main(["--outdir", str(outdir), "--decimate", "100"])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import sub
 from typing import NamedTuple
 
-from .controller import ControllerParams, decay, divergence, stagger_params, step_all
+from .controller import ControllerParams, decays, divergence, stagger_params, step_all
 from .dynamics import FirstOrderFilter
 from .errors import DivergenceError, ValidationError, check_fields
 
@@ -105,10 +105,12 @@ def solve_linear(
     kps = [p.kp for p in ctrl]
     kis = [p.ki for p in ctrl]
     # the unknowns of each distinct (k_alpha, k_beta, dt, tau) in index order:
-    # one decay and one kernel call per group and iteration, in practice one
-    groups: dict[tuple[float, float, float, float], list[int]] = {}
+    # one decay column, read once per iteration, and one kernel call per
+    # group and iteration, in practice one group
+    by_key: dict[tuple[float, float, float, float], list[int]] = {}
     for j, (p, f) in enumerate(zip(ctrl, problem.filters)):
-        groups.setdefault((p.k_alpha, p.k_beta, p.dt, f.tau), []).append(j)
+        by_key.setdefault((p.k_alpha, p.k_beta, p.dt, f.tau), []).append(j)
+    groups = [(k_alpha, decays(k_beta, dt), dt, tau, idx) for (k_alpha, k_beta, dt, tau), idx in by_key.items()]
     psis = [0.0] * n
     integrals = [0.0] * n
     us = [0.0] * n
@@ -119,8 +121,8 @@ def solve_linear(
     y_trace: list[tuple[float, ...]] = []
     for k in range(1, problem.horizon + 1):
         e = list(map(sub, b, y))
-        for (k_alpha, k_beta, dt, tau), idx in groups.items():
-            kd = k_alpha * decay(k_beta, k, dt)
+        for k_alpha, column, dt, tau, idx in groups:
+            kd = k_alpha * next(column)
             for j in idx:
                 a[j] = kd - y[j]
             step_all(idx, psis, integrals, x, us, kps, kis, a, e, dt, tau)

@@ -136,7 +136,7 @@ class FeedforwardNet:
             order = [n for n in graph.static_order() if n not in self.inputs]
         except CycleError:
             raise ValidationError("network graph has a cycle") from None
-        return tuple((slot[n], tuple(incoming[n])) for n in order)
+        return _Plan((slot[n], tuple(incoming[n])) for n in order)
 
     def evaluator(self, mask: Sequence[bool], slots: Sequence[int] | None = None) -> Callable:
         """The forward pass under ``mask``, as a function ``f(w, x)``.
@@ -168,6 +168,19 @@ class FeedforwardNet:
         comparisons stay bit-exact.
         """
         return self.evaluator(mask)(weights, x)
+
+
+class _Plan(tuple):
+    """A net's evaluation plan, which computes its hash once: the plan is
+    part of the key ``_compile``'s cache hashes at every ``evaluator`` call."""
+
+    def __new__(cls, nodes):
+        plan = super().__new__(cls, nodes)
+        plan._hash = tuple.__hash__(plan)
+        return plan
+
+    def __hash__(self):
+        return self._hash
 
 
 #: Compiled forward passes kept by ``FeedforwardNet.evaluator``: a run

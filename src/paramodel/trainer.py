@@ -31,7 +31,7 @@ from operator import itemgetter
 from struct import pack
 from typing import Iterator, NamedTuple
 
-from .controller import ControllerParams, decay, divergence, stagger_params, step_all
+from .controller import ControllerParams, decays, divergence, stagger_params, step_all
 from .dynamics import DEFAULT_TAU
 from .errors import DivergenceError, ValidationError, check_fields
 from .network import FeedforwardNet, TrainingSample, default_topology
@@ -208,7 +208,7 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
 
     # events by iteration, in their listed order, those of 0 with those of 1;
     # first the weights the net's mask disables are dropped at 0, so
-    # iteration 1 always builds the enabled weights and their distinct lags
+    # iteration 1 always builds the enabled weights and their decay columns
     events: dict[int, list[ScenarioEvent]] = {
         1: [ScenarioEvent.drop_weight(0, i) for i in range(q) if not net.mask[i]]
     }
@@ -247,7 +247,8 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
                     mask[i] = True
                     w[i] = min(max(xs[i], -w_max), w_max)
             active = [i for i in range(q) if mask[i]]
-            lags = sorted({lag[i] for i in active})
+            # one decay column per distinct lag, read once per iteration
+            columns = [(n, decays(k_beta, dt, k - n)) for n in sorted({lag[i] for i in active})]
             # a class of the same gains, lag and state bits steps its lowest
             # index, its representative; every slot of a weight names the
             # representative whose w and u stand for it until the next event
@@ -261,10 +262,10 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
         y = evaluate(w, x_train)
         if not isfinite(y):
             raise DivergenceError(f"network output became non-finite: {y}", iteration=k)
-        if len(lags) == 1:  # every enabled controller takes the same step
-            a = [k_alpha * decay(k_beta, k - lags[0], dt) - y] * q
+        if len(columns) == 1:  # every enabled controller takes the same step
+            a = [k_alpha * next(columns[0][1]) - y] * q
         else:  # a restored weight lags the others
-            by_lag = {n: k_alpha * decay(k_beta, k - n, dt) - y for n in lags}
+            by_lag = {n: k_alpha * next(column) - y for n, column in columns}
             a = [by_lag.get(n, 0.0) for n in lag]
         step_all(reps, psis, integrals, xs, u, kps, kis, a, [y_ref - y] * q, dt, tau)
         for i in reps:

@@ -62,6 +62,30 @@ def test_invalid_params_rejected(kwargs):
         ControllerParams(**base)
 
 
+@pytest.mark.parametrize(
+    "kwargs, key, message",
+    [
+        (dict(psi="s"), "psi", "must be a finite number, got 's'"),
+        (dict(integral=math.nan), "integral", "must be a finite number, got nan"),
+        (dict(k="3"), "k", "must be an integer, got '3'"),
+        (dict(k=1.5), "k", "must be an integer, got 1.5"),
+        (dict(k=True), "k", "must be an integer, got True"),
+        (dict(k=-1), "k", "step count must be >= 0, got -1"),
+    ],
+)
+def test_invalid_state_rejected(kwargs, key, message):
+    # before its own check a state like these ended in a bare TypeError
+    # inside the kernel, or (k=1.5) stepped to k=2.5
+    with pytest.raises(ValidationError) as err:
+        ControllerState(**kwargs)
+    assert (err.value.key, err.value.message) == (key, message)
+
+
+def test_state_stores_an_int_psi_as_a_float():
+    s = ControllerState(psi=2, integral=1)
+    assert (type(s.psi), type(s.integral)) == (float, float)
+
+
 def test_step_zero_error_zero_init():
     p = ControllerParams(kp=1.0, ki=0.01, k_alpha=0.0, k_beta=40.0, dt=1e-5)
     s, u = controller_step(controller_new(p), p, 0.0, 0.0)

@@ -123,6 +123,15 @@ def test_the_cache_is_bounded():
     assert info.currsize <= network.EVALUATORS_CACHED
 
 
+def test_equal_nets_share_one_evaluator_and_a_plan_hashes_once():
+    net, twin = default_topology(), default_topology()
+    assert net._plan is not twin._plan
+    assert net.evaluator(net.mask) is twin.evaluator(twin.mask)
+    # the cache key's hash is stored with the plan, so a lookup does not
+    # walk the plan's nodes and edges again
+    assert net._plan._hash == hash(net._plan) == hash(tuple(net._plan))
+
+
 @pytest.fixture
 def tanh_calls(monkeypatch):
     """The number of tanh calls so far, in a one-item list."""

@@ -6,8 +6,8 @@ unknown, one element (a lane) per configuration.  numpy's elementwise
 ``+ - * /`` are single IEEE-754 operations, so a lane that takes the
 scalar solver's operations in the scalar solver's order gets its bits.
 The loop of ``lane_solve`` is only the harness of ``solve_linear`` (the
-decay, the errors, the product); it holds no copy of the law or of the
-RK4 step.
+decay column, the errors, the product); it holds no copy of the law or of
+the RK4 step.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from paramodel import (
     solve_linear,
     stagger_params,
 )
-from paramodel.controller import decay, step_all
+from paramodel.controller import decays, step_all
 from paramodel.linsolve import DEMO_A, DEMO_B, DEMO_GAINS
 
 RHOS = (0.5, 0.8, 0.9, 1.0)
@@ -45,7 +45,8 @@ def lane_solve(problems):
     ``solve_linear``'s loop run with one lane per problem.
 
     The problems may differ only in kp and ki, so the lanes share one
-    group: one decay and one ``step_all`` call per iteration.  Nothing
+    group: one decay column, read once per iteration, and one ``step_all``
+    call per iteration.  Nothing
     stops at a divergence; a diverged lane just carries inf and nan on.
     """
     np = pytest.importorskip("numpy")
@@ -61,9 +62,10 @@ def lane_solve(problems):
     x = [np.full(lanes, f.state) for f in first.filters]
     y = matvec(first.a, x)
     trace = np.empty((first.horizon, n, lanes))
+    column = decays(k_beta, dt)
     with np.errstate(all="ignore"):
         for k in range(1, first.horizon + 1):
-            kd = k_alpha * decay(k_beta, k, dt)
+            kd = k_alpha * next(column)
             a = [kd - y_j for y_j in y]
             e = [b_j - y_j for b_j, y_j in zip(first.b, y)]
             step_all(range(n), psis, integrals, x, us, kps, kis, a, e, dt, tau)

@@ -86,7 +86,7 @@ def outcome(step, *args):
 any_float = st.floats() | st.sampled_from(SPECIAL)
 FINITE = [v for v in SPECIAL if math.isfinite(v)]
 # what ControllerParams and FirstOrderFilter accept: >= 0 (-0.0 included) or > 0, finite;
-# a filter state is any finite float
+# a filter state, psi and the integral are any finite float
 state_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FINITE)
 gain = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308])
 step_size = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from([5e-324, 1e-5, 1.7976931348623157e308])
@@ -94,8 +94,8 @@ step_size = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from(
 
 @settings(max_examples=800, deadline=None)
 @given(
-    psi=any_float,
-    integral=any_float,
+    psi=state_float,
+    integral=state_float,
     k=st.integers(0, 10**6),
     kp=gain,
     ki=gain,
@@ -126,7 +126,7 @@ def test_filter_step_is_the_literal_rk4(tau, x, u, dt):
 )
 def test_views_on_every_combination_of_special_values(kp, ki, k_alpha, k_beta, tau):
     params = ControllerParams(kp=kp, ki=ki, k_alpha=k_alpha, k_beta=k_beta, dt=1e-5)
-    for psi, integral, y_ref, y_meas in itertools.product(SPECIAL, repeat=4):
+    for psi, integral, y_ref, y_meas in itertools.product(FINITE, FINITE, SPECIAL, SPECIAL):
         state = ControllerState(psi=psi, integral=integral, k=3)
         assert outcome(controller_step, state, params, y_ref, y_meas) == outcome(
             literal_controller_step, state, params, y_ref, y_meas
@@ -137,6 +137,10 @@ def test_views_on_every_combination_of_special_values(kp, ki, k_alpha, k_beta, t
     for x in (math.inf, -math.inf, math.nan):  # no step starts from a non-finite state
         with pytest.raises(ValidationError, match="state: must be a finite number"):
             FirstOrderFilter(tau=tau, state=x)
+        with pytest.raises(ValidationError, match="psi: must be a finite number"):
+            ControllerState(psi=x, integral=0.5, k=3)
+        with pytest.raises(ValidationError, match="integral: must be a finite number"):
+            ControllerState(psi=0.5, integral=x, k=3)
 
 
 @contextlib.contextmanager
