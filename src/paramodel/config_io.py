@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Union, get_args, get_origin
 from . import linsolve, trainer
 from .controller import ControllerParams, stagger_params
 from .dynamics import DEFAULT_TAU, FirstOrderFilter
-from .errors import ParseError, ValidationError, check_fields, field_types, rule
+from .errors import Count, ParseError, Positive, Ratio, ValidationError, check_fields, field_types, rule
 from .linsolve import LinearTrackingProblem, LinsolveRecord
 from .network import Edge
 from .trainer import EVENT_ARGS, Scenario, ScenarioEvent, TraceRecord, builtin_scenarios
@@ -67,8 +67,8 @@ class RunConfig:
     scenario: Scenario | None = None
     problem: LinearTrackingProblem | None = None
     output: str | None = None
-    decimation: int = DEFAULT_DECIMATION
-    tolerance: float = DEFAULT_TOLERANCE
+    decimation: Count = DEFAULT_DECIMATION
+    tolerance: Positive = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         check_fields(self)
@@ -82,10 +82,6 @@ class RunConfig:
                 raise ValidationError(f"{self.mode} mode does not use a {section}", key=section)
         if self.output == "":
             raise ValidationError("must be a file path, or null for no trace, got ''", key="output")
-        if self.decimation < 1:
-            raise ValidationError("must be >= 1", key="decimation", got=self.decimation)
-        if not self.tolerance > 0.0:
-            raise ValidationError(f"must be finite and > 0, got {self.tolerance}", key="tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +346,8 @@ _KEYS = {
 }
 
 #: The keys of a ``problem`` that generate the list named beside them, none
-#: a field, with their types.
-_GENERATOR = {"gains": ("controllers", ControllerParams), "stagger_rho": ("controllers", float), "tau": ("filters", float)}
+#: a field, with the annotation each is read by.
+_GENERATOR = {"gains": ("controllers", ControllerParams), "stagger_rho": ("controllers", Ratio), "tau": ("filters", Positive)}
 
 
 @functools.cache
@@ -431,15 +427,9 @@ def _problem(cls, d, key: str) -> LinearTrackingProblem:
     n = len(v.get("b", ()))
     if "controllers" not in v:
         rho = gen.get("stagger_rho", linsolve.DEMO_RHO)
-        try:
-            v["controllers"] = tuple(stagger_params(gen.get("gains", ControllerParams()), n, rho)) if n else ()
-        except ValidationError as err:
-            raise ValidationError(err.message, key=f"{key}.stagger_rho") from None
+        v["controllers"] = tuple(stagger_params(gen.get("gains", ControllerParams()), n, rho)) if n else ()
     if "filters" not in v:
-        try:
-            v["filters"] = (FirstOrderFilter(gen.get("tau", DEFAULT_TAU)),) * n
-        except ValidationError as err:
-            raise ValidationError(err.message, key=f"{key}.tau") from None
+        v["filters"] = (FirstOrderFilter(gen.get("tau", DEFAULT_TAU)),) * n
     return _make(cls, v, key)
 
 
@@ -599,7 +589,8 @@ def _codec(cls, width: int):
 
 
 def write_trace(records: Iterable, path: str, decimation: int = 1) -> None:
-    """Write records as CSV, keeping every ``decimation``-th iteration.
+    """Write records as CSV, keeping every ``decimation``-th iteration
+    (a ``Count``: an int >= 1).
 
     Train-mode records give ``k,t,y,y_ref,w1..wq,u1..uq``; linear-solver
     records give ``k,y1..yn,b1..bn,x1..xn``.  Floats are written with
@@ -610,8 +601,7 @@ def write_trace(records: Iterable, path: str, decimation: int = 1) -> None:
     scalar train-mode header only.  Every record must have the width of
     the first: a tuple of another length raises ValueError.
     """
-    if decimation < 1:
-        raise ValidationError(f"must be >= 1, got {decimation}", key="decimation")
+    decimation = rule(Count)(decimation, "decimation")
     it = iter(records)
     first = next(it, None)
     with open(path, "w", encoding="ascii", newline="") as fh:

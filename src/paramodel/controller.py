@@ -35,7 +35,7 @@ from itertools import chain, count, islice, repeat
 from typing import Iterator
 
 from .elementary import exp
-from .errors import DivergenceError, ValidationError, check_fields, number, rule
+from .errors import Count, DivergenceError, Index, NonNegative, Positive, Ratio, check_fields, number, rule
 
 __all__ = [
     "ControllerParams", "ControllerState", "controller_new", "controller_step",
@@ -52,24 +52,14 @@ class ControllerParams:
     paper's operating point, which the built-in training runs use.
     """
 
-    kp: float = 1.0
-    ki: float = 0.01
-    k_alpha: float = 166.5
-    k_beta: float = 40.0
-    dt: float = 1e-5
+    kp: NonNegative = 1.0
+    ki: NonNegative = 0.01
+    k_alpha: NonNegative = 166.5
+    k_beta: NonNegative = 40.0
+    dt: Positive = 1e-5
 
     def __post_init__(self):
         check_fields(self)
-        if not self.kp >= 0.0:
-            raise ValidationError(f"kp must be a finite non-negative gain, got {self.kp}")
-        if not self.ki >= 0.0:
-            raise ValidationError(f"ki must be a finite non-negative gain, got {self.ki}")
-        if not self.k_alpha >= 0.0:
-            raise ValidationError(f"k_alpha must be finite and >= 0, got {self.k_alpha}")
-        if not self.k_beta >= 0.0:
-            raise ValidationError(f"k_beta must be finite and >= 0, got {self.k_beta}")
-        if not self.dt > 0.0:
-            raise ValidationError(f"dt must be a finite positive step, got {self.dt}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,12 +69,10 @@ class ControllerState:
 
     psi: float = 0.0
     integral: float = 0.0
-    k: int = 0
+    k: Index = 0
 
     def __post_init__(self):
         check_fields(self)
-        if self.k < 0:
-            raise ValidationError("step count must be >= 0", key="k", got=self.k)
 
 
 def controller_new(params: ControllerParams, psi0: float = 0.0) -> ControllerState:
@@ -93,8 +81,7 @@ def controller_new(params: ControllerParams, psi0: float = 0.0) -> ControllerSta
     The series and the integral both start at zero by default (both
     overridable), so the first control output is exactly zero.
     """
-    if not isinstance(params, ControllerParams):
-        raise ValidationError(f"expected ControllerParams, got {type(params).__name__}")
+    rule(ControllerParams)(params, "params")
     return ControllerState(psi=psi0, integral=0.0, k=0)
 
 
@@ -212,11 +199,7 @@ def stagger_params(base: ControllerParams, n: int, rho: float) -> list[Controlle
     rounded int/int division, so the gains do not depend on the C
     library's ``pow``.
     """
-    n, rho = rule(int)(n, "n"), rule(float)(rho, "rho")
-    if n < 1:
-        raise ValidationError("need at least one controller", key="n", got=n)
-    if not (0.0 < rho <= 1.0):
-        raise ValidationError(f"stagger ratio must be in (0, 1], got {rho}")
+    n, rho = rule(Count)(n, "n"), rule(Ratio)(rho, "rho")
     num, den = rho.as_integer_ratio()
     out = []
     num_j = den_j = 1

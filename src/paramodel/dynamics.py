@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .controller import ONE, step_all
-from .errors import DivergenceError, ValidationError, check_fields, number, rule
+from .errors import DivergenceError, Positive, ValidationError, check_fields, number, rule
 
 __all__ = ["FirstOrderFilter", "filter_step"]
 
@@ -26,13 +26,11 @@ DEFAULT_TAU = 1e-5  # filter time constant of the built-in runs, in seconds
 class FirstOrderFilter:
     """Time constant and current output of one first-order lag."""
 
-    tau: float = DEFAULT_TAU
+    tau: Positive = DEFAULT_TAU
     state: float = 0.0
 
     def __post_init__(self):
         check_fields(self)
-        if not self.tau > 0.0:
-            raise ValidationError(f"tau must be a finite positive time constant, got {self.tau}")
 
 
 def filter_step(filt: FirstOrderFilter, u: float, dt: float) -> FirstOrderFilter:

@@ -4,13 +4,15 @@ configuration dataclasses.
 Every invalid input, from a configuration file or from a library call,
 raises ``ValidationError``; the CLI maps each type to its exit code.
 ``check_fields`` checks each field of a configuration dataclass by the
-rule of its annotation, so a field states its type once.
+rule of its annotation, so a field states its type, and its bounds
+(``Annotated[X, Interval(...)]``, such as ``Count`` or ``Ratio``), once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import reprlib
 import types
 import typing
@@ -75,6 +77,27 @@ class ValidationError(ParamodelError, ValueError):
         self.key = key
 
 
+class Interval(typing.NamedTuple):
+    """The bounds of an ``Annotated[X, Interval(...)]`` value: ``low <= x``
+    (``low < x`` if ``open``) and ``x <= high``."""
+
+    low: float
+    open: bool = False
+    high: float = math.inf
+
+    def __str__(self):
+        text = f"{'>' if self.open else '>='} {self.low}"
+        return text if self.high == math.inf else f"{text} and <= {self.high}"
+
+
+#: The bounds the package's fields and arguments take.
+Count = typing.Annotated[int, Interval(1)]
+Index = typing.Annotated[int, Interval(0)]
+NonNegative = typing.Annotated[float, Interval(0)]
+Positive = typing.Annotated[float, Interval(0, open=True)]
+Ratio = typing.Annotated[float, Interval(0, open=True, high=1)]
+
+
 def check_fields(obj) -> None:
     """Check every init field of the dataclass ``obj`` by the rule of its
     annotation (see ``rule``), storing the value the rule returns.
@@ -92,7 +115,7 @@ def check_fields(obj) -> None:
 @functools.cache
 def field_types(cls) -> dict:
     """{field name: annotation} of each init field of the dataclass ``cls``."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
 
 
@@ -112,6 +135,8 @@ def rule(tp):
     - ``tuple[X, ...]``: a list or tuple, each item checked by X's rule
       under the same key, stored as a tuple.
     - ``X | None``: None, or a value of X.
+    - ``Annotated[X, Interval(...)]``: a value of X within the interval
+      (``must be >= 1``, ``must be > 0 and <= 1``).
 
     Any other annotation is a TypeError, so no field goes unchecked.
     """
@@ -119,6 +144,8 @@ def rule(tp):
     if origin in (types.UnionType, typing.Union) and len(args) == 2 and type(None) in args:
         check = rule(args[args[0] is type(None)])
         return lambda value, key: None if value is None else check(value, key)
+    if origin is typing.Annotated and len(args) == 2 and isinstance(args[1], Interval):
+        return functools.partial(_within, rule(args[0]), args[1])
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         return functools.partial(_tuple, rule(args[0]))
     if tp is float:
@@ -163,6 +190,14 @@ def _instance(cls, name, value, key):
     if isinstance(value, cls) and (cls is bool or not isinstance(value, bool)):
         return value
     raise ValidationError(f"must be {name}", key, got=value)
+
+
+def _within(check, interval, value, key):
+    value = check(value, key)
+    low, is_open, high = interval
+    if (low < value if is_open else low <= value) and value <= high:
+        return value
+    raise ValidationError(f"must be {interval}", key, got=value)
 
 
 def _tuple(item, value, key):

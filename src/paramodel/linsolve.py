@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .controller import ControllerParams, decays, divergence, stagger_params, step_all
 from .dynamics import FirstOrderFilter
-from .errors import DivergenceError, ValidationError, check_fields
+from .errors import Count, DivergenceError, ValidationError, check_fields
 
 __all__ = [
     "LinearTrackingProblem",
@@ -46,7 +46,7 @@ class LinearTrackingProblem:
     b: tuple[float, ...]
     controllers: tuple[ControllerParams, ...]
     filters: tuple[FirstOrderFilter, ...]
-    horizon: int = 50_000
+    horizon: Count = 50_000
 
     def __post_init__(self):
         check_fields(self)
@@ -59,8 +59,6 @@ class LinearTrackingProblem:
             raise ValidationError(f"need {n} controller parameter sets, got {len(self.controllers)}")
         if len(self.filters) != n:
             raise ValidationError(f"need {n} filters, got {len(self.filters)}")
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1", got=self.horizon)
 
 
 class LinsolveRecord(NamedTuple):

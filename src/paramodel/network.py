@@ -21,7 +21,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Sequence
 
 from .elementary import tanh
-from .errors import ValidationError, check_fields, rule
+from .errors import Index, ValidationError, check_fields, rule
 
 __all__ = [
     "Edge",
@@ -40,12 +40,10 @@ class Edge:
 
     src: str
     dst: str
-    weight: int
+    weight: Index
 
     def __post_init__(self):
         check_fields(self)
-        if self.weight < 0:
-            raise ValidationError(f"edge {self.src}->{self.dst}: weight index must be an integer >= 0", got=self.weight)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,15 +148,19 @@ class FeedforwardNet:
         order share one tanh call.  Each tanh is ``elementary.tanh``,
         correctly rounded, looked up as a global of this module at each call,
         so ``scripts/reference_traces.py`` can put mpmath's tanh in its place.
-        The last ``EVALUATORS_CACHED`` functions are kept.
+        The last ``EVALUATORS_CACHED`` functions are kept.  ``mask`` takes
+        bools and ``slots`` weight indices, each one per weight.
         """
+        mask = _MASK(mask, "mask")
         if len(mask) != self.weight_count:
             raise ValidationError(f"needs one entry per weight ({self.weight_count}), got {len(mask)}", key="mask")
         if slots is not None:
+            slots = _SLOTS(slots, "slots")
             if len(slots) != self.weight_count:
                 raise ValidationError(f"needs one entry per weight ({self.weight_count}), got {len(slots)}", key="slots")
-            slots = tuple(slots)
-        return _compile(self._plan, len(self.inputs), tuple(mask), slots)
+            if max(slots, default=-1) >= self.weight_count:
+                raise ValidationError(f"a slot must be < {self.weight_count}, the number of weights", key="slots", got=max(slots))
+        return _compile(self._plan, len(self.inputs), mask, slots)
 
     def eval_with(self, weights: Sequence[float], mask: Sequence[bool], x: Sequence[float]) -> float:
         """Forward pass using explicit weight/mask vectors, one x per input.
@@ -168,6 +170,9 @@ class FeedforwardNet:
         comparisons stay bit-exact.
         """
         return self.evaluator(mask)(weights, x)
+
+
+_MASK, _SLOTS = rule(tuple[bool, ...]), rule(tuple[Index, ...])
 
 
 class _Plan(tuple):

@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple
 
 from .controller import ControllerParams, decays, divergence, stagger_params, step_all
 from .dynamics import DEFAULT_TAU
-from .errors import DivergenceError, ValidationError, check_fields
+from .errors import Count, DivergenceError, Index, Positive, Ratio, ValidationError, check_fields
 from .network import FeedforwardNet, TrainingSample, default_topology
 
 __all__ = [
@@ -65,7 +65,7 @@ class ScenarioEvent:
     iteration 1, before its step.
     """
 
-    at: int
+    at: Index
     kind: str
     index: int | None = None
     value: float | None = None
@@ -74,8 +74,6 @@ class ScenarioEvent:
         check_fields(self)
         if self.kind not in EVENT_ARGS:
             raise ValidationError("unknown event kind", got=self.kind)
-        if self.at < 0:
-            raise ValidationError("event iteration must be >= 0", got=self.at)
         takes = EVENT_ARGS[self.kind]
         missing = [name for name in takes if getattr(self, name) is None]
         if missing:
@@ -113,21 +111,13 @@ class Scenario:
     net: FeedforwardNet = field(default_factory=default_topology)
     base_params: ControllerParams = ControllerParams()
     events: tuple[ScenarioEvent, ...] = ()
-    horizon: int = 100_000
-    stagger_rho: float = 1.0
-    tau: float = DEFAULT_TAU
-    w_max: float = 1.0
+    horizon: Count = 100_000
+    stagger_rho: Ratio = 1.0
+    tau: Positive = DEFAULT_TAU
+    w_max: Positive = 1.0
 
     def __post_init__(self):
         check_fields(self)
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1", got=self.horizon)
-        if not (0.0 < self.stagger_rho <= 1.0):
-            raise ValidationError(f"stagger_rho must be in (0, 1], got {self.stagger_rho}")
-        if not self.tau > 0.0:
-            raise ValidationError(f"tau must be finite and positive, got {self.tau}")
-        if not self.w_max > 0.0:
-            raise ValidationError(f"w_max must be finite and positive, got {self.w_max}")
         if self.net.weight_count == 0:
             raise ValidationError("network has no weight to train: it needs at least one edge")
         if len(self.initial_sample.x) != self.net.input_count:

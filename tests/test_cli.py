@@ -390,15 +390,15 @@ def test_override_shadowed_by_explicit_list_exits_2(tmp_path, capsys, flag, valu
         (
             DIVERGING_LINSOLVE.replace("stagger_rho: 1.0", "stagger_rho: 1.5").encode(),
             [],
-            "ValidationError: problem.stagger_rho: stagger ratio must be in (0, 1], got 1.5",
+            "ValidationError: problem.stagger_rho: must be > 0 and <= 1, got 1.5\n",
         ),
-        ((FAST_TRAIN + "tolerance: 0\n").encode(), [], "ValidationError: tolerance: must be finite and > 0, got 0.0"),
+        ((FAST_TRAIN + "tolerance: 0\n").encode(), [], "ValidationError: tolerance: must be > 0, got 0.0\n"),
         (
             FAST_TRAIN.replace("horizon: 3000", "horizon: 3000\n  w_max: 0").encode(),
             [],
-            "ValidationError: scenario: w_max must be finite and positive, got 0.0",
+            "ValidationError: scenario.w_max: must be > 0, got 0.0\n",
         ),
-        (FAST_TRAIN.replace("horizon: 3000", "horizon: 0").encode(), [], "ValidationError: scenario: horizon must be >= 1, got 0"),
+        (FAST_TRAIN.replace("horizon: 3000", "horizon: 0").encode(), [], "ValidationError: scenario.horizon: must be >= 1, got 0\n"),
         (
             FAST_TRAIN.replace("  events:", "  network: {mask: [1]}\n  events:").encode(),
             [],

@@ -366,9 +366,14 @@ def test_linsolve_trace_roundtrip_bitexact(tmp_path):
     assert header == "k,y1,y2,y3,b1,b2,b3,x1,x2,x3"
 
 
-def test_write_trace_bad_decimation(tmp_path):
-    with pytest.raises(ValidationError):
-        write_trace([], str(tmp_path / "x.csv"), 0)
+@pytest.mark.parametrize("decimation", [0, -1, True, 1.5, 2.0, "2", None])
+def test_write_trace_bad_decimation(tmp_path, decimation):
+    # True and 1.5 wrote traces, and "2" ended in a bare TypeError
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValidationError) as err:
+        write_trace([TraceRecord(1, 0.0, 0.0, 0.0, (), ())], str(path), decimation)
+    assert err.value.key == "decimation"
+    assert not path.exists()
 
 
 def test_write_trace_rejects_a_record_of_unknown_type(tmp_path):
@@ -511,7 +516,7 @@ def test_network_w_max_is_not_a_key():
         ("{at: 300, set_reference: 1}", "scenario.events[3]", "set_reference value must satisfy"),
         # keys of two types: sorting them for the message used to raise TypeError
         ("{at: 300, drop_weight: 1, 7: 2, x: 3}", "scenario.events[3]", "unknown event keys ['7', 'x']"),
-        ("{at: -1, drop_weight: 1}", "scenario.events[3]", "event iteration must be >= 0"),
+        ("{at: -1, drop_weight: 1}", "scenario.events[3].at", "must be >= 0, got -1"),
         ("{at: 501, drop_weight: 1}", "scenario.events[3]", "event iteration is beyond horizon 500, got 501"),
         ("{at: 150, drop_weight: 1}", "scenario.events[3]", "events must be sorted by iteration"),
         ("{at: 300, drop_weight: 7}", "scenario.events[3]", "drop_weight index must be in [0, 7), got 7"),

@@ -70,7 +70,7 @@ def test_invalid_params_rejected(kwargs):
         (dict(k="3"), "k", "must be an integer, got '3'"),
         (dict(k=1.5), "k", "must be an integer, got 1.5"),
         (dict(k=True), "k", "must be an integer, got True"),
-        (dict(k=-1), "k", "step count must be >= 0, got -1"),
+        (dict(k=-1), "k", "must be >= 0, got -1"),
     ],
 )
 def test_invalid_state_rejected(kwargs, key, message):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paramodel import Edge, FeedforwardNet, ScenarioEvent, builtin_scenarios, default_topology, train_online
+from paramodel import Edge, FeedforwardNet, ScenarioEvent, ValidationError, builtin_scenarios, default_topology, train_online
 from paramodel import network
 from paramodel.elementary import tanh
 
@@ -180,3 +180,34 @@ def test_a_cached_evaluator_calls_the_tanh_of_the_module(monkeypatch):
     monkeypatch.setattr(network, "tanh", lambda s: 0.25)
     assert net.evaluator(net.mask) is f
     assert f(w, x) == 0.25 != before
+
+
+@pytest.mark.parametrize(
+    "mask, slots, key, shown",
+    [
+        (("false",) * 7, None, "mask", "'false'"),
+        ((1,) * 7, None, "mask", "1"),
+        ((True,) * 7, (-1,) * 7, "slots", "-1"),
+        ((True,) * 7, (99,) * 7, "slots", "99"),
+        ((True,) * 7, (0, 1, 2, 3, 4, 5, 7), "slots", "7"),
+        ((True,) * 7, (True, 1, 2, 3, 4, 5, 6), "slots", "True"),
+        ((True,) * 7, ("print('run') or 0", 1, 2, 3, 4, 5, 6), "slots", "\"print('run') or 0\""),
+    ],
+    ids=["mask-str", "mask-int", "slot-negative", "slot-99", "slot-past-the-weights", "slot-bool", "slot-code"],
+)
+def test_mask_and_slots_follow_their_rules(capsys, mask, slots, key, shown):
+    # each was a wrong evaluator: a string mask entry enabled its edge, a
+    # negative slot read the last weight, 99 an IndexError at the call, and a
+    # string slot was pasted into the generated source and run
+    with pytest.raises(ValidationError) as err:
+        default_topology().evaluator(mask, slots)
+    assert err.value.key == key
+    assert err.value.message.endswith(f", got {shown}")
+    assert capsys.readouterr().out == ""
+
+
+def test_eval_with_checks_its_mask():
+    net = default_topology()
+    with pytest.raises(ValidationError) as err:
+        net.eval_with(net.weights, ["false"] * 7, (0.2, 0.6))
+    assert err.value.key == "mask"

@@ -263,7 +263,7 @@ def test_without_weights_an_edge_index_is_below_the_edge_count():
 @pytest.mark.parametrize(
     "index, message",
     [
-        (-1, "edge a->y: weight index must be an integer >= 0, got -1"),
+        (-1, "weight: must be >= 0, got -1"),
         (1.5, "weight: must be an integer, got 1.5"),
         (True, "weight: must be an integer, got True"),
         ("0", "weight: must be an integer, got '0'"),

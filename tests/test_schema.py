@@ -1,26 +1,35 @@
 """The type rules of the configuration dataclasses.
 
-Each field's annotation is the one statement of its type: the dataclass
-checks it on construction (``errors.check_fields``) and the YAML reader
-applies the same rule.  A value of the wrong type, from a library call as
-from a configuration, is a ValidationError whose key names the field.
+Each field's annotation is the one statement of its type and its bounds:
+the dataclass checks it on construction (``errors.check_fields``) and the
+YAML reader applies the same rule.  A value of the wrong type or out of
+range, from a library call as from a configuration, is a ValidationError
+whose key names the field.
 """
 
 from __future__ import annotations
 
+import ast
+import copy
 import dataclasses
+import functools
 import inspect
 import math
+import operator
+import pathlib
+import re
 import types
 import typing
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import paramodel
 from paramodel import (
     ControllerParams,
+    ControllerState,
     Edge,
     FeedforwardNet,
     FirstOrderFilter,
@@ -37,7 +46,7 @@ from paramodel import (
     set_mask,
     set_weight,
 )
-from paramodel.config_io import builtin_config_dict
+from paramodel.config_io import builtin_config_dict, config_to_dict, parse_config
 from paramodel.controller import stagger_params
 from paramodel.errors import field_types, rule
 
@@ -49,6 +58,7 @@ VALID = {
     Scenario: lambda: builtin_scenarios()["fig5"],
     ScenarioEvent: lambda: ScenarioEvent.set_input(5, 0, 0.1),
     ControllerParams: ControllerParams,
+    ControllerState: lambda: ControllerState(psi=0.5, integral=0.25, k=3),
     TrainingSample: lambda: SAMPLE,
     FeedforwardNet: lambda: dataclasses.replace(default_topology(), weights=(0.1,) * 7, mask=(True,) * 7),
     Edge: lambda: Edge("x1", "y", 0),
@@ -70,7 +80,10 @@ WRONG = {
 
 def wrong(tp, valid):
     """A strategy of values of the wrong type for annotation ``tp``, beside
-    the valid value ``valid``; None is wrong unless ``tp`` allows it."""
+    the valid value ``valid``; None is wrong unless ``tp`` allows it.  A
+    bound is not a type: ``Annotated[X, ...]`` takes the wrong values of X."""
+    if typing.get_origin(tp) is typing.Annotated:
+        return wrong(typing.get_args(tp)[0], valid)
     optional = typing.get_origin(tp) in (typing.Union, types.UnionType)
     if optional:
         tp = next(t for t in typing.get_args(tp) if t is not type(None))
@@ -207,3 +220,151 @@ def test_every_field_annotation_has_a_rule():
     for tp in (dict, list[float], tuple[float, float], int | str, typing.Any):
         with pytest.raises(TypeError, match="no type rule"):
             rule(tp)
+
+
+def bounded_fields():
+    """(class, field, its type, its Interval) of each field of the package
+    whose annotation bounds it."""
+    for cls in sorted(set(package_dataclasses()), key=lambda c: c.__name__):
+        for name, tp in field_types(cls).items():
+            if typing.get_origin(tp) is typing.Annotated:
+                yield cls, name, *typing.get_args(tp)
+
+
+BOUNDED = list(bounded_fields())
+
+#: the fields a bounded field's end needs beside it in its class's valid
+#: instance, to keep the class's cross-field rules
+ALONGSIDE = {(Scenario, "horizon"): dict(events=())}
+
+
+def ends(tp, interval):
+    """(accepted, rejected): each closed end of ``interval``, and each open
+    end and the value one ulp (for an int, 1) outside each closed end."""
+    low, high = tp(interval.low), interval.high
+
+    def step(v, toward):
+        return v + (1 if toward > v else -1) if tp is int else math.nextafter(v, toward)
+
+    accepted, rejected = ([], [low]) if interval.open else ([low], [step(low, -math.inf)])
+    if high != math.inf:
+        accepted.append(tp(high))
+        rejected.append(step(tp(high), math.inf))
+    return accepted, rejected
+
+
+def test_the_package_has_bounded_fields():
+    assert {(cls.__name__, name) for cls, name, _, _ in BOUNDED} == {
+        ("ControllerParams", "kp"), ("ControllerParams", "ki"), ("ControllerParams", "k_alpha"),
+        ("ControllerParams", "k_beta"), ("ControllerParams", "dt"), ("ControllerState", "k"),
+        ("FirstOrderFilter", "tau"), ("Edge", "weight"), ("ScenarioEvent", "at"), ("Scenario", "horizon"),
+        ("Scenario", "stagger_rho"), ("Scenario", "tau"), ("Scenario", "w_max"),
+        ("LinearTrackingProblem", "horizon"), ("RunConfig", "decimation"), ("RunConfig", "tolerance"),
+    }
+
+
+@pytest.mark.parametrize(
+    "cls, name, tp, interval", BOUNDED, ids=[f"{cls.__name__}.{name}" for cls, name, _, _ in BOUNDED]
+)
+def test_a_bounded_field_takes_its_closed_ends_and_rejects_the_rest(cls, name, tp, interval):
+    accepted, rejected = ends(tp, interval)
+    valid, alongside = VALID[cls](), ALONGSIDE.get((cls, name), {})
+    for value in accepted:
+        assert getattr(dataclasses.replace(valid, **alongside, **{name: value}), name) == value
+    for value in rejected:
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(valid, **alongside, **{name: value})
+        assert err.value.key == name
+        assert err.value.message == f"must be {interval}, got {value!r}"
+
+
+TRAIN = config_to_dict(VALID[RunConfig]())
+LINSOLVE = config_to_dict(RunConfig(mode="linsolve", problem=builtin_problem()))
+GENERATED = builtin_config_dict("linsolve3")
+
+
+#: (document, key, value out of range, message)
+OUT_OF_RANGE = [
+    (TRAIN, "decimation", 0, "must be >= 1, got 0"),
+    (TRAIN, "tolerance", 0.0, "must be > 0, got 0.0"),
+    (TRAIN, "scenario.horizon", 0, "must be >= 1, got 0"),
+    (TRAIN, "scenario.stagger_rho", 1.5, "must be > 0 and <= 1, got 1.5"),
+    (TRAIN, "scenario.tau", -0.0, "must be > 0, got -0.0"),
+    (TRAIN, "scenario.w_max", 0, "must be > 0, got 0.0"),
+    (TRAIN, "scenario.gains.kp", -1, "must be >= 0, got -1.0"),
+    (TRAIN, "scenario.gains.ki", -5e-324, "must be >= 0, got -5e-324"),
+    (TRAIN, "scenario.gains.k_alpha", -1.0, "must be >= 0, got -1.0"),
+    (TRAIN, "scenario.gains.k_beta", -1.0, "must be >= 0, got -1.0"),
+    (TRAIN, "scenario.gains.dt", 0.0, "must be > 0, got 0.0"),
+    (TRAIN, "scenario.network.edges[1].weight", -1, "must be >= 0, got -1"),
+    (TRAIN, "scenario.events[0].at", -1, "must be >= 0, got -1"),
+    (LINSOLVE, "problem.horizon", 0, "must be >= 1, got 0"),
+    (LINSOLVE, "problem.controllers[2].kp", -1.0, "must be >= 0, got -1.0"),
+    (LINSOLVE, "problem.filters[1].tau", 0, "must be > 0, got 0.0"),
+    (GENERATED, "problem.stagger_rho", 0.0, "must be > 0 and <= 1, got 0.0"),
+    (GENERATED, "problem.tau", -1e-5, "must be > 0, got -1e-05"),
+    (GENERATED, "problem.gains.dt", 0, "must be > 0, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("doc, key, bad, message", OUT_OF_RANGE, ids=[key for _, key, _, _ in OUT_OF_RANGE])
+def test_a_configuration_names_the_full_key_of_a_value_out_of_range(doc, key, bad, message):
+    doc = copy.deepcopy(doc)
+    *parents, last = [int(p) if p.isdigit() else p for p in re.findall(r"\w+", key)]
+    section = functools.reduce(operator.getitem, parents, doc)
+    section[last] = bad
+    with pytest.raises(ValidationError) as err:
+        parse_config(yaml.safe_dump(doc, sort_keys=False))
+    assert (err.value.key, err.value.message) == (key, message)
+
+
+def test_the_first_bad_key_of_a_document_is_named():
+    # the range rules ran after the document was read, so kp came first
+    text = "mode: train\nscenario: {tau: 0, sample: {x: [0.2, 0.6], y: 0.55}, gains: {kp: -1}}\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert str(err.value) == "scenario.tau: must be > 0, got 0.0"
+
+
+SRC = pathlib.Path(paramodel.__file__).parent
+ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def lone_field_bounds(tree):
+    """The line of each comparison in a ``__post_init__`` of ``tree`` that
+    orders one ``self.<field>`` against constants only: a bound that belongs
+    on the field's annotation."""
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Compare) and all(isinstance(op, ORDER) for op in node.ops):
+                operands = [node.left, *node.comparators]
+                fields = [o for o in operands if isinstance(o, ast.Attribute) and isinstance(o.value, ast.Name) and o.value.id == "self"]
+                constants = [o for o in operands if isinstance(getattr(o, "operand", o), ast.Constant)]
+                if len(fields) == 1 and len(fields) + len(constants) == len(operands):
+                    yield node.lineno
+
+
+def test_the_bound_check_finds_a_hand_written_bound():
+    code = (
+        "class S:\n"
+        "    def __post_init__(self):\n"
+        "        if self.horizon < 1: pass\n"
+        "        if not 0.0 < self.rho <= 1.0: pass\n"
+        "        if not self.kp >= -0.0: pass\n"
+        "        if self.a < self.b or len(self.c) < 1 or self.d.e < 1 or self.output == '': pass\n"
+        "    def check(self):\n"
+        "        if self.horizon < 1: pass\n"
+    )
+    assert list(lone_field_bounds(ast.parse(code))) == [3, 4, 5]
+
+
+def test_no_post_init_states_a_bound_by_hand():
+    # a single field's bounds are its annotation's, Annotated[X, Interval(...)]
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in lone_field_bounds(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
