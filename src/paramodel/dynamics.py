@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .controller import ONE, step_all
-from .errors import DivergenceError, Positive, ValidationError, check_fields, number, rule
+from .errors import DivergenceError, Positive, check_fields, number, rule
 
 __all__ = ["FirstOrderFilter", "filter_step"]
 
@@ -38,16 +38,18 @@ def filter_step(filt: FirstOrderFilter, u: float, dt: float) -> FirstOrderFilter
 
     The step is ``controller.step_all`` with the law made the identity:
     psi = u, integral = 1, kp = ki = 0 and a = -0.0, so u passes through
-    bit for bit (adding -0.0 keeps a signed zero).  ``u`` and ``dt`` may be
-    any int or float, inf and nan included; an argument of another type
-    raises ValidationError keyed by its name.
+    bit for bit (adding -0.0 keeps a signed zero).  ``u`` may be any int
+    or float, inf and nan included, and ``dt`` a finite one > 0; another
+    argument raises ValidationError keyed by its name.
     """
     filt = rule(FirstOrderFilter)(filt, "filt")
-    u, dt = number(u, "u"), number(dt, "dt")
-    if not dt > 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
+    # a wrong type gets number's message, a number out of range the bound's
+    u, dt = number(u, "u"), _DT(number(dt, "dt"), "dt")
     xs = [filt.state]
     step_all(ONE, [u], [1.0], xs, [0.0], [0.0], [0.0], [-0.0], [0.0], dt, filt.tau)
     if xs[0] - xs[0] != 0.0:
         raise DivergenceError(f"filter state became non-finite: {xs[0]}")
     return FirstOrderFilter(tau=filt.tau, state=xs[0])
+
+
+_DT = rule(Positive)

@@ -5,15 +5,20 @@ row value y_j = (A x)_j toward the reference b_j, treating the coupling
 through the other variables as a disturbance.  The controllers are
 staggered: gains decrease geometrically with the variable index so each
 loop stabilizes at a distinct speed.  When every y_j is held close to
-b_j, x is close to the solution of the system.  ``as_records`` turns a
-solve's traces into one ``LinsolveRecord`` NamedTuple per iteration.
+b_j, x is close to the solution of the system.  The solver measures
+y = A x with ``product(a)``: straight-line code generated once per matrix,
+which sums each row in ``matvec``'s order, so the two agree bit for bit.
+``as_records`` turns a solve's traces into one ``LinsolveRecord``
+NamedTuple per iteration.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from operator import sub
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .controller import ControllerParams, decays, divergence, stagger_params, step_all
 from .dynamics import FirstOrderFilter
@@ -25,6 +30,7 @@ __all__ = [
     "as_records",
     "builtin_problem",
     "matvec",
+    "product",
     "solve_linear",
     "stagger_params",
 ]
@@ -71,8 +77,8 @@ class LinsolveRecord(NamedTuple):
 
 
 def matvec(a, x) -> tuple[float, ...]:
-    """Row-major dense product A x (kept as the single product path so the
-    recorded y and any recomputation agree bit-exactly).
+    """Row-major dense product A x: the definition of the order of
+    summation that ``product`` emits.
 
     Each row is summed left to right from 0.0 in plain IEEE arithmetic.
     ``sum()`` is not used: from Python 3.12 on it compensates float sums,
@@ -85,6 +91,58 @@ def matvec(a, x) -> tuple[float, ...]:
             acc += a_jc * x_c
         y.append(acc)
     return tuple(y)
+
+
+#: Terms of the largest matrix ``product`` writes out as code, counted as
+#: n * n for its larger side n: 4096, so n <= 64; a larger matrix takes
+#: ``matvec``.  A row is one expression nested a level per term, and
+#: CPython's compiler fails on a row of 4,000 terms; compiling a 64 x 64
+#: matrix takes about 33 ms, a 200 x 200 one about 0.3 s.
+PRODUCT_TERMS = 4096
+
+#: Products kept by ``product``: one per distinct matrix solved.
+PRODUCTS_CACHED = 16
+
+
+@functools.lru_cache(maxsize=PRODUCTS_CACHED)
+def product(a) -> Callable:
+    """``matvec`` bound to ``a``, as a function ``mul(x)`` returning A x.
+
+    For a matrix of finite entries within ``PRODUCT_TERMS`` ``mul`` is
+    straight-line code (``_product_source``), otherwise
+    ``functools.partial(matvec, a)``.  ``x`` holds one value per column;
+    its values may be floats or numpy arrays, one lane per element.  Equal
+    matrices share one function: an entry -0.0 gives the bits of 0.0, as a
+    row summed from 0.0 is never -0.0.
+    """
+    n = max(len(a), max(map(len, a), default=0))
+    if n * n > PRODUCT_TERMS or not all(math.isfinite(v) for row in a for v in row):
+        return functools.partial(matvec, a)
+    namespace: dict = {}
+    # the generated code reads no global
+    exec(_product_source(a), {"__builtins__": {}}, namespace)
+    return namespace["product"]
+
+
+def _product_source(a) -> str:
+    """The text of ``product(a)``: one unpack of ``x`` into ``x0, x1, ...``
+    and one expression per row, ``0.0 + a_j0 * x0 + a_j1 * x1 + ...``.
+
+    ``+`` is left-associative, so each row adds its terms to 0.0 from left
+    to right, as ``matvec`` does; the start 0.0 stays, because ``0.0 +
+    (-0.0)`` is 0.0.  Each entry is written as ``repr(float(v))``, which
+    reads back exactly.
+    """
+    names = [f"x{c}" for c in range(max(map(len, a), default=0))]
+    lines = ["def product(x):"]
+    if names:
+        lines.append(f"    {', '.join(names)}, = x")
+    lines.append("    return (")
+    for row in a:
+        terms = "".join(f" + {float(v)!r} * {name}" for v, name in zip(row, names))
+        lines.append(f"        0.0{terms},")
+    lines.append("    )")
+    return "\n".join(lines)
 
 
 def solve_linear(
@@ -114,7 +172,8 @@ def solve_linear(
     us = [0.0] * n
     a = [0.0] * n
     x = [f.state for f in problem.filters]
-    y = matvec(problem.a, x)
+    mul = product(problem.a)
+    y = mul(x)
     x_trace: list[tuple[float, ...]] = []
     y_trace: list[tuple[float, ...]] = []
     for k in range(1, problem.horizon + 1):
@@ -124,7 +183,7 @@ def solve_linear(
             for j in idx:
                 a[j] = kd - y[j]
             step_all(idx, psis, integrals, x, us, kps, kis, a, e, dt, tau)
-        y = matvec(problem.a, x)
+        y = mul(x)
         for v in y:
             if v - v != 0.0:
                 # A is finite, so a non-finite x makes every y non-finite

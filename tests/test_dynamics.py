@@ -37,6 +37,17 @@ def test_invalid_dt():
         filter_step(FirstOrderFilter(tau=1.0), 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "dt, message",
+    [(-1, "must be > 0, got -1.0"), (0, "must be > 0, got 0.0"), (math.inf, "must be a finite number, got inf")],
+)
+def test_dt_out_of_range_is_keyed(dt, message):
+    # dt = inf ran the step and ended in a DivergenceError (nan state)
+    with pytest.raises(ValidationError) as err:
+        filter_step(FirstOrderFilter(), 1.0, dt)
+    assert (err.value.key, err.value.message) == ("dt", message)
+
+
 @given(c=vals, dt=st.floats(min_value=1e-6, max_value=10.0), tau=st.floats(min_value=1e-6, max_value=10.0))
 def test_fixed_point(c, dt, tau):
     f = FirstOrderFilter(tau=tau, state=c)
@@ -144,5 +155,5 @@ def test_step_takes_ints_and_non_finite_inputs():
     assert filter_step(FirstOrderFilter(tau=1.0), 1, 1) == filter_step(FirstOrderFilter(tau=1.0), 1.0, 1.0)
     with pytest.raises(DivergenceError, match=r"^filter state became non-finite: nan$"):
         filter_step(FirstOrderFilter(), math.inf, 1e-5)
-    with pytest.raises(ValidationError, match="dt must be positive, got nan"):
+    with pytest.raises(ValidationError, match="^dt: must be a finite number, got nan$"):
         filter_step(FirstOrderFilter(), 1.0, math.nan)

@@ -1,7 +1,7 @@
 """The one kernel body on numpy lanes, and a core that imports without numpy.
 
-``controller.step_all`` and ``linsolve.matvec`` are arithmetic and list
-indexing only, so they run unchanged on numpy arrays: one array per
+``controller.step_all`` and the solver's product ``linsolve.product`` are
+arithmetic and list indexing only, so they run unchanged on numpy arrays: one array per
 unknown, one element (a lane) per configuration.  numpy's elementwise
 ``+ - * /`` are single IEEE-754 operations, so a lane that takes the
 scalar solver's operations in the scalar solver's order gets its bits.
@@ -21,12 +21,11 @@ from paramodel import (
     DivergenceError,
     FirstOrderFilter,
     LinearTrackingProblem,
-    matvec,
     solve_linear,
     stagger_params,
 )
 from paramodel.controller import decays, step_all
-from paramodel.linsolve import DEMO_A, DEMO_B, DEMO_GAINS
+from paramodel.linsolve import DEMO_A, DEMO_B, DEMO_GAINS, product
 
 RHOS = (0.5, 0.8, 0.9, 1.0)
 HORIZON = 5_000
@@ -60,7 +59,8 @@ def lane_solve(problems):
     kis = [np.array([q.controllers[j].ki for q in problems]) for j in range(n)]
     psis, integrals, us = ([np.zeros(lanes) for _ in range(n)] for _ in range(3))
     x = [np.full(lanes, f.state) for f in first.filters]
-    y = matvec(first.a, x)
+    mul = product(first.a)
+    y = mul(x)
     trace = np.empty((first.horizon, n, lanes))
     column = decays(k_beta, dt)
     with np.errstate(all="ignore"):
@@ -69,7 +69,7 @@ def lane_solve(problems):
             a = [kd - y_j for y_j in y]
             e = [b_j - y_j for b_j, y_j in zip(first.b, y)]
             step_all(range(n), psis, integrals, x, us, kps, kis, a, e, dt, tau)
-            y = matvec(first.a, x)
+            y = mul(x)
             trace[k - 1] = x
     return trace
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import functools
+import itertools
 import math
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramodel import (
@@ -22,7 +25,7 @@ from paramodel import (
     stagger_params,
 )
 from paramodel.config_io import tracking_error
-from paramodel.linsolve import DEMO_A, DEMO_B, as_records
+from paramodel.linsolve import DEMO_A, DEMO_B, PRODUCT_TERMS, _product_source, as_records, product
 
 from conftest import EQ3_X_STAR
 
@@ -152,7 +155,149 @@ def test_solves_diagonal_system():
 def test_matvec_sums_left_to_right():
     # 0.0 + 1 + 1e100 - 1e100 in plain IEEE order is 0; a compensated sum
     # (sum() from Python 3.12 on) would give 1.0
-    assert matvec(((1.0, 1e100, -1e100),), (1.0, 1.0, 1.0)) == (0.0,)
+    a = ((1.0, 1e100, -1e100),)
+    assert matvec(a, (1.0, 1.0, 1.0)) == product(a)((1.0, 1.0, 1.0)) == (0.0,)
+
+
+def bits(y):
+    """Each component by ``float.hex``, every nan as one value."""
+    return ["nan" if v != v else v.hex() for v in y]
+
+
+# signed zeros, the smallest subnormal and normal, and entries whose
+# products and row sums overflow
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308)
+ENTRIES = st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+VALUES = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan)) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=8))
+def test_product_is_matvec_bit_for_bit(data, n):
+    a = data.draw(st.tuples(*[st.tuples(*[ENTRIES] * n)] * n))
+    x = data.draw(st.lists(VALUES, min_size=n, max_size=n))
+    assert bits(product(a)(x)) == bits(matvec(a, x))
+
+
+def test_product_of_a_zero_row_is_positive_zero():
+    # each term is -0.0: summed from the start 0.0 the row is 0.0, summed
+    # without it the row would be -0.0
+    a, x = ((0.0, 0.0, 0.0), (1.0, 0.0, 2.0)), (-1.0, -2.0, -3.0)
+    assert math.copysign(1.0, 0.0 * -1.0 + 0.0 * -2.0 + 0.0 * -3.0) == -1.0
+    assert bits(product(a)(x)) == bits(matvec(a, x)) == ["0x0.0p+0", "-0x1.c000000000000p+2"]
+
+
+def test_product_falls_back_to_matvec_beyond_its_bound():
+    n = math.isqrt(PRODUCT_TERMS)
+    for size, generated in ((n, True), (n + 1, False)):
+        a = tuple(tuple((-1.0) ** (i + j) * (i + 1) / (j + 1) for j in range(size)) for i in range(size))
+        x = [1.0 / (c + 3) for c in range(size)]
+        mul = product(a)
+        assert isinstance(mul, functools.partial) is not generated
+        assert bits(mul(x)) == bits(matvec(a, x))
+    assert (mul.func, mul.args) == (matvec, (a,))
+    # the bound counts the larger side, so no row is longer than n terms
+    assert isinstance(product(((0.5,) * (n + 1),)), functools.partial)
+    # an entry with no float literal (LinearTrackingProblem rejects it)
+    a = ((1.0, math.inf), (math.nan, 2.0))
+    assert isinstance(product(a), functools.partial)
+    assert bits(product(a)((1.0, 0.5))) == ["inf", "nan"]
+
+
+def test_equal_matrices_share_one_product():
+    a = tuple(tuple(row) for row in DEMO_A)
+    assert a is not DEMO_A
+    assert product(a) is product(DEMO_A) is product(tuple(map(tuple, [list(r) for r in DEMO_A])))
+    # 0.0 and -0.0 are equal keys; each gives the other's bits
+    zeros, flipped = ((0.0, -0.0), (-0.0, 0.0)), ((-0.0, 0.0), (0.0, -0.0))
+    assert product(zeros) is product(flipped)
+    for x in itertools.product((0.0, -0.0, 1.5, -1.5, math.inf, -math.inf, math.nan), repeat=2):
+        assert bits(product(zeros)(x)) == bits(matvec(zeros, x)) == bits(matvec(flipped, x))
+
+
+def is_float(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is float
+
+
+def outside_the_allowlist(source: str) -> list[str]:
+    """The nodes of a generated product's text that ``product`` may not
+    emit.  Allowed: one ``def product(x)``, one tuple unpack of ``x`` into
+    names, and a returned tuple of rows built from ``+`` and ``*`` over
+    float literals and those names.  A negative literal parses as ``-``
+    applied to a float constant; no other node is allowed, a call least of
+    all."""
+    module = ast.parse(source)
+    fn = module.body[0]
+    if len(module.body) != 1 or not isinstance(fn, ast.FunctionDef):
+        return ["module: not one def"]
+    bad = []
+    if fn.name != "product" or fn.decorator_list or fn.returns or ast.dump(fn.args) != ast.dump(PRODUCT_ARGS):
+        bad.append("def: not product(x)")
+    *unpack, ret = fn.body
+    names = set()
+    for i, node in enumerate(unpack):
+        target = node.targets[0] if isinstance(node, ast.Assign) and len(node.targets) == 1 else None
+        if i == 0 and isinstance(target, ast.Tuple) and all(isinstance(t, ast.Name) for t in target.elts):
+            if isinstance(node.value, ast.Name) and node.value.id == "x":
+                names = {t.id for t in target.elts}
+                continue
+        bad.append(f"statement: {ast.unparse(node)}")
+    if not (isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)):
+        return bad + [f"return: {ast.unparse(ret)}"]
+    for node in ast.walk(ret.value):
+        if (
+            node is ret.value
+            or isinstance(node, (ast.Add, ast.Mult, ast.USub, ast.Load))
+            or isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult))
+            or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) and is_float(node.operand)
+            or is_float(node)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names
+        ):
+            continue
+        bad.append(f"{type(node).__name__}: {ast.unparse(node)}")
+    return bad
+
+
+PRODUCT_ARGS = ast.parse("def product(x): pass").body[0].args
+
+
+ALLOWLIST_MATRICES = [
+    DEMO_A,
+    ((2.0,),),
+    ((0.0, -0.0), (-5e-324, 1e308)),
+    ((1.0, 1e100, -1e100), (-1.5, 2.5, -3.5), (1e-320, -2.2250738585072014e-308, 0.1)),
+    tuple(tuple(float(i * 64 + j) - 2000.5 for j in range(64)) for i in range(64)),
+]
+
+
+@pytest.mark.parametrize("a", ALLOWLIST_MATRICES, ids=["demo", "1x1", "zeros", "3x3-edges", "64x64"])
+def test_generated_product_holds_only_sums_and_products(a):
+    assert outside_the_allowlist(_product_source(a)) == []
+
+
+def test_the_allowlist_rejects_calls_and_other_operators():
+    def product_text(row):
+        return f"def product(x):\n    x0, x1, = x\n    return (\n        {row},\n    )"
+
+    assert outside_the_allowlist(product_text("0.0 + 1.0 * x0 + -2.0 * x1")) == []
+    assert sorted(outside_the_allowlist(product_text("sum((1.0 * x0, -2.0 * x1), 0.0)"))) == [
+        "Call: sum((1.0 * x0, -2.0 * x1), 0.0)",
+        "Name: sum",
+        "Tuple: (1.0 * x0, -2.0 * x1)",
+    ]
+    assert sorted(outside_the_allowlist(product_text("0.0 + 1.0 * x0 - 2.0 * x1"))) == [
+        "BinOp: 0.0 + 1.0 * x0 - 2.0 * x1",
+        "Sub: ",
+    ]
+    assert sorted(outside_the_allowlist(product_text("0.0 + 1 * x0 + -x1 + y"))) == [
+        "Constant: 1",
+        "Name: y",
+        "UnaryOp: -x1",
+    ]
+    assert outside_the_allowlist(product_text("0.0").replace("product(x)", "product(x, y=sum)")) == [
+        "def: not product(x)"
+    ]
+    assert outside_the_allowlist(product_text("0.0").replace("= x", "= x\n    x0 = x1")) == ["statement: x0 = x1"]
 
 
 def test_residual_consistency():

@@ -58,8 +58,10 @@ def literal_controller_step(state, params, y_ref, y_meas):
 
 def literal_filter_step(filt, u, dt):
     """One classical RK4 step of x' = (u - x)/tau with u held over the step."""
+    if not math.isfinite(dt):
+        raise ValidationError("must be a finite number", "dt", got=dt)
     if not dt > 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
+        raise ValidationError("must be > 0", "dt", got=dt)
     x, tau = filt.state, filt.tau
     k1 = (u - x) / tau
     k2 = (u - (x + 0.5 * dt * k1)) / tau
