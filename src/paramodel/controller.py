@@ -13,12 +13,15 @@ then drained by the measured output; the integral accumulates the tracking
 error as a left Riemann sum.  The controller needs no model of the plant:
 it sees only the reference and the last measured output.
 
-``step_all`` is the one definition of the law and of the RK4 step of
-each controller's first-order filter (see ``dynamics``): both simulation
-loops call it once per iteration over their flat per-controller state
-(the trainer on one controller of each class of bit-identical ones), and
-``controller_step`` and ``dynamics.filter_step`` are one-element views
-of it.  It only does arithmetic, so numpy arrays run through it as lanes.
+``LAW`` is the one text of the law and of the RK4 step of each
+controller's first-order filter (see ``dynamics``), and the code that
+runs them is generated from it.  ``step_all`` runs it over flat
+per-controller lists: the trainer calls it once per iteration (on one
+controller of each class of bit-identical ones), and ``controller_step``
+and ``dynamics.filter_step`` are one-element views of it.  It only does
+arithmetic, so numpy arrays run through it as lanes.  The linear solver's
+loop, generated per problem, writes ``LAW`` out once per unknown
+(``linsolve.solve_linear``).
 
 ``decays`` reads the initialization decay from a cached column of
 ``decay`` values, ``DECAY_BLOCK`` steps a block, which every run of the
@@ -29,17 +32,18 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .elementary import exp
 from .errors import Count, DivergenceError, Index, NonNegative, Positive, Ratio, check_fields, number, rule
 
 __all__ = [
     "ControllerParams", "ControllerState", "controller_new", "controller_step",
-    "decay", "decays", "divergence", "stagger_params", "step_all",
+    "LAW", "decay", "decays", "divergence", "law", "stagger_params", "step_all",
 ]
 
 @dataclass(frozen=True, slots=True)
@@ -122,32 +126,81 @@ def _decay_block(k_beta: float, dt: float, block: int) -> array:
     return array("d", [decay(k_beta, j, dt) for j in range(start, start + DECAY_BLOCK)])
 
 
-def step_all(idx, psis, integrals, xs, us, kps, kis, a, e, dt, tau) -> None:
-    """One step of the law and then one RK4 step of its filter, for every
-    controller ``i`` in ``idx``, on flat per-controller lists.
+#: One step of the law and then one RK4 step of its filter, for one
+#: controller: the one text of both.  It reads the gains ``kp`` and ``ki``,
+#: ``a = k_alpha*d - y`` (``d`` the step's ``decay``), ``e = y_ref - y``,
+#: ``dt``, ``h = 0.5*dt`` and ``tau``; it steps ``psi``, ``integral`` and the
+#: filter output ``x``, and sets the control ``u``.  The filter is ``x' = (u -
+#: x)/tau`` with u held over the step.  ``step_all`` runs it over flat lists and
+#: ``linsolve`` writes it out once per unknown (``law``).
+LAW = """\
+psi = psi + kp * a
+integral = integral + ki * e * dt
+u = psi * integral
+k1 = (u - x) / tau
+k2 = (u - (x + h * k1)) / tau
+k3 = (u - (x + h * k2)) / tau
+k4 = (u - (x + dt * k3)) / tau
+x = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+"""
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+
+def law(inputs: dict[str, str], names: dict[str, str]) -> list[str]:
+    """The statements of ``LAW``, each ``target = expression``, with
+    ``inputs[v]`` written for a read of ``v`` before the block assigns it
+    and ``names[v]`` for any other occurrence; a name in neither stays.  An
+    expression goes in as given, so one of more than one term comes in
+    parentheses."""
+    lines, assigned = [], set()
+
+    def put(m):
+        v = m.group()
+        return inputs[v] if v in inputs and v not in assigned else names.get(v, v)
+
+    for line in LAW.splitlines():
+        target, value = line.split(" = ")
+        lines.append(f"{names.get(target, target)} = {_NAME.sub(put, value)}")
+        assigned.add(target)
+    return lines
+
+
+def _step_all() -> Callable:
+    """``step_all``, compiled from ``LAW`` in a loop over ``idx``: each
+    controller's ``x`` is loaded into a local, the lists are read in place
+    of the names the block reads before it assigns them, and the four
+    results are stored back."""
+    lists = dict(psi="psis[i]", integral="integrals[i]", kp="kps[i]", ki="kis[i]", a="a[i]", e="e[i]")
+    lines = [
+        "def step_all(idx, psis, integrals, xs, us, kps, kis, a, e, dt, tau):",
+        "    h = 0.5 * dt",
+        "    for i in idx:",
+        "        x = xs[i]",
+        *(f"        {line}" for line in law(lists, {})),
+        "        psis[i] = psi",
+        "        integrals[i] = integral",
+        "        us[i] = u",
+        "        xs[i] = x",
+    ]
+    namespace: dict = {}
+    # the generated code reads no global
+    exec("\n".join(lines), {"__builtins__": {}}, namespace)
+    fn = namespace["step_all"]
+    fn.__module__ = __name__
+    fn.__doc__ = """One step of the law and then one RK4 step of its filter (``LAW``), for
+    every controller ``i`` in ``idx``, on flat per-controller lists.
 
     The caller passes ``a[i] = k_alpha*d - y`` (``d`` the step's ``decay``)
     and ``e[i] = y_ref - y``; ``psis``, ``integrals``, ``xs`` (the filter
-    outputs) and ``us`` (the controls) are updated in place.  The filter is
-    ``x' = (u - x)/tau`` with u held over the step.  It tests nothing: the
-    caller tests x for divergence, which covers the law too, as a non-finite
-    u always makes x non-finite (inf - inf in stage two).
+    outputs) and ``us`` (the controls) are updated in place.  It tests
+    nothing: the caller tests x for divergence, which covers the law too, as
+    a non-finite u always makes x non-finite (inf - inf in stage two).
     """
-    h = 0.5 * dt
-    for i in idx:
-        psi = psis[i] + kps[i] * a[i]
-        integral = integrals[i] + kis[i] * e[i] * dt
-        u = psi * integral
-        x = xs[i]
-        k1 = (u - x) / tau
-        k2 = (u - (x + h * k1)) / tau
-        k3 = (u - (x + h * k2)) / tau
-        k4 = (u - (x + dt * k3)) / tau
-        x = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        psis[i] = psi
-        integrals[i] = integral
-        us[i] = u
-        xs[i] = x
+    return fn
+
+
+step_all = _step_all()
 
 
 ONE = (0,)  # the index list of a one-controller step_all

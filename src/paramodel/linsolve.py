@@ -5,11 +5,12 @@ row value y_j = (A x)_j toward the reference b_j, treating the coupling
 through the other variables as a disturbance.  The controllers are
 staggered: gains decrease geometrically with the variable index so each
 loop stabilizes at a distinct speed.  When every y_j is held close to
-b_j, x is close to the solution of the system.  The solver measures
-y = A x with ``product(a)``: straight-line code generated once per matrix,
-which sums each row in ``matvec``'s order, so the two agree bit for bit.
-``as_records`` turns a solve's traces into one ``LinsolveRecord``
-NamedTuple per iteration.
+b_j, x is close to the solution of the system.  ``solve_linear`` runs
+one loop generated per problem, with each unknown's state in locals:
+``controller.LAW`` written out once per unknown, and y = A x written out
+as ``product(a)`` writes it, each row summed in ``matvec``'s order, so the
+two agree bit for bit.  ``as_records`` turns a solve's traces into one
+``LinsolveRecord`` NamedTuple per iteration.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import sub
 from typing import Callable, NamedTuple
 
-from .controller import ControllerParams, decays, divergence, stagger_params, step_all
+from .controller import ControllerParams, decays, divergence, law, stagger_params
 from .dynamics import FirstOrderFilter
 from .errors import Count, DivergenceError, ValidationError, check_fields
 
@@ -115,8 +115,7 @@ def product(a) -> Callable:
     matrices share one function: an entry -0.0 gives the bits of 0.0, as a
     row summed from 0.0 is never -0.0.
     """
-    n = max(len(a), max(map(len, a), default=0))
-    if n * n > PRODUCT_TERMS or not all(math.isfinite(v) for row in a for v in row):
+    if not _written_out(a):
         return functools.partial(matvec, a)
     namespace: dict = {}
     # the generated code reads no global
@@ -124,23 +123,33 @@ def product(a) -> Callable:
     return namespace["product"]
 
 
-def _product_source(a) -> str:
-    """The text of ``product(a)``: one unpack of ``x`` into ``x0, x1, ...``
-    and one expression per row, ``0.0 + a_j0 * x0 + a_j1 * x1 + ...``.
+def _written_out(a) -> bool:
+    """Whether ``product`` and the solver write A x out as code: every entry
+    finite, and ``n * n`` within ``PRODUCT_TERMS`` for the larger side n."""
+    n = max(len(a), max(map(len, a), default=0))
+    return n * n <= PRODUCT_TERMS and all(math.isfinite(v) for row in a for v in row)
+
+
+def _rows(a) -> list[str]:
+    """One expression per row of A x, ``0.0 + a_j0 * x0 + a_j1 * x1 + ...``.
 
     ``+`` is left-associative, so each row adds its terms to 0.0 from left
     to right, as ``matvec`` does; the start 0.0 stays, because ``0.0 +
     (-0.0)`` is 0.0.  Each entry is written as ``repr(float(v))``, which
     reads back exactly.
     """
+    return ["0.0" + "".join(f" + {float(v)!r} * x{c}" for c, v in enumerate(row)) for row in a]
+
+
+def _product_source(a) -> str:
+    """The text of ``product(a)``: one unpack of ``x`` into ``x0, x1, ...``
+    and the tuple of ``_rows(a)``."""
     names = [f"x{c}" for c in range(max(map(len, a), default=0))]
     lines = ["def product(x):"]
     if names:
         lines.append(f"    {', '.join(names)}, = x")
     lines.append("    return (")
-    for row in a:
-        terms = "".join(f" + {float(v)!r} * {name}" for v, name in zip(row, names))
-        lines.append(f"        0.0{terms},")
+    lines.extend(f"        {row}," for row in _rows(a))
     lines.append("    )")
     return "\n".join(lines)
 
@@ -152,48 +161,96 @@ def solve_linear(
 
     Iteration k measures y from the previous x, steps every controller
     against (b_j, y_j) synchronously, filters the raw controls into the
-    new x, and records the pair (x_k, y_k = A x_k).  Raises DivergenceError
-    with k once a y is non-finite, naming the lowest non-finite unknown if any.
+    new x, and records the pair (x_k, y_k = A x_k).  The loop is one
+    function generated for the problem (``_loop_source``).  Raises
+    DivergenceError with k once a y is non-finite, naming the lowest
+    non-finite unknown if any.
     """
-    b = problem.b
-    n = len(b)
-    ctrl = problem.controllers
-    kps = [p.kp for p in ctrl]
-    kis = [p.ki for p in ctrl]
-    # the unknowns of each distinct (k_alpha, k_beta, dt, tau) in index order:
-    # one decay column, read once per iteration, and one kernel call per
-    # group and iteration, in practice one group
-    by_key: dict[tuple[float, float, float, float], list[int]] = {}
-    for j, (p, f) in enumerate(zip(ctrl, problem.filters)):
-        by_key.setdefault((p.k_alpha, p.k_beta, p.dt, f.tau), []).append(j)
-    groups = [(k_alpha, decays(k_beta, dt), dt, tau, idx) for (k_alpha, k_beta, dt, tau), idx in by_key.items()]
-    psis = [0.0] * n
-    integrals = [0.0] * n
-    us = [0.0] * n
-    a = [0.0] * n
-    x = [f.state for f in problem.filters]
-    mul = product(problem.a)
-    y = mul(x)
+    namespace: dict = {}
+    # the generated code reads no global
+    exec(_loop_source(problem), {"__builtins__": {}}, namespace)
+    mul = None if _written_out(problem.a) else product(problem.a)
+    columns = [decays(k_beta, dt) for _, k_beta, dt, _ in _groups(problem)]
     x_trace: list[tuple[float, ...]] = []
     y_trace: list[tuple[float, ...]] = []
-    for k in range(1, problem.horizon + 1):
-        e = list(map(sub, b, y))
-        for k_alpha, column, dt, tau, idx in groups:
-            kd = k_alpha * next(column)
-            for j in idx:
-                a[j] = kd - y[j]
-            step_all(idx, psis, integrals, x, us, kps, kis, a, e, dt, tau)
-        y = mul(x)
-        for v in y:
-            if v - v != 0.0:
-                # A is finite, so a non-finite x makes every y non-finite
-                for j, xj in enumerate(x):
-                    if xj - xj != 0.0:
-                        raise divergence(k, psis[j], integrals[j], us[j], xj, f"unknown {j}: ")
-                raise DivergenceError(f"measured output became non-finite: {y}", iteration=k)
-        x_trace.append(tuple(x))
-        y_trace.append(y)
+    start = tuple(f.state for f in problem.filters)
+    failed = namespace["loop"](range(1, problem.horizon + 1), start, x_trace, y_trace, next, mul, *columns)
+    if failed is not None:
+        k, psis, integrals, us, x, y = failed
+        # A is finite, so a non-finite x makes every y non-finite
+        for j, xj in enumerate(x):
+            if xj - xj != 0.0:
+                raise divergence(k, psis[j], integrals[j], us[j], xj, f"unknown {j}: ")
+        raise DivergenceError(f"measured output became non-finite: {y}", iteration=k)
     return x_trace, y_trace
+
+
+def _groups(problem: LinearTrackingProblem) -> dict[tuple[float, float, float, float], list[int]]:
+    """The unknowns of each distinct ``(k_alpha, k_beta, dt, tau)``, in index
+    order: each group reads one decay column, once per iteration.  Keys that
+    compare equal share a group and take its first key (0.0 and -0.0)."""
+    by_key: dict[tuple[float, float, float, float], list[int]] = {}
+    for j, (p, f) in enumerate(zip(problem.controllers, problem.filters)):
+        by_key.setdefault((p.k_alpha, p.k_beta, p.dt, f.tau), []).append(j)
+    return by_key
+
+
+def _loop_source(problem: LinearTrackingProblem) -> str:
+    """The text of the solver's loop for ``problem``,
+    ``loop(ks, x, x_trace, y_trace, next, mul, column0, column1, ...)``.
+
+    Unknown j keeps psi, integral, u and x in the locals ``psi<j>``,
+    ``integral<j>``, ``u<j>`` and ``x<j>``, and y_j in ``y<j>``.  Iteration
+    k takes ``kd<g> = k_alpha * next(column<g>)`` for group g and then
+    ``LAW`` for each of the group's unknowns in index order, with ``a =
+    kd<g> - y<j>`` and ``e = b_j - y<j>``; the gains, ``b_j``, ``dt``, ``h
+    = 0.5 * dt`` and ``tau`` are written by ``repr``.  It then measures y:
+    the rows of ``_rows(a)``, or ``mul(x)`` for a matrix ``product`` does
+    not write out.  One sum of y is tested; only when it is non-finite is
+    each y tested, so a sum that overflows stops nothing.  A non-finite y
+    returns ``(k, psis, integrals, us, x, y)``; otherwise x and y are
+    appended to the traces, and the loop returns None at the end.
+    """
+    ctrl, b, groups = problem.controllers, problem.b, _groups(problem)
+    n = len(b)
+
+    def names(stem: str) -> str:
+        return ", ".join(f"{stem}{j}" for j in range(n)) + ","
+
+    xs, ys = names("x"), names("y")
+    if _written_out(problem.a):
+        measure = [f"y{j} = {row}" for j, row in enumerate(_rows(problem.a))]
+        x, y = f"({xs})", f"({ys})"
+    else:
+        measure = [f"x = ({xs})", "y = mul(x)", f"{ys} = y"]
+        x, y = "x", "y"
+    columns = "".join(f", column{g}" for g in range(len(groups)))
+    lines = [
+        f"def loop(ks, x, x_trace, y_trace, next, mul{columns}):",
+        f"    {xs} = x",
+        *(f"    {line}" for line in measure),
+        f"    {' = '.join(f'psi{j}' for j in range(n))} = 0.0",
+        f"    {' = '.join(f'integral{j}' for j in range(n))} = 0.0",
+        "    for k in ks:",
+    ]
+    for g, ((k_alpha, _, dt, tau), idx) in enumerate(groups.items()):
+        lines.append(f"        kd{g} = {float(k_alpha)!r} * next(column{g})")
+        literals = dict(dt=repr(float(dt)), h=repr(0.5 * float(dt)), tau=repr(float(tau)))
+        for j in idx:
+            inputs = dict(a=f"(kd{g} - y{j})", e=f"({float(b[j])!r} - y{j})")
+            own = dict(literals, kp=repr(float(ctrl[j].kp)), ki=repr(float(ctrl[j].ki)))
+            own.update({v: f"{v}{j}" for v in ("psi", "integral", "u", "x")})
+            lines.extend(f"        {line}" for line in law(inputs, own))
+    lines += [f"        {line}" for line in measure]
+    lines += [
+        f"        s = {' + '.join(f'y{j}' for j in range(n))}",
+        "        if s - s != 0.0:",
+        f"            if {' + '.join(f'(y{j} - y{j})' for j in range(n))} != 0.0:",
+        f"                return k, ({names('psi')}), ({names('integral')}), ({names('u')}), {x}, {y}",
+        f"        x_trace.append({x})",
+        f"        y_trace.append({y})",
+    ]
+    return "\n".join(lines)
 
 
 def as_records(problem: LinearTrackingProblem, x_trace, y_trace) -> list[LinsolveRecord]:

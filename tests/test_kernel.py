@@ -2,23 +2,26 @@
 
 The reference loops below run the documented algorithm one public call at
 a time: ``controller_step`` and ``filter_step`` on immutable state objects
-for every enabled weight or unknown.  ``train_online`` and
-``solve_linear`` keep flat float state and make one
-``controller.step_all`` call per iteration (the trainer steps one
-controller of each class of identical ones and copies its step to the
-rest), so they must agree with the reference bit for bit (``-0.0`` told
+for every enabled weight or unknown.  ``train_online`` keeps flat float
+state and makes one ``controller.step_all`` call per iteration (it steps
+one controller of each class of identical ones and copies its step to the
+rest); ``solve_linear`` runs a loop generated per problem, which writes
+the same text of the law, ``controller.LAW``, out once per unknown on
+locals.  So both must agree with the reference bit for bit (``-0.0`` told
 apart from ``0.0``), and must report a divergence at the same loop
 iteration, for the same weight or unknown, naming the same quantity.  The
-loops' bookkeeping (events, lags, groups, classes, records) is what this
-checks: ``controller_step`` and ``filter_step`` are one-element views of
-``step_all`` themselves, so ``tests/test_step_all.py`` re-runs these
-reference loops with the law and the RK4 step written out literally, to
-check the kernel's arithmetic.
+loops' bookkeeping (events, lags, groups, classes, records, the product
+and the finiteness test) is what this checks: ``controller_step`` and
+``filter_step`` are one-element views of ``step_all`` themselves, so
+``tests/test_step_all.py`` re-runs these reference loops with the law and
+the RK4 step written out literally, to check the kernel's arithmetic.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 import re
 
 import pytest
@@ -44,6 +47,7 @@ from paramodel import (
     stagger_params,
     train_online,
 )
+from paramodel.linsolve import PRODUCT_TERMS, product
 
 
 def bits(values) -> tuple[str, ...]:
@@ -218,15 +222,21 @@ def scenarios(draw):
 
 @st.composite
 def problems(draw):
-    n = draw(st.integers(1, 3))
+    """1-8 unknowns in 1-3 (k_alpha, k_beta, dt, tau) groups (fewer when two
+    draws are equal), with kp and ki drawn per unknown."""
+    n = draw(st.integers(1, 8))
+    groups = draw(st.lists(st.tuples(gains, st.sampled_from([1e-5, 3e-5])), min_size=1, max_size=3))
+    controllers, filters = [], []
+    for _ in range(n):
+        params, tau = draw(st.sampled_from(groups))
+        own = draw(gains)
+        controllers.append(dataclasses.replace(params, kp=own.kp, ki=own.ki))
+        filters.append(FirstOrderFilter(tau=tau, state=draw(st.floats(-1.0, 1.0))))
     return LinearTrackingProblem(
         a=[[draw(st.floats(-3.0, 9.0)) for _ in range(n)] for _ in range(n)],
         b=[draw(st.floats(-8.0, 8.0)) for _ in range(n)],
-        controllers=[draw(gains) for _ in range(n)],
-        filters=[
-            FirstOrderFilter(tau=draw(st.sampled_from([1e-5, 3e-5])), state=draw(st.floats(-1.0, 1.0)))
-            for _ in range(n)
-        ],
+        controllers=controllers,
+        filters=filters,
         horizon=draw(st.integers(1, 200)),
     )
 
@@ -309,4 +319,41 @@ def test_linsolve_divergence_matches_reference(gain, tau):
     )
     ref_fail = reference_linsolve(problem)[1]
     assert ref_fail is not None and "unknown 1: " in ref_fail[1]
+    assert_same_linsolve(problem)
+
+
+def test_solve_linear_past_the_written_out_product_matches_reference():
+    # a side of 65 takes matvec, called on the x tuple by the generated
+    # loop; two groups, one of them at another dt and tau
+    n = math.isqrt(PRODUCT_TERMS) + 1
+    a = tuple(tuple((-1.0) ** (i + j) * (i + 1) / (j + 1) + (2.0 * n if i == j else 0.0) for j in range(n)) for i in range(n))
+    assert isinstance(product(a), functools.partial)
+    controllers = list(stagger_params(ControllerParams(k_beta=4.0), n, 0.9))
+    filters = [FirstOrderFilter(state=0.01 * j) for j in range(n)]
+    for j in range(1, n, 3):
+        controllers[j] = dataclasses.replace(controllers[j], dt=2e-5)
+        filters[j] = FirstOrderFilter(tau=3e-5, state=filters[j].state)
+    problem = LinearTrackingProblem(
+        a=a, b=tuple(1.0 + 0.1 * j for j in range(n)), controllers=controllers, filters=filters, horizon=30
+    )
+    assert reference_linsolve(problem)[1] is None
+    assert_same_linsolve(problem)
+
+
+def test_a_row_sum_that_overflows_stops_nothing():
+    # every y is about 1.5e308, finite, and their sum is inf at every
+    # iteration; ki = 0 keeps u = -0.0, and tau = 1 keeps each RK4 step finite
+    good = ControllerParams(kp=1e-3, ki=0.0, k_alpha=166.5, k_beta=4.0, dt=1e-5)
+    problem = LinearTrackingProblem(
+        a=((6.0, 0.0, 0.0), (0.0, 6.0, 0.0), (0.0, 0.0, 6.0)),
+        b=(1.0, 2.0, 3.0),
+        controllers=(good, dataclasses.replace(good, kp=2e-3), dataclasses.replace(good, k_beta=40.0)),
+        filters=(FirstOrderFilter(tau=1.0, state=2.5e307),) * 3,
+        horizon=60,
+    )
+    ref_rows, ref_fail = reference_linsolve(problem)
+    assert ref_fail is None and len(ref_rows) == 60
+    x_trace, y_trace = solve_linear(problem)
+    assert all(math.isfinite(v) for y in y_trace for v in y)
+    assert all(y[0] + y[1] + y[2] == math.inf for y in y_trace)
     assert_same_linsolve(problem)

@@ -1,13 +1,15 @@
-"""The one kernel body on numpy lanes, and a core that imports without numpy.
+"""The one text of the law on numpy lanes, and a core that imports without numpy.
 
-``controller.step_all`` and the solver's product ``linsolve.product`` are
-arithmetic and list indexing only, so they run unchanged on numpy arrays: one array per
-unknown, one element (a lane) per configuration.  numpy's elementwise
-``+ - * /`` are single IEEE-754 operations, so a lane that takes the
-scalar solver's operations in the scalar solver's order gets its bits.
-The loop of ``lane_solve`` is only the harness of ``solve_linear`` (the
-decay column, the errors, the product); it holds no copy of the law or of
-the RK4 step.
+``controller.step_all`` and the product ``linsolve.product`` are
+arithmetic and list indexing only, so they run unchanged on numpy arrays:
+one array per unknown, one element (a lane) per configuration.
+``step_all`` is built from ``controller.LAW``, the text ``solve_linear``'s
+generated loop writes out per unknown, and ``product`` from the rows that
+loop writes out, so the lanes take the scalar solver's operations in its
+order; numpy's elementwise ``+ - * /`` are single IEEE-754 operations, so
+each lane gets the scalar solve's bits.  The loop of ``lane_solve`` is only
+the harness (the decay column, the errors, the product); it holds no copy
+of the law or of the RK4 step.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def linsolve3(rho: float, horizon: int = HORIZON) -> LinearTrackingProblem:
 
 def lane_solve(problems):
     """x of every iteration, shape (horizon, unknowns, lanes), of
-    ``solve_linear``'s loop run with one lane per problem.
+    ``solve_linear``'s iteration run with one lane per problem.
 
     The problems may differ only in kp and ki, so the lanes share one
     group: one decay column, read once per iteration, and one ``step_all``

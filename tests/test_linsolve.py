@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
 import itertools
 import math
@@ -25,7 +26,8 @@ from paramodel import (
     stagger_params,
 )
 from paramodel.config_io import tracking_error
-from paramodel.linsolve import DEMO_A, DEMO_B, PRODUCT_TERMS, _product_source, as_records, product
+from paramodel import linsolve
+from paramodel.linsolve import DEMO_A, DEMO_B, PRODUCT_TERMS, _loop_source, _product_source, as_records, product
 
 from conftest import EQ3_X_STAR
 
@@ -298,6 +300,123 @@ def test_the_allowlist_rejects_calls_and_other_operators():
         "def: not product(x)"
     ]
     assert outside_the_allowlist(product_text("0.0").replace("= x", "= x\n    x0 = x1")) == ["statement: x0 = x1"]
+
+
+LOOP_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def loop_outside_the_allowlist(source: str) -> list[str]:
+    """The nodes of a generated solver loop's text that ``_loop_source`` may
+    not emit.  Allowed: one ``def loop`` of plain arguments; assignments to
+    names and tuples of names; one ``for`` over a name; an ``if`` on a
+    comparison; a ``return`` of a tuple; ``+ - * /`` and comparisons over
+    float literals, tuple displays and the names the function binds; calls
+    of ``next`` and ``mul`` (the product past ``PRODUCT_TERMS``), and of a
+    name's ``.append`` as a statement.  So no ``sum``, ``fsum``, ``abs``,
+    ``**`` or ``%``, and no int literal."""
+    module = ast.parse(source)
+    fn = module.body[0]
+    if len(module.body) != 1 or not isinstance(fn, ast.FunctionDef):
+        return ["module: not one def"]
+    bad = []
+    if fn.name != "loop" or fn.decorator_list or fn.returns:
+        bad.append("def: not loop(...)")
+    bound = {a.arg for a in fn.args.args}
+    bound |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    for node in ast.walk(fn):
+        if node is fn or isinstance(node, (ast.Load, ast.Store, *LOOP_OPS)):
+            continue
+        if isinstance(node, ast.arguments):
+            ok = not (node.posonlyargs or node.vararg or node.kwonlyargs or node.kwarg or node.defaults)
+        elif isinstance(node, ast.arg):
+            ok = node.annotation is None
+        elif isinstance(node, ast.Assign):
+            ok = all(
+                isinstance(t, ast.Name) or isinstance(t, ast.Tuple) and all(isinstance(e, ast.Name) for e in t.elts)
+                for t in node.targets
+            )
+        elif isinstance(node, ast.For):
+            ok = isinstance(node.target, ast.Name) and isinstance(node.iter, ast.Name) and not node.orelse
+        elif isinstance(node, ast.If):
+            ok = isinstance(node.test, ast.Compare) and not node.orelse
+        elif isinstance(node, ast.Return):
+            ok = isinstance(node.value, ast.Tuple)
+        elif isinstance(node, ast.Expr):
+            ok = isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Attribute)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            ok = not node.keywords and (
+                isinstance(func, ast.Name) and func.id in ("next", "mul") or isinstance(func, ast.Attribute)
+            )
+        elif isinstance(node, ast.BinOp):
+            ok = isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))
+        elif isinstance(node, ast.UnaryOp):
+            ok = isinstance(node.op, ast.USub) and is_float(node.operand)
+        elif isinstance(node, ast.Attribute):
+            ok = node.attr == "append" and isinstance(node.value, ast.Name)
+        else:
+            ok = (
+                isinstance(node, (ast.Compare, ast.Tuple))
+                or is_float(node)
+                or isinstance(node, ast.Name) and node.id in bound
+            )
+        if not ok:
+            bad.append(f"{type(node).__name__}: {ast.unparse(node)}")
+    return bad
+
+
+def loop_problem(a, **gain):
+    n = len(a)
+    base = ControllerParams(kp=1.0, ki=0.01, k_alpha=166.5, k_beta=4.0, dt=1e-5)
+    controllers = list(stagger_params(dataclasses.replace(base, **gain), n, 0.9))
+    filters = [FirstOrderFilter(tau=1e-5, state=0.0)] * n
+    # a second and a third group: another dt and tau, another k_alpha
+    controllers[n // 2] = dataclasses.replace(controllers[n // 2], dt=2e-5)
+    filters[n // 2] = FirstOrderFilter(tau=3e-5, state=-0.5)
+    controllers[-1] = dataclasses.replace(controllers[-1], k_alpha=0.0)
+    return LinearTrackingProblem(a=a, b=(1.0,) * n, controllers=controllers, filters=filters, horizon=10)
+
+
+def side(n):
+    return tuple(tuple(float(i * n + j) - 2000.5 for j in range(n)) for i in range(n))
+
+
+LOOP_PROBLEMS = {
+    "demo": lambda: builtin_problem(),
+    "1x1": lambda: loop_problem(((2.0,),)),
+    "3x3-edges": lambda: loop_problem(ALLOWLIST_MATRICES[3], kp=-0.0, ki=5e-324),
+    "64x64": lambda: loop_problem(side(64)),
+    "65x65-matvec": lambda: loop_problem(side(65)),
+}
+
+
+@pytest.mark.parametrize("name", LOOP_PROBLEMS)
+def test_generated_loop_holds_only_arithmetic(name):
+    source = _loop_source(LOOP_PROBLEMS[name]())
+    assert ("mul(x)" in source) is (name == "65x65-matvec")
+    assert loop_outside_the_allowlist(source) == []
+
+
+def test_the_loop_allowlist_rejects_sums_and_other_operators(monkeypatch):
+    source = _loop_source(builtin_problem())
+    for old, new, flagged in [
+        ("s = y0 + y1 + y2", "s = sum((y0, y1, y2))", ["Call: sum((y0, y1, y2))", "Name: sum"]),
+        ("s = y0 + y1 + y2", "s = fsum((y0, y1, y2))", ["Call: fsum((y0, y1, y2))", "Name: fsum"]),
+        ("if s - s", "if abs(s) - s", ["Call: abs(s)", "Name: abs"]),
+        ("s = y0 + y1 + y2", "s = y0 ** 2.0", ["BinOp: y0 ** 2.0", "Pow: "]),
+        ("s = y0 + y1 + y2", "s = y0 % y1", ["BinOp: y0 % y1", "Mod: "]),
+        ("s = y0 + y1 + y2", "s = y0 + 1", ["Constant: 1"]),
+        ("x_trace.append", "x_trace.extend", ["Attribute: x_trace.extend"]),
+        ("x_trace.append", "x_trace.real.append", ["Attribute: x_trace.real.append", "Attribute: x_trace.real"]),
+    ]:
+        assert old in source
+        assert sorted(loop_outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged)
+    # a generator whose rows are sums flags every row, in the first product and in the loop
+    monkeypatch.setattr(
+        linsolve, "_rows", lambda a: [f"sum(({', '.join(f'{v!r} * x{c}' for c, v in enumerate(row))}), 0.0)" for row in a]
+    )
+    mutated = _loop_source(builtin_problem())
+    assert sum(entry.startswith("Call: sum(") for entry in loop_outside_the_allowlist(mutated)) == 6
 
 
 def test_residual_consistency():

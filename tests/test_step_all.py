@@ -1,9 +1,10 @@
 """The fused step kernel against the law and RK4 written out literally.
 
 ``controller_step`` and ``filter_step`` are one-element views of
-``controller.step_all``, which both simulation loops call, so the
+``controller.step_all``, and ``step_all`` and the linear solver's
+generated loop are both built from one text, ``controller.LAW``, so the
 reference loops of ``test_kernel.py`` (built from those two functions)
-no longer check the kernel against anything independent.  Here the law
+no longer check the law against anything independent.  Here the law
 and the RK4 step are written out once more, literally: first the two
 views are checked against them bit for bit on any floats, then the
 reference loops of ``test_kernel.py`` are run with the literal steps in
@@ -16,6 +17,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import pathlib
 
 import pytest
 import test_kernel
@@ -37,6 +39,8 @@ from paramodel import (
     filter_step,
     set_weight,
 )
+from paramodel import linsolve
+from paramodel.controller import LAW
 from paramodel.elementary import exp
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
@@ -258,3 +262,13 @@ def test_solve_linear_divergence_names_the_lowest_unknown_across_groups(overflow
     assert fail == (1, message)
     with literal_steps():
         test_kernel.assert_same_linsolve(problem)
+
+
+def test_the_law_is_written_once():
+    # step_all and the solver's generated loop are both built from LAW, and
+    # no statement of it is written anywhere else in the package
+    package = pathlib.Path(linsolve.__file__).parent
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
+    for line in LAW.splitlines():
+        assert text.count(line) == 1, line
+    assert "step_all" not in vars(linsolve)
