@@ -15,13 +15,14 @@ it sees only the reference and the last measured output.
 
 ``LAW`` is the one text of the law and of the RK4 step of each
 controller's first-order filter (see ``dynamics``), and the code that
-runs them is generated from it.  ``step_all`` runs it over flat
-per-controller lists: the trainer calls it once per iteration (on one
-controller of each class of bit-identical ones), and ``controller_step``
-and ``dynamics.filter_step`` are one-element views of it.  It only does
-arithmetic, so numpy arrays run through it as lanes.  The linear solver's
-loop, generated per problem, writes ``LAW`` out once per unknown
-(``linsolve.solve_linear``).
+runs them is generated from it by ``law``.  ``step_all`` runs it over flat
+per-controller lists; ``controller_step`` and ``dynamics.filter_step``
+are one-element views of it.  It only does arithmetic, so numpy arrays
+run through it as lanes.  The two loops write ``LAW`` out on locals: the
+linear solver's, generated per problem, once per unknown
+(``linsolve.solve_linear``), and the trainer's, generated per event
+segment, once per class of bit-identical controllers
+(``trainer.train_online``).
 
 ``decays`` reads the initialization decay from a cached column of
 ``decay`` values, ``DECAY_BLOCK`` steps a block, which every run of the
@@ -131,8 +132,8 @@ def _decay_block(k_beta: float, dt: float, block: int) -> array:
 #: ``a = k_alpha*d - y`` (``d`` the step's ``decay``), ``e = y_ref - y``,
 #: ``dt``, ``h = 0.5*dt`` and ``tau``; it steps ``psi``, ``integral`` and the
 #: filter output ``x``, and sets the control ``u``.  The filter is ``x' = (u -
-#: x)/tau`` with u held over the step.  ``step_all`` runs it over flat lists and
-#: ``linsolve`` writes it out once per unknown (``law``).
+#: x)/tau`` with u held over the step.  ``step_all`` runs it over flat lists,
+#: and ``linsolve`` and ``trainer`` write it out on locals (``law``).
 LAW = """\
 psi = psi + kp * a
 integral = integral + ki * e * dt

@@ -100,7 +100,8 @@ def matvec(a, x) -> tuple[float, ...]:
 #: matrix takes about 33 ms, a 200 x 200 one about 0.3 s.
 PRODUCT_TERMS = 4096
 
-#: Products kept by ``product``: one per distinct matrix solved.
+#: Products kept by ``product``, one per distinct matrix solved, and
+#: solver loops kept by ``solve_linear``, one per distinct loop text.
 PRODUCTS_CACHED = 16
 
 
@@ -162,19 +163,18 @@ def solve_linear(
     Iteration k measures y from the previous x, steps every controller
     against (b_j, y_j) synchronously, filters the raw controls into the
     new x, and records the pair (x_k, y_k = A x_k).  The loop is one
-    function generated for the problem (``_loop_source``).  Raises
+    function generated for the problem (``_loop_source``) and compiled
+    once per text (``_loop``).  Raises
     DivergenceError with k once a y is non-finite, naming the lowest
     non-finite unknown if any.
     """
-    namespace: dict = {}
-    # the generated code reads no global
-    exec(_loop_source(problem), {"__builtins__": {}}, namespace)
+    loop = _loop(_loop_source(problem))
     mul = None if _written_out(problem.a) else product(problem.a)
     columns = [decays(k_beta, dt) for _, k_beta, dt, _ in _groups(problem)]
     x_trace: list[tuple[float, ...]] = []
     y_trace: list[tuple[float, ...]] = []
     start = tuple(f.state for f in problem.filters)
-    failed = namespace["loop"](range(1, problem.horizon + 1), start, x_trace, y_trace, next, mul, *columns)
+    failed = loop(range(1, problem.horizon + 1), start, x_trace, y_trace, next, mul, *columns)
     if failed is not None:
         k, psis, integrals, us, x, y = failed
         # A is finite, so a non-finite x makes every y non-finite
@@ -183,6 +183,17 @@ def solve_linear(
                 raise divergence(k, psis[j], integrals[j], us[j], xj, f"unknown {j}: ")
         raise DivergenceError(f"measured output became non-finite: {y}", iteration=k)
     return x_trace, y_trace
+
+
+@functools.lru_cache(maxsize=PRODUCTS_CACHED)
+def _loop(source: str) -> Callable:
+    """The function ``loop`` that ``source`` (a ``_loop_source`` text)
+    defines.  The last ``PRODUCTS_CACHED`` are kept, keyed by the text, so a
+    problem solved again compiles nothing."""
+    namespace: dict = {}
+    # the generated code reads no global
+    exec(source, {"__builtins__": {}}, namespace)
+    return namespace["loop"]
 
 
 def _groups(problem: LinearTrackingProblem) -> dict[tuple[float, float, float, float], list[int]]:

@@ -8,9 +8,11 @@ boolean mask (dropout-style topology events) without losing their stored
 weight.  The net stores weights as given; the training loop bounds them
 (``Scenario.w_max``).
 
-The forward pass is generated code: ``FeedforwardNet.evaluator`` writes
-one straight-line function per mask (and weight slot map) from the
-net's plan and caches it, and ``eval_with`` calls it.
+The forward pass is generated code with one text, ``forward_source``,
+written from the net's plan: ``FeedforwardNet.evaluator`` compiles it into
+one straight-line function per mask (and weight slot map) and caches it,
+and ``eval_with`` calls it; the trainer writes it inline into the loop it
+generates per event segment (``trainer.train_online``).
 """
 
 from __future__ import annotations
@@ -146,8 +148,8 @@ class FeedforwardNet:
         over the edges would, and masked edges are left out.  Two nodes whose
         sums read the same weight slots from the same sources in the same
         order share one tanh call.  Each tanh is ``elementary.tanh``,
-        correctly rounded, looked up as a global of this module at each call,
-        so ``scripts/reference_traces.py`` can put mpmath's tanh in its place.
+        correctly rounded, looked up as a global of this module at each call
+        (``define``).
         The last ``EVALUATORS_CACHED`` functions are kept.  ``mask`` takes
         bools and ``slots`` weight indices, each one per weight.
         """
@@ -165,9 +167,9 @@ class FeedforwardNet:
     def eval_with(self, weights: Sequence[float], mask: Sequence[bool], x: Sequence[float]) -> float:
         """Forward pass using explicit weight/mask vectors, one x per input.
 
-        A view of ``evaluator``, the single evaluation path: ``forward`` and
-        the training loop both come through it, so masked-vs-zeroed
-        comparisons stay bit-exact.
+        A view of ``evaluator``: ``forward`` comes through it, and the
+        training loop writes the same text (``forward_source``) inline, so
+        masked-vs-zeroed comparisons stay bit-exact.
         """
         return self.evaluator(mask)(weights, x)
 
@@ -188,40 +190,61 @@ class _Plan(tuple):
         return self._hash
 
 
-#: Compiled forward passes kept by ``FeedforwardNet.evaluator``: a run
-#: compiles one per event segment, so a long run of topology events holds
-#: at most this many.
+#: Compiled forward passes kept by ``FeedforwardNet.evaluator``, and
+#: compiled segments kept by the trainer (one per distinct event segment):
+#: a long run of topology events holds at most this many of each.
 EVALUATORS_CACHED = 64
 
 
-@functools.lru_cache(maxsize=EVALUATORS_CACHED)
-def _compile(plan: tuple, n_inputs: int, mask: tuple, slots: tuple | None) -> Callable:
-    """Generate the forward pass of ``FeedforwardNet.evaluator``.
+def forward_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple | None, weight: str) -> tuple[str, list[str], str]:
+    """The text of the forward pass under ``mask``: ``(unpack, body, out)``.
 
-    One statement per term, so a node of any in-degree compiles (a single
-    expression of a few thousand terms exceeds CPython's compiler
-    recursion limit).  Inputs are ``x0..``, node values ``v<slot>``; a node
-    whose sum has the key of an earlier node takes that node's variable.
+    ``unpack`` binds the inputs ``x0, x1, ...`` from a tuple ``x`` (it is
+    empty for a net without inputs), ``body`` holds the statements, without
+    indentation, and ``out`` is the name that holds the output's value.
+    Weight ``i`` is read as ``weight.format(slots[i])`` (``slots[i]`` is
+    ``i`` when ``slots`` is None): ``"w[{}]"`` for ``evaluator``, ``"w{}"``
+    for the trainer's segment, which keeps each weight in a local.  One
+    statement per term, so a node of any in-degree compiles (a single
+    expression of a few thousand terms exceeds CPython's compiler recursion
+    limit): each node's sum ``s`` starts at ``0.0`` and adds the terms of
+    its enabled edges in plan order, and its value is ``v<slot> =
+    tanh(s)``.  A node whose sum has the key of an earlier node (the same
+    weight slots read from the same sources in the same order) takes that
+    node's variable, so the two share one tanh call.
     """
     var = [f"x{j}" for j in range(n_inputs)] + [""] * len(plan)
-    lines = ["def forward(w, x):"]
-    if n_inputs:
-        lines.append(f"    {', '.join(var[:n_inputs])}, = x")
+    unpack = f"{', '.join(var[:n_inputs])}, = x" if n_inputs else ""
+    body: list[str] = []
     shared: dict[tuple, str] = {}
     for node, terms in plan:
         key = tuple((var[src], i if slots is None else slots[i]) for src, i in terms if mask[i])
         if key not in shared:
             shared[key] = f"v{node}"
-            lines.append("    s = 0.0")
-            lines += [f"    s += w[{i}] * {v}" for v, i in key]
-            lines.append(f"    v{node} = tanh(s)")
+            body.append("s = 0.0")
+            body += [f"s += {weight.format(i)} * {v}" for v, i in key]
+            body.append(f"v{node} = tanh(s)")
         var[node] = shared[key]
     # the output node always occupies the last slot
-    lines.append(f"    return {var[-1]}")
+    return unpack, body, var[-1]
+
+
+def define(source: str, name: str) -> Callable:
+    """The function ``name`` that ``source`` defines, compiled with this
+    module's globals: a ``tanh`` it calls is looked up here at each call, so
+    ``scripts/reference_traces.py`` can put mpmath's tanh in its place."""
     namespace: dict = {}
-    # this module's globals: tanh is looked up at each call
-    exec("\n".join(lines), globals(), namespace)
-    return namespace["forward"]
+    exec(source, globals(), namespace)
+    return namespace[name]
+
+
+@functools.lru_cache(maxsize=EVALUATORS_CACHED)
+def _compile(plan: tuple, n_inputs: int, mask: tuple, slots: tuple | None) -> Callable:
+    """Generate the forward pass of ``FeedforwardNet.evaluator``, ``forward(w,
+    x)``, from ``forward_source``."""
+    unpack, body, out = forward_source(plan, n_inputs, mask, slots, "w[{}]")
+    lines = ["def forward(w, x):", *(f"    {line}" for line in (unpack, *body) if line), f"    return {out}"]
+    return define("\n".join(lines), "forward")
 
 
 def default_topology() -> FeedforwardNet:

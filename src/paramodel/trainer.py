@@ -14,8 +14,12 @@ then measure the output with the current weights, step one controller and
 filter of each class, test the filter output for divergence, clamp it,
 record.  Between events a class member's state is not updated: the
 network reads each weight, and the record shows it, through its class's
-representative (``FeedforwardNet.evaluator`` with a slot map, one tanh
-per distinct node sum).
+representative.  The iterations between two events run in one generator
+function generated for the segment (``_segment_source``), with each
+representative's state in locals: the forward pass written out as
+``network.forward_source`` writes it (one tanh per distinct node sum) and
+``controller.LAW`` once per representative, so no per-iteration call but
+the tanh, the decay read and the record's.
 Dropped weights are held at zero with their controller and filter frozen;
 restoring a weight re-installs the frozen filter state and resumes
 stepping, so a drop/restore pair at the same iteration is an exact no-op.
@@ -25,16 +29,15 @@ itself, before the scenario's own events of iteration 0.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
-from operator import itemgetter
 from struct import pack
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .controller import ControllerParams, decays, divergence, stagger_params, step_all
+from .controller import ControllerParams, decays, divergence, law, stagger_params
 from .dynamics import DEFAULT_TAU
 from .errors import Count, DivergenceError, Index, Positive, Ratio, ValidationError, check_fields
-from .network import FeedforwardNet, TrainingSample, default_topology
+from .network import EVALUATORS_CACHED, FeedforwardNet, TrainingSample, default_topology, define, forward_source
 
 __all__ = [
     "EVENT_ARGS",
@@ -204,70 +207,141 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
     }
     for event in scenario.events:
         events.setdefault(max(event.at, 1), []).append(event)
+    starts = sorted(events)
 
-    isfinite = math.isfinite
     copies: list[tuple[int, int]] = []
-    for k in range(1, scenario.horizon + 1):
-        if k in events:
-            # the members of a class take its representative's state, so the
-            # events act on each weight's own
-            for i, r in copies:
-                psis[i] = psis[r]
-                integrals[i] = integrals[r]
-                xs[i] = xs[r]
-                u[i] = u[r]
-                w[i] = w[r]
-            for event in events[k]:
-                i = event.index
-                if event.kind == "set_input":
-                    x_train[i] = event.value
-                elif event.kind == "set_reference":
-                    y_ref = event.value
-                elif event.kind == "drop_weight":
-                    if mask[i]:
-                        dropped_at[i] = k
-                    mask[i] = False
-                    w[i] = 0.0
-                    u[i] = 0.0
-                elif event.kind == "restore_weight":
-                    # re-install the clamped frozen filter state so an
-                    # immediate drop/restore pair is an exact no-op
-                    if not mask[i]:
-                        lag[i] += k - dropped_at[i]
-                    mask[i] = True
-                    w[i] = min(max(xs[i], -w_max), w_max)
-            active = [i for i in range(q) if mask[i]]
-            # one decay column per distinct lag, read once per iteration
-            columns = [(n, decays(k_beta, dt, k - n)) for n in sorted({lag[i] for i in active})]
-            # a class of the same gains, lag and state bits steps its lowest
-            # index, its representative; every slot of a weight names the
-            # representative whose w and u stand for it until the next event
-            first: dict[bytes, int] = {}
-            slots = list(range(q))
-            for i in active:
-                slots[i] = first.setdefault(pack("<5dq", kps[i], kis[i], psis[i], integrals[i], xs[i], lag[i]), i)
-            reps, copies = list(first.values()), [(i, r) for i, r in enumerate(slots) if i != r]
-            evaluate = net.evaluator(mask, slots)
-            take = itemgetter(*slots) if copies else tuple
-        y = evaluate(w, x_train)
-        if not isfinite(y):
-            raise DivergenceError(f"network output became non-finite: {y}", iteration=k)
-        if len(columns) == 1:  # every enabled controller takes the same step
-            a = [k_alpha * next(columns[0][1]) - y] * q
-        else:  # a restored weight lags the others
-            by_lag = {n: k_alpha * next(column) - y for n, column in columns}
-            a = [by_lag.get(n, 0.0) for n in lag]
-        step_all(reps, psis, integrals, xs, u, kps, kis, a, [y_ref - y] * q, dt, tau)
-        for i in reps:
-            xi = xs[i]
-            if xi - xi != 0.0:  # before the clamp, which would turn inf into w_max
-                raise divergence(k, psis[i], integrals[i], u[i], xi, f"weight {i}: ")
-            if xi > w_max:
-                xi = w_max
-            elif xi < -w_max:
-                xi = -w_max
-            w[i] = xi
-        yield TraceRecord(k, k * dt, y, y_ref, take(w), take(u))
+    for k, end in zip(starts, starts[1:] + [scenario.horizon + 1]):
+        # the members of a class take its representative's state, so the
+        # events act on each weight's own
+        for i, r in copies:
+            psis[i] = psis[r]
+            integrals[i] = integrals[r]
+            xs[i] = xs[r]
+            u[i] = u[r]
+            w[i] = w[r]
+        for event in events[k]:
+            i = event.index
+            if event.kind == "set_input":
+                x_train[i] = event.value
+            elif event.kind == "set_reference":
+                y_ref = event.value
+            elif event.kind == "drop_weight":
+                if mask[i]:
+                    dropped_at[i] = k
+                mask[i] = False
+                w[i] = 0.0
+                u[i] = 0.0
+            elif event.kind == "restore_weight":
+                # re-install the clamped frozen filter state so an
+                # immediate drop/restore pair is an exact no-op
+                if not mask[i]:
+                    lag[i] += k - dropped_at[i]
+                mask[i] = True
+                w[i] = min(max(xs[i], -w_max), w_max)
+        active = [i for i in range(q) if mask[i]]
+        # a class of the same gains, lag and state bits steps its lowest
+        # index, its representative; every slot of a weight names the
+        # representative whose w and u stand for it until the next event
+        first: dict[bytes, int] = {}
+        slots = list(range(q))
+        for i in active:
+            slots[i] = first.setdefault(pack("<5dq", kps[i], kis[i], psis[i], integrals[i], xs[i], lag[i]), i)
+        reps, copies = list(first.values()), [(i, r) for i, r in enumerate(slots) if i != r]
+        # one decay column per distinct lag, read once per iteration
+        lags = sorted({lag[i] for i in active})
+        columns = tuple(decays(k_beta, dt, k - n) for n in lags)
+        groups = tuple(lags.index(lag[r]) for r in reps)
+        run = _segment(net._plan, net.input_count, tuple(mask), tuple(slots), tuple(reps), groups)
+        gains = tuple(v for r in reps for v in (kps[r], kis[r]))
+        state = tuple(v for r in reps for v in (psis[r], integrals[r], xs[r], u[r], w[r]))
+        last, y, *ends = yield from run(
+            range(k, end), tuple(x_train), y_ref, dt, tau, k_alpha, w_max, -w_max, next, TraceRecord, columns, gains, state
+        )
+        if y - y != 0.0:
+            raise DivergenceError(f"network output became non-finite: {y}", iteration=last)
+        for r, (psi, integral, x, ur, wr) in zip(reps, ends):
+            if x - x != 0.0:  # the lowest diverging weight, before its clamp
+                raise divergence(last, psi, integral, ur, x, f"weight {r}: ")
+            psis[r], integrals[r], xs[r], u[r], w[r] = psi, integral, x, ur, wr
+
+
+@functools.lru_cache(maxsize=EVALUATORS_CACHED)
+def _segment(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple) -> Callable:
+    """The generator function of ``_segment_source``, compiled by
+    ``network.define``, so the forward pass looks its ``tanh`` up in
+    ``paramodel.network`` at each call.  The last ``EVALUATORS_CACHED`` are
+    kept: the text holds no value of the run, so runs of one topology and
+    one pattern of classes share it whatever their gains, data and bounds."""
+    return define(_segment_source(plan, n_inputs, mask, slots, reps, groups), "segment")
+
+
+def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple) -> str:
+    """The text of the training loop between two events, ``segment(ks, x,
+    y_ref, dt, tau, k_alpha, w_max, w_min, next, record, columns, gains,
+    state)``, a generator.
+
+    It runs iterations ``k in ks`` of a net of plan ``plan`` under ``mask``,
+    whose weight ``i`` is stood for by the representative ``slots[i]``; the
+    representatives ``reps`` step, each in the lag group of the same place
+    in ``groups``.  Representative r keeps psi, integral, filter output,
+    control and weight in the locals ``psi<r>``, ``integral<r>``,
+    ``xf<r>``, ``u<r>`` and ``w<r>``, unpacked from ``state`` (five values
+    per representative, in order), with its gains ``kp<r>`` and ``ki<r>``
+    from ``gains``; the inputs are unpacked from ``x`` and lag group g reads
+    ``column<g>`` of ``columns``.  An iteration runs the forward pass of
+    ``network.forward_source`` on those weights, tests y, takes ``kd<g> =
+    k_alpha * next(column<g>)`` per group and writes out ``LAW`` per
+    representative (``controller.law``, with ``a = kd<g> - y`` and ``e =
+    y_ref - y``), then tests each filter output and clamps it to ``[w_min,
+    w_max]`` into the weight, in index order, and yields ``record(k, k *
+    dt, y, y_ref, w, u)`` whose ``w`` and ``u`` name each weight's
+    representative (``0.0`` for a masked weight, which is held at zero).
+    It returns ``(k, y, (psi<r>, integral<r>, xf<r>, u<r>, w<r>), ...)`` at
+    the end of ``ks``, or at once when y or a filter output is non-finite:
+    each test breaks out of the loop to the one ``return``, so the text
+    grows in proportion to the representatives, not to their square.
+    """
+    unpack, forward, out = forward_source(plan, n_inputs, mask, slots, "w{}")
+    kds = range(len(set(groups)))
+
+    def bind(names: list[str], value: str) -> list[str]:
+        return [f"{', '.join(names)}, = {value}"] if names else []
+
+    head = [unpack] if unpack else []
+    head += bind([f"column{g}" for g in kds], "columns")
+    head += bind([f"{v}{r}" for r in reps for v in ("kp", "ki")], "gains")
+    head += bind([f"{v}{r}" for r in reps for v in ("psi", "integral", "xf", "u", "w")], "state")
+    lines = [
+        "def segment(ks, x, y_ref, dt, tau, k_alpha, w_max, w_min, next, record, columns, gains, state):",
+        *(f"    {line}" for line in head),
+        "    h = 0.5 * dt",
+        "    for k in ks:",
+        *(f"        {line}" for line in forward),
+        f"        y = {out}",
+        "        if y - y != 0.0:",
+        "            break",
+        *(f"        kd{g} = k_alpha * next(column{g})" for g in kds),
+    ]
+    for r, g in zip(reps, groups):
+        names = dict(psi=f"psi{r}", integral=f"integral{r}", u=f"u{r}", x=f"xf{r}", kp=f"kp{r}", ki=f"ki{r}")
+        lines += [f"        {line}" for line in law(dict(a=f"(kd{g} - y)", e="(y_ref - y)"), names)]
+    for r in reps:
+        lines += [
+            f"        if xf{r} - xf{r} != 0.0:",
+            "            break",
+            f"        if xf{r} > w_max:",
+            f"            w{r} = w_max",
+            f"        elif xf{r} < w_min:",
+            f"            w{r} = w_min",
+            "        else:",
+            f"            w{r} = xf{r}",
+        ]
+    w, u = ([f"{v}{r}" if on else "0.0" for r, on in zip(slots, mask)] for v in ("w", "u"))
+    lines += [
+        f"        yield record(k, k * dt, y, y_ref, ({', '.join(w)},), ({', '.join(u)},))",
+        "    return k, y" + "".join(f", (psi{r}, integral{r}, xf{r}, u{r}, w{r})" for r in reps),
+    ]
+    return "\n".join(lines)
 
 
 def builtin_scenarios() -> dict[str, Scenario]:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from paramodel import Edge, FeedforwardNet, ScenarioEvent, ValidationError, builtin_scenarios, default_topology, train_online
-from paramodel import network
+from paramodel import network, trainer
 from paramodel.elementary import tanh
 
 
@@ -180,6 +181,27 @@ def test_a_cached_evaluator_calls_the_tanh_of_the_module(monkeypatch):
     monkeypatch.setattr(network, "tanh", lambda s: 0.25)
     assert net.evaluator(net.mask) is f
     assert f(w, x) == 0.25 != before
+
+
+def test_the_forward_pass_is_written_once():
+    # evaluator and the trainer's segment both take network.forward_source's text
+    package = pathlib.Path(network.__file__).parent
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
+    # the statements of a node, as the generator writes them
+    assert text.count('"s = 0.0"') == text.count('tanh(s)"') == text.count('f"s += ') == 1
+    assert "forward_source" in vars(trainer) and "_compile" not in vars(trainer)
+
+
+def test_a_cached_segment_calls_the_tanh_of_the_module(monkeypatch):
+    # the trainer's segment writes the forward pass inline: it too must
+    # look tanh up in paramodel.network when it runs, not when it compiled
+    fig4 = dataclasses.replace(builtin_scenarios()["fig4"], horizon=5)
+    before = [r.y for r in train_online(fig4)]
+    misses = trainer._segment.cache_info().misses
+    monkeypatch.setattr(network, "tanh", lambda s: 0.25)
+    after = [r.y for r in train_online(fig4)]
+    assert trainer._segment.cache_info().misses == misses
+    assert after == [0.25] * 5 != before
 
 
 @pytest.mark.parametrize(

@@ -2,17 +2,19 @@
 
 The reference loops below run the documented algorithm one public call at
 a time: ``controller_step`` and ``filter_step`` on immutable state objects
-for every enabled weight or unknown.  ``train_online`` keeps flat float
-state and makes one ``controller.step_all`` call per iteration (it steps
-one controller of each class of identical ones and copies its step to the
-rest); ``solve_linear`` runs a loop generated per problem, which writes
-the same text of the law, ``controller.LAW``, out once per unknown on
-locals.  So both must agree with the reference bit for bit (``-0.0`` told
-apart from ``0.0``), and must report a divergence at the same loop
-iteration, for the same weight or unknown, naming the same quantity.  The
-loops' bookkeeping (events, lags, groups, classes, records, the product
-and the finiteness test) is what this checks: ``controller_step`` and
-``filter_step`` are one-element views of ``step_all`` themselves, so
+for every enabled weight or unknown.  ``train_online`` runs a loop
+generated per event segment, which writes the text of the law,
+``controller.LAW``, out once per class of identical controllers on locals
+(it steps one controller of each class and copies its state to the rest
+at the next event), beside the forward pass written out inline;
+``solve_linear`` runs a loop generated per problem, which writes ``LAW``
+out once per unknown.  So both must agree with the reference bit for bit
+(``-0.0`` told apart from ``0.0``), and must report a divergence at the
+same loop iteration, for the same weight or unknown, naming the same
+quantity.  The loops' bookkeeping (events, lags, groups, classes,
+records, the forward pass, the product and the finiteness tests) is what
+this checks: ``controller_step`` and ``filter_step`` are one-element
+views of ``step_all``, itself built from ``LAW``, so
 ``tests/test_step_all.py`` re-runs these reference loops with the law and
 the RK4 step written out literally, to check the kernel's arithmetic.
 """

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import functools
 import itertools
@@ -29,6 +28,7 @@ from paramodel.config_io import tracking_error
 from paramodel import linsolve
 from paramodel.linsolve import DEMO_A, DEMO_B, PRODUCT_TERMS, _loop_source, _product_source, as_records, product
 
+from allowlist import outside_the_allowlist
 from conftest import EQ3_X_STAR
 
 BASE = ControllerParams(kp=1.0, ki=0.01, k_alpha=166.5, k_beta=4.0, dt=1e-5)
@@ -217,52 +217,6 @@ def test_equal_matrices_share_one_product():
         assert bits(product(zeros)(x)) == bits(matvec(zeros, x)) == bits(matvec(flipped, x))
 
 
-def is_float(node) -> bool:
-    return isinstance(node, ast.Constant) and type(node.value) is float
-
-
-def outside_the_allowlist(source: str) -> list[str]:
-    """The nodes of a generated product's text that ``product`` may not
-    emit.  Allowed: one ``def product(x)``, one tuple unpack of ``x`` into
-    names, and a returned tuple of rows built from ``+`` and ``*`` over
-    float literals and those names.  A negative literal parses as ``-``
-    applied to a float constant; no other node is allowed, a call least of
-    all."""
-    module = ast.parse(source)
-    fn = module.body[0]
-    if len(module.body) != 1 or not isinstance(fn, ast.FunctionDef):
-        return ["module: not one def"]
-    bad = []
-    if fn.name != "product" or fn.decorator_list or fn.returns or ast.dump(fn.args) != ast.dump(PRODUCT_ARGS):
-        bad.append("def: not product(x)")
-    *unpack, ret = fn.body
-    names = set()
-    for i, node in enumerate(unpack):
-        target = node.targets[0] if isinstance(node, ast.Assign) and len(node.targets) == 1 else None
-        if i == 0 and isinstance(target, ast.Tuple) and all(isinstance(t, ast.Name) for t in target.elts):
-            if isinstance(node.value, ast.Name) and node.value.id == "x":
-                names = {t.id for t in target.elts}
-                continue
-        bad.append(f"statement: {ast.unparse(node)}")
-    if not (isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)):
-        return bad + [f"return: {ast.unparse(ret)}"]
-    for node in ast.walk(ret.value):
-        if (
-            node is ret.value
-            or isinstance(node, (ast.Add, ast.Mult, ast.USub, ast.Load))
-            or isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult))
-            or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) and is_float(node.operand)
-            or is_float(node)
-            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names
-        ):
-            continue
-        bad.append(f"{type(node).__name__}: {ast.unparse(node)}")
-    return bad
-
-
-PRODUCT_ARGS = ast.parse("def product(x): pass").body[0].args
-
-
 ALLOWLIST_MATRICES = [
     DEMO_A,
     ((2.0,),),
@@ -272,97 +226,44 @@ ALLOWLIST_MATRICES = [
 ]
 
 
+def product_outside_the_allowlist(source: str) -> list[str]:
+    return outside_the_allowlist(source, "product")
+
+
 @pytest.mark.parametrize("a", ALLOWLIST_MATRICES, ids=["demo", "1x1", "zeros", "3x3-edges", "64x64"])
 def test_generated_product_holds_only_sums_and_products(a):
-    assert outside_the_allowlist(_product_source(a)) == []
+    assert product_outside_the_allowlist(_product_source(a)) == []
 
 
 def test_the_allowlist_rejects_calls_and_other_operators():
     def product_text(row):
         return f"def product(x):\n    x0, x1, = x\n    return (\n        {row},\n    )"
 
-    assert outside_the_allowlist(product_text("0.0 + 1.0 * x0 + -2.0 * x1")) == []
-    assert sorted(outside_the_allowlist(product_text("sum((1.0 * x0, -2.0 * x1), 0.0)"))) == [
+    assert product_outside_the_allowlist(product_text("0.0 + 1.0 * x0 + -2.0 * x1")) == []
+    assert sorted(product_outside_the_allowlist(product_text("sum((1.0 * x0, -2.0 * x1), 0.0)"))) == [
         "Call: sum((1.0 * x0, -2.0 * x1), 0.0)",
         "Name: sum",
-        "Tuple: (1.0 * x0, -2.0 * x1)",
     ]
-    assert sorted(outside_the_allowlist(product_text("0.0 + 1.0 * x0 - 2.0 * x1"))) == [
-        "BinOp: 0.0 + 1.0 * x0 - 2.0 * x1",
-        "Sub: ",
+    assert sorted(product_outside_the_allowlist(product_text("0.0 + 1.0 * x0 % 2.0 * x1"))) == [
+        "BinOp: 1.0 * x0 % 2.0",
+        "Mod: ",
     ]
-    assert sorted(outside_the_allowlist(product_text("0.0 + 1 * x0 + -x1 + y"))) == [
+    assert sorted(product_outside_the_allowlist(product_text("0.0 + 1 * x0 + -x1 + y"))) == [
         "Constant: 1",
         "Name: y",
         "UnaryOp: -x1",
     ]
-    assert outside_the_allowlist(product_text("0.0").replace("product(x)", "product(x, y=sum)")) == [
-        "def: not product(x)"
+    assert product_outside_the_allowlist(product_text("0.0").replace("product(x)", "product(x, y=sum)")) == [
+        "def: not product(...) of plain arguments"
     ]
-    assert outside_the_allowlist(product_text("0.0").replace("= x", "= x\n    x0 = x1")) == ["statement: x0 = x1"]
-
-
-LOOP_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    assert sorted(product_outside_the_allowlist(product_text("0.0").replace("= x", "= x\n    x0 = abs(x1)"))) == [
+        "Call: abs(x1)",
+        "Name: abs",
+    ]
 
 
 def loop_outside_the_allowlist(source: str) -> list[str]:
-    """The nodes of a generated solver loop's text that ``_loop_source`` may
-    not emit.  Allowed: one ``def loop`` of plain arguments; assignments to
-    names and tuples of names; one ``for`` over a name; an ``if`` on a
-    comparison; a ``return`` of a tuple; ``+ - * /`` and comparisons over
-    float literals, tuple displays and the names the function binds; calls
-    of ``next`` and ``mul`` (the product past ``PRODUCT_TERMS``), and of a
-    name's ``.append`` as a statement.  So no ``sum``, ``fsum``, ``abs``,
-    ``**`` or ``%``, and no int literal."""
-    module = ast.parse(source)
-    fn = module.body[0]
-    if len(module.body) != 1 or not isinstance(fn, ast.FunctionDef):
-        return ["module: not one def"]
-    bad = []
-    if fn.name != "loop" or fn.decorator_list or fn.returns:
-        bad.append("def: not loop(...)")
-    bound = {a.arg for a in fn.args.args}
-    bound |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-    for node in ast.walk(fn):
-        if node is fn or isinstance(node, (ast.Load, ast.Store, *LOOP_OPS)):
-            continue
-        if isinstance(node, ast.arguments):
-            ok = not (node.posonlyargs or node.vararg or node.kwonlyargs or node.kwarg or node.defaults)
-        elif isinstance(node, ast.arg):
-            ok = node.annotation is None
-        elif isinstance(node, ast.Assign):
-            ok = all(
-                isinstance(t, ast.Name) or isinstance(t, ast.Tuple) and all(isinstance(e, ast.Name) for e in t.elts)
-                for t in node.targets
-            )
-        elif isinstance(node, ast.For):
-            ok = isinstance(node.target, ast.Name) and isinstance(node.iter, ast.Name) and not node.orelse
-        elif isinstance(node, ast.If):
-            ok = isinstance(node.test, ast.Compare) and not node.orelse
-        elif isinstance(node, ast.Return):
-            ok = isinstance(node.value, ast.Tuple)
-        elif isinstance(node, ast.Expr):
-            ok = isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Attribute)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            ok = not node.keywords and (
-                isinstance(func, ast.Name) and func.id in ("next", "mul") or isinstance(func, ast.Attribute)
-            )
-        elif isinstance(node, ast.BinOp):
-            ok = isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))
-        elif isinstance(node, ast.UnaryOp):
-            ok = isinstance(node.op, ast.USub) and is_float(node.operand)
-        elif isinstance(node, ast.Attribute):
-            ok = node.attr == "append" and isinstance(node.value, ast.Name)
-        else:
-            ok = (
-                isinstance(node, (ast.Compare, ast.Tuple))
-                or is_float(node)
-                or isinstance(node, ast.Name) and node.id in bound
-            )
-        if not ok:
-            bad.append(f"{type(node).__name__}: {ast.unparse(node)}")
-    return bad
+    return outside_the_allowlist(source, "loop", ("next", "mul", "x_trace.append", "y_trace.append"))
 
 
 def loop_problem(a, **gain):
@@ -417,6 +318,19 @@ def test_the_loop_allowlist_rejects_sums_and_other_operators(monkeypatch):
     )
     mutated = _loop_source(builtin_problem())
     assert sum(entry.startswith("Call: sum(") for entry in loop_outside_the_allowlist(mutated)) == 6
+
+
+def test_a_second_solve_of_a_problem_compiles_nothing(monkeypatch):
+    first = solve_linear(make_problem(DEMO_A, DEMO_B, horizon=200))
+    misses = linsolve._loop.cache_info().misses
+    compiled = []
+    monkeypatch.setattr(linsolve, "exec", lambda *args: compiled.append(args), raising=False)
+    # an equal problem, built again, writes the same text
+    second = solve_linear(make_problem(DEMO_A, DEMO_B, horizon=200))
+    assert compiled == [] and linsolve._loop.cache_info().misses == misses
+    assert [bits(x) for x in first[0] + first[1]] == [bits(x) for x in second[0] + second[1]]
+    info = linsolve._loop.cache_info()
+    assert info.maxsize == linsolve.PRODUCTS_CACHED and info.currsize <= linsolve.PRODUCTS_CACHED
 
 
 def test_residual_consistency():

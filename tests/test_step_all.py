@@ -1,8 +1,8 @@
 """The fused step kernel against the law and RK4 written out literally.
 
 ``controller_step`` and ``filter_step`` are one-element views of
-``controller.step_all``, and ``step_all`` and the linear solver's
-generated loop are both built from one text, ``controller.LAW``, so the
+``controller.step_all``, and ``step_all``, the linear solver's generated
+loop and the trainer's are all built from one text, ``controller.LAW``, so the
 reference loops of ``test_kernel.py`` (built from those two functions)
 no longer check the law against anything independent.  Here the law
 and the RK4 step are written out once more, literally: first the two
@@ -39,7 +39,7 @@ from paramodel import (
     filter_step,
     set_weight,
 )
-from paramodel import linsolve
+from paramodel import linsolve, trainer
 from paramodel.controller import LAW
 from paramodel.elementary import exp
 
@@ -265,10 +265,12 @@ def test_solve_linear_divergence_names_the_lowest_unknown_across_groups(overflow
 
 
 def test_the_law_is_written_once():
-    # step_all and the solver's generated loop are both built from LAW, and
-    # no statement of it is written anywhere else in the package
+    # step_all and the two generated loops are all built from LAW, and no
+    # statement of it is written anywhere else in the package
     package = pathlib.Path(linsolve.__file__).parent
     text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
     for line in LAW.splitlines():
         assert text.count(line) == 1, line
     assert "step_all" not in vars(linsolve)
+    # the trainer's loop is generated, so it calls no kernel or evaluator
+    assert not {"step_all", "evaluator", "itemgetter"} & set(trainer.train_online.__code__.co_names)

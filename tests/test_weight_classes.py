@@ -1,10 +1,12 @@
-"""Which controllers ``train_online`` hands ``step_all``.
+"""Which controllers ``train_online`` steps.
 
 Controllers with the same gains, lag and state bits take the same step,
 so the trainer steps the lowest index of each such class and copies the
-result to the others.  These tests watch the indices of each call; the
-traces themselves are checked against a per-weight reference loop in
-``test_kernel.py`` and ``test_step_all.py``.
+result to the others.  It generates one loop per event segment for the
+representatives it steps (``trainer._segment``); these tests watch the
+representatives of each segment, one list per iteration the segment
+begins.  The traces themselves are checked against a per-weight
+reference loop in ``test_kernel.py`` and ``test_step_all.py``.
 """
 
 from __future__ import annotations
@@ -21,15 +23,20 @@ from paramodel import trainer
 
 @pytest.fixture
 def stepped(monkeypatch):
-    """The index list of every step_all call of the trainer, in order."""
+    """The representatives stepped at every iteration the trainer begins,
+    in order: a segment's, once per value its loop draws from ``ks``."""
     calls = []
-    step_all = trainer.step_all
+    segment = trainer._segment
 
-    def watch(idx, *args):
-        calls.append(list(idx))
-        return step_all(idx, *args)
+    def watch(plan, n_inputs, mask, slots, reps, groups):
+        run = segment(plan, n_inputs, mask, slots, reps, groups)
 
-    monkeypatch.setattr(trainer, "step_all", watch)
+        def counted(ks, *args):
+            return run((calls.append(list(reps)) or k for k in ks), *args)
+
+        return counted
+
+    monkeypatch.setattr(trainer, "_segment", watch)
     return calls
 
 
