@@ -543,10 +543,12 @@ def _codec(cls, width: int):
     ``rows(records, decimation)`` yields the CSV line of every record whose
     ``k`` is a multiple of ``decimation``: one f-string with ``!r`` (the
     shortest round-trip repr) per float.  ``parse(line)`` splits a line of
-    bytes once and calls ``cls`` with straight-line ``int``/``float``
-    calls; it raises ValueError for a wrong field count or a non-numeric
-    field.  Both are generated with one statement per field and name their
-    locals after the columns.
+    bytes once and builds a ``cls`` from straight-line ``int``/``float``
+    calls through the C tuple constructor (``tuple.__new__`` bound to
+    ``cls``, which skips the class's Python ``__new__``); it raises
+    ValueError for a wrong field count or a non-numeric field.  Both are
+    generated with one statement per field and name their locals after the
+    columns.
     """
     scalars, vectors, reused = _LAYOUTS[cls]
     if (*scalars, *vectors) != cls._fields:
@@ -581,9 +583,9 @@ def _codec(cls, width: int):
     lines += [
         "def parse(line):",
         f"    [{', '.join(names)}] = line.split(b',')",
-        f"    return {cls.__name__}({', '.join(args)})",
+        f"    return record(({', '.join(args)}))",
     ]
-    env = {"_unset": object(), cls.__name__: cls}
+    env = {"_unset": object(), "record": functools.partial(tuple.__new__, cls)}
     exec("\n".join(lines), env)
     return header, env["rows"], env["parse"]
 

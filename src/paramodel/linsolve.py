@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import Callable, NamedTuple
 
 from .controller import ControllerParams, decays, divergence, law, stagger_params
@@ -265,9 +266,13 @@ def _loop_source(problem: LinearTrackingProblem) -> str:
 
 
 def as_records(problem: LinearTrackingProblem, x_trace, y_trace) -> list[LinsolveRecord]:
-    """Zip solver traces into per-iteration records for CSV output."""
-    b = problem.b
-    return [LinsolveRecord(k, y, b, x) for k, (x, y) in enumerate(zip(x_trace, y_trace), start=1)]
+    """Zip solver traces into per-iteration records for CSV output.
+
+    Each record is built by the C tuple constructor bound to
+    ``LinsolveRecord``, which takes the fields as one tuple and skips the
+    class's Python ``__new__``; every record holds the one ``problem.b``."""
+    record = functools.partial(tuple.__new__, LinsolveRecord)
+    return list(map(record, zip(count(1), y_trace, repeat(problem.b), x_trace)))
 
 
 def builtin_problem(horizon: int = LinearTrackingProblem.horizon) -> LinearTrackingProblem:

@@ -10,7 +10,7 @@ weight.  The net stores weights as given; the training loop bounds them
 
 The forward pass is generated code with one text, ``forward_source``,
 written from the net's plan: ``FeedforwardNet.evaluator`` compiles it into
-one straight-line function per mask (and weight slot map) and caches it,
+one straight-line function per mask and caches it,
 and ``eval_with`` calls it; the trainer writes it inline into the loop it
 generates per event segment (``trainer.train_online``).
 """
@@ -138,31 +138,24 @@ class FeedforwardNet:
             raise ValidationError("network graph has a cycle") from None
         return _Plan((slot[n], tuple(incoming[n])) for n in order)
 
-    def evaluator(self, mask: Sequence[bool], slots: Sequence[int] | None = None) -> Callable:
+    def evaluator(self, mask: Sequence[bool]) -> Callable:
         """The forward pass under ``mask``, as a function ``f(w, x)``.
 
-        ``f`` reads weight ``i`` from ``w[slots[i]]`` (from ``w[i]`` when
-        ``slots`` is None) and ``x`` one value per input.  It is straight-line
-        code generated from the plan: each node's sum starts at ``0.0`` and
-        adds the terms of its enabled edges in plan order, exactly as a loop
-        over the edges would, and masked edges are left out.  Two nodes whose
-        sums read the same weight slots from the same sources in the same
-        order share one tanh call.  Each tanh is ``elementary.tanh``,
-        correctly rounded, looked up as a global of this module at each call
-        (``define``).
+        ``f`` reads weight ``i`` from ``w[i]`` and ``x`` one value per input.
+        It is straight-line code generated from the plan: each node's sum
+        starts at ``0.0`` and adds the terms of its enabled edges in plan
+        order, exactly as a loop over the edges would, and masked edges are
+        left out.  Two nodes whose sums read the same weights from the same
+        sources in the same order share one tanh call.  Each tanh is
+        ``elementary.tanh``, correctly rounded, looked up as a global of this
+        module at each call (``define``).
         The last ``EVALUATORS_CACHED`` functions are kept.  ``mask`` takes
-        bools and ``slots`` weight indices, each one per weight.
+        one bool per weight.
         """
         mask = _MASK(mask, "mask")
         if len(mask) != self.weight_count:
             raise ValidationError(f"needs one entry per weight ({self.weight_count}), got {len(mask)}", key="mask")
-        if slots is not None:
-            slots = _SLOTS(slots, "slots")
-            if len(slots) != self.weight_count:
-                raise ValidationError(f"needs one entry per weight ({self.weight_count}), got {len(slots)}", key="slots")
-            if max(slots, default=-1) >= self.weight_count:
-                raise ValidationError(f"a slot must be < {self.weight_count}, the number of weights", key="slots", got=max(slots))
-        return _compile(self._plan, len(self.inputs), mask, slots)
+        return _compile(self._plan, len(self.inputs), mask)
 
     def eval_with(self, weights: Sequence[float], mask: Sequence[bool], x: Sequence[float]) -> float:
         """Forward pass using explicit weight/mask vectors, one x per input.
@@ -174,7 +167,7 @@ class FeedforwardNet:
         return self.evaluator(mask)(weights, x)
 
 
-_MASK, _SLOTS = rule(tuple[bool, ...]), rule(tuple[Index, ...])
+_MASK = rule(tuple[bool, ...])
 
 
 class _Plan(tuple):
@@ -239,10 +232,10 @@ def define(source: str, name: str) -> Callable:
 
 
 @functools.lru_cache(maxsize=EVALUATORS_CACHED)
-def _compile(plan: tuple, n_inputs: int, mask: tuple, slots: tuple | None) -> Callable:
+def _compile(plan: tuple, n_inputs: int, mask: tuple) -> Callable:
     """Generate the forward pass of ``FeedforwardNet.evaluator``, ``forward(w,
     x)``, from ``forward_source``."""
-    unpack, body, out = forward_source(plan, n_inputs, mask, slots, "w[{}]")
+    unpack, body, out = forward_source(plan, n_inputs, mask, None, "w[{}]")
     lines = ["def forward(w, x):", *(f"    {line}" for line in (unpack, *body) if line), f"    return {out}"]
     return define("\n".join(lines), "forward")
 

@@ -209,6 +209,8 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
         events.setdefault(max(event.at, 1), []).append(event)
     starts = sorted(events)
 
+    # a record is built by the C tuple constructor, not the class's __new__
+    record = functools.partial(tuple.__new__, TraceRecord)
     copies: list[tuple[int, int]] = []
     for k, end in zip(starts, starts[1:] + [scenario.horizon + 1]):
         # the members of a class take its representative's state, so the
@@ -255,7 +257,7 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
         gains = tuple(v for r in reps for v in (kps[r], kis[r]))
         state = tuple(v for r in reps for v in (psis[r], integrals[r], xs[r], u[r], w[r]))
         last, y, *ends = yield from run(
-            range(k, end), tuple(x_train), y_ref, dt, tau, k_alpha, w_max, -w_max, next, TraceRecord, columns, gains, state
+            range(k, end), tuple(x_train), y_ref, dt, tau, k_alpha, w_max, -w_max, next, record, columns, gains, state
         )
         if y - y != 0.0:
             raise DivergenceError(f"network output became non-finite: {y}", iteration=last)
@@ -289,26 +291,29 @@ def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps:
     per representative, in order), with its gains ``kp<r>`` and ``ki<r>``
     from ``gains``; the inputs are unpacked from ``x`` and lag group g reads
     ``column<g>`` of ``columns``.  An iteration runs the forward pass of
-    ``network.forward_source`` on those weights, tests y, takes ``kd<g> =
-    k_alpha * next(column<g>)`` per group and writes out ``LAW`` per
-    representative (``controller.law``, with ``a = kd<g> - y`` and ``e =
-    y_ref - y``), then tests each filter output and clamps it to ``[w_min,
-    w_max]`` into the weight, in index order, and yields ``record(k, k *
-    dt, y, y_ref, w, u)`` whose ``w`` and ``u`` name each weight's
-    representative (``0.0`` for a masked weight, which is held at zero).
+    ``network.forward_source`` on those weights, tests y, writes the law's
+    shared inputs once, ``a<g> = k_alpha * next(column<g>) - y`` per group
+    and ``e = y_ref - y``, and writes out ``LAW`` per representative
+    (``controller.law``, reading ``a<g>`` of its group as ``a``), then tests
+    each filter output and clamps it to ``[w_min, w_max]`` into the weight,
+    in index order, and yields ``record((k, k * dt, y, y_ref, w, u))``
+    whose ``w`` and ``u`` name each weight's representative (``0.0`` for a
+    masked weight, which is held at zero): ``record`` takes the record's
+    fields as one tuple, as ``tuple.__new__`` bound to the record class
+    does.
     It returns ``(k, y, (psi<r>, integral<r>, xf<r>, u<r>, w<r>), ...)`` at
     the end of ``ks``, or at once when y or a filter output is non-finite:
     each test breaks out of the loop to the one ``return``, so the text
     grows in proportion to the representatives, not to their square.
     """
     unpack, forward, out = forward_source(plan, n_inputs, mask, slots, "w{}")
-    kds = range(len(set(groups)))
+    lagged = range(len(set(groups)))
 
     def bind(names: list[str], value: str) -> list[str]:
         return [f"{', '.join(names)}, = {value}"] if names else []
 
     head = [unpack] if unpack else []
-    head += bind([f"column{g}" for g in kds], "columns")
+    head += bind([f"column{g}" for g in lagged], "columns")
     head += bind([f"{v}{r}" for r in reps for v in ("kp", "ki")], "gains")
     head += bind([f"{v}{r}" for r in reps for v in ("psi", "integral", "xf", "u", "w")], "state")
     lines = [
@@ -320,11 +325,12 @@ def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps:
         f"        y = {out}",
         "        if y - y != 0.0:",
         "            break",
-        *(f"        kd{g} = k_alpha * next(column{g})" for g in kds),
+        *(f"        a{g} = k_alpha * next(column{g}) - y" for g in lagged),
+        "        e = y_ref - y",
     ]
     for r, g in zip(reps, groups):
         names = dict(psi=f"psi{r}", integral=f"integral{r}", u=f"u{r}", x=f"xf{r}", kp=f"kp{r}", ki=f"ki{r}")
-        lines += [f"        {line}" for line in law(dict(a=f"(kd{g} - y)", e="(y_ref - y)"), names)]
+        lines += [f"        {line}" for line in law(dict(a=f"a{g}", e="e"), names)]
     for r in reps:
         lines += [
             f"        if xf{r} - xf{r} != 0.0:",
@@ -338,7 +344,7 @@ def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps:
         ]
     w, u = ([f"{v}{r}" if on else "0.0" for r, on in zip(slots, mask)] for v in ("w", "u"))
     lines += [
-        f"        yield record(k, k * dt, y, y_ref, ({', '.join(w)},), ({', '.join(u)},))",
+        f"        yield record((k, k * dt, y, y_ref, ({', '.join(w)},), ({', '.join(u)},)))",
         "    return k, y" + "".join(f", (psi{r}, integral{r}, xf{r}, u{r}, w{r})" for r in reps),
     ]
     return "\n".join(lines)

@@ -135,6 +135,9 @@ def reference_linsolve(problem: LinearTrackingProblem):
                 return rows, failure(err, f"unknown {j}", k)
         x = tuple(f.state for f in filters)
         y = matvec(problem.a, x)
+        # every x is finite here, but A x can still overflow
+        if not all(map(math.isfinite, y)):
+            return rows, (k, f"measured output became non-finite: {y} (iteration {k})")
         rows.append(bits(x + y))
     return rows, None
 
@@ -322,6 +325,20 @@ def test_linsolve_divergence_matches_reference(gain, tau):
     ref_fail = reference_linsolve(problem)[1]
     assert ref_fail is not None and "unknown 1: " in ref_fail[1]
     assert_same_linsolve(problem)
+
+
+def test_linsolve_overflow_of_a_finite_x_matches_reference():
+    # x stays finite, but A x overflows: the measured y is tested itself
+    problem = LinearTrackingProblem(
+        a=((1e305,),),
+        b=(1e300,),
+        controllers=(ControllerParams(kp=1.0, ki=1.0, k_alpha=1e4, k_beta=0.0),),
+        filters=(FirstOrderFilter(tau=1e-5),),
+        horizon=5,
+    )
+    expected = (1, "measured output became non-finite: (inf,) (iteration 1)")
+    assert reference_linsolve(problem) == ([], expected)
+    assert kernel_linsolve(problem) == (None, expected)
 
 
 def test_solve_linear_past_the_written_out_product_matches_reference():

@@ -13,6 +13,7 @@ The traces themselves are checked against a per-weight reference loop in
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 import test_kernel
@@ -81,6 +82,23 @@ def test_generated_segment_holds_only_arithmetic(name, monkeypatch):
     assert keys
     for key in keys:
         assert segment_outside_the_allowlist(trainer._segment_source(*key)) == []
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_the_laws_shared_inputs_are_written_once_per_iteration(name, monkeypatch):
+    # a<g> once per lag group and e once, whatever the representatives; each
+    # representative's law reads them by name
+    keys = segment_keys(SCENARIOS[name](), monkeypatch)
+    assert keys
+    for key in keys:
+        source = trainer._segment_source(*key)
+        lines = [line.strip() for line in source.splitlines()]
+        lagged, reps = len(set(key[5])), len(key[4])
+        assert lines.count("e = y_ref - y") == 1 and source.count("y_ref - y") == 1
+        assert [lines.count(f"a{g} = k_alpha * next(column{g}) - y") for g in range(lagged)] == [1] * lagged
+        assert source.count("next(") == lagged
+        assert sum(bool(re.fullmatch(r"psi\d+ = psi\d+ \+ kp\d+ \* a\d+", line)) for line in lines) == reps
+        assert source.count(" * e * dt") == reps
 
 
 def test_the_segment_allowlist_rejects_sums_and_other_operators(monkeypatch):

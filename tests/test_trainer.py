@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import re
 
 import pytest
@@ -28,7 +29,7 @@ from paramodel import (
     solve_linear,
     train_online,
 )
-from paramodel.config_io import config_from_dict, read_trace, write_trace
+from paramodel.config_io import RunConfig, config_from_dict, read_trace, run_records, write_trace
 from paramodel.linsolve import as_records
 
 from conftest import SETTLE_BUDGET, FIG4_SETTLED_FROM, TRACK_TOL, event_resettled_within, settled_from
@@ -71,11 +72,15 @@ def test_trace_indexing_and_time():
 
 
 def test_records_are_plain_trace_records(tmp_path):
-    # the loops and the trace reader build records positionally; they must
-    # be indistinguishable from ones constructed by keyword
+    # the loops, as_records and the trace reader build records by the C
+    # tuple constructor, not by calling the class; they must be
+    # indistinguishable from ones constructed by position or keyword
     problem = dataclasses.replace(builtin_problem(), horizon=20)
+    scenario = small_scenario(horizon=20)
     solved = as_records(problem, *solve_linear(problem))
-    trained = list(train_online(small_scenario(horizon=20)))
+    trained = list(train_online(scenario))
+    solved += run_records(RunConfig(mode="linsolve", problem=problem))
+    trained += run_records(RunConfig(mode="train", scenario=scenario))
     for name, records in (("train", trained), ("linsolve", solved)):
         path = str(tmp_path / f"{name}.csv")
         write_trace(records, path)
@@ -83,13 +88,35 @@ def test_records_are_plain_trace_records(tmp_path):
     for cls, records in ((TraceRecord, trained), (LinsolveRecord, solved)):
         assert not hasattr(cls, "__post_init__")
         for r in records:
-            assert type(r) is cls
+            assert type(r) is cls and len(r) == len(cls._fields)
             made = cls(**{name: getattr(r, name) for name in cls._fields})
-            assert r == made and hash(r) == hash(made)
+            assert r == made == cls(*r) and hash(r) == hash(made)
+            assert r._asdict() == made._asdict() and cls(**r._asdict()) == r
+            replaced = r._replace(k=0)
+            assert type(replaced) is cls and replaced == made._replace(k=0)
+            back = pickle.loads(pickle.dumps(r))
+            assert type(back) is cls and back == r
             with pytest.raises(AttributeError):
                 r.y = 0.0
-    assert len(trained) == len(solved) == 40
-    assert trained[:20] == trained[20:] and solved[:20] == solved[20:]
+    # each run twice, then both runs read back
+    for records in (trained, solved):
+        assert len(records) == 80
+        assert records[:20] * 4 == records
+
+
+def test_no_record_is_built_by_calling_its_class(monkeypatch, tmp_path):
+    # the records of the loops, as_records and the trace parser all go
+    # through tuple.__new__ bound to the class, not the class's __new__
+    def refused(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} called")
+
+    problem = dataclasses.replace(builtin_problem(), horizon=20)
+    for cls in (TraceRecord, LinsolveRecord):
+        monkeypatch.setattr(cls, "__new__", refused)
+    for records in (list(train_online(small_scenario(horizon=20))), as_records(problem, *solve_linear(problem))):
+        path = str(tmp_path / "trace.csv")
+        write_trace(records, path)
+        assert read_trace(path) == records
 
 
 def test_determinism_bit_identical():
