@@ -542,13 +542,17 @@ def _codec(cls, width: int):
 
     ``rows(records, decimation)`` yields the CSV line of every record whose
     ``k`` is a multiple of ``decimation``: one f-string with ``!r`` (the
-    shortest round-trip repr) per float.  ``parse(line)`` splits a line of
-    bytes once and builds a ``cls`` from straight-line ``int``/``float``
-    calls through the C tuple constructor (``tuple.__new__`` bound to
-    ``cls``, which skips the class's Python ``__new__``); it raises
-    ValueError for a wrong field count or a non-numeric field.  Both are
-    generated with one statement per field and name their locals after the
-    columns.
+    shortest round-trip repr) per float.  ``parse(lines, last)`` turns a
+    block of lines of bytes into a list of ``cls``: it splits each line
+    once and builds the record from straight-line ``int``/``float`` calls
+    through the C tuple constructor (``tuple.__new__`` bound to ``cls``,
+    which skips the class's Python ``__new__``); it raises ValueError for a
+    wrong field count or a non-numeric field.  The mirror of ``rows``, it
+    keeps a reused field's tuple while consecutive rows hold the same bytes
+    in its columns, and parses them only when they change.  ``last`` is a
+    list, empty before the first block, in which it leaves those bytes and
+    that tuple for the next block.  Both are generated with one statement
+    per field and name their locals after the columns.
     """
     scalars, vectors, reused = _LAYOUTS[cls]
     if (*scalars, *vectors) != cls._fields:
@@ -578,13 +582,28 @@ def _codec(cls, width: int):
             lines.append(f"            [{', '.join(cols[v])}] = rec.{v}")
     lines.append(f'            yield f"{",".join(row)}\\n"')
 
+    def floats(v):
+        return f"({''.join(f'float({c}), ' for c in cols[v])})"
+
+    kept = [name for v in reused for name in (*(f"{c}_was" for c in cols[v]), v)]
     args = [f"int({scalars[0]})", *(f"float({s})" for s in scalars[1:])]
-    args += [f"({''.join(f'float({c}), ' for c in cols[v])})" for v in vectors]
-    lines += [
-        "def parse(line):",
-        f"    [{', '.join(names)}] = line.split(b',')",
-        f"    return record(({', '.join(args)}))",
-    ]
+    args += [v if v in reused else floats(v) for v in vectors]
+    lines += ["def parse(lines, last):"]
+    if kept:
+        lines.append(f"    [{', '.join(kept)}] = last or {(None,) * len(kept)}")
+    lines += ["    out = []", "    append = out.append", "    for line in lines:"]
+    lines.append(f"        [{', '.join(names)}] = line.split(b',')")
+    for v in reused:
+        changed = " or ".join(f"{c} != {c}_was" for c in cols[v])
+        lines += [
+            f"        if {changed}:",
+            f"            [{', '.join(f'{c}_was' for c in cols[v])}] = {', '.join(cols[v])},",
+            f"            {v} = {floats(v)}",
+        ]
+    lines.append(f"        append(record(({', '.join(args)})))")
+    if kept:
+        lines.append(f"    last[:] = {', '.join(kept)},")
+    lines.append("    return out")
     env = {"_unset": object(), "record": functools.partial(tuple.__new__, cls)}
     exec("\n".join(lines), env)
     return header, env["rows"], env["parse"]
@@ -633,17 +652,19 @@ def read_trace(path: str) -> list:
     writes, such as a space, an underscore or a byte outside ASCII, is
     reported with its column.  The file is read in blocks of lines, each
     checked for such bytes at once, and never held whole in memory.
+    Consecutive solver rows with the same ``b`` text share one tuple.
     """
     records = []
     with open(path, "rb") as fh:
         header = fh.readline().decode("latin-1").removesuffix("\n")
         parse = _parser_for(header)
+        last: list = []  # a reused field's bytes and tuple, from block to block
         lineno = 2  # of the block's first line
         while lines := fh.readlines(1 << 16):
             try:
                 if b"".join(lines).translate(None, _ROW_BYTES):
                     raise ValueError("a byte write_trace never writes")
-                records += map(parse, lines)
+                records += parse(lines, last)
             except ValueError:
                 raise _first_bad_row(lines, lineno, header.split(",")) from None
             lineno += len(lines)

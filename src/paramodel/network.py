@@ -79,6 +79,8 @@ class FeedforwardNet:
     # eval plan: per non-input node in topological order,
     # (value slot, [(source value slot, weight index), ...])
     _plan: tuple = field(init=False, repr=False, compare=False, default=())
+    # the checked mask, with its hash computed once
+    _mask: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         check_fields(self)
@@ -105,6 +107,7 @@ class FeedforwardNet:
             object.__setattr__(self, "mask", (True,) * len(self.weights))
         if len(self.mask) != len(self.weights):
             raise ValidationError(f"needs one entry per weight ({len(self.weights)}), got {len(self.mask)}", key="mask")
+        object.__setattr__(self, "_mask", _Hashed(self.mask))
         object.__setattr__(self, "_plan", self._build_plan())
 
     @property
@@ -136,7 +139,7 @@ class FeedforwardNet:
             order = [n for n in graph.static_order() if n not in self.inputs]
         except CycleError:
             raise ValidationError("network graph has a cycle") from None
-        return _Plan((slot[n], tuple(incoming[n])) for n in order)
+        return _Hashed((slot[n], tuple(incoming[n])) for n in order)
 
     def evaluator(self, mask: Sequence[bool]) -> Callable:
         """The forward pass under ``mask``, as a function ``f(w, x)``.
@@ -150,11 +153,15 @@ class FeedforwardNet:
         ``elementary.tanh``, correctly rounded, looked up as a global of this
         module at each call (``define``).
         The last ``EVALUATORS_CACHED`` functions are kept.  ``mask`` takes
-        one bool per weight.
+        one bool per weight; the net's own ``mask``, checked when the net
+        was built, is not checked again.
         """
-        mask = _MASK(mask, "mask")
-        if len(mask) != self.weight_count:
-            raise ValidationError(f"needs one entry per weight ({self.weight_count}), got {len(mask)}", key="mask")
+        if mask is self.mask:
+            mask = self._mask
+        else:
+            mask = _MASK(mask, "mask")
+            if len(mask) != self.weight_count:
+                raise ValidationError(f"needs one entry per weight ({self.weight_count}), got {len(mask)}", key="mask")
         return _compile(self._plan, len(self.inputs), mask)
 
     def eval_with(self, weights: Sequence[float], mask: Sequence[bool], x: Sequence[float]) -> float:
@@ -170,14 +177,15 @@ class FeedforwardNet:
 _MASK = rule(tuple[bool, ...])
 
 
-class _Plan(tuple):
-    """A net's evaluation plan, which computes its hash once: the plan is
-    part of the key ``_compile``'s cache hashes at every ``evaluator`` call."""
+class _Hashed(tuple):
+    """A tuple that computes its hash once: a net's plan and its own mask
+    are part of the key ``_compile``'s cache hashes at every ``evaluator``
+    call."""
 
-    def __new__(cls, nodes):
-        plan = super().__new__(cls, nodes)
-        plan._hash = tuple.__hash__(plan)
-        return plan
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
 
     def __hash__(self):
         return self._hash

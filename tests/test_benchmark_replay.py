@@ -4,8 +4,9 @@
 the module attributes it names, on the inputs a run's records hold, and
 fails a traced benchmark run if any replayed output differs from the
 recorded one.  This runs the same replay on a 2,000-iteration fig7-shaped
-training run and a 2,000-iteration linsolve3 solve, so a change that breaks
-the contract fails here and not only in a traced benchmark run.
+training run and a 2,000-iteration linsolve3 solve read back from its trace
+CSV, as the worker reads it, so a change that breaks the contract fails here
+and not only in a traced benchmark run.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pathlib
 from types import SimpleNamespace
 
 from paramodel import controller, dynamics, linsolve, network, trainer
+from paramodel.config_io import read_trace, write_trace
 from paramodel.linsolve import as_records, builtin_problem, solve_linear
 from paramodel.trainer import train_online
 
@@ -45,10 +47,15 @@ def test_replay_reproduces_a_training_run_with_every_event_kind():
     assert {layer: lt.mismatches[layer] for layer in layers} == dict.fromkeys(layers, 0)
 
 
-def test_replay_reproduces_a_linear_solve():
+def test_replay_reproduces_a_linear_solve(tmp_path):
+    # the worker replays the records it reads back from the CLI's trace, in
+    # which consecutive rows share one b tuple
     replay = load_replay()
     problem = builtin_problem(horizon=2000)
-    records = as_records(problem, *solve_linear(problem))
+    path = str(tmp_path / "linsolve3_trace.csv")
+    write_trace(as_records(problem, *solve_linear(problem)), path)
+    records = read_trace(path)
+    assert all(r.b is records[0].b for r in records)
     lt = replay.LayerTimes()
     replay.replay_linsolve(PM, problem, records, lt)
     layers = ("matvec", "controller", "dynamics")

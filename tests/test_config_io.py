@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 import yaml
@@ -768,6 +769,47 @@ def test_read_trace_numbers_lines_across_blocks(tmp_path):
     rows[15_000] = b"15001,0.5,1.0,2.5\n"
     path.write_bytes(b"k,y1,b1,x1\n" + b"".join(rows))
     assert [r.k for r in read_trace(str(path))] == list(range(1, 20_001))
+
+
+def width3_records(rows: int, b=(0.5, 0.1, 0.8)) -> list:
+    """Solver records of width 3 whose floats print in full, all holding ``b``."""
+    return [LinsolveRecord(k, (k / 3, k / 7, k / 11), b, (1 / k, 2 / k, 3 / k)) for k in range(1, rows + 1)]
+
+
+def test_read_trace_holds_one_b_tuple(tmp_path):
+    # the reader's mirror of the writer's reused text: about 372 bytes a row
+    # with one shared b tuple, about 508 with a tuple and three floats a row
+    rows = 20_000
+    path = str(tmp_path / "t.csv")
+    write_trace(width3_records(rows), path)
+    tracemalloc.start()
+    try:
+        records = read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == rows
+    assert peak / rows < 440
+    # consecutive rows share one tuple, over every block of lines
+    assert all(r.b is prev.b for prev, r in zip(records, records[1:]))
+
+
+def test_read_trace_reads_each_b_text_by_its_own_bits(tmp_path):
+    texts = ["0.5,0.1,0.8", "0.5,0.1,0.8000000000000002", "-0.0,0.1,0.8", "0.0,0.1,0.8", "nan,-inf,inf"]
+    # runs of each text, one changing in a later block of lines
+    runs = [(texts[0], 3), (texts[1], 2), (texts[2], 15_000), (texts[3], 1), (texts[0], 2), (texts[4], 2)]
+    lines, bs = [], []
+    for text, count in runs:
+        for _ in range(count):
+            lines.append(f"{len(lines) + 1},0.25,0.5,0.75,{text},1.0,2.0,3.0\n")
+            bs.append(text)
+    path = tmp_path / "b.csv"
+    path.write_text("k,y1,y2,y3,b1,b2,b3,x1,x2,x3\n" + "".join(lines))
+    records = read_trace(str(path))
+    assert [[v.hex() for v in r.b] for r in records] == [[float(v).hex() for v in t.split(",")] for t in bs]
+    assert [r.k for r in records] == list(range(1, len(lines) + 1))
+    # a row shares its predecessor's tuple exactly when its b text is the same
+    assert [r.b is prev.b for prev, r in zip(records, records[1:])] == [a == b for a, b in zip(bs, bs[1:])]
 
 
 def test_read_trace_of_headers_only(tmp_path):

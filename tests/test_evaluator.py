@@ -231,3 +231,19 @@ def test_eval_with_checks_its_mask():
     with pytest.raises(ValidationError) as err:
         net.eval_with(net.weights, ["false"] * 7, (0.2, 0.6))
     assert err.value.key == "mask"
+
+
+def test_forward_does_not_check_the_nets_own_mask_again(monkeypatch):
+    checks = []
+    check = network._MASK
+    monkeypatch.setattr(network, "_MASK", lambda mask, key: checks.append(key) or check(mask, key))
+    net = network.set_mask(default_topology(), 6, False)
+    x = (0.2, 0.6)
+    y = network.forward(net, x)
+    assert [network.forward(net, x) for _ in range(3)] == [y] * 3
+    assert checks == []
+    # a mask from outside is checked at every call, even one equal to the net's
+    equal = tuple(list(net.mask))
+    assert net.eval_with(net.weights, equal, x) == net.eval_with(net.weights, list(net.mask), x) == y
+    assert checks == ["mask", "mask"]
+    assert net.evaluator(equal) is net.evaluator(net.mask)
