@@ -15,10 +15,10 @@ it sees only the reference and the last measured output.
 
 ``LAW`` is the one text of the law and of the RK4 step of each
 controller's first-order filter (see ``dynamics``), and the code that
-runs them is generated from it by ``law``.  ``step_all`` runs it over flat
-per-controller lists; ``controller_step`` and ``dynamics.filter_step``
-are one-element views of it.  It only does arithmetic, so numpy arrays
-run through it as lanes.  The two loops write ``LAW`` out on locals: the
+runs them is generated from it by ``law``.  ``step`` runs it once on its
+arguments; ``controller_step`` and ``dynamics.filter_step`` are views of
+it.  It only does arithmetic, so numpy arrays run through it as lanes.
+The two loops write ``LAW`` out on locals: the
 linear solver's, generated per problem, once per unknown
 (``linsolve.solve_linear``), and the trainer's, generated per event
 segment, once per class of bit-identical controllers
@@ -44,7 +44,7 @@ from .errors import Count, DivergenceError, Index, NonNegative, Positive, Ratio,
 
 __all__ = [
     "ControllerParams", "ControllerState", "controller_new", "controller_step",
-    "LAW", "decay", "decays", "divergence", "law", "stagger_params", "step_all",
+    "LAW", "decay", "decays", "divergence", "law", "stagger_params", "step",
 ]
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +132,7 @@ def _decay_block(k_beta: float, dt: float, block: int) -> array:
 #: ``a = k_alpha*d - y`` (``d`` the step's ``decay``), ``e = y_ref - y``,
 #: ``dt``, ``h = 0.5*dt`` and ``tau``; it steps ``psi``, ``integral`` and the
 #: filter output ``x``, and sets the control ``u``.  The filter is ``x' = (u -
-#: x)/tau`` with u held over the step.  ``step_all`` runs it over flat lists,
+#: x)/tau`` with u held over the step.  ``step`` runs it on its arguments,
 #: and ``linsolve`` and ``trainer`` write it out on locals (``law``).
 LAW = """\
 psi = psi + kp * a
@@ -167,44 +167,36 @@ def law(inputs: dict[str, str], names: dict[str, str]) -> list[str]:
     return lines
 
 
-def _step_all() -> Callable:
-    """``step_all``, compiled from ``LAW`` in a loop over ``idx``: each
-    controller's ``x`` is loaded into a local, the lists are read in place
-    of the names the block reads before it assigns them, and the four
-    results are stored back."""
-    lists = dict(psi="psis[i]", integral="integrals[i]", kp="kps[i]", ki="kis[i]", a="a[i]", e="e[i]")
+def _step_source() -> str:
+    """The text of ``step``: ``h = 0.5 * dt``, ``LAW`` on the arguments'
+    own names, and one return."""
     lines = [
-        "def step_all(idx, psis, integrals, xs, us, kps, kis, a, e, dt, tau):",
+        "def step(psi, integral, x, kp, ki, a, e, dt, tau):",
         "    h = 0.5 * dt",
-        "    for i in idx:",
-        "        x = xs[i]",
-        *(f"        {line}" for line in law(lists, {})),
-        "        psis[i] = psi",
-        "        integrals[i] = integral",
-        "        us[i] = u",
-        "        xs[i] = x",
+        *(f"    {line}" for line in law({}, {})),
+        "    return psi, integral, u, x",
     ]
+    return "\n".join(lines)
+
+
+def _step() -> Callable:
+    """``step``, compiled from ``_step_source``."""
     namespace: dict = {}
     # the generated code reads no global
-    exec("\n".join(lines), {"__builtins__": {}}, namespace)
-    fn = namespace["step_all"]
+    exec(_step_source(), {"__builtins__": {}}, namespace)
+    fn = namespace["step"]
     fn.__module__ = __name__
     fn.__doc__ = """One step of the law and then one RK4 step of its filter (``LAW``), for
-    every controller ``i`` in ``idx``, on flat per-controller lists.
+    one controller; returns ``(psi, integral, u, x)``.
 
-    The caller passes ``a[i] = k_alpha*d - y`` (``d`` the step's ``decay``)
-    and ``e[i] = y_ref - y``; ``psis``, ``integrals``, ``xs`` (the filter
-    outputs) and ``us`` (the controls) are updated in place.  It tests
-    nothing: the caller tests x for divergence, which covers the law too, as
-    a non-finite u always makes x non-finite (inf - inf in stage two).
+    The caller passes ``a = k_alpha*d - y`` (``d`` the step's ``decay``)
+    and ``e = y_ref - y``.  It tests nothing, and it is arithmetic only, so
+    floats or numpy arrays (one lane per element) run through it.
     """
     return fn
 
 
-step_all = _step_all()
-
-
-ONE = (0,)  # the index list of a one-controller step_all
+step = _step()
 
 
 def controller_step(
@@ -225,13 +217,12 @@ def controller_step(
     y_ref, y_meas = number(y_ref, "y_ref"), number(y_meas, "y_meas")
     k = state.k + 1
     d = decay(p.k_beta, k, p.dt)
-    # step_all also steps a filter, which is not read
-    psis, integrals, us = [state.psi], [state.integral], [0.0]
-    a, e = [p.k_alpha * d - y_meas], [y_ref - y_meas]
-    step_all(ONE, psis, integrals, [0.0], us, [p.kp], [p.ki], a, e, p.dt, math.inf)
-    if us[0] - us[0] != 0.0:  # also non-finite whenever psi or the integral is
-        raise divergence(k, psis[0], integrals[0], us[0])
-    return ControllerState(psi=psis[0], integral=integrals[0], k=k), us[0]
+    # step also steps a filter, which is not read
+    a, e = p.k_alpha * d - y_meas, y_ref - y_meas
+    psi, integral, u, _ = step(state.psi, state.integral, 0.0, p.kp, p.ki, a, e, p.dt, math.inf)
+    if u - u != 0.0:  # also non-finite whenever psi or the integral is
+        raise divergence(k, psi, integral, u)
+    return ControllerState(psi=psi, integral=integral, k=k), u
 
 
 def divergence(iteration, psi, integral, u, x=math.nan, who="") -> DivergenceError:

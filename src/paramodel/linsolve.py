@@ -8,15 +8,14 @@ loop stabilizes at a distinct speed.  When every y_j is held close to
 b_j, x is close to the solution of the system.  ``solve_linear`` runs
 one loop generated per problem, with each unknown's state in locals:
 ``controller.LAW`` written out once per unknown, and y = A x written out
-as ``product(a)`` writes it, each row summed in ``matvec``'s order, so the
-two agree bit for bit.  ``as_records`` turns a solve's traces into one
-``LinsolveRecord`` NamedTuple per iteration.
+as one expression per row (``_rows``), each row summed in ``matvec``'s
+order, so the two agree bit for bit.  ``as_records`` turns a solve's
+traces into one ``LinsolveRecord`` NamedTuple per iteration.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from itertools import count, repeat
 from typing import Callable, NamedTuple
@@ -31,7 +30,6 @@ __all__ = [
     "as_records",
     "builtin_problem",
     "matvec",
-    "product",
     "solve_linear",
     "stagger_params",
 ]
@@ -79,7 +77,7 @@ class LinsolveRecord(NamedTuple):
 
 def matvec(a, x) -> tuple[float, ...]:
     """Row-major dense product A x: the definition of the order of
-    summation that ``product`` emits.
+    summation that ``_rows`` writes out.
 
     Each row is summed left to right from 0.0 in plain IEEE arithmetic.
     ``sum()`` is not used: from Python 3.12 on it compensates float sums,
@@ -94,42 +92,22 @@ def matvec(a, x) -> tuple[float, ...]:
     return tuple(y)
 
 
-#: Terms of the largest matrix ``product`` writes out as code, counted as
-#: n * n for its larger side n: 4096, so n <= 64; a larger matrix takes
-#: ``matvec``.  A row is one expression nested a level per term, and
-#: CPython's compiler fails on a row of 4,000 terms; compiling a 64 x 64
-#: matrix takes about 33 ms, a 200 x 200 one about 0.3 s.
+#: Terms of the largest matrix whose rows the solver's loop writes out as
+#: code, counted as n * n for its larger side n: 4096, so n <= 64; a larger
+#: matrix takes ``matvec``.  A row is one expression nested a level per
+#: term, and CPython's compiler fails on a row of 4,000 terms; writing and
+#: compiling the loop of a 64 x 64 problem takes about 74 ms.
 PRODUCT_TERMS = 4096
 
-#: Products kept by ``product``, one per distinct matrix solved, and
-#: solver loops kept by ``solve_linear``, one per distinct loop text.
-PRODUCTS_CACHED = 16
-
-
-@functools.lru_cache(maxsize=PRODUCTS_CACHED)
-def product(a) -> Callable:
-    """``matvec`` bound to ``a``, as a function ``mul(x)`` returning A x.
-
-    For a matrix of finite entries within ``PRODUCT_TERMS`` ``mul`` is
-    straight-line code (``_product_source``), otherwise
-    ``functools.partial(matvec, a)``.  ``x`` holds one value per column;
-    its values may be floats or numpy arrays, one lane per element.  Equal
-    matrices share one function: an entry -0.0 gives the bits of 0.0, as a
-    row summed from 0.0 is never -0.0.
-    """
-    if not _written_out(a):
-        return functools.partial(matvec, a)
-    namespace: dict = {}
-    # the generated code reads no global
-    exec(_product_source(a), {"__builtins__": {}}, namespace)
-    return namespace["product"]
+#: Solver loops kept by ``solve_linear``, one per distinct loop text.
+LOOPS_CACHED = 16
 
 
 def _written_out(a) -> bool:
-    """Whether ``product`` and the solver write A x out as code: every entry
-    finite, and ``n * n`` within ``PRODUCT_TERMS`` for the larger side n."""
+    """Whether the solver writes A x out as code: ``n * n`` within
+    ``PRODUCT_TERMS`` for the larger side n."""
     n = max(len(a), max(map(len, a), default=0))
-    return n * n <= PRODUCT_TERMS and all(math.isfinite(v) for row in a for v in row)
+    return n * n <= PRODUCT_TERMS
 
 
 def _rows(a) -> list[str]:
@@ -141,19 +119,6 @@ def _rows(a) -> list[str]:
     reads back exactly.
     """
     return ["0.0" + "".join(f" + {float(v)!r} * x{c}" for c, v in enumerate(row)) for row in a]
-
-
-def _product_source(a) -> str:
-    """The text of ``product(a)``: one unpack of ``x`` into ``x0, x1, ...``
-    and the tuple of ``_rows(a)``."""
-    names = [f"x{c}" for c in range(max(map(len, a), default=0))]
-    lines = ["def product(x):"]
-    if names:
-        lines.append(f"    {', '.join(names)}, = x")
-    lines.append("    return (")
-    lines.extend(f"        {row}," for row in _rows(a))
-    lines.append("    )")
-    return "\n".join(lines)
 
 
 def solve_linear(
@@ -170,7 +135,7 @@ def solve_linear(
     non-finite unknown if any.
     """
     loop = _loop(_loop_source(problem))
-    mul = None if _written_out(problem.a) else product(problem.a)
+    mul = None if _written_out(problem.a) else functools.partial(matvec, problem.a)
     columns = [decays(k_beta, dt) for _, k_beta, dt, _ in _groups(problem)]
     x_trace: list[tuple[float, ...]] = []
     y_trace: list[tuple[float, ...]] = []
@@ -186,10 +151,10 @@ def solve_linear(
     return x_trace, y_trace
 
 
-@functools.lru_cache(maxsize=PRODUCTS_CACHED)
+@functools.lru_cache(maxsize=LOOPS_CACHED)
 def _loop(source: str) -> Callable:
     """The function ``loop`` that ``source`` (a ``_loop_source`` text)
-    defines.  The last ``PRODUCTS_CACHED`` are kept, keyed by the text, so a
+    defines.  The last ``LOOPS_CACHED`` are kept, keyed by the text, so a
     problem solved again compiles nothing."""
     namespace: dict = {}
     # the generated code reads no global
@@ -217,8 +182,8 @@ def _loop_source(problem: LinearTrackingProblem) -> str:
     ``LAW`` for each of the group's unknowns in index order, with ``a =
     kd<g> - y<j>`` and ``e = b_j - y<j>``; the gains, ``b_j``, ``dt``, ``h
     = 0.5 * dt`` and ``tau`` are written by ``repr``.  It then measures y:
-    the rows of ``_rows(a)``, or ``mul(x)`` for a matrix ``product`` does
-    not write out.  One sum of y is tested; only when it is non-finite is
+    the rows of ``_rows(a)``, or ``mul(x)``, that is ``matvec``, for a
+    matrix past ``PRODUCT_TERMS``.  One sum of y is tested; only when it is non-finite is
     each y tested, so a sum that overflows stops nothing.  A non-finite y
     returns ``(k, psis, integrals, us, x, y)``; otherwise x and y are
     appended to the traces, and the loop returns None at the end.

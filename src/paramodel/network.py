@@ -239,13 +239,18 @@ def define(source: str, name: str) -> Callable:
     return namespace[name]
 
 
-@functools.lru_cache(maxsize=EVALUATORS_CACHED)
-def _compile(plan: tuple, n_inputs: int, mask: tuple) -> Callable:
-    """Generate the forward pass of ``FeedforwardNet.evaluator``, ``forward(w,
-    x)``, from ``forward_source``."""
+def _forward_text(plan: tuple, n_inputs: int, mask: tuple) -> str:
+    """The text of the forward pass of ``FeedforwardNet.evaluator``,
+    ``forward(w, x)``, from ``forward_source``."""
     unpack, body, out = forward_source(plan, n_inputs, mask, None, "w[{}]")
     lines = ["def forward(w, x):", *(f"    {line}" for line in (unpack, *body) if line), f"    return {out}"]
-    return define("\n".join(lines), "forward")
+    return "\n".join(lines)
+
+
+@functools.lru_cache(maxsize=EVALUATORS_CACHED)
+def _compile(plan: tuple, n_inputs: int, mask: tuple) -> Callable:
+    """The function ``_forward_text`` defines."""
+    return define(_forward_text(plan, n_inputs, mask), "forward")
 
 
 def default_topology() -> FeedforwardNet:

@@ -1,8 +1,9 @@
 """One allowlist for the text of every function the package generates.
 
-The linear solver's product (``linsolve._product_source``) and loop
-(``linsolve._loop_source``) and the trainer's event segment
-(``trainer._segment_source``) are written as source text and compiled.
+The step of the law (``controller._step_source``), the linear solver's
+loop (``linsolve._loop_source``), the trainer's event segment
+(``trainer._segment_source``) and the evaluator's forward pass
+(``network._forward_text``) are written as source text and compiled.
 The traces must not depend on the Python version, so that text may hold
 plain IEEE arithmetic only: no ``sum`` (compensated from Python 3.12 on),
 no ``fsum``, ``abs``, ``**`` or ``%``.  ``outside_the_allowlist`` parses
@@ -27,13 +28,15 @@ def outside_the_allowlist(source: str, name: str, calls: tuple[str, ...] = ()) -
     Allowed: one ``def name`` of plain arguments; assignments to names and
     tuples of names, and ``+=`` to a name; a ``for`` over a name and a
     ``break`` out of it; an ``if`` (``elif``, ``else``) on a comparison; a
-    ``return`` of a tuple; a ``yield`` of a call, and a call as a
-    statement.  Expressions are built from ``+ - * /`` and comparisons over
-    float literals (a negative one parses as ``-`` applied to a float),
-    tuple displays and the names the function binds.  A call is allowed
+    ``return`` of a tuple or of a bound name; a ``yield`` of a call, and a
+    call as a statement.  Expressions are built from ``+ - * /`` and
+    comparisons over float literals (a negative one parses as ``-`` applied
+    to a float), tuple displays, the names the function binds, and loads
+    ``w[<int literal>]`` of its first argument ``w``.  A call is allowed
     only of a name or an attribute (``x_trace.append``, say) listed in
     ``calls``, whose names need not be bound (``tanh`` is a global).  So no
-    ``sum``, ``fsum``, ``abs``, ``**`` or ``%``, and no int literal.
+    ``sum``, ``fsum``, ``abs``, ``**`` or ``%``, and no int literal but an
+    index of the first argument.
     """
     module = ast.parse(source)
     fn = module.body[0]
@@ -45,6 +48,14 @@ def outside_the_allowlist(source: str, name: str, calls: tuple[str, ...] = ()) -
         return [f"def: not {name}(...) of plain arguments"]
     bound = {a.arg for a in args.args}
     bound |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    first = args.args[0].arg if args.args else None
+    loads = {
+        n
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Load) and isinstance(n.value, ast.Name)
+        and n.value.id == first and isinstance(n.slice, ast.Constant) and type(n.slice.value) is int
+    }
+    indexes = {n.slice for n in loads}
     bad = []
     for node in ast.walk(fn):
         if node is fn or isinstance(node, (ast.Load, ast.Store, ast.arguments, ast.arg, ast.Break, *OPS)):
@@ -61,7 +72,8 @@ def outside_the_allowlist(source: str, name: str, calls: tuple[str, ...] = ()) -
         elif isinstance(node, ast.If):
             ok = isinstance(node.test, ast.Compare)
         elif isinstance(node, ast.Return):
-            ok = isinstance(node.value, ast.Tuple)
+            value = node.value
+            ok = isinstance(value, ast.Tuple) or isinstance(value, ast.Name) and value.id in bound
         elif isinstance(node, ast.Expr):
             ok = isinstance(node.value, (ast.Call, ast.Yield))
         elif isinstance(node, ast.Yield):
@@ -79,7 +91,7 @@ def outside_the_allowlist(source: str, name: str, calls: tuple[str, ...] = ()) -
         elif isinstance(node, ast.Name):
             ok = node.id in bound or node.id in calls
         else:
-            ok = isinstance(node, (ast.Compare, ast.Tuple)) or is_float(node)
+            ok = isinstance(node, (ast.Compare, ast.Tuple)) or is_float(node) or node in loads or node in indexes
         if not ok:
             bad.append(f"{type(node).__name__}: {ast.unparse(node)}")
     return bad

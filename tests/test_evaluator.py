@@ -5,7 +5,9 @@ segment writes it.
 Its reference is the interpreted loop it replaced, copied below as it
 stood: every comparison is of ``float.hex``, so a changed sign of zero or
 a changed rounding shows.  The tanh count pins the sharing of one tanh by
-nodes with the same sum, which the uniform-gain built-ins rely on.
+nodes with the same sum, which the uniform-gain built-ins rely on.  The
+text of ``forward(w, x)`` passes the allowlist of ``allowlist.py``, with
+weights loaded as ``w[<int literal>]``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 from paramodel import Edge, FeedforwardNet, ScenarioEvent, ValidationError, builtin_scenarios, default_topology, train_online
 from paramodel import network, trainer
 from paramodel.elementary import tanh
+
+from allowlist import outside_the_allowlist
 
 
 def interpreted(net, weights, mask, x):
@@ -144,6 +148,41 @@ def test_equal_nets_share_one_evaluator_and_a_plan_hashes_once():
     # the cache key's hash is stored with the plan, so a lookup does not
     # walk the plan's nodes and edges again
     assert net._plan._hash == hash(net._plan) == hash(tuple(net._plan))
+
+
+def forward_outside_the_allowlist(source: str) -> list[str]:
+    return outside_the_allowlist(source, "forward", ("tanh",))
+
+
+def forward_text(net, mask) -> str:
+    return network._forward_text(net._plan, len(net.inputs), tuple(mask))
+
+
+FORWARD_NETS = {
+    "default": default_topology,
+    "no-inputs": lambda: FeedforwardNet(hidden=("h",), edges=(Edge("h", "y", 0),)),
+    "output-first": lambda: FeedforwardNet(inputs=("a",), hidden=("h",), edges=(Edge("a", "y", 0), Edge("y", "h", 1))),
+}
+
+
+@pytest.mark.parametrize("name", FORWARD_NETS)
+def test_generated_forward_pass_holds_only_arithmetic(name):
+    # every weight on, every weight off, and each weight dropped alone
+    net = FORWARD_NETS[name]()
+    n = net.weight_count
+    for mask in [(True,) * n, (False,) * n, *(tuple(i != j for i in range(n)) for j in range(n))]:
+        assert forward_outside_the_allowlist(forward_text(net, mask)) == []
+
+
+def test_the_forward_allowlist_rejects_other_loads_and_operators():
+    source = forward_text(default_topology(), default_topology().mask)
+    for old, new, flagged in [
+        ("s += w[0] * x0", "s += w[0] ** 2.0 * x0", ["BinOp: w[0] ** 2.0", "Pow: "]),
+        ("s += w[0] * x0", "s += w[i] * x0", ["Subscript: w[i]", "Name: i"]),
+        ("v2 = tanh(s)", "v2 = abs(s)", ["Call: abs(s)", "Name: abs"]),
+    ]:
+        assert old in source
+        assert sorted(forward_outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged), new
 
 
 @pytest.fixture

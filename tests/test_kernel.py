@@ -12,17 +12,16 @@ out once per unknown.  So both must agree with the reference bit for bit
 (``-0.0`` told apart from ``0.0``), and must report a divergence at the
 same loop iteration, for the same weight or unknown, naming the same
 quantity.  The loops' bookkeeping (events, lags, groups, classes,
-records, the forward pass, the product and the finiteness tests) is what
-this checks: ``controller_step`` and ``filter_step`` are one-element
-views of ``step_all``, itself built from ``LAW``, so
+records, the forward pass, the rows of A x and the finiteness tests) is
+what this checks: ``controller_step`` and ``filter_step`` are views of
+``controller.step``, itself built from ``LAW``, so
 ``tests/test_step_all.py`` re-runs these reference loops with the law and
-the RK4 step written out literally, to check the kernel's arithmetic.
+the RK4 step written out literally, to check the law's arithmetic.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import re
 
@@ -49,7 +48,7 @@ from paramodel import (
     stagger_params,
     train_online,
 )
-from paramodel.linsolve import PRODUCT_TERMS, product
+from paramodel.linsolve import PRODUCT_TERMS, _written_out
 
 
 def bits(values) -> tuple[str, ...]:
@@ -346,7 +345,7 @@ def test_solve_linear_past_the_written_out_product_matches_reference():
     # loop; two groups, one of them at another dt and tau
     n = math.isqrt(PRODUCT_TERMS) + 1
     a = tuple(tuple((-1.0) ** (i + j) * (i + 1) / (j + 1) + (2.0 * n if i == j else 0.0) for j in range(n)) for i in range(n))
-    assert isinstance(product(a), functools.partial)
+    assert not _written_out(a)
     controllers = list(stagger_params(ControllerParams(k_beta=4.0), n, 0.9))
     filters = [FirstOrderFilter(state=0.01 * j) for j in range(n)]
     for j in range(1, n, 3):

@@ -1,15 +1,15 @@
 """The one text of the law on numpy lanes, and a core that imports without numpy.
 
-``controller.step_all`` and the product ``linsolve.product`` are
-arithmetic and list indexing only, so they run unchanged on numpy arrays:
-one array per unknown, one element (a lane) per configuration.
-``step_all`` is built from ``controller.LAW``, the text ``solve_linear``'s
-generated loop writes out per unknown, and ``product`` from the rows that
-loop writes out, so the lanes take the scalar solver's operations in its
-order; numpy's elementwise ``+ - * /`` are single IEEE-754 operations, so
-each lane gets the scalar solve's bits.  The loop of ``lane_solve`` is only
-the harness (the decay column, the errors, the product); it holds no copy
-of the law or of the RK4 step.
+``controller.step`` and ``linsolve.matvec`` are arithmetic only, so they
+run unchanged on numpy arrays: one array per unknown, one element (a
+lane) per configuration.  ``step`` is built from ``controller.LAW``, the
+text ``solve_linear``'s generated loop writes out per unknown, and
+``matvec`` defines the order of the rows that loop writes out, so the
+lanes take the scalar solver's operations in its order; numpy's
+elementwise ``+ - * /`` are single IEEE-754 operations, so each lane gets
+the scalar solve's bits.  The loop of ``lane_solve`` is only the harness
+(the decay column, the errors, the product); it holds no copy of the law
+or of the RK4 step.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from paramodel import (
     solve_linear,
     stagger_params,
 )
-from paramodel.controller import decays, step_all
-from paramodel.linsolve import DEMO_A, DEMO_B, DEMO_GAINS, product
+from paramodel.controller import decays, step
+from paramodel.linsolve import DEMO_A, DEMO_B, DEMO_GAINS, matvec
 
 RHOS = (0.5, 0.8, 0.9, 1.0)
 HORIZON = 5_000
@@ -46,9 +46,9 @@ def lane_solve(problems):
     ``solve_linear``'s iteration run with one lane per problem.
 
     The problems may differ only in kp and ki, so the lanes share one
-    group: one decay column, read once per iteration, and one ``step_all``
-    call per iteration.  Nothing
-    stops at a divergence; a diverged lane just carries inf and nan on.
+    group: one decay column, read once per iteration, and one ``step``
+    call per unknown and iteration.  Nothing stops at a divergence; a
+    diverged lane just carries inf and nan on.
     """
     np = pytest.importorskip("numpy")
     first = problems[0]
@@ -59,19 +59,18 @@ def lane_solve(problems):
     n, lanes = len(first.b), len(problems)
     kps = [np.array([q.controllers[j].kp for q in problems]) for j in range(n)]
     kis = [np.array([q.controllers[j].ki for q in problems]) for j in range(n)]
-    psis, integrals, us = ([np.zeros(lanes) for _ in range(n)] for _ in range(3))
+    psis, integrals = ([np.zeros(lanes) for _ in range(n)] for _ in range(2))
     x = [np.full(lanes, f.state) for f in first.filters]
-    mul = product(first.a)
-    y = mul(x)
+    y = matvec(first.a, x)
     trace = np.empty((first.horizon, n, lanes))
     column = decays(k_beta, dt)
     with np.errstate(all="ignore"):
         for k in range(1, first.horizon + 1):
             kd = k_alpha * next(column)
-            a = [kd - y_j for y_j in y]
-            e = [b_j - y_j for b_j, y_j in zip(first.b, y)]
-            step_all(range(n), psis, integrals, x, us, kps, kis, a, e, dt, tau)
-            y = mul(x)
+            for j in range(n):
+                a, e = kd - y[j], first.b[j] - y[j]
+                psis[j], integrals[j], _, x[j] = step(psis[j], integrals[j], x[j], kps[j], kis[j], a, e, dt, tau)
+            y = matvec(first.a, x)
             trace[k - 1] = x
     return trace
 

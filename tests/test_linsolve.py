@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -26,7 +24,7 @@ from paramodel import (
 )
 from paramodel.config_io import tracking_error
 from paramodel import linsolve
-from paramodel.linsolve import DEMO_A, DEMO_B, PRODUCT_TERMS, _loop_source, _product_source, as_records, product
+from paramodel.linsolve import DEMO_A, DEMO_B, PRODUCT_TERMS, _loop_source, _rows, _written_out, as_records
 
 from allowlist import outside_the_allowlist
 from conftest import EQ3_X_STAR
@@ -154,11 +152,18 @@ def test_solves_diagonal_system():
     assert tracking_error(as_records(problem, x_trace, y_trace)[-1]) < 1e-2
 
 
+def rows(a, x) -> tuple:
+    """A x as the solver's loop measures it: each expression of
+    ``_rows(a)``, evaluated with ``x0, x1, ...`` bound and no builtins."""
+    names = {"__builtins__": {}, **{f"x{c}": v for c, v in enumerate(x)}}
+    return tuple(eval(row, names) for row in _rows(a))
+
+
 def test_matvec_sums_left_to_right():
     # 0.0 + 1 + 1e100 - 1e100 in plain IEEE order is 0; a compensated sum
     # (sum() from Python 3.12 on) would give 1.0
     a = ((1.0, 1e100, -1e100),)
-    assert matvec(a, (1.0, 1.0, 1.0)) == product(a)((1.0, 1.0, 1.0)) == (0.0,)
+    assert matvec(a, (1.0, 1.0, 1.0)) == rows(a, (1.0, 1.0, 1.0)) == (0.0,)
 
 
 def bits(y):
@@ -175,91 +180,30 @@ VALUES = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan)) | st.floats
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=1, max_value=8))
-def test_product_is_matvec_bit_for_bit(data, n):
+def test_written_rows_are_matvec_bit_for_bit(data, n):
     a = data.draw(st.tuples(*[st.tuples(*[ENTRIES] * n)] * n))
     x = data.draw(st.lists(VALUES, min_size=n, max_size=n))
-    assert bits(product(a)(x)) == bits(matvec(a, x))
+    assert bits(rows(a, x)) == bits(matvec(a, x))
 
 
-def test_product_of_a_zero_row_is_positive_zero():
+def test_written_rows_of_a_zero_row_are_positive_zero():
     # each term is -0.0: summed from the start 0.0 the row is 0.0, summed
     # without it the row would be -0.0
     a, x = ((0.0, 0.0, 0.0), (1.0, 0.0, 2.0)), (-1.0, -2.0, -3.0)
     assert math.copysign(1.0, 0.0 * -1.0 + 0.0 * -2.0 + 0.0 * -3.0) == -1.0
-    assert bits(product(a)(x)) == bits(matvec(a, x)) == ["0x0.0p+0", "-0x1.c000000000000p+2"]
+    assert bits(rows(a, x)) == bits(matvec(a, x)) == ["0x0.0p+0", "-0x1.c000000000000p+2"]
 
 
-def test_product_falls_back_to_matvec_beyond_its_bound():
+def test_rows_are_written_out_up_to_their_bound():
     n = math.isqrt(PRODUCT_TERMS)
-    for size, generated in ((n, True), (n + 1, False)):
+    for size, written in ((n, True), (n + 1, False)):
         a = tuple(tuple((-1.0) ** (i + j) * (i + 1) / (j + 1) for j in range(size)) for i in range(size))
-        x = [1.0 / (c + 3) for c in range(size)]
-        mul = product(a)
-        assert isinstance(mul, functools.partial) is not generated
-        assert bits(mul(x)) == bits(matvec(a, x))
-    assert (mul.func, mul.args) == (matvec, (a,))
+        assert _written_out(a) is written
+        if written:
+            x = [1.0 / (c + 3) for c in range(size)]
+            assert bits(rows(a, x)) == bits(matvec(a, x))
     # the bound counts the larger side, so no row is longer than n terms
-    assert isinstance(product(((0.5,) * (n + 1),)), functools.partial)
-    # an entry with no float literal (LinearTrackingProblem rejects it)
-    a = ((1.0, math.inf), (math.nan, 2.0))
-    assert isinstance(product(a), functools.partial)
-    assert bits(product(a)((1.0, 0.5))) == ["inf", "nan"]
-
-
-def test_equal_matrices_share_one_product():
-    a = tuple(tuple(row) for row in DEMO_A)
-    assert a is not DEMO_A
-    assert product(a) is product(DEMO_A) is product(tuple(map(tuple, [list(r) for r in DEMO_A])))
-    # 0.0 and -0.0 are equal keys; each gives the other's bits
-    zeros, flipped = ((0.0, -0.0), (-0.0, 0.0)), ((-0.0, 0.0), (0.0, -0.0))
-    assert product(zeros) is product(flipped)
-    for x in itertools.product((0.0, -0.0, 1.5, -1.5, math.inf, -math.inf, math.nan), repeat=2):
-        assert bits(product(zeros)(x)) == bits(matvec(zeros, x)) == bits(matvec(flipped, x))
-
-
-ALLOWLIST_MATRICES = [
-    DEMO_A,
-    ((2.0,),),
-    ((0.0, -0.0), (-5e-324, 1e308)),
-    ((1.0, 1e100, -1e100), (-1.5, 2.5, -3.5), (1e-320, -2.2250738585072014e-308, 0.1)),
-    tuple(tuple(float(i * 64 + j) - 2000.5 for j in range(64)) for i in range(64)),
-]
-
-
-def product_outside_the_allowlist(source: str) -> list[str]:
-    return outside_the_allowlist(source, "product")
-
-
-@pytest.mark.parametrize("a", ALLOWLIST_MATRICES, ids=["demo", "1x1", "zeros", "3x3-edges", "64x64"])
-def test_generated_product_holds_only_sums_and_products(a):
-    assert product_outside_the_allowlist(_product_source(a)) == []
-
-
-def test_the_allowlist_rejects_calls_and_other_operators():
-    def product_text(row):
-        return f"def product(x):\n    x0, x1, = x\n    return (\n        {row},\n    )"
-
-    assert product_outside_the_allowlist(product_text("0.0 + 1.0 * x0 + -2.0 * x1")) == []
-    assert sorted(product_outside_the_allowlist(product_text("sum((1.0 * x0, -2.0 * x1), 0.0)"))) == [
-        "Call: sum((1.0 * x0, -2.0 * x1), 0.0)",
-        "Name: sum",
-    ]
-    assert sorted(product_outside_the_allowlist(product_text("0.0 + 1.0 * x0 % 2.0 * x1"))) == [
-        "BinOp: 1.0 * x0 % 2.0",
-        "Mod: ",
-    ]
-    assert sorted(product_outside_the_allowlist(product_text("0.0 + 1 * x0 + -x1 + y"))) == [
-        "Constant: 1",
-        "Name: y",
-        "UnaryOp: -x1",
-    ]
-    assert product_outside_the_allowlist(product_text("0.0").replace("product(x)", "product(x, y=sum)")) == [
-        "def: not product(...) of plain arguments"
-    ]
-    assert sorted(product_outside_the_allowlist(product_text("0.0").replace("= x", "= x\n    x0 = abs(x1)"))) == [
-        "Call: abs(x1)",
-        "Name: abs",
-    ]
+    assert not _written_out(((0.5,) * (n + 1),))
 
 
 def loop_outside_the_allowlist(source: str) -> list[str]:
@@ -285,7 +229,10 @@ def side(n):
 LOOP_PROBLEMS = {
     "demo": lambda: builtin_problem(),
     "1x1": lambda: loop_problem(((2.0,),)),
-    "3x3-edges": lambda: loop_problem(ALLOWLIST_MATRICES[3], kp=-0.0, ki=5e-324),
+    "zeros": lambda: loop_problem(((0.0, -0.0), (-5e-324, 1e308))),
+    "3x3-edges": lambda: loop_problem(
+        ((1.0, 1e100, -1e100), (-1.5, 2.5, -3.5), (1e-320, -2.2250738585072014e-308, 0.1)), kp=-0.0, ki=5e-324
+    ),
     "64x64": lambda: loop_problem(side(64)),
     "65x65-matvec": lambda: loop_problem(side(65)),
 }
@@ -307,12 +254,14 @@ def test_the_loop_allowlist_rejects_sums_and_other_operators(monkeypatch):
         ("s = y0 + y1 + y2", "s = y0 ** 2.0", ["BinOp: y0 ** 2.0", "Pow: "]),
         ("s = y0 + y1 + y2", "s = y0 % y1", ["BinOp: y0 % y1", "Mod: "]),
         ("s = y0 + y1 + y2", "s = y0 + 1", ["Constant: 1"]),
+        ("s = y0 + y1 + y2", "s = -y0 + y1 + y2", ["UnaryOp: -y0"]),
+        ("column0):", "column0=sum):", ["def: not loop(...) of plain arguments"]),
         ("x_trace.append", "x_trace.extend", ["Attribute: x_trace.extend"]),
         ("x_trace.append", "x_trace.real.append", ["Attribute: x_trace.real.append", "Attribute: x_trace.real"]),
     ]:
         assert old in source
         assert sorted(loop_outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged)
-    # a generator whose rows are sums flags every row, in the first product and in the loop
+    # a generator whose rows are sums flags every row, before the loop and in it
     monkeypatch.setattr(
         linsolve, "_rows", lambda a: [f"sum(({', '.join(f'{v!r} * x{c}' for c, v in enumerate(row))}), 0.0)" for row in a]
     )
@@ -330,7 +279,7 @@ def test_a_second_solve_of_a_problem_compiles_nothing(monkeypatch):
     assert compiled == [] and linsolve._loop.cache_info().misses == misses
     assert [bits(x) for x in first[0] + first[1]] == [bits(x) for x in second[0] + second[1]]
     info = linsolve._loop.cache_info()
-    assert info.maxsize == linsolve.PRODUCTS_CACHED and info.currsize <= linsolve.PRODUCTS_CACHED
+    assert info.maxsize == linsolve.LOOPS_CACHED and info.currsize <= linsolve.LOOPS_CACHED
 
 
 def test_residual_consistency():

@@ -1,14 +1,15 @@
-"""The fused step kernel against the law and RK4 written out literally.
+"""The step of the law against the law and RK4 written out literally.
 
-``controller_step`` and ``filter_step`` are one-element views of
-``controller.step_all``, and ``step_all``, the linear solver's generated
-loop and the trainer's are all built from one text, ``controller.LAW``, so the
-reference loops of ``test_kernel.py`` (built from those two functions)
-no longer check the law against anything independent.  Here the law
-and the RK4 step are written out once more, literally: first the two
-views are checked against them bit for bit on any floats, then the
-reference loops of ``test_kernel.py`` are run with the literal steps in
-place of the views, against both drivers.
+``controller_step`` and ``filter_step`` are views of ``controller.step``,
+and ``step``, the linear solver's generated loop and the trainer's are
+all built from one text, ``controller.LAW``, so the reference loops of
+``test_kernel.py`` (built from those two views) no longer check the law
+against anything independent.  Here the law and the RK4 step are written
+out once more, literally: first the two views are checked against them
+bit for bit on any floats, then the reference loops of ``test_kernel.py``
+are run with the literal steps in place of the views, against both
+drivers.  The text ``step`` is compiled from passes the allowlist of
+``allowlist.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pathlib
 
 import pytest
 import test_kernel
+from allowlist import outside_the_allowlist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +41,7 @@ from paramodel import (
     filter_step,
     set_weight,
 )
-from paramodel import linsolve, trainer
+from paramodel import controller, linsolve, trainer
 from paramodel.controller import LAW
 from paramodel.elementary import exp
 
@@ -265,12 +267,29 @@ def test_solve_linear_divergence_names_the_lowest_unknown_across_groups(overflow
 
 
 def test_the_law_is_written_once():
-    # step_all and the two generated loops are all built from LAW, and no
+    # step and the two generated loops are all built from LAW, and no
     # statement of it is written anywhere else in the package
     package = pathlib.Path(linsolve.__file__).parent
     text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
     for line in LAW.splitlines():
         assert text.count(line) == 1, line
-    assert "step_all" not in vars(linsolve)
-    # the trainer's loop is generated, so it calls no kernel or evaluator
-    assert not {"step_all", "evaluator", "itemgetter"} & set(trainer.train_online.__code__.co_names)
+    assert "step" not in vars(linsolve)
+    # the trainer's loop is generated, so it calls no step or evaluator
+    assert not {"step", "evaluator", "itemgetter"} & set(trainer.train_online.__code__.co_names)
+
+
+def test_the_step_holds_only_arithmetic():
+    assert outside_the_allowlist(controller._step_source(), "step") == []
+
+
+@pytest.mark.parametrize(
+    "old, new, flagged",
+    [
+        ("u = psi * integral", "u = psi ** integral", ["BinOp: psi ** integral", "Pow: "]),
+        ("u = psi * integral", "u = sum((psi, integral))", ["Call: sum((psi, integral))", "Name: sum"]),
+    ],
+)
+def test_the_step_allowlist_rejects_a_patched_law(old, new, flagged, monkeypatch):
+    assert old in LAW
+    monkeypatch.setattr(controller, "LAW", LAW.replace(old, new))
+    assert sorted(outside_the_allowlist(controller._step_source(), "step")) == sorted(flagged)
