@@ -3,6 +3,10 @@ the traces with the committed goldens.
 
 exp and tanh are evaluated by mpmath at 200 bits and rounded to the
 nearest double; everything else is the package's own arithmetic.  The
+generated forward pass writes the package's tanh out inline while
+``paramodel.network.tanh`` is ``elementary.tanh``; with the reference in
+its place, every text compiled from then on calls it for each node sum
+instead, so each tanh the runs take comes from the reference.  The
 traces are written by ``run_builtins.py --decimate 100``, the command that
 writes the goldens.  The package's exp and tanh are correctly rounded, so
 the goldens must equal these traces byte for byte.  The script exits 1 if

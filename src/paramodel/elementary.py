@@ -20,12 +20,20 @@ then decided with the standard ``decimal`` module, whose ``exp`` is
 correctly rounded, at doubling precision until a Decimal interval around
 the exact value rounds to one double (e**x and tanh(x) are transcendental
 for x != 0, so that always ends).
+
+tanh's fast path is one text, ``TANH``, as ``controller.LAW`` is the one
+text of the law: ``tanh`` is compiled from it, and
+``network.forward_source`` writes it out inline for each node sum of the
+generated forward pass (``tanh_lines``), so that pass makes no call of
+tanh but on the exact path.
 """
 
 from __future__ import annotations
 
+import re
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
 from math import ldexp
+from typing import Callable
 
 from .elementary_tables import (
     E2,
@@ -40,25 +48,86 @@ from .elementary_tables import (
     TANH_ROWS,
 )
 
-__all__ = ["exp", "tanh"]
+__all__ = ["TANH", "exp", "tanh", "tanh_lines"]
 
 _INF = float("inf")
 ROUNDER = 6755399441055744.0  # 1.5 * 2**52: (z + ROUNDER) - ROUNDER rounds z to an integer
 
 
 def _tanh_table() -> dict:
-    """Rows (c, h, l, a1h, a1l, a2, ..., a7, g, f) keyed by 64 c as a float,
-    c = -4..4: the stored rows for c >= 0 and their mirror images for c < 0
-    (tanh is odd)."""
+    """Rows (c, h, l, a1h, a1l, a2, ..., a7, g, f) keyed by ``ROUNDER + 64 c``
+    as a float, c = -4..4: the stored rows for c >= 0 and their mirror images
+    for c < 0 (tanh is odd).  For |x| < 4, ``x * 64.0 + ROUNDER`` rounds
+    once, to ``ROUNDER`` plus 64 x rounded to an integer: the key of the row
+    whose centre is nearest x."""
     table = {}
     for i, (h, l, a1h, a1l, a2, a3, a4, a5, a6, a7, g, f) in enumerate(TANH_ROWS):
         c = i / 64
-        table[-float(i)] = (-c, -h, -l, a1h, a1l, -a2, a3, -a4, a5, -a6, a7, g, f)
-        table[float(i)] = (c, h, l, a1h, a1l, a2, a3, a4, a5, a6, a7, g, f)
+        table[ROUNDER - i] = (-c, -h, -l, a1h, a1l, -a2, a3, -a4, a5, -a6, a7, g, f)
+        table[ROUNDER + i] = (c, h, l, a1h, a1l, a2, a3, a4, a5, a6, a7, g, f)
     return table
 
 
 TANH_TABLE = _tanh_table()
+
+#: The fast path of tanh, the one text of it.  It reads a double ``x`` and
+#: sets ``y`` to tanh(x) correctly rounded, but to ``+0.0`` for ``x =
+#: -0.0``.  The row of the centre c = i/64 nearest x gives x = c + t, |t|
+#: <= 1/128; ``(x + g) - g`` rounds x to the row's grid, xg, and tanh(x) =
+#: (h + a1h (xg - c)) + lo with the bracket exact.  When the rounding test
+#: fails, and for |x| >= 4 and nan, it takes ``tanh_slow(x)``.  It reads
+#: the globals ``TANH_TABLE`` and ``tanh_slow``.  ``tanh`` is compiled from
+#: it, and ``network.forward_source`` writes it out for each node sum,
+#: which is never -0.0.
+TANH = f"""\
+if -4.0 < x < 4.0:
+    c, h, l, a1h, a1l, a2, a3, a4, a5, a6, a7, g, f = TANH_TABLE[x * 64.0 + {ROUNDER!r}]
+    t = x - c
+    xg = (x + g) - g
+    s = h + a1h * (xg - c)
+    lo = a1h * (x - xg) + (l + t * (a1l + t * (a2 + t * (a3 + t * (a4 + t * (a5 + t * (a6 + t * a7)))))))
+    y = s + lo
+    if y + (lo - (y - s)) * f != y:
+        y = tanh_slow(x)
+else:
+    y = tanh_slow(x)
+"""
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+#: The names ``TANH`` assigns: ``y`` and its temporaries.
+TANH_LOCALS = frozenset(v for line in TANH.splitlines() if " = " in line for v in _NAME.findall(line.split(" = ")[0]))
+
+
+def tanh_lines(names: dict[str, str]) -> list[str]:
+    """The lines of ``TANH``, indented as there, with ``names[v]`` written
+    for each name ``v`` of the text that ``names`` holds; a name not in
+    ``names`` stays."""
+    return _NAME.sub(lambda m: names.get(m.group(), m.group()), TANH).splitlines()
+
+
+def _tanh_source() -> str:
+    """The text of ``tanh``: ``TANH`` on the argument ``x``, after a test
+    that returns a zero as given."""
+    lines = [
+        "def tanh(x):",
+        "    if x == 0.0:  # the fast path would turn -0.0 into +0.0",
+        "        return x",
+        *(f"    {line}" for line in tanh_lines({})),
+        "    return y",
+    ]
+    return "\n".join(lines)
+
+
+def _tanh() -> Callable:
+    """``tanh``, compiled from ``_tanh_source`` with this module's globals,
+    which it reads at each call."""
+    namespace: dict = {}
+    exec(_tanh_source(), globals(), namespace)
+    fn = namespace["tanh"]
+    fn.__module__ = __name__
+    fn.__doc__ = """tanh(x) correctly rounded; keeps the sign of zero, +-1 for +-inf."""
+    return fn
 
 
 def exp(x: float) -> float:
@@ -76,23 +145,7 @@ def exp(x: float) -> float:
     return _exp_exact(x)
 
 
-def tanh(x: float) -> float:
-    """tanh(x) correctly rounded; keeps the sign of zero, +-1 for +-inf."""
-    if x == 0.0:  # the fast path would turn -0.0 into +0.0
-        return x
-    if -4.0 < x < 4.0:
-        # x = c + t, c = i/64, |t| <= 1/128; (x + g) - g rounds x to the
-        # row's grid, xg = c + th, and tanh(x) = (h + a1h th) + lo with the
-        # bracket exact
-        c, h, l, a1h, a1l, a2, a3, a4, a5, a6, a7, g, f = TANH_TABLE[(x * 64.0 + ROUNDER) - ROUNDER]
-        t = x - c
-        xg = (x + g) - g
-        s = h + a1h * (xg - c)
-        lo = a1h * (x - xg) + (l + t * (a1l + t * (a2 + t * (a3 + t * (a4 + t * (a5 + t * (a6 + t * a7)))))))
-        y = s + lo
-        if y + (lo - (y - s)) * f == y:
-            return y
-    return tanh_slow(x)
+tanh = _tanh()
 
 
 def tanh_slow(x: float) -> float:

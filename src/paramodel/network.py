@@ -12,7 +12,11 @@ The forward pass is generated code with one text, ``forward_source``,
 written from the net's plan: ``FeedforwardNet.evaluator`` compiles it into
 one straight-line function per mask and caches it,
 and ``eval_with`` calls it; the trainer writes it inline into the loop it
-generates per event segment (``trainer.train_online``).
+generates per event segment (``trainer.train_online``).  The text writes
+tanh's fast path, ``elementary.TANH``, out for each node sum, so it calls
+no tanh but on the exact path.  While this module's ``tanh`` is replaced
+(``scripts/reference_traces.py`` puts mpmath's there), the texts compiled
+meanwhile call it instead.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from dataclasses import dataclass, field, replace
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Sequence
 
-from .elementary import tanh
+from . import elementary
+from .elementary import TANH_TABLE, tanh, tanh_slow  # noqa: F401, read by the generated text
 from .errors import Index, ValidationError, check_fields, rule
 
 __all__ = [
@@ -149,9 +154,10 @@ class FeedforwardNet:
         starts at ``0.0`` and adds the terms of its enabled edges in plan
         order, exactly as a loop over the edges would, and masked edges are
         left out.  Two nodes whose sums read the same weights from the same
-        sources in the same order share one tanh call.  Each tanh is
-        ``elementary.tanh``, correctly rounded, looked up as a global of this
-        module at each call (``define``).
+        sources in the same order share one tanh, correctly rounded: the
+        text of ``elementary.TANH`` written out, or a call of this module's
+        ``tanh`` while it is not ``elementary.tanh``; the cache keeps one
+        function per tanh (``forward_source``).
         The last ``EVALUATORS_CACHED`` functions are kept.  ``mask`` takes
         one bool per weight; the net's own ``mask``, checked when the net
         was built, is not checked again.
@@ -162,7 +168,7 @@ class FeedforwardNet:
             mask = _MASK(mask, "mask")
             if len(mask) != self.weight_count:
                 raise ValidationError(f"needs one entry per weight ({self.weight_count}), got {len(mask)}", key="mask")
-        return _compile(self._plan, len(self.inputs), mask)
+        return _compile(self._plan, len(self.inputs), mask, tanh)
 
     def eval_with(self, weights: Sequence[float], mask: Sequence[bool], x: Sequence[float]) -> float:
         """Forward pass using explicit weight/mask vectors, one x per input.
@@ -196,35 +202,61 @@ class _Hashed(tuple):
 #: a long run of topology events holds at most this many of each.
 EVALUATORS_CACHED = 64
 
+#: The distinct node sums a forward-pass text writes ``elementary.TANH``
+#: out for; it calls ``tanh`` for the others.  Each copy is ten lines to
+#: compile.  The first segment of a 3,000-weight staggered net of 1,001
+#: sums compiled in about 0.72 s with no copy and 0.94 s with one per sum,
+#: and its peak RSS rose from 227 to 266 MB; 64 copies add about 2% and
+#: 2.5 MB, and cover every net of up to 63 hidden nodes.
+TANH_INLINED = 64
 
-def forward_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple | None, weight: str) -> tuple[str, list[str], str]:
+#: TANH's own locals, each written with a trailing ``_`` in a copy, so it
+#: takes no name of the text around it.
+_TANH_NAMES = {v: f"{v}_" for v in elementary.TANH_LOCALS}
+
+
+def forward_source(
+    plan: tuple, n_inputs: int, mask: tuple, slots: tuple | None, weight: str, fn: Callable
+) -> tuple[str, list[str], str]:
     """The text of the forward pass under ``mask``: ``(unpack, body, out)``.
 
     ``unpack`` binds the inputs ``x0, x1, ...`` from a tuple ``x`` (it is
-    empty for a net without inputs), ``body`` holds the statements, without
-    indentation, and ``out`` is the name that holds the output's value.
+    empty for a net without inputs), ``body`` holds the statements, each
+    indented relative to the others, and ``out`` is the name that holds
+    the output's value.
     Weight ``i`` is read as ``weight.format(slots[i])`` (``slots[i]`` is
     ``i`` when ``slots`` is None): ``"w[{}]"`` for ``evaluator``, ``"w{}"``
     for the trainer's segment, which keeps each weight in a local.  One
     statement per term, so a node of any in-degree compiles (a single
     expression of a few thousand terms exceeds CPython's compiler recursion
     limit): each node's sum ``s`` starts at ``0.0`` and adds the terms of
-    its enabled edges in plan order, and its value is ``v<slot> =
-    tanh(s)``.  A node whose sum has the key of an earlier node (the same
-    weight slots read from the same sources in the same order) takes that
-    node's variable, so the two share one tanh call.
+    its enabled edges in plan order, so it is never ``-0.0``, and its value
+    ``v<slot>`` is tanh of it.  A node whose sum has the key of an earlier
+    node (the same weight slots read from the same sources in the same
+    order) takes that node's variable, so the two share one tanh.
+
+    ``fn`` is the tanh in use, this module's ``tanh``.  While it is
+    ``elementary.tanh``, the text writes ``elementary.TANH`` out for the
+    first ``TANH_INLINED`` distinct sums, reading ``s`` and setting
+    ``v<slot>``, and ``v<slot> = tanh(s)`` for the rest.  Any other ``fn``
+    (``scripts/reference_traces.py`` puts mpmath's in its place) is called
+    for every sum.
     """
     var = [f"x{j}" for j in range(n_inputs)] + [""] * len(plan)
     unpack = f"{', '.join(var[:n_inputs])}, = x" if n_inputs else ""
     body: list[str] = []
     shared: dict[tuple, str] = {}
+    inline = TANH_INLINED if fn is elementary.tanh else 0
     for node, terms in plan:
         key = tuple((var[src], i if slots is None else slots[i]) for src, i in terms if mask[i])
         if key not in shared:
             shared[key] = f"v{node}"
             body.append("s = 0.0")
             body += [f"s += {weight.format(i)} * {v}" for v, i in key]
-            body.append(f"v{node} = tanh(s)")
+            if len(shared) <= inline:
+                body += elementary.tanh_lines({**_TANH_NAMES, "x": "s", "y": f"v{node}"})
+            else:
+                body.append(f"v{node} = tanh(s)")
         var[node] = shared[key]
     # the output node always occupies the last slot
     return unpack, body, var[-1]
@@ -232,25 +264,26 @@ def forward_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple | None,
 
 def define(source: str, name: str) -> Callable:
     """The function ``name`` that ``source`` defines, compiled with this
-    module's globals: a ``tanh`` it calls is looked up here at each call, so
-    ``scripts/reference_traces.py`` can put mpmath's tanh in its place."""
+    module's globals: the ``tanh`` it calls is looked up here at each call,
+    and so are ``TANH_TABLE`` and ``tanh_slow``, which the text of
+    ``elementary.TANH`` reads."""
     namespace: dict = {}
     exec(source, globals(), namespace)
     return namespace[name]
 
 
-def _forward_text(plan: tuple, n_inputs: int, mask: tuple) -> str:
+def _forward_text(plan: tuple, n_inputs: int, mask: tuple, fn: Callable) -> str:
     """The text of the forward pass of ``FeedforwardNet.evaluator``,
     ``forward(w, x)``, from ``forward_source``."""
-    unpack, body, out = forward_source(plan, n_inputs, mask, None, "w[{}]")
+    unpack, body, out = forward_source(plan, n_inputs, mask, None, "w[{}]", fn)
     lines = ["def forward(w, x):", *(f"    {line}" for line in (unpack, *body) if line), f"    return {out}"]
     return "\n".join(lines)
 
 
 @functools.lru_cache(maxsize=EVALUATORS_CACHED)
-def _compile(plan: tuple, n_inputs: int, mask: tuple) -> Callable:
-    """The function ``_forward_text`` defines."""
-    return define(_forward_text(plan, n_inputs, mask), "forward")
+def _compile(plan: tuple, n_inputs: int, mask: tuple, fn: Callable) -> Callable:
+    """The function ``_forward_text`` defines, for the tanh ``fn``."""
+    return define(_forward_text(plan, n_inputs, mask, fn), "forward")
 
 
 def default_topology() -> FeedforwardNet:

@@ -17,9 +17,10 @@ network reads each weight, and the record shows it, through its class's
 representative.  The iterations between two events run in one generator
 function generated for the segment (``_segment_source``), with each
 representative's state in locals: the forward pass written out as
-``network.forward_source`` writes it (one tanh per distinct node sum) and
-``controller.LAW`` once per representative, so no per-iteration call but
-the tanh, the decay read and the record's.
+``network.forward_source`` writes it (tanh's fast path, ``elementary.TANH``,
+once per distinct node sum) and ``controller.LAW`` once per
+representative, so no per-iteration call but the decay read and the
+record's, and tanh's exact path for about one sum in a thousand.
 Dropped weights are held at zero with their controller and filter frozen;
 restoring a weight re-installs the frozen filter state and resumes
 stepping, so a drop/restore pair at the same iteration is an exact no-op.
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from struct import pack
 from typing import Callable, Iterator, NamedTuple
 
+from . import network
 from .controller import ControllerParams, decays, divergence, law, stagger_params
 from .dynamics import DEFAULT_TAU
 from .errors import Count, DivergenceError, Index, Positive, Ratio, ValidationError, check_fields
@@ -253,7 +255,7 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
         lags = sorted({lag[i] for i in active})
         columns = tuple(decays(k_beta, dt, k - n) for n in lags)
         groups = tuple(lags.index(lag[r]) for r in reps)
-        run = _segment(net._plan, net.input_count, tuple(mask), tuple(slots), tuple(reps), groups)
+        run = _segment(net._plan, net.input_count, tuple(mask), tuple(slots), tuple(reps), groups, network.tanh)
         gains = tuple(v for r in reps for v in (kps[r], kis[r]))
         state = tuple(v for r in reps for v in (psis[r], integrals[r], xs[r], u[r], w[r]))
         last, y, *ends = yield from run(
@@ -268,16 +270,20 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
 
 
 @functools.lru_cache(maxsize=EVALUATORS_CACHED)
-def _segment(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple) -> Callable:
-    """The generator function of ``_segment_source``, compiled by
-    ``network.define``, so the forward pass looks its ``tanh`` up in
-    ``paramodel.network`` at each call.  The last ``EVALUATORS_CACHED`` are
-    kept: the text holds no value of the run, so runs of one topology and
-    one pattern of classes share it whatever their gains, data and bounds."""
-    return define(_segment_source(plan, n_inputs, mask, slots, reps, groups), "segment")
+def _segment(
+    plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple, fn: Callable
+) -> Callable:
+    """The generator function of ``_segment_source`` for the tanh ``fn``,
+    compiled by ``network.define``, so the forward pass reads the globals
+    of ``paramodel.network``.  The last ``EVALUATORS_CACHED`` are kept: the
+    text holds no value of the run, so runs of one topology and one pattern
+    of classes share it whatever their gains, data and bounds."""
+    return define(_segment_source(plan, n_inputs, mask, slots, reps, groups, fn), "segment")
 
 
-def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple) -> str:
+def _segment_source(
+    plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple, fn: Callable
+) -> str:
     """The text of the training loop between two events, ``segment(ks, x,
     y_ref, dt, tau, k_alpha, w_max, w_min, next, record, columns, gains,
     state)``, a generator.
@@ -291,8 +297,8 @@ def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps:
     per representative, in order), with its gains ``kp<r>`` and ``ki<r>``
     from ``gains``; the inputs are unpacked from ``x`` and lag group g reads
     ``column<g>`` of ``columns``.  An iteration runs the forward pass of
-    ``network.forward_source`` on those weights, tests y, writes the law's
-    shared inputs once, ``a<g> = k_alpha * next(column<g>) - y`` per group
+    ``network.forward_source`` for the tanh ``fn`` on those weights, tests
+    y, writes the law's shared inputs once, ``a<g> = k_alpha * next(column<g>) - y`` per group
     and ``e = y_ref - y``, and writes out ``LAW`` per representative
     (``controller.law``, reading ``a<g>`` of its group as ``a``), then tests
     each filter output and clamps it to ``[w_min, w_max]`` into the weight,
@@ -306,7 +312,7 @@ def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps:
     each test breaks out of the loop to the one ``return``, so the text
     grows in proportion to the representatives, not to their square.
     """
-    unpack, forward, out = forward_source(plan, n_inputs, mask, slots, "w{}")
+    unpack, forward, out = forward_source(plan, n_inputs, mask, slots, "w{}", fn)
     lagged = range(len(set(groups)))
 
     def bind(names: list[str], value: str) -> list[str]:

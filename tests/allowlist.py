@@ -3,7 +3,8 @@
 The step of the law (``controller._step_source``), the linear solver's
 loop (``linsolve._loop_source``), the trainer's event segment
 (``trainer._segment_source``) and the evaluator's forward pass
-(``network._forward_text``) are written as source text and compiled.
+(``network._forward_text``, with ``elementary.TANH`` written out in it)
+are written as source text and compiled.
 The traces must not depend on the Python version, so that text may hold
 plain IEEE arithmetic only: no ``sum`` (compensated from Python 3.12 on),
 no ``fsum``, ``abs``, ``**`` or ``%``.  ``outside_the_allowlist`` parses
@@ -21,7 +22,9 @@ def is_float(node) -> bool:
     return isinstance(node, ast.Constant) and type(node.value) is float
 
 
-def outside_the_allowlist(source: str, name: str, calls: tuple[str, ...] = ()) -> list[str]:
+def outside_the_allowlist(
+    source: str, name: str, calls: tuple[str, ...] = (), table: str | None = None
+) -> list[str]:
     """The nodes of a generated function's text outside the allowlist, each
     as ``"<node type>: <its text>"``.
 
@@ -34,9 +37,11 @@ def outside_the_allowlist(source: str, name: str, calls: tuple[str, ...] = ()) -
     to a float), tuple displays, the names the function binds, and loads
     ``w[<int literal>]`` of its first argument ``w``.  A call is allowed
     only of a name or an attribute (``x_trace.append``, say) listed in
-    ``calls``, whose names need not be bound (``tanh`` is a global).  So no
-    ``sum``, ``fsum``, ``abs``, ``**`` or ``%``, and no int literal but an
-    index of the first argument.
+    ``calls``, whose names need not be bound (``tanh`` is a global).  The
+    one global read that is not a call is a load ``table[<expression>]``
+    of the name ``table``, by the arithmetic above: the row lookup of
+    ``elementary.TANH``.  So no ``sum``, ``fsum``, ``abs``, ``**`` or
+    ``%``, and no int literal but an index of the first argument.
     """
     module = ast.parse(source)
     fn = module.body[0]
@@ -56,6 +61,13 @@ def outside_the_allowlist(source: str, name: str, calls: tuple[str, ...] = ()) -
         and n.value.id == first and isinstance(n.slice, ast.Constant) and type(n.slice.value) is int
     }
     indexes = {n.slice for n in loads}
+    rows = {
+        n
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Load) and isinstance(n.value, ast.Name)
+        and n.value.id == table
+    }
+    tables = {n.value for n in rows}
     bad = []
     for node in ast.walk(fn):
         if node is fn or isinstance(node, (ast.Load, ast.Store, ast.arguments, ast.arg, ast.Break, *OPS)):
@@ -89,9 +101,10 @@ def outside_the_allowlist(source: str, name: str, calls: tuple[str, ...] = ()) -
         elif isinstance(node, ast.UnaryOp):
             ok = isinstance(node.op, ast.USub) and is_float(node.operand)
         elif isinstance(node, ast.Name):
-            ok = node.id in bound or node.id in calls
+            ok = node.id in bound or node.id in calls or node in tables
         else:
             ok = isinstance(node, (ast.Compare, ast.Tuple)) or is_float(node) or node in loads or node in indexes
+            ok = ok or node in rows
         if not ok:
             bad.append(f"{type(node).__name__}: {ast.unparse(node)}")
     return bad

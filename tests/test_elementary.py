@@ -207,13 +207,14 @@ def test_exp_special_values():
 
 def test_eval_inlines_tanh(monkeypatch):
     # a one-edge net computes tanh(0.0 + 1.0 * x) = tanh(x) through the
-    # tanh eval_with calls; the fallback must be reached too
+    # text of elementary.TANH that eval_with writes out; its fallback, the
+    # tanh_slow the generated text reads, must be reached too
     net = FeedforwardNet(
         inputs=("a",), hidden=(), output="y", edges=(Edge("a", "y", 0),), weights=(1.0,), mask=(True,)
     )
     fallbacks = []
     slow = elementary.tanh_slow
-    monkeypatch.setattr(elementary, "tanh_slow", lambda x: fallbacks.append(x) or slow(x))
+    monkeypatch.setattr(network, "tanh_slow", lambda x: fallbacks.append(x) or slow(x))
     rng = random.Random(20226)
     xs = [rng.uniform(-4.5, 4.5) for _ in range(20_000)]
     xs += [0.0, 2.0**-30, 1e-300, 3.9999999999999996, 4.0, -4.0, 4.0078125, 7.5, 19.1, -25.0]

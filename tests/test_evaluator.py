@@ -78,7 +78,7 @@ def slot_mapped(net, mask, slots):
     """``network.forward_source``'s pass with weight ``i`` read from the
     local ``w<slots[i]>``, as the trainer's segment reads it, as a function
     ``f(w, x)`` compiled by ``network.define``."""
-    unpack, body, out = network.forward_source(net._plan, net.input_count, tuple(mask), tuple(slots), "w{}")
+    unpack, body, out = network.forward_source(net._plan, net.input_count, tuple(mask), tuple(slots), "w{}", network.tanh)
     names = "".join(f"w{i}, " for i in range(net.weight_count))
     lines = ["def forward(w, x):", f"    {names}= w", *(f"    {line}" for line in (unpack, *body) if line), f"    return {out}"]
     return network.define("\n".join(lines), "forward")
@@ -117,6 +117,10 @@ def test_a_zero_sum_keeps_its_sign():
     net = FeedforwardNet(inputs=("a",), edges=(Edge("a", "y", 0),))
     assert net.evaluator([True])([-0.0], [1.0]).hex() == "0x0.0p+0"
     assert net.evaluator([False])([math.nan], [1.0]).hex() == "0x0.0p+0"
+    # so the written-out tanh, which has no zero test, never sees -0.0
+    two = FeedforwardNet(inputs=("a", "b"), edges=(Edge("a", "y", 0), Edge("b", "y", 1)))
+    for w, x in [((-0.0, -0.0), (1.0, 1.0)), ((1.0, 1.0), (-5e-324, 5e-324))]:
+        assert two.evaluator(two.mask)(w, x).hex() == "0x0.0p+0"
 
 
 def test_a_node_of_ten_thousand_edges_compiles_and_matches():
@@ -151,11 +155,13 @@ def test_equal_nets_share_one_evaluator_and_a_plan_hashes_once():
 
 
 def forward_outside_the_allowlist(source: str) -> list[str]:
-    return outside_the_allowlist(source, "forward", ("tanh",))
+    return outside_the_allowlist(source, "forward", ("tanh", "tanh_slow"), "TANH_TABLE")
 
 
-def forward_text(net, mask) -> str:
-    return network._forward_text(net._plan, len(net.inputs), tuple(mask))
+def forward_text(net, mask, fn=network.tanh) -> str:
+    """The evaluator's text, with ``elementary.TANH`` written out, or for
+    another ``fn`` the call form."""
+    return network._forward_text(net._plan, len(net.inputs), tuple(mask), fn)
 
 
 FORWARD_NETS = {
@@ -172,6 +178,7 @@ def test_generated_forward_pass_holds_only_arithmetic(name):
     n = net.weight_count
     for mask in [(True,) * n, (False,) * n, *(tuple(i != j for i in range(n)) for j in range(n))]:
         assert forward_outside_the_allowlist(forward_text(net, mask)) == []
+        assert forward_outside_the_allowlist(forward_text(net, mask, lambda s: s)) == []
 
 
 def test_the_forward_allowlist_rejects_other_loads_and_operators():
@@ -179,7 +186,10 @@ def test_the_forward_allowlist_rejects_other_loads_and_operators():
     for old, new, flagged in [
         ("s += w[0] * x0", "s += w[0] ** 2.0 * x0", ["BinOp: w[0] ** 2.0", "Pow: "]),
         ("s += w[0] * x0", "s += w[i] * x0", ["Subscript: w[i]", "Name: i"]),
-        ("v2 = tanh(s)", "v2 = abs(s)", ["Call: abs(s)", "Name: abs"]),
+        ("v2 = s_ + lo_", "v2 = abs(s_) + lo_", ["Call: abs(s_)", "Name: abs"]),
+        ("TANH_TABLE[s * 64.0", "TANH_TABLE[s * 64", ["Constant: 64"]),
+        ("TANH_TABLE[s * 64.0", "EXP_TABLE[s * 64.0", ["Subscript: EXP_TABLE[s * 64.0 + 6755399441055744.0]", "Name: EXP_TABLE"]),
+        ("v2 = tanh_slow(s)", "v2 = exp(s)", ["Call: exp(s)", "Name: exp"]),
     ]:
         assert old in source
         assert sorted(forward_outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged), new
@@ -225,35 +235,46 @@ def test_staggered_gains_give_every_node_its_tanh(tanh_calls):
     assert calls_per_iteration(fig4, tanh_calls) == [3] * 50
 
 
-def test_a_cached_evaluator_calls_the_tanh_of_the_module(monkeypatch):
+def test_an_evaluator_compiled_after_a_substitution_calls_it(monkeypatch):
+    # the inline text has no tanh to look up: a substituted tanh is the
+    # cache key of a text of its own, which calls it
     net = default_topology()
     w, x = [0.5] * 7, [0.2, 0.6]
     f = net.evaluator(net.mask)
     before = f(w, x)
     monkeypatch.setattr(network, "tanh", lambda s: 0.25)
-    assert net.evaluator(net.mask) is f
-    assert f(w, x) == 0.25 != before
+    g = net.evaluator(net.mask)
+    assert g is not f and g(w, x) == 0.25 != before
+    assert net.evaluator(net.mask) is g
+    monkeypatch.setattr(network, "tanh", lambda s: 0.5)
+    assert net.evaluator(net.mask)(w, x) == 0.5
+    monkeypatch.undo()
+    assert net.evaluator(net.mask) is f and f(w, x) == before
 
 
 def test_the_forward_pass_is_written_once():
-    # evaluator and the trainer's segment both take network.forward_source's text
+    # evaluator and the trainer's segment both take network.forward_source's
+    # text, and elementary.tanh and that text both take elementary.TANH
     package = pathlib.Path(network.__file__).parent
     text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
     # the statements of a node, as the generator writes them
     assert text.count('"s = 0.0"') == text.count('tanh(s)"') == text.count('f"s += ') == 1
     assert "forward_source" in vars(trainer) and "_compile" not in vars(trainer)
+    # the rounding test and the polynomial of the fast path
+    assert text.count("(lo - (y - s)) * f") == text.count("t * a7") == 1
 
 
-def test_a_cached_segment_calls_the_tanh_of_the_module(monkeypatch):
-    # the trainer's segment writes the forward pass inline: it too must
-    # look tanh up in paramodel.network when it runs, not when it compiled
+def test_a_segment_compiled_after_a_substitution_calls_it(monkeypatch):
     fig4 = dataclasses.replace(builtin_scenarios()["fig4"], horizon=5)
     before = [r.y for r in train_online(fig4)]
     misses = trainer._segment.cache_info().misses
     monkeypatch.setattr(network, "tanh", lambda s: 0.25)
     after = [r.y for r in train_online(fig4)]
-    assert trainer._segment.cache_info().misses == misses
+    assert trainer._segment.cache_info().misses == misses + 1
     assert after == [0.25] * 5 != before
+    # the substitute's segment is cached for it
+    assert [r.y for r in train_online(fig4)] == after
+    assert trainer._segment.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("mask, shown", [(("false",) * 7, "'false'"), ((1,) * 7, "1")], ids=["mask-str", "mask-int"])

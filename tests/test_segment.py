@@ -33,7 +33,7 @@ from paramodel import network, trainer
 
 
 def segment_outside_the_allowlist(source: str) -> list[str]:
-    return outside_the_allowlist(source, "segment", ("tanh", "next", "record"))
+    return outside_the_allowlist(source, "segment", ("tanh", "tanh_slow", "next", "record"), "TANH_TABLE")
 
 
 def segment_keys(scenario: Scenario, monkeypatch) -> list[tuple]:

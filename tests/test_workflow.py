@@ -3,12 +3,14 @@ a typo in it would stay hidden until then."""
 
 from __future__ import annotations
 
+import importlib.util
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,3 +62,24 @@ def test_every_leg_checks_that_pyyaml_has_libyaml():
     # and it fails where PyYAML has no libyaml
     without = ["-c", "import yaml; yaml.__with_libyaml__ = False; " + args[-1]]
     assert subprocess.run([sys.executable, *without], capture_output=True, timeout=60).returncode == 1
+
+
+def test_one_leg_checks_the_tables_against_their_generator(tmp_path, monkeypatch):
+    steps = workflow()["jobs"]["tier1"]["steps"]
+    [step] = [s for s in steps if "gen_elementary_tables.py" in s.get("run", "")]
+    assert step["run"] == "python scripts/gen_elementary_tables.py --check"
+    assert step["if"] == "matrix.os == 'ubuntu-latest' && matrix.python == '3.11'"
+    # --check compares the file with what the script generates and writes nothing
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location("gen_elementary_tables", ROOT / "scripts" / "gen_elementary_tables.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    out = tmp_path / "elementary_tables.py"
+    monkeypatch.setattr(gen, "OUT", out)
+    monkeypatch.setattr(gen, "source", lambda: "TABLES = ()\n")
+    out.write_text("TABLES = ()\n")
+    assert gen.main(["--check"]) == 0
+    out.write_text("TABLES = (1.0,)\n")
+    assert gen.main(["--check"]) == 1
+    assert out.read_text() == "TABLES = (1.0,)\n"
+    assert gen.main([]) == 0 and out.read_text() == "TABLES = ()\n"
