@@ -26,20 +26,23 @@ segment, once per class of bit-identical controllers
 
 ``decays`` reads the initialization decay from a cached column of
 ``decay`` values, ``DECAY_BLOCK`` steps a block, which every run of the
-same ``k_beta`` and ``dt`` shares.
+same ``k_beta`` and ``dt`` shares.  A block is filled by one generated
+loop with exp's fast path, ``elementary.EXP``, written out in it, so that
+consecutive steps share their table row.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
+from math import ldexp  # noqa: F401, read by the generated text
 from typing import Callable, Iterator
 
-from .elementary import exp
+from . import elementary
+from .elementary import EXP, EXP_TABLE, NO_ROW, exp, exp_slow, rename  # noqa: F401, read by the generated text
 from .errors import Count, DivergenceError, Index, NonNegative, Positive, Ratio, check_fields, number, rule
 
 __all__ = [
@@ -109,22 +112,52 @@ def decays(k_beta: float, dt: float, k: int = 1) -> Iterator[float]:
     """Iterator over ``decay(k_beta, j, dt)`` for j = k, k + 1, ...
 
     The values are read from blocks of ``DECAY_BLOCK`` steps, each computed
-    by ``decay`` once and kept by a cache keyed by ``(k_beta, dt, block)``
-    (the last ``DECAYS_CACHED`` blocks), so runs of the same ``k_beta`` and
+    once and kept by a cache keyed by ``(k_beta, dt, block, exp)`` (the
+    last ``DECAYS_CACHED`` blocks), so runs of the same ``k_beta`` and
     ``dt`` compute each value once.  Keys that compare equal give equal
     values: an int ``k_beta`` converts to its float exactly, and ``0.0``
-    and ``-0.0`` both give ``exp(±0.0) = 1.0``.
+    and ``-0.0`` both give ``exp(±0.0) = 1.0``.  ``exp`` is this module's,
+    read at the call: while it is not ``elementary.exp``
+    (``scripts/reference_traces.py`` puts mpmath's there), the blocks are
+    computed by calling it, and cached for it.
     """
     block, i = divmod(k, DECAY_BLOCK)
-    rest = map(_decay_block, repeat(k_beta), repeat(dt), count(block + 1))
-    return chain(islice(_decay_block(k_beta, dt, block), i, None), chain.from_iterable(rest))
+    rest = map(_decay_block, repeat(k_beta), repeat(dt), count(block + 1), repeat(exp))
+    return chain(islice(_decay_block(k_beta, dt, block, exp), i, None), chain.from_iterable(rest))
 
 
 @functools.lru_cache(maxsize=DECAYS_CACHED)
-def _decay_block(k_beta: float, dt: float, block: int) -> array:
-    """Steps ``block * DECAY_BLOCK`` onward of a ``decays`` column."""
-    start = block * DECAY_BLOCK
-    return array("d", [decay(k_beta, j, dt) for j in range(start, start + DECAY_BLOCK)])
+def _decay_block(k_beta: float, dt: float, block: int, fn: Callable) -> array:
+    """Steps ``block * DECAY_BLOCK`` onward of a ``decays`` column,
+    ``fn(-k_beta * (k * dt))`` each as ``decay`` writes it, for the exp
+    ``fn``: by ``_decay_loop`` while ``fn`` is ``elementary.exp``, else by
+    a call of ``fn`` per value."""
+    ks = range(block * DECAY_BLOCK, (block + 1) * DECAY_BLOCK)
+    if fn is not elementary.exp:
+        return array("d", [fn(-k_beta * (k * dt)) for k in ks])
+    values = array("d")
+    _decay_loop(ks, -k_beta, dt, values.append)
+    return values
+
+
+def _decay_source() -> str:
+    """The text of ``decay_block(ks, m, dt, append)``, which appends
+    ``exp(m * (k * dt))`` for each ``k in ks``: ``elementary.EXP`` written
+    out, its row kept from one step to the next."""
+    lines = ["def decay_block(ks, m, dt, append):", f"row = {NO_ROW!r}", "for k in ks:", "    x = m * (k * dt)"]
+    lines += [*(f"    {line}" for line in EXP.splitlines()), "    append(y)"]
+    return "\n".join([lines[0], *(f"    {line}" for line in lines[1:])])
+
+
+def _compile_decay_loop() -> Callable:
+    """``decay_block`` of ``_decay_source``, compiled with this module's
+    globals: it reads ``EXP_TABLE``, ``ldexp`` and ``exp_slow``."""
+    namespace: dict = {}
+    exec(_decay_source(), globals(), namespace)
+    return namespace["decay_block"]
+
+
+_decay_loop = _compile_decay_loop()
 
 
 #: One step of the law and then one RK4 step of its filter, for one
@@ -145,9 +178,6 @@ k4 = (u - (x + dt * k3)) / tau
 x = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 """
 
-_NAME = re.compile(r"[A-Za-z_]\w*")
-
-
 def law(inputs: dict[str, str], names: dict[str, str]) -> list[str]:
     """The statements of ``LAW``, each ``target = expression``, with
     ``inputs[v]`` written for a read of ``v`` before the block assigns it
@@ -156,13 +186,12 @@ def law(inputs: dict[str, str], names: dict[str, str]) -> list[str]:
     parentheses."""
     lines, assigned = [], set()
 
-    def put(m):
-        v = m.group()
+    def put(v):
         return inputs[v] if v in inputs and v not in assigned else names.get(v, v)
 
     for line in LAW.splitlines():
         target, value = line.split(" = ")
-        lines.append(f"{names.get(target, target)} = {_NAME.sub(put, value)}")
+        lines.append(f"{names.get(target, target)} = {rename(value, put)}")
         assigned.add(target)
     return lines
 

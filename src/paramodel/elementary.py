@@ -21,11 +21,15 @@ correctly rounded, at doubling precision until a Decimal interval around
 the exact value rounds to one double (e**x and tanh(x) are transcendental
 for x != 0, so that always ends).
 
-tanh's fast path is one text, ``TANH``, as ``controller.LAW`` is the one
-text of the law: ``tanh`` is compiled from it, and
-``network.forward_source`` writes it out inline for each node sum of the
-generated forward pass (``tanh_lines``), so that pass makes no call of
-tanh but on the exact path.
+Each fast path is one text, ``EXP`` and ``TANH``, as ``controller.LAW``
+is the one text of the law: ``exp`` and ``tanh`` are compiled from them,
+``controller`` writes ``EXP`` out in the loop that fills a block of decay
+values, and ``network.forward_source`` writes ``TANH`` out, its names
+changed by ``rename``, for each node sum of the generated forward pass,
+so those loops make no call of exp or tanh but on the exact path.  A text
+keeps its table row in locals while its key holds: a loop whose
+arguments move less than a row's width from one run of the text to the
+next fetches a row only when the key changes.
 """
 
 from __future__ import annotations
@@ -48,10 +52,13 @@ from .elementary_tables import (
     TANH_ROWS,
 )
 
-__all__ = ["TANH", "exp", "tanh", "tanh_lines"]
+__all__ = ["EXP", "NO_ROW", "TANH", "assigned", "exp", "exp_slow", "rename", "tanh", "tanh_slow"]
 
 _INF = float("inf")
 ROUNDER = 6755399441055744.0  # 1.5 * 2**52: (z + ROUNDER) - ROUNDER rounds z to an integer
+#: A ``row`` that no key equals (every key is an integral float): a text
+#: run after ``row = NO_ROW`` fetches its row.
+NO_ROW = 0.5
 
 
 def _tanh_table() -> dict:
@@ -76,12 +83,17 @@ TANH_TABLE = _tanh_table()
 #: <= 1/128; ``(x + g) - g`` rounds x to the row's grid, xg, and tanh(x) =
 #: (h + a1h (xg - c)) + lo with the bracket exact.  When the rounding test
 #: fails, and for |x| >= 4 and nan, it takes ``tanh_slow(x)``.  It reads
-#: the globals ``TANH_TABLE`` and ``tanh_slow``.  ``tanh`` is compiled from
-#: it, and ``network.forward_source`` writes it out for each node sum,
-#: which is never -0.0.
+#: the globals ``TANH_TABLE`` and ``tanh_slow``.  The row's values, and its
+#: key in ``row``, stay from one run to the next: the caller sets ``row =
+#: NO_ROW`` before the first.  ``tanh`` is compiled from it, and
+#: ``network.forward_source`` writes it out for each node sum, which is
+#: never -0.0.
 TANH = f"""\
 if -4.0 < x < 4.0:
-    c, h, l, a1h, a1l, a2, a3, a4, a5, a6, a7, g, f = TANH_TABLE[x * 64.0 + {ROUNDER!r}]
+    key = x * 64.0 + {ROUNDER!r}
+    if key != row:
+        row = key
+        c, h, l, a1h, a1l, a2, a3, a4, a5, a6, a7, g, f = TANH_TABLE[key]
     t = x - c
     xg = (x + g) - g
     s = h + a1h * (xg - c)
@@ -93,59 +105,109 @@ else:
     y = tanh_slow(x)
 """
 
-_NAME = re.compile(r"[A-Za-z_]\w*")
+#: The fast path of exp, the one text of it.  It reads a double ``x`` and
+#: sets ``y`` to e**x correctly rounded.  Tang's method: x = kf ln2/1024 +
+#: r, |r| <= ln2/2048, with n = int(kf), and e**x = 2**(n >> 10) T[n & 1023]
+#: e**r, T[j] = th + tl from ``EXP_TABLE``.  The result is a normal double
+#: for -708 < x < 709, so multiplying by the power of two ``scale`` is
+#: exact and equals ``ldexp``.  When the rounding test fails, and outside
+#: that range, it takes ``exp_slow(x)``.  It reads the globals
+#: ``EXP_TABLE``, ``ldexp`` and ``exp_slow``.  The row, ``th``, ``tl`` and
+#: ``scale``, and its key kf in ``row``, stay from one run to the next:
+#: the caller sets ``row = NO_ROW`` before the first.  ``exp`` is compiled
+#: from it, and ``controller`` writes it out in the loop of a decay block.
+EXP = f"""\
+if -708.0 < x < 709.0:
+    kf = (x * {EXP_INV_STEP!r} + {ROUNDER!r}) - {ROUNDER!r}
+    r = (x - kf * {EXP_STEP_HI!r}) - kf * {EXP_STEP_LO!r}
+    if kf != row:
+        row = kf
+        n = int(kf)
+        th, tl = EXP_TABLE[n & 1023]
+        scale = ldexp(1.0, n >> 10)
+    q = tl + th * (r + r * r * ({E2!r} + r * ({E3!r} + r * {E4!r})))
+    y = th + q
+    if y + (q - (y - th)) * {EXP_TEST!r} == y:
+        y = y * scale
+    else:
+        y = exp_slow(x)
+else:
+    y = exp_slow(x)
+"""
 
-#: The names ``TANH`` assigns: ``y`` and its temporaries.
-TANH_LOCALS = frozenset(v for line in TANH.splitlines() if " = " in line for v in _NAME.findall(line.split(" = ")[0]))
+# A number literal is one token, so that the ``e`` of ``1e-05`` is no name.
+_TOKEN = re.compile(r"([A-Za-z_]\w*)|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
-def tanh_lines(names: dict[str, str]) -> list[str]:
-    """The lines of ``TANH``, indented as there, with ``names[v]`` written
-    for each name ``v`` of the text that ``names`` holds; a name not in
-    ``names`` stays."""
-    return _NAME.sub(lambda m: names.get(m.group(), m.group()), TANH).splitlines()
+def rename(text: str, name: Callable[[str], str]) -> str:
+    """``text`` with ``name(v)`` written for each name ``v`` in it; number
+    literals stay as they are."""
+    return _TOKEN.sub(lambda m: name(m[1]) if m[1] else m[0], text)
+
+
+def assigned(text: str) -> tuple[frozenset, frozenset]:
+    """The names a fast-path text assigns, ``y`` and its temporaries, and
+    of those the row it keeps: the names that its row fetch, the block of
+    ``if ... != row:``, assigns, ``row`` among them."""
+    names, row, fetch = set(), set(), None  # fetch: the indent of the fetch's if
+    for line in text.splitlines():
+        indent = len(line) - len(line.lstrip())
+        if fetch is not None and indent <= fetch:
+            fetch = None
+        if line.endswith(" != row:"):
+            fetch = indent
+        elif " = " in line:
+            targets = {m[1] for m in _TOKEN.finditer(line.split(" = ")[0]) if m[1]}
+            names |= targets
+            if fetch is not None:
+                row |= targets
+    return frozenset(names), frozenset(row)
+
+
+def _source(name: str, text: str, head: tuple[str, ...] = ()) -> str:
+    """The text of the function ``name(x)``: the lines ``head``, then
+    ``row = NO_ROW``, so that each call fetches its row, then the fast-path
+    text ``text`` on the argument ``x``, and ``return y``."""
+    lines = [f"def {name}(x):", *head, f"row = {NO_ROW!r}", *text.splitlines()]
+    return "\n".join([lines[0], *(f"    {line}" for line in lines[1:]), "    return y"])
 
 
 def _tanh_source() -> str:
-    """The text of ``tanh``: ``TANH`` on the argument ``x``, after a test
-    that returns a zero as given."""
-    lines = [
-        "def tanh(x):",
-        "    if x == 0.0:  # the fast path would turn -0.0 into +0.0",
-        "        return x",
-        *(f"    {line}" for line in tanh_lines({})),
-        "    return y",
-    ]
-    return "\n".join(lines)
+    """The text of ``tanh``: ``TANH`` after a test that returns a zero as
+    given."""
+    return _source("tanh", TANH, ("if x == 0.0:  # the fast path would turn -0.0 into +0.0", "    return x"))
 
 
-def _tanh() -> Callable:
-    """``tanh``, compiled from ``_tanh_source`` with this module's globals,
-    which it reads at each call."""
+def _exp_source() -> str:
+    """The text of ``exp``: ``EXP``."""
+    return _source("exp", EXP)
+
+
+def _compiled(source: str, name: str, doc: str) -> Callable:
+    """The function ``name`` that ``source`` defines, compiled with this
+    module's globals, which it reads at each call."""
     namespace: dict = {}
-    exec(_tanh_source(), globals(), namespace)
-    fn = namespace["tanh"]
-    fn.__module__ = __name__
-    fn.__doc__ = """tanh(x) correctly rounded; keeps the sign of zero, +-1 for +-inf."""
+    exec(source, globals(), namespace)
+    fn = namespace[name]
+    fn.__module__, fn.__doc__ = __name__, doc
     return fn
 
 
-def exp(x: float) -> float:
-    """e**x correctly rounded; inf for overflow, 0.0 after the subnormals."""
-    if -708.0 < x < 709.0:  # result is a normal double
-        # x = n ln2/1024 + r, |r| <= ln2/2048; e**x = 2**(n >> 10) T[n & 1023] e**r
-        kf = (x * EXP_INV_STEP + ROUNDER) - ROUNDER
-        r = (x - kf * EXP_STEP_HI) - kf * EXP_STEP_LO
-        n = int(kf)
-        th, tl = EXP_TABLE[n & 1023]
-        q = tl + th * (r + r * r * (E2 + r * (E3 + r * E4)))
-        y = th + q
-        if y + (q - (y - th)) * EXP_TEST == y:
-            return ldexp(y, n >> 10)
+exp = _compiled(_exp_source(), "exp", """e**x correctly rounded; inf for overflow, 0.0 after the subnormals.""")
+tanh = _compiled(_tanh_source(), "tanh", """tanh(x) correctly rounded; keeps the sign of zero, +-1 for +-inf.""")
+
+
+def exp_slow(x: float) -> float:
+    """exp outside the fast path: nan, +-inf and the arguments whose result
+    is not a normal double, and the arguments whose fast result the
+    rounding test could not prove."""
+    if x != x:
+        return x
+    if x > 709.8:  # > ln(DBL_MAX)
+        return _INF
+    if x < -745.2:  # e**x < 2**-1075
+        return 0.0
     return _exp_exact(x)
-
-
-tanh = _tanh()
 
 
 def tanh_slow(x: float) -> float:
@@ -208,12 +270,7 @@ def _tanh_bounds(a: float, prec: int) -> tuple[Decimal, Decimal]:
 
 
 def _exp_exact(x: float) -> float:
-    if x != x:
-        return x
-    if x > 709.8:  # > ln(DBL_MAX)
-        return _INF
-    if x < -745.2:  # e**x < 2**-1075
-        return 0.0
+    """e**x for -745.2 <= x <= 709.8."""
     return _exact(_exp_bounds, x)
 
 

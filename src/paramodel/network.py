@@ -14,9 +14,10 @@ one straight-line function per mask and caches it,
 and ``eval_with`` calls it; the trainer writes it inline into the loop it
 generates per event segment (``trainer.train_online``).  The text writes
 tanh's fast path, ``elementary.TANH``, out for each node sum, so it calls
-no tanh but on the exact path.  While this module's ``tanh`` is replaced
-(``scripts/reference_traces.py`` puts mpmath's there), the texts compiled
-meanwhile call it instead.
+no tanh but on the exact path; in the trainer's loop each copy keeps its
+table row from one iteration to the next.  While this module's ``tanh``
+is replaced (``scripts/reference_traces.py`` puts mpmath's there), the
+texts compiled meanwhile call it instead.
 """
 
 from __future__ import annotations
@@ -203,27 +204,41 @@ class _Hashed(tuple):
 EVALUATORS_CACHED = 64
 
 #: The distinct node sums a forward-pass text writes ``elementary.TANH``
-#: out for; it calls ``tanh`` for the others.  Each copy is ten lines to
-#: compile.  The first segment of a 3,000-weight staggered net of 1,001
-#: sums compiled in about 0.72 s with no copy and 0.94 s with one per sum,
-#: and its peak RSS rose from 227 to 266 MB; 64 copies add about 2% and
-#: 2.5 MB, and cover every net of up to 63 hidden nodes.
+#: out for; it calls ``tanh`` for the others.  Each copy is fourteen lines
+#: to compile.  Writing and compiling the first segment of a 3,000-weight
+#: staggered net of 1,001 sums took 0.74-0.90 s with no copy, 0.84-1.10 s
+#: with 64 and 1.04-1.27 s with one per sum (the least of five in each of
+#: several processes on a loaded 2-CPU Xeon, Python 3.11), and the peak
+#: RSS of its first 20 iterations was 226.5, 229.6 and 274.0 MB: 64 copies
+#: add a few per cent and 3 MB, and cover every net of up to 63 hidden
+#: nodes.
 TANH_INLINED = 64
 
-#: TANH's own locals, each written with a trailing ``_`` in a copy, so it
-#: takes no name of the text around it.
-_TANH_NAMES = {v: f"{v}_" for v in elementary.TANH_LOCALS}
+
+@functools.lru_cache(maxsize=1)
+def _tanh_copy(text: str) -> str:
+    """The copy of the fast-path text ``text``, ``elementary.TANH``, for
+    node slot ``n``, as a ``str.format`` template: it reads the node sum
+    ``s`` and sets ``v<n>``, the row it keeps is its own (``row_<n>``,
+    ``c_<n>``, ...), and its other locals end in ``_``, so they take no name
+    of the text around it."""
+    temporaries, row = elementary.assigned(text)
+    names = {**{v: f"{v}_" for v in temporaries}, **{v: f"{v}_{{n}}" for v in row}, "x": "s", "y": "v{n}"}
+    return elementary.rename(text, lambda v: names.get(v, v))
 
 
 def forward_source(
     plan: tuple, n_inputs: int, mask: tuple, slots: tuple | None, weight: str, fn: Callable
-) -> tuple[str, list[str], str]:
-    """The text of the forward pass under ``mask``: ``(unpack, body, out)``.
+) -> tuple[list[str], list[str], str]:
+    """The text of the forward pass under ``mask``: ``(head, body, out)``.
 
-    ``unpack`` binds the inputs ``x0, x1, ...`` from a tuple ``x`` (it is
-    empty for a net without inputs), ``body`` holds the statements, each
-    indented relative to the others, and ``out`` is the name that holds
-    the output's value.
+    ``head`` binds the inputs ``x0, x1, ...`` from a tuple ``x`` and sets
+    the ``row`` of each copy of ``elementary.TANH`` to ``NO_ROW``; ``body``
+    holds the statements, each indented relative to the others, and ``out``
+    is the name that holds the output's value.  ``head`` runs once before
+    ``body``, which may run any number of times: the evaluator runs both
+    once a call, the trainer's segment ``head`` once before its loop, so
+    that each copy keeps its row from one iteration to the next.
     Weight ``i`` is read as ``weight.format(slots[i])`` (``slots[i]`` is
     ``i`` when ``slots`` is None): ``"w[{}]"`` for ``evaluator``, ``"w{}"``
     for the trainer's segment, which keeps each weight in a local.  One
@@ -238,12 +253,13 @@ def forward_source(
     ``fn`` is the tanh in use, this module's ``tanh``.  While it is
     ``elementary.tanh``, the text writes ``elementary.TANH`` out for the
     first ``TANH_INLINED`` distinct sums, reading ``s`` and setting
-    ``v<slot>``, and ``v<slot> = tanh(s)`` for the rest.  Any other ``fn``
+    ``v<slot>``, with its row in ``row_<slot>``, ``c_<slot>``, ...,
+    ``f_<slot>``, and ``v<slot> = tanh(s)`` for the rest.  Any other ``fn``
     (``scripts/reference_traces.py`` puts mpmath's in its place) is called
     for every sum.
     """
     var = [f"x{j}" for j in range(n_inputs)] + [""] * len(plan)
-    unpack = f"{', '.join(var[:n_inputs])}, = x" if n_inputs else ""
+    head = [f"{', '.join(var[:n_inputs])}, = x"] if n_inputs else []
     body: list[str] = []
     shared: dict[tuple, str] = {}
     inline = TANH_INLINED if fn is elementary.tanh else 0
@@ -254,12 +270,13 @@ def forward_source(
             body.append("s = 0.0")
             body += [f"s += {weight.format(i)} * {v}" for v, i in key]
             if len(shared) <= inline:
-                body += elementary.tanh_lines({**_TANH_NAMES, "x": "s", "y": f"v{node}"})
+                head.append(f"row_{node} = {elementary.NO_ROW!r}")
+                body += _tanh_copy(elementary.TANH).format(n=node).splitlines()
             else:
                 body.append(f"v{node} = tanh(s)")
         var[node] = shared[key]
     # the output node always occupies the last slot
-    return unpack, body, var[-1]
+    return head, body, var[-1]
 
 
 def define(source: str, name: str) -> Callable:
@@ -275,8 +292,8 @@ def define(source: str, name: str) -> Callable:
 def _forward_text(plan: tuple, n_inputs: int, mask: tuple, fn: Callable) -> str:
     """The text of the forward pass of ``FeedforwardNet.evaluator``,
     ``forward(w, x)``, from ``forward_source``."""
-    unpack, body, out = forward_source(plan, n_inputs, mask, None, "w[{}]", fn)
-    lines = ["def forward(w, x):", *(f"    {line}" for line in (unpack, *body) if line), f"    return {out}"]
+    head, body, out = forward_source(plan, n_inputs, mask, None, "w[{}]", fn)
+    lines = ["def forward(w, x):", *(f"    {line}" for line in (*head, *body)), f"    return {out}"]
     return "\n".join(lines)
 
 

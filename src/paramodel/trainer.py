@@ -18,7 +18,8 @@ representative.  The iterations between two events run in one generator
 function generated for the segment (``_segment_source``), with each
 representative's state in locals: the forward pass written out as
 ``network.forward_source`` writes it (tanh's fast path, ``elementary.TANH``,
-once per distinct node sum) and ``controller.LAW`` once per
+once per distinct node sum, each copy keeping its table row across
+iterations) and ``controller.LAW`` once per
 representative, so no per-iteration call but the decay read and the
 record's, and tanh's exact path for about one sum in a thousand.
 Dropped weights are held at zero with their controller and filter frozen;
@@ -296,8 +297,10 @@ def _segment_source(
     ``xf<r>``, ``u<r>`` and ``w<r>``, unpacked from ``state`` (five values
     per representative, in order), with its gains ``kp<r>`` and ``ki<r>``
     from ``gains``; the inputs are unpacked from ``x`` and lag group g reads
-    ``column<g>`` of ``columns``.  An iteration runs the forward pass of
-    ``network.forward_source`` for the tanh ``fn`` on those weights, tests
+    ``column<g>`` of ``columns``.  The head of ``network.forward_source``'s
+    pass runs once, before the loop, so each copy of tanh's fast path keeps
+    its table row from one iteration to the next.  An iteration runs the
+    forward pass of ``network.forward_source`` for the tanh ``fn`` on those weights, tests
     y, writes the law's shared inputs once, ``a<g> = k_alpha * next(column<g>) - y`` per group
     and ``e = y_ref - y``, and writes out ``LAW`` per representative
     (``controller.law``, reading ``a<g>`` of its group as ``a``), then tests
@@ -312,13 +315,12 @@ def _segment_source(
     each test breaks out of the loop to the one ``return``, so the text
     grows in proportion to the representatives, not to their square.
     """
-    unpack, forward, out = forward_source(plan, n_inputs, mask, slots, "w{}", fn)
+    head, forward, out = forward_source(plan, n_inputs, mask, slots, "w{}", fn)
     lagged = range(len(set(groups)))
 
     def bind(names: list[str], value: str) -> list[str]:
         return [f"{', '.join(names)}, = {value}"] if names else []
 
-    head = [unpack] if unpack else []
     head += bind([f"column{g}" for g in lagged], "columns")
     head += bind([f"{v}{r}" for r in reps for v in ("kp", "ki")], "gains")
     head += bind([f"{v}{r}" for r in reps for v in ("psi", "integral", "xf", "u", "w")], "state")

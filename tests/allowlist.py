@@ -2,9 +2,11 @@
 
 The step of the law (``controller._step_source``), the linear solver's
 loop (``linsolve._loop_source``), the trainer's event segment
-(``trainer._segment_source``) and the evaluator's forward pass
+(``trainer._segment_source``), the evaluator's forward pass
 (``network._forward_text``, with ``elementary.TANH`` written out in it)
-are written as source text and compiled.
+and the loop of a decay block (``controller._decay_source``, with
+``elementary.EXP`` written out in it) are written as source text and
+compiled.
 The traces must not depend on the Python version, so that text may hold
 plain IEEE arithmetic only: no ``sum`` (compensated from Python 3.12 on),
 no ``fsum``, ``abs``, ``**`` or ``%``.  ``outside_the_allowlist`` parses
@@ -40,8 +42,12 @@ def outside_the_allowlist(
     ``calls``, whose names need not be bound (``tanh`` is a global).  The
     one global read that is not a call is a load ``table[<expression>]``
     of the name ``table``, by the arithmetic above: the row lookup of
-    ``elementary.TANH``.  So no ``sum``, ``fsum``, ``abs``, ``**`` or
-    ``%``, and no int literal but an index of the first argument.
+    ``elementary.TANH``.  The one integer arithmetic is ``&`` and ``>>``
+    of a name that ``int(<name>)`` binds, where ``int`` is in ``calls``, by
+    an int literal: the row index and the power of two of
+    ``elementary.EXP``.  So no ``sum``, ``fsum``, ``abs``, ``**`` or
+    ``%``, and no int literal but an index of the first argument or the
+    right operand of that ``&`` and ``>>``.
     """
     module = ast.parse(source)
     fn = module.body[0]
@@ -68,9 +74,26 @@ def outside_the_allowlist(
         and n.value.id == table
     }
     tables = {n.value for n in rows}
+    ints = {
+        t.id
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call) and isinstance(n.value.func, ast.Name)
+        and n.value.func.id == "int" and "int" in calls and [type(a) for a in n.value.args] == [ast.Name]
+        and not n.value.keywords
+        for t in n.targets
+        if isinstance(t, ast.Name)
+    }
+    bits = {
+        n
+        for n in ast.walk(fn)
+        if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.BitAnd, ast.RShift)) and isinstance(n.left, ast.Name)
+        and n.left.id in ints and isinstance(n.right, ast.Constant) and type(n.right.value) is int
+    }
+    # an & or >> is judged with its BinOp, below
+    skipped = (ast.Load, ast.Store, ast.arguments, ast.arg, ast.Break, ast.BitAnd, ast.RShift, *OPS)
     bad = []
     for node in ast.walk(fn):
-        if node is fn or isinstance(node, (ast.Load, ast.Store, ast.arguments, ast.arg, ast.Break, *OPS)):
+        if node is fn or isinstance(node, skipped):
             continue
         if isinstance(node, ast.Assign):
             ok = all(
@@ -97,14 +120,14 @@ def outside_the_allowlist(
         elif isinstance(node, ast.Attribute):
             ok = ast.unparse(node) in calls
         elif isinstance(node, ast.BinOp):
-            ok = isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))
+            ok = isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)) or node in bits
         elif isinstance(node, ast.UnaryOp):
             ok = isinstance(node.op, ast.USub) and is_float(node.operand)
         elif isinstance(node, ast.Name):
             ok = node.id in bound or node.id in calls or node in tables
         else:
             ok = isinstance(node, (ast.Compare, ast.Tuple)) or is_float(node) or node in loads or node in indexes
-            ok = ok or node in rows
+            ok = ok or node in rows or any(node is b.right for b in bits)
         if not ok:
             bad.append(f"{type(node).__name__}: {ast.unparse(node)}")
     return bad

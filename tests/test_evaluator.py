@@ -78,9 +78,9 @@ def slot_mapped(net, mask, slots):
     """``network.forward_source``'s pass with weight ``i`` read from the
     local ``w<slots[i]>``, as the trainer's segment reads it, as a function
     ``f(w, x)`` compiled by ``network.define``."""
-    unpack, body, out = network.forward_source(net._plan, net.input_count, tuple(mask), tuple(slots), "w{}", network.tanh)
+    head, body, out = network.forward_source(net._plan, net.input_count, tuple(mask), tuple(slots), "w{}", network.tanh)
     names = "".join(f"w{i}, " for i in range(net.weight_count))
-    lines = ["def forward(w, x):", f"    {names}= w", *(f"    {line}" for line in (unpack, *body) if line), f"    return {out}"]
+    lines = ["def forward(w, x):", f"    {names}= w", *(f"    {line}" for line in (*head, *body)), f"    return {out}"]
     return network.define("\n".join(lines), "forward")
 
 
@@ -187,8 +187,8 @@ def test_the_forward_allowlist_rejects_other_loads_and_operators():
         ("s += w[0] * x0", "s += w[0] ** 2.0 * x0", ["BinOp: w[0] ** 2.0", "Pow: "]),
         ("s += w[0] * x0", "s += w[i] * x0", ["Subscript: w[i]", "Name: i"]),
         ("v2 = s_ + lo_", "v2 = abs(s_) + lo_", ["Call: abs(s_)", "Name: abs"]),
-        ("TANH_TABLE[s * 64.0", "TANH_TABLE[s * 64", ["Constant: 64"]),
-        ("TANH_TABLE[s * 64.0", "EXP_TABLE[s * 64.0", ["Subscript: EXP_TABLE[s * 64.0 + 6755399441055744.0]", "Name: EXP_TABLE"]),
+        ("key_ = s * 64.0", "key_ = s * 64", ["Constant: 64"]),
+        ("TANH_TABLE[key_]", "EXP_TABLE[key_]", ["Subscript: EXP_TABLE[key_]", "Name: EXP_TABLE"]),
         ("v2 = tanh_slow(s)", "v2 = exp(s)", ["Call: exp(s)", "Name: exp"]),
     ]:
         assert old in source

@@ -118,8 +118,8 @@ def test_the_segment_allowlist_rejects_sums_and_other_operators(monkeypatch):
 
     # a generator whose node sums call sum() flags every sum it writes
     def summed(*args):
-        unpack, body, out = network.forward_source(*args)
-        return unpack, [f"s = sum((s, {line[5:]}))" if line.startswith("s += ") else line for line in body], out
+        head, body, out = network.forward_source(*args)
+        return head, [f"s = sum((s, {line[5:]}))" if line.startswith("s += ") else line for line in body], out
 
     monkeypatch.setattr(trainer, "forward_source", summed)
     mutated = trainer._segment_source(*key)

@@ -136,18 +136,17 @@ def test_tanh_is_compiled_from_the_text_and_holds_only_arithmetic():
     source = elementary._tanh_source()
     assert elementary.TANH.strip() in "\n".join(line[4:] for line in source.splitlines())
     assert outside_the_allowlist(source, "tanh", ("tanh_slow",), "TANH_TABLE") == []
-    assert elementary.TANH_LOCALS == {"c", "h", "l", "a1h", "a1l", "a2", "a3", "a4", "a5", "a6", "a7", "g", "f"} | {
-        "t", "xg", "s", "lo", "y"
-    }
+    row = {"c", "h", "l", "a1h", "a1l", "a2", "a3", "a4", "a5", "a6", "a7", "g", "f", "row"}
+    assert elementary.assigned(elementary.TANH) == (row | {"key", "t", "xg", "s", "lo", "y"}, row)
 
 
 @pytest.mark.parametrize(
     "old, new, flagged",
     [
-        ("t * a7", "t ** a7", ["BinOp: t_ ** a7_", "Pow: "]),
+        ("t * a7", "t ** a7", ["BinOp: t_ ** a7_1", "Pow: "]),
         ("y = s + lo", "y = abs(s) + lo", ["Call: abs(s_)", "Name: abs"]),
         ("y = s + lo", "y = sum((s, lo))", ["Call: sum((s_, lo_))", "Name: sum"]),
-        ("t = x - c", "t = x - c[0]", ["Subscript: c_[0]", "Constant: 0"]),
+        ("t = x - c", "t = x - c[0]", ["Subscript: c_1[0]", "Constant: 0"]),
     ],
 )
 def test_a_patched_tanh_text_is_flagged(old, new, flagged, monkeypatch):

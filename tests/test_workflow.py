@@ -69,6 +69,10 @@ def test_one_leg_checks_the_tables_against_their_generator(tmp_path, monkeypatch
     [step] = [s for s in steps if "gen_elementary_tables.py" in s.get("run", "")]
     assert step["run"] == "python scripts/gen_elementary_tables.py --check"
     assert step["if"] == "matrix.os == 'ubuntu-latest' && matrix.python == '3.11'"
+    # the step before it installs the mpmath that wrote the tables, on the same leg
+    pin = steps[steps.index(step) - 1]
+    assert pin["run"] == "python -m pip install mpmath==1.3.0"
+    assert pin["if"] == step["if"]
     # --check compares the file with what the script generates and writes nothing
     pytest.importorskip("mpmath")
     spec = importlib.util.spec_from_file_location("gen_elementary_tables", ROOT / "scripts" / "gen_elementary_tables.py")
