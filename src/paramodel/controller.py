@@ -19,10 +19,11 @@ runs them is generated from it by ``law``.  ``step`` runs it once on its
 arguments; ``controller_step`` and ``dynamics.filter_step`` are views of
 it.  It only does arithmetic, so numpy arrays run through it as lanes.
 The two loops write ``LAW`` out on locals: the
-linear solver's, generated per problem, once per unknown
+linear solver's, generated per shape of problem, once per unknown
 (``linsolve.solve_linear``), and the trainer's, generated per event
 segment, once per class of bit-identical controllers
-(``trainer.train_online``).
+(``trainer.train_online``).  Neither text holds a gain: both take them
+as arguments.
 
 ``decays`` reads the initialization decay from a cached column of
 ``decay`` values, ``DECAY_BLOCK`` steps a block, which every run of the

@@ -6,11 +6,12 @@ through the other variables as a disturbance.  The controllers are
 staggered: gains decrease geometrically with the variable index so each
 loop stabilizes at a distinct speed.  When every y_j is held close to
 b_j, x is close to the solution of the system.  ``solve_linear`` runs
-one loop generated per problem, with each unknown's state in locals:
-``controller.LAW`` written out once per unknown, and y = A x written out
-as one expression per row (``_rows``), each row summed in ``matvec``'s
-order, so the two agree bit for bit.  ``as_records`` turns a solve's
-traces into one ``LinsolveRecord`` NamedTuple per iteration.
+one loop generated per shape, with each unknown's state and each value of
+the problem in locals: ``controller.LAW`` written out once per unknown,
+and y = A x written out as one expression per row (``_rows``), each row
+summed in ``matvec``'s order, so the two agree bit for bit.
+``as_records`` turns a solve's traces into one ``LinsolveRecord``
+NamedTuple per iteration.
 """
 
 from __future__ import annotations
@@ -93,32 +94,25 @@ def matvec(a, x) -> tuple[float, ...]:
 
 
 #: Terms of the largest matrix whose rows the solver's loop writes out as
-#: code, counted as n * n for its larger side n: 4096, so n <= 64; a larger
-#: matrix takes ``matvec``.  A row is one expression nested a level per
-#: term, and CPython's compiler fails on a row of 4,000 terms; writing and
-#: compiling the loop of a 64 x 64 problem takes about 74 ms.
+#: code, n * n for n unknowns: 4096, so n <= 64; a larger matrix takes
+#: ``matvec``.  A row is one expression nested a level per term, and
+#: CPython's compiler fails on a row of 4,000 terms; writing and compiling
+#: the loop of 64 unknowns takes about 35 ms.
 PRODUCT_TERMS = 4096
 
-#: Solver loops kept by ``solve_linear``, one per distinct loop text.
+#: Solver loops kept by ``solve_linear``, one per shape.
 LOOPS_CACHED = 16
 
 
-def _written_out(a) -> bool:
-    """Whether the solver writes A x out as code: ``n * n`` within
-    ``PRODUCT_TERMS`` for the larger side n."""
-    n = max(len(a), max(map(len, a), default=0))
-    return n * n <= PRODUCT_TERMS
-
-
-def _rows(a) -> list[str]:
-    """One expression per row of A x, ``0.0 + a_j0 * x0 + a_j1 * x1 + ...``.
+def _rows(n: int) -> list[str]:
+    """One expression per row of A x, ``0.0 + a<j>_0 * x0 + a<j>_1 * x1 +
+    ...``, on the names of A's entries.
 
     ``+`` is left-associative, so each row adds its terms to 0.0 from left
     to right, as ``matvec`` does; the start 0.0 stays, because ``0.0 +
-    (-0.0)`` is 0.0.  Each entry is written as ``repr(float(v))``, which
-    reads back exactly.
+    (-0.0)`` is 0.0.
     """
-    return ["0.0" + "".join(f" + {float(v)!r} * x{c}" for c, v in enumerate(row)) for row in a]
+    return ["0.0" + "".join(f" + a{j}_{c} * x{c}" for c in range(n)) for j in range(n)]
 
 
 def solve_linear(
@@ -129,18 +123,19 @@ def solve_linear(
     Iteration k measures y from the previous x, steps every controller
     against (b_j, y_j) synchronously, filters the raw controls into the
     new x, and records the pair (x_k, y_k = A x_k).  The loop is one
-    function generated for the problem (``_loop_source``) and compiled
-    once per text (``_loop``).  Raises
-    DivergenceError with k once a y is non-finite, naming the lowest
-    non-finite unknown if any.
+    function generated for the problem's shape (``_loop_source``),
+    compiled once per shape (``_loop``), and run on the problem's values.
+    Raises DivergenceError with k once a y is non-finite, naming the
+    lowest non-finite unknown if any.
     """
-    loop = _loop(_loop_source(problem))
-    mul = None if _written_out(problem.a) else functools.partial(matvec, problem.a)
+    (n, groups, written), values = _loop_args(problem)
+    mul = None if written else functools.partial(matvec, problem.a)
     columns = [decays(k_beta, dt) for _, k_beta, dt, _ in _groups(problem)]
     x_trace: list[tuple[float, ...]] = []
     y_trace: list[tuple[float, ...]] = []
     start = tuple(f.state for f in problem.filters)
-    failed = loop(range(1, problem.horizon + 1), start, x_trace, y_trace, next, mul, *columns)
+    loop = _loop(n, groups, written)
+    failed = loop(range(1, problem.horizon + 1), start, x_trace, y_trace, next, mul, values, *columns)
     if failed is not None:
         k, psis, integrals, us, x, y = failed
         # A is finite, so a non-finite x makes every y non-finite
@@ -152,13 +147,13 @@ def solve_linear(
 
 
 @functools.lru_cache(maxsize=LOOPS_CACHED)
-def _loop(source: str) -> Callable:
-    """The function ``loop`` that ``source`` (a ``_loop_source`` text)
-    defines.  The last ``LOOPS_CACHED`` are kept, keyed by the text, so a
-    problem solved again compiles nothing."""
+def _loop(n: int, groups: tuple[tuple[int, ...], ...], written: bool) -> Callable:
+    """The function ``loop`` of ``_loop_source(n, groups, written)``.  The
+    last ``LOOPS_CACHED`` are kept, keyed by the shape, so problems that
+    differ only in their values share one loop and write no text."""
     namespace: dict = {}
     # the generated code reads no global
-    exec(source, {"__builtins__": {}}, namespace)
+    exec(_loop_source(n, groups, written), {"__builtins__": {}}, namespace)
     return namespace["loop"]
 
 
@@ -172,51 +167,71 @@ def _groups(problem: LinearTrackingProblem) -> dict[tuple[float, float, float, f
     return by_key
 
 
-def _loop_source(problem: LinearTrackingProblem) -> str:
-    """The text of the solver's loop for ``problem``,
-    ``loop(ks, x, x_trace, y_trace, next, mul, column0, column1, ...)``.
+def _loop_args(problem: LinearTrackingProblem) -> tuple[tuple, tuple[float, ...]]:
+    """The shape of ``problem``'s loop, ``(n, groups, written)``: its n
+    unknowns, the unknowns of each of its ``_groups`` and whether A is
+    written out (``n * n`` within ``PRODUCT_TERMS``), and the values that
+    loop unpacks, in its order: k_alpha, dt, h = 0.5 * dt and tau per
+    group, kp, ki and b_j per unknown, then A's entries row by row if A is
+    written out."""
+    groups, n = _groups(problem), len(problem.b)
+    written = n * n <= PRODUCT_TERMS
+    values = [v for k_alpha, _, dt, tau in groups for v in (k_alpha, dt, 0.5 * float(dt), tau)]
+    values += [v for p, b in zip(problem.controllers, problem.b) for v in (p.kp, p.ki, b)]
+    values += [v for row in problem.a for v in row] if written else []
+    return (n, tuple(map(tuple, groups.values())), written), tuple(map(float, values))
 
-    Unknown j keeps psi, integral, u and x in the locals ``psi<j>``,
-    ``integral<j>``, ``u<j>`` and ``x<j>``, and y_j in ``y<j>``.  Iteration
-    k takes ``kd<g> = k_alpha * next(column<g>)`` for group g and then
-    ``LAW`` for each of the group's unknowns in index order, with ``a =
-    kd<g> - y<j>`` and ``e = b_j - y<j>``; the gains, ``b_j``, ``dt``, ``h
-    = 0.5 * dt`` and ``tau`` are written by ``repr``.  It then measures y:
-    the rows of ``_rows(a)``, or ``mul(x)``, that is ``matvec``, for a
-    matrix past ``PRODUCT_TERMS``.  One sum of y is tested; only when it is non-finite is
-    each y tested, so a sum that overflows stops nothing.  A non-finite y
-    returns ``(k, psis, integrals, us, x, y)``; otherwise x and y are
-    appended to the traces, and the loop returns None at the end.
+
+def _loop_source(n: int, groups: tuple[tuple[int, ...], ...], written: bool) -> str:
+    """The text of the solver's loop for ``n`` unknowns in the decay
+    groups ``groups``, ``loop(ks, x, x_trace, y_trace, next, mul, values,
+    column0, column1, ...)``; it holds no value of a problem.
+
+    It first unpacks ``values`` (``_loop_args``) into the locals
+    ``k_alpha<g>``, ``dt<g>``, ``h<g>`` and ``tau<g>`` of group g,
+    ``kp<j>``, ``ki<j>`` and ``b<j>`` of unknown j, and, if ``written``,
+    ``a<j>_<c>`` of A.  Unknown j keeps psi, integral, u and x in the
+    locals ``psi<j>``, ``integral<j>``, ``u<j>`` and ``x<j>``, and y_j in
+    ``y<j>``.  Iteration k takes ``kd<g> = k_alpha<g> * next(column<g>)``
+    for group g and then ``LAW`` for each of the group's unknowns in index
+    order, with ``a = kd<g> - y<j>`` and ``e = b<j> - y<j>``.  It then
+    measures y: the rows of ``_rows(n)``, or ``mul(x)``, that is
+    ``matvec``, past ``PRODUCT_TERMS``.  One sum of y is tested; only when
+    it is non-finite is each y tested, so a sum that overflows stops
+    nothing.  A non-finite y returns ``(k, psis, integrals, us, x, y)``;
+    otherwise x and y are appended to the traces, and the loop returns
+    None at the end.
     """
-    ctrl, b, groups = problem.controllers, problem.b, _groups(problem)
-    n = len(b)
 
     def names(stem: str) -> str:
         return ", ".join(f"{stem}{j}" for j in range(n)) + ","
 
     xs, ys = names("x"), names("y")
-    if _written_out(problem.a):
-        measure = [f"y{j} = {row}" for j, row in enumerate(_rows(problem.a))]
+    if written:
+        measure = [f"y{j} = {row}" for j, row in enumerate(_rows(n))]
         x, y = f"({xs})", f"({ys})"
     else:
         measure = [f"x = ({xs})", "y = mul(x)", f"{ys} = y"]
         x, y = "x", "y"
+    unpacked = [f"{v}{g}" for g in range(len(groups)) for v in ("k_alpha", "dt", "h", "tau")]
+    unpacked += [f"{v}{j}" for j in range(n) for v in ("kp", "ki", "b")]
+    unpacked += [f"a{j}_{c}" for j in range(n) for c in range(n)] if written else []
     columns = "".join(f", column{g}" for g in range(len(groups)))
     lines = [
-        f"def loop(ks, x, x_trace, y_trace, next, mul{columns}):",
+        f"def loop(ks, x, x_trace, y_trace, next, mul, values{columns}):",
+        f"    {', '.join(unpacked)}, = values",
         f"    {xs} = x",
         *(f"    {line}" for line in measure),
         f"    {' = '.join(f'psi{j}' for j in range(n))} = 0.0",
         f"    {' = '.join(f'integral{j}' for j in range(n))} = 0.0",
         "    for k in ks:",
     ]
-    for g, ((k_alpha, _, dt, tau), idx) in enumerate(groups.items()):
-        lines.append(f"        kd{g} = {float(k_alpha)!r} * next(column{g})")
-        literals = dict(dt=repr(float(dt)), h=repr(0.5 * float(dt)), tau=repr(float(tau)))
+    for g, idx in enumerate(groups):
+        lines.append(f"        kd{g} = k_alpha{g} * next(column{g})")
         for j in idx:
-            inputs = dict(a=f"(kd{g} - y{j})", e=f"({float(b[j])!r} - y{j})")
-            own = dict(literals, kp=repr(float(ctrl[j].kp)), ki=repr(float(ctrl[j].ki)))
-            own.update({v: f"{v}{j}" for v in ("psi", "integral", "u", "x")})
+            inputs = dict(a=f"(kd{g} - y{j})", e=f"(b{j} - y{j})")
+            own = {v: f"{v}{g}" for v in ("dt", "h", "tau")}
+            own.update({v: f"{v}{j}" for v in ("kp", "ki", "psi", "integral", "u", "x")})
             lines.extend(f"        {line}" for line in law(inputs, own))
     lines += [f"        {line}" for line in measure]
     lines += [

@@ -1,7 +1,8 @@
 """One allowlist for the text of every function the package generates.
 
 The step of the law (``controller._step_source``), the linear solver's
-loop (``linsolve._loop_source``), the trainer's event segment
+loop (``linsolve._loop_source``, which takes every value of a problem as
+an argument), the trainer's event segment
 (``trainer._segment_source``), the evaluator's forward pass
 (``network._forward_text``, with ``elementary.TANH`` written out in it)
 and the loop of a decay block (``controller._decay_source``, with

@@ -7,10 +7,10 @@ generated per event segment, which writes the text of the law,
 ``controller.LAW``, out once per class of identical controllers on locals
 (it steps one controller of each class and copies its state to the rest
 at the next event), beside the forward pass written out inline;
-``solve_linear`` runs a loop generated per problem, which writes ``LAW``
-out once per unknown.  So both must agree with the reference bit for bit
-(``-0.0`` told apart from ``0.0``), and must report a divergence at the
-same loop iteration, for the same weight or unknown, naming the same
+``solve_linear`` runs a loop generated per shape of problem, which
+writes ``LAW`` out once per unknown.  So both must agree with the
+reference bit for bit (``-0.0`` told apart from ``0.0``), and must
+report a divergence at the same loop iteration, for the same weight or unknown, naming the same
 quantity.  The loops' bookkeeping (events, lags, groups, classes,
 records, the forward pass, the rows of A x and the finiteness tests) is
 what this checks: ``controller_step`` and ``filter_step`` are views of
@@ -48,7 +48,7 @@ from paramodel import (
     stagger_params,
     train_online,
 )
-from paramodel.linsolve import PRODUCT_TERMS, _written_out
+from paramodel.linsolve import PRODUCT_TERMS, _loop_args
 
 
 def bits(values) -> tuple[str, ...]:
@@ -345,7 +345,6 @@ def test_solve_linear_past_the_written_out_product_matches_reference():
     # loop; two groups, one of them at another dt and tau
     n = math.isqrt(PRODUCT_TERMS) + 1
     a = tuple(tuple((-1.0) ** (i + j) * (i + 1) / (j + 1) + (2.0 * n if i == j else 0.0) for j in range(n)) for i in range(n))
-    assert not _written_out(a)
     controllers = list(stagger_params(ControllerParams(k_beta=4.0), n, 0.9))
     filters = [FirstOrderFilter(state=0.01 * j) for j in range(n)]
     for j in range(1, n, 3):
@@ -354,6 +353,7 @@ def test_solve_linear_past_the_written_out_product_matches_reference():
     problem = LinearTrackingProblem(
         a=a, b=tuple(1.0 + 0.1 * j for j in range(n)), controllers=controllers, filters=filters, horizon=30
     )
+    assert _loop_args(problem)[0][2] is False
     assert reference_linsolve(problem)[1] is None
     assert_same_linsolve(problem)
 

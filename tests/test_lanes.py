@@ -1,78 +1,63 @@
-"""The one text of the law on numpy lanes, and a core that imports without numpy.
+"""The solver's own loop on numpy lanes, and a core that imports without numpy.
 
-``controller.step`` and ``linsolve.matvec`` are arithmetic only, so they
-run unchanged on numpy arrays: one array per unknown, one element (a
-lane) per configuration.  ``step`` is built from ``controller.LAW``, the
-text ``solve_linear``'s generated loop writes out per unknown, and
-``matvec`` defines the order of the rows that loop writes out, so the
-lanes take the scalar solver's operations in its order; numpy's
-elementwise ``+ - * /`` are single IEEE-754 operations, so each lane gets
-the scalar solve's bits.  The loop of ``lane_solve`` is only the harness
-(the decay column, the errors, the product); it holds no copy of the law
-or of the RK4 step.
+The text of ``solve_linear``'s generated loop holds no value of a
+problem: every gain, ``b_j``, ``dt``, ``tau`` and entry of A comes in as
+an argument.  So ``lane_solve`` runs that compiled loop with numpy arrays
+for those values, one element (a lane) per problem.  The loop is
+arithmetic only, and numpy's elementwise ``+ - * /`` are single IEEE-754
+operations, so each lane takes the scalar solve's operations in its order
+and gets its bits.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
 from test_config_io import run_python
 
-from paramodel import (
-    DivergenceError,
-    FirstOrderFilter,
-    LinearTrackingProblem,
-    solve_linear,
-    stagger_params,
-)
-from paramodel.controller import decays, step
-from paramodel.linsolve import DEMO_A, DEMO_B, DEMO_GAINS, matvec
+from paramodel import DivergenceError, builtin_problem, linsolve, solve_linear, stagger_params
+from paramodel.controller import decays
 
 RHOS = (0.5, 0.8, 0.9, 1.0)
 HORIZON = 5_000
 
 
-def linsolve3(rho: float, horizon: int = HORIZON) -> LinearTrackingProblem:
+def linsolve3(rho: float, horizon: int = HORIZON):
     """The built-in linsolve3 problem at stagger ratio ``rho``."""
-    controllers = tuple(stagger_params(DEMO_GAINS, n=3, rho=rho))
-    return LinearTrackingProblem(
-        a=DEMO_A, b=DEMO_B, controllers=controllers, filters=(FirstOrderFilter(),) * 3, horizon=horizon
-    )
+    return dataclasses.replace(builtin_problem(horizon), controllers=tuple(stagger_params(linsolve.DEMO_GAINS, 3, rho)))
 
 
 def lane_solve(problems):
-    """x of every iteration, shape (horizon, unknowns, lanes), of
-    ``solve_linear``'s iteration run with one lane per problem.
+    """x of every iteration, shape (iterations, unknowns, lanes), of
+    ``solve_linear``'s loop run with one lane per problem.
 
-    The problems may differ only in kp and ki, so the lanes share one
-    group: one decay column, read once per iteration, and one ``step``
-    call per unknown and iteration.  Nothing stops at a divergence; a
-    diverged lane just carries inf and nan on.
+    The problems share the loop's shape, with A written out, the decay
+    columns (``k_beta`` and ``dt`` of each group) and the horizon.  Each
+    value is an array whose truth is every lane's, so the loop's
+    finiteness tests stop it only once every lane has diverged: until then
+    a diverged lane carries inf and nan on.  The x of that last iteration
+    ends the trace.
     """
     np = pytest.importorskip("numpy")
-    first = problems[0]
-    ((k_alpha, k_beta, dt, tau),) = {
-        (p.k_alpha, p.k_beta, p.dt, f.tau) for q in problems for p, f in zip(q.controllers, q.filters)
-    }
-    assert all((q.a, q.b, q.horizon) == (first.a, first.b, first.horizon) for q in problems)
-    n, lanes = len(first.b), len(problems)
-    kps = [np.array([q.controllers[j].kp for q in problems]) for j in range(n)]
-    kis = [np.array([q.controllers[j].ki for q in problems]) for j in range(n)]
-    psis, integrals = ([np.zeros(lanes) for _ in range(n)] for _ in range(2))
-    x = [np.full(lanes, f.state) for f in first.filters]
-    y = matvec(first.a, x)
-    trace = np.empty((first.horizon, n, lanes))
-    column = decays(k_beta, dt)
+
+    class Lanes(np.ndarray):
+        def __bool__(self):
+            return bool(self.view(np.ndarray).all())
+
+    def lanes(values):
+        return tuple(np.array(v).view(Lanes) for v in zip(*values))
+
+    shapes, values = zip(*map(linsolve._loop_args, problems))
+    ((n, groups, written),) = set(shapes)
+    ((horizon, *keys),) = {(q.horizon, *(key[1:3] for key in linsolve._groups(q))) for q in problems}
+    assert written
+    x, x_trace = lanes(tuple(f.state for f in q.filters) for q in problems), []
     with np.errstate(all="ignore"):
-        for k in range(1, first.horizon + 1):
-            kd = k_alpha * next(column)
-            for j in range(n):
-                a, e = kd - y[j], first.b[j] - y[j]
-                psis[j], integrals[j], _, x[j] = step(psis[j], integrals[j], x[j], kps[j], kis[j], a, e, dt, tau)
-            y = matvec(first.a, x)
-            trace[k - 1] = x
-    return trace
+        loop = linsolve._loop(n, groups, written)
+        failed = loop(range(1, horizon + 1), x, x_trace, [], next, None, lanes(values), *(decays(*k) for k in keys))
+    return np.array(x_trace + ([failed[4]] if failed else []))
 
 
 def test_lanes_run_the_scalar_solve_bit_for_bit():

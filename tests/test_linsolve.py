@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
 import re
@@ -24,10 +25,11 @@ from paramodel import (
 )
 from paramodel.config_io import tracking_error
 from paramodel import linsolve
-from paramodel.linsolve import DEMO_A, DEMO_B, PRODUCT_TERMS, _loop_source, _rows, _written_out, as_records
+from paramodel.linsolve import DEMO_A, DEMO_B, PRODUCT_TERMS, _loop_args, _loop_source, _rows, as_records
 
-from allowlist import outside_the_allowlist
+from allowlist import is_float, outside_the_allowlist
 from conftest import EQ3_X_STAR
+from test_kernel import assert_same_linsolve
 
 BASE = ControllerParams(kp=1.0, ki=0.01, k_alpha=166.5, k_beta=4.0, dt=1e-5)
 
@@ -154,9 +156,11 @@ def test_solves_diagonal_system():
 
 def rows(a, x) -> tuple:
     """A x as the solver's loop measures it: each expression of
-    ``_rows(a)``, evaluated with ``x0, x1, ...`` bound and no builtins."""
+    ``_rows(len(x))`` for a row of ``a``, evaluated with ``a0_0, a0_1, ...``
+    and ``x0, x1, ...`` bound and no builtins."""
     names = {"__builtins__": {}, **{f"x{c}": v for c, v in enumerate(x)}}
-    return tuple(eval(row, names) for row in _rows(a))
+    names.update({f"a{j}_{c}": v for j, row in enumerate(a) for c, v in enumerate(row)})
+    return tuple(eval(row, names) for row in _rows(len(x))[: len(a)])
 
 
 def test_matvec_sums_left_to_right():
@@ -198,12 +202,13 @@ def test_rows_are_written_out_up_to_their_bound():
     n = math.isqrt(PRODUCT_TERMS)
     for size, written in ((n, True), (n + 1, False)):
         a = tuple(tuple((-1.0) ** (i + j) * (i + 1) / (j + 1) for j in range(size)) for i in range(size))
-        assert _written_out(a) is written
+        (_, _, got), values = _loop_args(make_problem(a, (1.0,) * size))
+        assert got is written
+        # A's entries are values of the loop only where its rows are written out
+        assert len(values) == 4 + 3 * size + (size * size if written else 0)
         if written:
             x = [1.0 / (c + 3) for c in range(size)]
             assert bits(rows(a, x)) == bits(matvec(a, x))
-    # the bound counts the larger side, so no row is longer than n terms
-    assert not _written_out(((0.5,) * (n + 1),))
 
 
 def loop_outside_the_allowlist(source: str) -> list[str]:
@@ -240,13 +245,20 @@ LOOP_PROBLEMS = {
 
 @pytest.mark.parametrize("name", LOOP_PROBLEMS)
 def test_generated_loop_holds_only_arithmetic(name):
-    source = _loop_source(LOOP_PROBLEMS[name]())
+    source = _loop_source(*_loop_args(LOOP_PROBLEMS[name]())[0])
     assert ("mul(x)" in source) is (name == "65x65-matvec")
     assert loop_outside_the_allowlist(source) == []
+    # no value of the problem: the floats are LAW's 2.0 and 6.0 and the 0.0
+    # that starts the rows and the state and that the tests compare with
+    assert {repr(n.value) for n in ast.walk(ast.parse(source)) if is_float(n)} == {"0.0", "2.0", "6.0"}
+
+
+def builtin_source() -> str:
+    return _loop_source(*_loop_args(builtin_problem())[0])
 
 
 def test_the_loop_allowlist_rejects_sums_and_other_operators(monkeypatch):
-    source = _loop_source(builtin_problem())
+    source = builtin_source()
     for old, new, flagged in [
         ("s = y0 + y1 + y2", "s = sum((y0, y1, y2))", ["Call: sum((y0, y1, y2))", "Name: sum"]),
         ("s = y0 + y1 + y2", "s = fsum((y0, y1, y2))", ["Call: fsum((y0, y1, y2))", "Name: fsum"]),
@@ -263,9 +275,9 @@ def test_the_loop_allowlist_rejects_sums_and_other_operators(monkeypatch):
         assert sorted(loop_outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged)
     # a generator whose rows are sums flags every row, before the loop and in it
     monkeypatch.setattr(
-        linsolve, "_rows", lambda a: [f"sum(({', '.join(f'{v!r} * x{c}' for c, v in enumerate(row))}), 0.0)" for row in a]
+        linsolve, "_rows", lambda n: [f"sum(({', '.join(f'a{j}_{c} * x{c}' for c in range(n))}), 0.0)" for j in range(n)]
     )
-    mutated = _loop_source(builtin_problem())
+    mutated = builtin_source()
     assert sum(entry.startswith("Call: sum(") for entry in loop_outside_the_allowlist(mutated)) == 6
 
 
@@ -280,6 +292,57 @@ def test_a_second_solve_of_a_problem_compiles_nothing(monkeypatch):
     assert [bits(x) for x in first[0] + first[1]] == [bits(x) for x in second[0] + second[1]]
     info = linsolve._loop.cache_info()
     assert info.maxsize == linsolve.LOOPS_CACHED and info.currsize <= linsolve.LOOPS_CACHED
+
+
+def scaled(problem: LinearTrackingProblem, by: float) -> LinearTrackingProblem:
+    """``problem`` with A, b, every gain but k_beta, dt and tau scaled by ``by``."""
+    return dataclasses.replace(
+        problem,
+        a=tuple(tuple(v * by for v in row) for row in problem.a),
+        b=tuple(v * by for v in problem.b),
+        controllers=tuple(
+            dataclasses.replace(p, kp=p.kp * by, ki=p.ki * by, k_alpha=p.k_alpha * by, dt=p.dt * by)
+            for p in problem.controllers
+        ),
+        filters=tuple(dataclasses.replace(f, tau=f.tau * by) for f in problem.filters),
+    )
+
+
+def test_problems_of_one_shape_share_one_text_and_one_loop():
+    # three groups (another dt and tau, another k_alpha), and every value differs
+    first = loop_problem(((2.0, 0.5, 0.25), (0.5, 3.0, -1.0), (0.0, 1.0, 4.0)))
+    second = scaled(first, 1.5)
+    (shape, values), (other, others) = _loop_args(first), _loop_args(second)
+    assert shape == other == (3, ((0,), (1,), (2,)), True)
+    assert len(values) == len(others) == 3 * 4 + 3 * 3 + 9
+    assert all(u != v for u, v in zip(values, others) if u != 0.0)
+    assert _loop_source(*shape) == _loop_source(*other)
+    linsolve._loop.cache_clear()
+    for problem in (first, second):
+        assert_same_linsolve(problem)
+    info = linsolve._loop.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_a_stagger_sweep_compiles_one_loop():
+    linsolve._loop.cache_clear()
+    solve_linear(builtin_problem())
+    for i in range(24):
+        rho = 0.2 + i * (0.99 - 0.2) / 23
+        gains = tuple(stagger_params(linsolve.DEMO_GAINS, 3, rho))
+        assert_same_linsolve(dataclasses.replace(builtin_problem(horizon=300), controllers=gains))
+    info = linsolve._loop.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (24, 1, 1)
+
+
+@pytest.mark.parametrize("n", [64, 65], ids=["written", "matvec"])
+def test_two_problems_of_a_large_side_share_their_loop(n):
+    first = loop_problem(side(n))
+    linsolve._loop.cache_clear()
+    for problem in (first, scaled(first, 0.75)):
+        assert_same_linsolve(problem)
+    info = linsolve._loop.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_residual_consistency():

@@ -64,6 +64,16 @@ def test_every_leg_checks_that_pyyaml_has_libyaml():
     assert subprocess.run([sys.executable, *without], capture_output=True, timeout=60).returncode == 1
 
 
+def test_every_leg_installs_the_test_extra_with_numpy():
+    # tests/test_lanes.py skips where numpy is missing, and the lanes would go unchecked
+    steps = workflow()["jobs"]["tier1"]["steps"]
+    [install] = [s for s in steps if ".[test]" in s.get("run", "")]
+    assert install["run"] == 'python -m pip install -e ".[test]"' and "if" not in install
+    assert steps.index(install) < [s.get("name") for s in steps].index("Tier-1 tests")
+    extra = re.search(r"^test = \[(.*)\]$", (ROOT / "pyproject.toml").read_text(), re.M)
+    assert re.findall(r'"numpy\b', extra.group(1)) == ['"numpy']
+
+
 def test_one_leg_checks_the_tables_against_their_generator(tmp_path, monkeypatch):
     steps = workflow()["jobs"]["tier1"]["steps"]
     [step] = [s for s in steps if "gen_elementary_tables.py" in s.get("run", "")]
