@@ -23,7 +23,7 @@ from operator import sub
 from types import UnionType
 from typing import Iterable, Iterator, Union, get_args, get_origin
 
-from . import linsolve, trainer
+from . import codegen, linsolve, trainer
 from .controller import ControllerParams, stagger_params
 from .dynamics import DEFAULT_TAU, FirstOrderFilter
 from .errors import Count, ParseError, Positive, Ratio, ValidationError, check_fields, field_types, rule
@@ -567,20 +567,20 @@ def _codec(cls, width: int):
 
     row = ["{k}", *(f"{{rec.{s}!r}}" for s in scalars[1:])]
     row += [f"{{{v}_text}}" if v in reused else reprs(v) for v in vectors if width]
-    lines = ["def rows(records, decimation):"]
-    lines += [f"    {v}_obj = _unset" for v in reused]
-    lines += ["    for rec in records:", "        k = rec.k", "        if k % decimation == 0:"]
+    lines = [f"{v}_obj = _unset" for v in reused]
+    lines += ["for rec in records:", "    k = rec.k", "    if k % decimation == 0:"]
     for v in vectors:
         if v in reused:
             lines += [
-                f"            if rec.{v} is not {v}_obj:",
-                f"                {v}_obj = rec.{v}",
-                f"                [{', '.join(cols[v])}] = {v}_obj",
-                f'                {v}_text = f"{reprs(v)}"',
+                f"        if rec.{v} is not {v}_obj:",
+                f"            {v}_obj = rec.{v}",
+                f"            [{', '.join(cols[v])}] = {v}_obj",
+                f'            {v}_text = f"{reprs(v)}"',
             ]
         else:
-            lines.append(f"            [{', '.join(cols[v])}] = rec.{v}")
-    lines.append(f'            yield f"{",".join(row)}\\n"')
+            lines.append(f"        [{', '.join(cols[v])}] = rec.{v}")
+    lines.append(f'        yield f"{",".join(row)}\\n"')
+    rows = codegen.text("rows", ("records", "decimation"), lines)
 
     def floats(v):
         return f"({''.join(f'float({c}), ' for c in cols[v])})"
@@ -588,25 +588,23 @@ def _codec(cls, width: int):
     kept = [name for v in reused for name in (*(f"{c}_was" for c in cols[v]), v)]
     args = [f"int({scalars[0]})", *(f"float({s})" for s in scalars[1:])]
     args += [v if v in reused else floats(v) for v in vectors]
-    lines += ["def parse(lines, last):"]
-    if kept:
-        lines.append(f"    [{', '.join(kept)}] = last or {(None,) * len(kept)}")
-    lines += ["    out = []", "    append = out.append", "    for line in lines:"]
-    lines.append(f"        [{', '.join(names)}] = line.split(b',')")
+    lines = [f"[{', '.join(kept)}] = last or {(None,) * len(kept)}"] if kept else []
+    lines += ["out = []", "append = out.append", "for line in lines:"]
+    lines.append(f"    [{', '.join(names)}] = line.split(b',')")
     for v in reused:
         changed = " or ".join(f"{c} != {c}_was" for c in cols[v])
         lines += [
-            f"        if {changed}:",
-            f"            [{', '.join(f'{c}_was' for c in cols[v])}] = {', '.join(cols[v])},",
-            f"            {v} = {floats(v)}",
+            f"    if {changed}:",
+            f"        [{', '.join(f'{c}_was' for c in cols[v])}] = {', '.join(cols[v])},",
+            f"        {v} = {floats(v)}",
         ]
-    lines.append(f"        append(record(({', '.join(args)})))")
+    lines.append(f"    append(record(({', '.join(args)})))")
     if kept:
-        lines.append(f"    last[:] = {', '.join(kept)},")
-    lines.append("    return out")
-    env = {"_unset": object(), "record": functools.partial(tuple.__new__, cls)}
-    exec("\n".join(lines), env)
-    return header, env["rows"], env["parse"]
+        lines.append(f"last[:] = {', '.join(kept)},")
+    lines.append("return out")
+    parse = codegen.text("parse", ("lines", "last"), lines)
+    env = {"__name__": __name__, "_unset": object(), "record": functools.partial(tuple.__new__, cls)}
+    return header, codegen.define(rows, "rows", env), codegen.define(parse, "parse", env)
 
 
 def write_trace(records: Iterable, path: str, decimation: int = 1) -> None:

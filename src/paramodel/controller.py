@@ -15,10 +15,11 @@ it sees only the reference and the last measured output.
 
 ``LAW`` is the one text of the law and of the RK4 step of each
 controller's first-order filter (see ``dynamics``), and the code that
-runs them is generated from it by ``law``.  ``step`` runs it once on its
-arguments; ``controller_step`` and ``dynamics.filter_step`` are views of
-it.  It only does arithmetic, so numpy arrays run through it as lanes.
-The two loops write ``LAW`` out on locals: the
+runs them is generated from it by ``law``.  ``step``, compiled by
+``codegen.define`` with no globals, runs it once on its arguments;
+``controller_step`` and ``dynamics.filter_step`` are views of it.  It
+only does arithmetic, so numpy arrays run through it as lanes.  The two
+loops write ``LAW`` out on locals: the
 linear solver's, generated per shape of problem, once per unknown
 (``linsolve.solve_linear``), and the trainer's, generated per event
 segment, once per class of bit-identical controllers
@@ -29,7 +30,8 @@ as arguments.
 ``decay`` values, ``DECAY_BLOCK`` steps a block, which every run of the
 same ``k_beta`` and ``dt`` shares.  A block is filled by one generated
 loop with exp's fast path, ``elementary.EXP``, written out in it, so that
-consecutive steps share their table row.
+consecutive steps share their table row; ``codegen.define`` compiles it
+with this module's globals.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from itertools import chain, count, islice, repeat
 from math import ldexp  # noqa: F401, read by the generated text
 from typing import Callable, Iterator
 
-from . import elementary
-from .elementary import EXP, EXP_TABLE, NO_ROW, exp, exp_slow, rename  # noqa: F401, read by the generated text
+from . import codegen, elementary
+from .elementary import EXP, EXP_TABLE, NO_ROW, exp, exp_slow  # noqa: F401, read by the generated text
 from .errors import Count, DivergenceError, Index, NonNegative, Positive, Ratio, check_fields, number, rule
 
 __all__ = [
@@ -145,20 +147,12 @@ def _decay_source() -> str:
     """The text of ``decay_block(ks, m, dt, append)``, which appends
     ``exp(m * (k * dt))`` for each ``k in ks``: ``elementary.EXP`` written
     out, its row kept from one step to the next."""
-    lines = ["def decay_block(ks, m, dt, append):", f"row = {NO_ROW!r}", "for k in ks:", "    x = m * (k * dt)"]
-    lines += [*(f"    {line}" for line in EXP.splitlines()), "    append(y)"]
-    return "\n".join([lines[0], *(f"    {line}" for line in lines[1:])])
+    loop = ["for k in ks:", "    x = m * (k * dt)", *(f"    {line}" for line in EXP.splitlines()), "    append(y)"]
+    return codegen.text("decay_block", ("ks", "m", "dt", "append"), [f"row = {NO_ROW!r}", *loop])
 
 
-def _compile_decay_loop() -> Callable:
-    """``decay_block`` of ``_decay_source``, compiled with this module's
-    globals: it reads ``EXP_TABLE``, ``ldexp`` and ``exp_slow``."""
-    namespace: dict = {}
-    exec(_decay_source(), globals(), namespace)
-    return namespace["decay_block"]
-
-
-_decay_loop = _compile_decay_loop()
+# compiled with this module's globals: it reads EXP_TABLE, ldexp and exp_slow
+_decay_loop = codegen.define(_decay_source(), "decay_block", globals())
 
 
 #: One step of the law and then one RK4 step of its filter, for one
@@ -192,7 +186,7 @@ def law(inputs: dict[str, str], names: dict[str, str]) -> list[str]:
 
     for line in LAW.splitlines():
         target, value = line.split(" = ")
-        lines.append(f"{names.get(target, target)} = {rename(value, put)}")
+        lines.append(f"{names.get(target, target)} = {codegen.rename(value, put)}")
         assigned.add(target)
     return lines
 
@@ -200,33 +194,23 @@ def law(inputs: dict[str, str], names: dict[str, str]) -> list[str]:
 def _step_source() -> str:
     """The text of ``step``: ``h = 0.5 * dt``, ``LAW`` on the arguments'
     own names, and one return."""
-    lines = [
-        "def step(psi, integral, x, kp, ki, a, e, dt, tau):",
-        "    h = 0.5 * dt",
-        *(f"    {line}" for line in law({}, {})),
-        "    return psi, integral, u, x",
-    ]
-    return "\n".join(lines)
+    params = ("psi", "integral", "x", "kp", "ki", "a", "e", "dt", "tau")
+    return codegen.text("step", params, ["h = 0.5 * dt", *law({}, {}), "return psi, integral, u, x"])
 
 
-def _step() -> Callable:
-    """``step``, compiled from ``_step_source``."""
-    namespace: dict = {}
-    # the generated code reads no global
-    exec(_step_source(), {"__builtins__": {}}, namespace)
-    fn = namespace["step"]
-    fn.__module__ = __name__
-    fn.__doc__ = """One step of the law and then one RK4 step of its filter (``LAW``), for
+# the generated code reads no global
+step = codegen.define(
+    _step_source(),
+    "step",
+    {"__builtins__": {}, "__name__": __name__},
+    """One step of the law and then one RK4 step of its filter (``LAW``), for
     one controller; returns ``(psi, integral, u, x)``.
 
     The caller passes ``a = k_alpha*d - y`` (``d`` the step's ``decay``)
     and ``e = y_ref - y``.  It tests nothing, and it is arithmetic only, so
     floats or numpy arrays (one lane per element) run through it.
-    """
-    return fn
-
-
-step = _step()
+    """,
+)
 
 
 def controller_step(

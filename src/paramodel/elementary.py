@@ -22,23 +22,22 @@ the exact value rounds to one double (e**x and tanh(x) are transcendental
 for x != 0, so that always ends).
 
 Each fast path is one text, ``EXP`` and ``TANH``, as ``controller.LAW``
-is the one text of the law: ``exp`` and ``tanh`` are compiled from them,
-``controller`` writes ``EXP`` out in the loop that fills a block of decay
-values, and ``network.forward_source`` writes ``TANH`` out, its names
-changed by ``rename``, for each node sum of the generated forward pass,
-so those loops make no call of exp or tanh but on the exact path.  A text
-keeps its table row in locals while its key holds: a loop whose
-arguments move less than a row's width from one run of the text to the
-next fetches a row only when the key changes.
+is the one text of the law: ``exp`` and ``tanh`` are compiled from them
+by ``codegen.define``, ``controller`` writes ``EXP`` out in the loop that
+fills a block of decay values, and ``network.forward_source`` writes
+``TANH`` out, its names changed by ``codegen.rename``, for each node sum
+of the generated forward pass, so those loops make no call of exp or
+tanh but on the exact path.  A text keeps its table row in locals while
+its key holds: a loop whose arguments move less than a row's width from
+one run of the text to the next fetches a row only when the key changes.
 """
 
 from __future__ import annotations
 
-import re
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
 from math import ldexp
-from typing import Callable
 
+from . import codegen
 from .elementary_tables import (
     E2,
     E3,
@@ -52,7 +51,7 @@ from .elementary_tables import (
     TANH_ROWS,
 )
 
-__all__ = ["EXP", "NO_ROW", "TANH", "assigned", "exp", "exp_slow", "rename", "tanh", "tanh_slow"]
+__all__ = ["EXP", "NO_ROW", "TANH", "assigned", "exp", "exp_slow", "tanh", "tanh_slow"]
 
 _INF = float("inf")
 ROUNDER = 6755399441055744.0  # 1.5 * 2**52: (z + ROUNDER) - ROUNDER rounds z to an integer
@@ -135,16 +134,6 @@ else:
     y = exp_slow(x)
 """
 
-# A number literal is one token, so that the ``e`` of ``1e-05`` is no name.
-_TOKEN = re.compile(r"([A-Za-z_]\w*)|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-
-
-def rename(text: str, name: Callable[[str], str]) -> str:
-    """``text`` with ``name(v)`` written for each name ``v`` in it; number
-    literals stay as they are."""
-    return _TOKEN.sub(lambda m: name(m[1]) if m[1] else m[0], text)
-
-
 def assigned(text: str) -> tuple[frozenset, frozenset]:
     """The names a fast-path text assigns, ``y`` and its temporaries, and
     of those the row it keeps: the names that its row fetch, the block of
@@ -157,19 +146,18 @@ def assigned(text: str) -> tuple[frozenset, frozenset]:
         if line.endswith(" != row:"):
             fetch = indent
         elif " = " in line:
-            targets = {m[1] for m in _TOKEN.finditer(line.split(" = ")[0]) if m[1]}
+            targets = set(line.split(" = ")[0].strip().split(", "))
             names |= targets
             if fetch is not None:
                 row |= targets
     return frozenset(names), frozenset(row)
 
 
-def _source(name: str, text: str, head: tuple[str, ...] = ()) -> str:
+def _source(name: str, fast: str, head: tuple[str, ...] = ()) -> str:
     """The text of the function ``name(x)``: the lines ``head``, then
     ``row = NO_ROW``, so that each call fetches its row, then the fast-path
-    text ``text`` on the argument ``x``, and ``return y``."""
-    lines = [f"def {name}(x):", *head, f"row = {NO_ROW!r}", *text.splitlines()]
-    return "\n".join([lines[0], *(f"    {line}" for line in lines[1:]), "    return y"])
+    text ``fast`` on the argument ``x``, and ``return y``."""
+    return codegen.text(name, ("x",), [*head, f"row = {NO_ROW!r}", *fast.splitlines(), "return y"])
 
 
 def _tanh_source() -> str:
@@ -183,18 +171,9 @@ def _exp_source() -> str:
     return _source("exp", EXP)
 
 
-def _compiled(source: str, name: str, doc: str) -> Callable:
-    """The function ``name`` that ``source`` defines, compiled with this
-    module's globals, which it reads at each call."""
-    namespace: dict = {}
-    exec(source, globals(), namespace)
-    fn = namespace[name]
-    fn.__module__, fn.__doc__ = __name__, doc
-    return fn
-
-
-exp = _compiled(_exp_source(), "exp", """e**x correctly rounded; inf for overflow, 0.0 after the subnormals.""")
-tanh = _compiled(_tanh_source(), "tanh", """tanh(x) correctly rounded; keeps the sign of zero, +-1 for +-inf.""")
+# compiled with this module's globals, which they read at each call
+exp = codegen.define(_exp_source(), "exp", globals(), """e**x correctly rounded; inf for overflow, 0.0 after the subnormals.""")
+tanh = codegen.define(_tanh_source(), "tanh", globals(), """tanh(x) correctly rounded; keeps the sign of zero, +-1 for +-inf.""")
 
 
 def exp_slow(x: float) -> float:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import count, repeat
 from typing import Callable, NamedTuple
 
+from . import codegen
 from .controller import ControllerParams, decays, divergence, law, stagger_params
 from .dynamics import FirstOrderFilter
 from .errors import Count, DivergenceError, ValidationError, check_fields
@@ -151,10 +152,8 @@ def _loop(n: int, groups: tuple[tuple[int, ...], ...], written: bool) -> Callabl
     """The function ``loop`` of ``_loop_source(n, groups, written)``.  The
     last ``LOOPS_CACHED`` are kept, keyed by the shape, so problems that
     differ only in their values share one loop and write no text."""
-    namespace: dict = {}
     # the generated code reads no global
-    exec(_loop_source(n, groups, written), {"__builtins__": {}}, namespace)
-    return namespace["loop"]
+    return codegen.define(_loop_source(n, groups, written), "loop", {"__builtins__": {}, "__name__": __name__})
 
 
 def _groups(problem: LinearTrackingProblem) -> dict[tuple[float, float, float, float], list[int]]:
@@ -216,33 +215,32 @@ def _loop_source(n: int, groups: tuple[tuple[int, ...], ...], written: bool) -> 
     unpacked = [f"{v}{g}" for g in range(len(groups)) for v in ("k_alpha", "dt", "h", "tau")]
     unpacked += [f"{v}{j}" for j in range(n) for v in ("kp", "ki", "b")]
     unpacked += [f"a{j}_{c}" for j in range(n) for c in range(n)] if written else []
-    columns = "".join(f", column{g}" for g in range(len(groups)))
+    params = ["ks", "x", "x_trace", "y_trace", "next", "mul", "values", *(f"column{g}" for g in range(len(groups)))]
     lines = [
-        f"def loop(ks, x, x_trace, y_trace, next, mul, values{columns}):",
-        f"    {', '.join(unpacked)}, = values",
-        f"    {xs} = x",
-        *(f"    {line}" for line in measure),
-        f"    {' = '.join(f'psi{j}' for j in range(n))} = 0.0",
-        f"    {' = '.join(f'integral{j}' for j in range(n))} = 0.0",
-        "    for k in ks:",
+        f"{', '.join(unpacked)}, = values",
+        f"{xs} = x",
+        *measure,
+        f"{' = '.join(f'psi{j}' for j in range(n))} = 0.0",
+        f"{' = '.join(f'integral{j}' for j in range(n))} = 0.0",
+        "for k in ks:",
     ]
     for g, idx in enumerate(groups):
-        lines.append(f"        kd{g} = k_alpha{g} * next(column{g})")
+        lines.append(f"    kd{g} = k_alpha{g} * next(column{g})")
         for j in idx:
             inputs = dict(a=f"(kd{g} - y{j})", e=f"(b{j} - y{j})")
             own = {v: f"{v}{g}" for v in ("dt", "h", "tau")}
             own.update({v: f"{v}{j}" for v in ("kp", "ki", "psi", "integral", "u", "x")})
-            lines.extend(f"        {line}" for line in law(inputs, own))
-    lines += [f"        {line}" for line in measure]
+            lines.extend(f"    {line}" for line in law(inputs, own))
+    lines += [f"    {line}" for line in measure]
     lines += [
-        f"        s = {' + '.join(f'y{j}' for j in range(n))}",
-        "        if s - s != 0.0:",
-        f"            if {' + '.join(f'(y{j} - y{j})' for j in range(n))} != 0.0:",
-        f"                return k, ({names('psi')}), ({names('integral')}), ({names('u')}), {x}, {y}",
-        f"        x_trace.append({x})",
-        f"        y_trace.append({y})",
+        f"    s = {' + '.join(f'y{j}' for j in range(n))}",
+        "    if s - s != 0.0:",
+        f"        if {' + '.join(f'(y{j} - y{j})' for j in range(n))} != 0.0:",
+        f"            return k, ({names('psi')}), ({names('integral')}), ({names('u')}), {x}, {y}",
+        f"    x_trace.append({x})",
+        f"    y_trace.append({y})",
     ]
-    return "\n".join(lines)
+    return codegen.text("loop", params, lines)
 
 
 def as_records(problem: LinearTrackingProblem, x_trace, y_trace) -> list[LinsolveRecord]:

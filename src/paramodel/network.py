@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Sequence
 
-from . import elementary
+from . import codegen, elementary
 from .elementary import TANH_TABLE, tanh, tanh_slow  # noqa: F401, read by the generated text
 from .errors import Index, ValidationError, check_fields, rule
 
@@ -224,7 +224,7 @@ def _tanh_copy(text: str) -> str:
     of the text around it."""
     temporaries, row = elementary.assigned(text)
     names = {**{v: f"{v}_" for v in temporaries}, **{v: f"{v}_{{n}}" for v in row}, "x": "s", "y": "v{n}"}
-    return elementary.rename(text, lambda v: names.get(v, v))
+    return codegen.rename(text, lambda v: names.get(v, v))
 
 
 def forward_source(
@@ -279,28 +279,20 @@ def forward_source(
     return head, body, var[-1]
 
 
-def define(source: str, name: str) -> Callable:
-    """The function ``name`` that ``source`` defines, compiled with this
-    module's globals: the ``tanh`` it calls is looked up here at each call,
-    and so are ``TANH_TABLE`` and ``tanh_slow``, which the text of
-    ``elementary.TANH`` reads."""
-    namespace: dict = {}
-    exec(source, globals(), namespace)
-    return namespace[name]
-
-
 def _forward_text(plan: tuple, n_inputs: int, mask: tuple, fn: Callable) -> str:
     """The text of the forward pass of ``FeedforwardNet.evaluator``,
     ``forward(w, x)``, from ``forward_source``."""
     head, body, out = forward_source(plan, n_inputs, mask, None, "w[{}]", fn)
-    lines = ["def forward(w, x):", *(f"    {line}" for line in (*head, *body)), f"    return {out}"]
-    return "\n".join(lines)
+    return codegen.text("forward", ("w", "x"), [*head, *body, f"return {out}"])
 
 
 @functools.lru_cache(maxsize=EVALUATORS_CACHED)
 def _compile(plan: tuple, n_inputs: int, mask: tuple, fn: Callable) -> Callable:
-    """The function ``_forward_text`` defines, for the tanh ``fn``."""
-    return define(_forward_text(plan, n_inputs, mask, fn), "forward")
+    """The function ``_forward_text`` defines, for the tanh ``fn``, compiled
+    with this module's globals: the ``tanh`` it calls is looked up here at
+    each call, and so are ``TANH_TABLE`` and ``tanh_slow``, which the text
+    of ``elementary.TANH`` reads."""
+    return codegen.define(_forward_text(plan, n_inputs, mask, fn), "forward", globals())
 
 
 def default_topology() -> FeedforwardNet:

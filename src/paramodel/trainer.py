@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 from struct import pack
 from typing import Callable, Iterator, NamedTuple
 
-from . import network
+from . import codegen, network
 from .controller import ControllerParams, decays, divergence, law, stagger_params
 from .dynamics import DEFAULT_TAU
 from .errors import Count, DivergenceError, Index, Positive, Ratio, ValidationError, check_fields
-from .network import EVALUATORS_CACHED, FeedforwardNet, TrainingSample, default_topology, define, forward_source
+from .network import EVALUATORS_CACHED, FeedforwardNet, TrainingSample, default_topology, forward_source
 
 __all__ = [
     "EVENT_ARGS",
@@ -275,11 +275,12 @@ def _segment(
     plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple, fn: Callable
 ) -> Callable:
     """The generator function of ``_segment_source`` for the tanh ``fn``,
-    compiled by ``network.define``, so the forward pass reads the globals
-    of ``paramodel.network``.  The last ``EVALUATORS_CACHED`` are kept: the
-    text holds no value of the run, so runs of one topology and one pattern
-    of classes share it whatever their gains, data and bounds."""
-    return define(_segment_source(plan, n_inputs, mask, slots, reps, groups, fn), "segment")
+    compiled by ``codegen.define`` with the globals of
+    ``paramodel.network``, which its forward pass reads as the evaluator's
+    does.  The last ``EVALUATORS_CACHED`` are kept: the text holds no value
+    of the run, so runs of one topology and one pattern of classes share it
+    whatever their gains, data and bounds."""
+    return codegen.define(_segment_source(plan, n_inputs, mask, slots, reps, groups, fn), "segment", vars(network))
 
 
 def _segment_source(
@@ -324,38 +325,34 @@ def _segment_source(
     head += bind([f"column{g}" for g in lagged], "columns")
     head += bind([f"{v}{r}" for r in reps for v in ("kp", "ki")], "gains")
     head += bind([f"{v}{r}" for r in reps for v in ("psi", "integral", "xf", "u", "w")], "state")
-    lines = [
-        "def segment(ks, x, y_ref, dt, tau, k_alpha, w_max, w_min, next, record, columns, gains, state):",
-        *(f"    {line}" for line in head),
-        "    h = 0.5 * dt",
-        "    for k in ks:",
-        *(f"        {line}" for line in forward),
-        f"        y = {out}",
-        "        if y - y != 0.0:",
-        "            break",
-        *(f"        a{g} = k_alpha * next(column{g}) - y" for g in lagged),
-        "        e = y_ref - y",
+    loop = [
+        *forward,
+        f"y = {out}",
+        "if y - y != 0.0:",
+        "    break",
+        *(f"a{g} = k_alpha * next(column{g}) - y" for g in lagged),
+        "e = y_ref - y",
     ]
     for r, g in zip(reps, groups):
         names = dict(psi=f"psi{r}", integral=f"integral{r}", u=f"u{r}", x=f"xf{r}", kp=f"kp{r}", ki=f"ki{r}")
-        lines += [f"        {line}" for line in law(dict(a=f"a{g}", e="e"), names)]
+        loop += law(dict(a=f"a{g}", e="e"), names)
     for r in reps:
-        lines += [
-            f"        if xf{r} - xf{r} != 0.0:",
-            "            break",
-            f"        if xf{r} > w_max:",
-            f"            w{r} = w_max",
-            f"        elif xf{r} < w_min:",
-            f"            w{r} = w_min",
-            "        else:",
-            f"            w{r} = xf{r}",
+        loop += [
+            f"if xf{r} - xf{r} != 0.0:",
+            "    break",
+            f"if xf{r} > w_max:",
+            f"    w{r} = w_max",
+            f"elif xf{r} < w_min:",
+            f"    w{r} = w_min",
+            "else:",
+            f"    w{r} = xf{r}",
         ]
     w, u = ([f"{v}{r}" if on else "0.0" for r, on in zip(slots, mask)] for v in ("w", "u"))
-    lines += [
-        f"        yield record((k, k * dt, y, y_ref, ({', '.join(w)},), ({', '.join(u)},)))",
-        "    return k, y" + "".join(f", (psi{r}, integral{r}, xf{r}, u{r}, w{r})" for r in reps),
-    ]
-    return "\n".join(lines)
+    loop.append(f"yield record((k, k * dt, y, y_ref, ({', '.join(w)},), ({', '.join(u)},)))")
+    params = ("ks", "x", "y_ref", "dt", "tau", "k_alpha", "w_max", "w_min", "next", "record", "columns", "gains", "state")
+    ends = "".join(f", (psi{r}, integral{r}, xf{r}, u{r}, w{r})" for r in reps)
+    body = [*head, "h = 0.5 * dt", "for k in ks:", *(f"    {line}" for line in loop), "return k, y" + ends]
+    return codegen.text("segment", params, body)
 
 
 def builtin_scenarios() -> dict[str, Scenario]:

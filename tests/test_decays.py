@@ -156,20 +156,12 @@ def test_a_substituted_exp_fills_blocks_of_its_own(monkeypatch):
     assert controller._decay_block.cache_info().hits == hits + 3  # steps 1-600
 
 
-DECAY_CALLS = ("append", "int", "ldexp", "exp_slow")
-
-
-def decay_outside_the_allowlist(source: str) -> list[str]:
-    return outside_the_allowlist(source, "decay_block", DECAY_CALLS, "EXP_TABLE")
-
-
-def test_the_block_writes_exp_out_and_holds_only_arithmetic():
+def test_the_block_and_exp_write_exp_out():
+    # both texts pass the allowlist in test_codegen.py
     source = controller._decay_source()
     assert elementary.EXP.strip() in "\n".join(line[8:] for line in source.splitlines())
-    assert decay_outside_the_allowlist(source) == []
     exp = elementary._exp_source()
     assert elementary.EXP.strip() in "\n".join(line[4:] for line in exp.splitlines())
-    assert outside_the_allowlist(exp, "exp", DECAY_CALLS[1:], "EXP_TABLE") == []
 
 
 @pytest.mark.parametrize(
@@ -187,4 +179,4 @@ def test_the_block_writes_exp_out_and_holds_only_arithmetic():
 def test_a_mutated_block_is_flagged(old, new, flagged):
     source = controller._decay_source()
     assert old in source
-    assert sorted(decay_outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged)
+    assert sorted(outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged)

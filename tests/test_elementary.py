@@ -20,6 +20,7 @@ from paramodel import (
     FeedforwardNet,
     builtin_problem,
     builtin_scenarios,
+    codegen,
     controller,
     dynamics,
     elementary,
@@ -214,7 +215,7 @@ def test_exact_paths_ignore_the_thread_and_default_contexts(rejected):
 
 def test_rename_leaves_number_literals_whole(monkeypatch):
     text = "y = 1e-05 * e + 2.5e+300 * x1 - .5e3 + e1"
-    assert elementary.rename(text, str.upper) == "Y = 1e-05 * E + 2.5e+300 * X1 - .5e3 + E1"
+    assert codegen.rename(text, str.upper) == "Y = 1e-05 * E + 2.5e+300 * X1 - .5e3 + E1"
     # the law renames its error input e, not the e of a literal
     monkeypatch.setattr(controller, "LAW", controller.LAW.replace("ki * e * dt", "ki * e * dt * 1e-05 * 2.5e+300"))
     assert "integral = integral + ki * err * dt * 1e-05 * 2.5e+300" in controller.law({"e": "err"}, {})

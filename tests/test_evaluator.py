@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from paramodel import Edge, FeedforwardNet, ScenarioEvent, ValidationError, builtin_scenarios, default_topology, train_online
-from paramodel import network, trainer
+from paramodel import codegen, network, trainer
 from paramodel.elementary import tanh
 
 from allowlist import outside_the_allowlist
@@ -77,11 +77,12 @@ def dags(draw):
 def slot_mapped(net, mask, slots):
     """``network.forward_source``'s pass with weight ``i`` read from the
     local ``w<slots[i]>``, as the trainer's segment reads it, as a function
-    ``f(w, x)`` compiled by ``network.define``."""
+    ``f(w, x)`` compiled with the globals of ``paramodel.network``, as the
+    segment is."""
     head, body, out = network.forward_source(net._plan, net.input_count, tuple(mask), tuple(slots), "w{}", network.tanh)
     names = "".join(f"w{i}, " for i in range(net.weight_count))
-    lines = ["def forward(w, x):", f"    {names}= w", *(f"    {line}" for line in (*head, *body)), f"    return {out}"]
-    return network.define("\n".join(lines), "forward")
+    source = codegen.text("forward", ("w", "x"), [f"{names}= w", *head, *body, f"return {out}"])
+    return codegen.define(source, "forward", vars(network))
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -154,10 +155,6 @@ def test_equal_nets_share_one_evaluator_and_a_plan_hashes_once():
     assert net._plan._hash == hash(net._plan) == hash(tuple(net._plan))
 
 
-def forward_outside_the_allowlist(source: str) -> list[str]:
-    return outside_the_allowlist(source, "forward", ("tanh", "tanh_slow"), "TANH_TABLE")
-
-
 def forward_text(net, mask, fn=network.tanh) -> str:
     """The evaluator's text, with ``elementary.TANH`` written out, or for
     another ``fn`` the call form."""
@@ -177,8 +174,8 @@ def test_generated_forward_pass_holds_only_arithmetic(name):
     net = FORWARD_NETS[name]()
     n = net.weight_count
     for mask in [(True,) * n, (False,) * n, *(tuple(i != j for i in range(n)) for j in range(n))]:
-        assert forward_outside_the_allowlist(forward_text(net, mask)) == []
-        assert forward_outside_the_allowlist(forward_text(net, mask, lambda s: s)) == []
+        assert outside_the_allowlist(forward_text(net, mask)) == []
+        assert outside_the_allowlist(forward_text(net, mask, lambda s: s)) == []
 
 
 def test_the_forward_allowlist_rejects_other_loads_and_operators():
@@ -192,7 +189,7 @@ def test_the_forward_allowlist_rejects_other_loads_and_operators():
         ("v2 = tanh_slow(s)", "v2 = exp(s)", ["Call: exp(s)", "Name: exp"]),
     ]:
         assert old in source
-        assert sorted(forward_outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged), new
+        assert sorted(outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged), new
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from paramodel import (
     stagger_params,
 )
 from paramodel.config_io import tracking_error
-from paramodel import linsolve
+from paramodel import codegen, linsolve
 from paramodel.linsolve import DEMO_A, DEMO_B, PRODUCT_TERMS, _loop_args, _loop_source, _rows, as_records
 
 from allowlist import is_float, outside_the_allowlist
@@ -211,10 +211,6 @@ def test_rows_are_written_out_up_to_their_bound():
             assert bits(rows(a, x)) == bits(matvec(a, x))
 
 
-def loop_outside_the_allowlist(source: str) -> list[str]:
-    return outside_the_allowlist(source, "loop", ("next", "mul", "x_trace.append", "y_trace.append"))
-
-
 def loop_problem(a, **gain):
     n = len(a)
     base = ControllerParams(kp=1.0, ki=0.01, k_alpha=166.5, k_beta=4.0, dt=1e-5)
@@ -247,7 +243,7 @@ LOOP_PROBLEMS = {
 def test_generated_loop_holds_only_arithmetic(name):
     source = _loop_source(*_loop_args(LOOP_PROBLEMS[name]())[0])
     assert ("mul(x)" in source) is (name == "65x65-matvec")
-    assert loop_outside_the_allowlist(source) == []
+    assert outside_the_allowlist(source) == []
     # no value of the problem: the floats are LAW's 2.0 and 6.0 and the 0.0
     # that starts the rows and the state and that the tests compare with
     assert {repr(n.value) for n in ast.walk(ast.parse(source)) if is_float(n)} == {"0.0", "2.0", "6.0"}
@@ -272,23 +268,25 @@ def test_the_loop_allowlist_rejects_sums_and_other_operators(monkeypatch):
         ("x_trace.append", "x_trace.real.append", ["Attribute: x_trace.real.append", "Attribute: x_trace.real"]),
     ]:
         assert old in source
-        assert sorted(loop_outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged)
+        assert sorted(outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged)
     # a generator whose rows are sums flags every row, before the loop and in it
     monkeypatch.setattr(
         linsolve, "_rows", lambda n: [f"sum(({', '.join(f'a{j}_{c} * x{c}' for c in range(n))}), 0.0)" for j in range(n)]
     )
     mutated = builtin_source()
-    assert sum(entry.startswith("Call: sum(") for entry in loop_outside_the_allowlist(mutated)) == 6
+    assert sum(entry.startswith("Call: sum(") for entry in outside_the_allowlist(mutated)) == 6
 
 
 def test_a_second_solve_of_a_problem_compiles_nothing(monkeypatch):
     first = solve_linear(make_problem(DEMO_A, DEMO_B, horizon=200))
     misses = linsolve._loop.cache_info().misses
     compiled = []
-    monkeypatch.setattr(linsolve, "exec", lambda *args: compiled.append(args), raising=False)
+    define = codegen.define
+    monkeypatch.setattr(codegen, "define", lambda *args: compiled.append(args[1]) or define(*args))
     # an equal problem, built again, writes the same text
     second = solve_linear(make_problem(DEMO_A, DEMO_B, horizon=200))
-    assert compiled == [] and linsolve._loop.cache_info().misses == misses
+    assert compiled == []
+    assert linsolve._loop.cache_info().misses == misses
     assert [bits(x) for x in first[0] + first[1]] == [bits(x) for x in second[0] + second[1]]
     info = linsolve._loop.cache_info()
     assert info.maxsize == linsolve.LOOPS_CACHED and info.currsize <= linsolve.LOOPS_CACHED

@@ -32,10 +32,6 @@ from paramodel import (
 from paramodel import network, trainer
 
 
-def segment_outside_the_allowlist(source: str) -> list[str]:
-    return outside_the_allowlist(source, "segment", ("tanh", "tanh_slow", "next", "record"), "TANH_TABLE")
-
-
 def segment_keys(scenario: Scenario, monkeypatch) -> list[tuple]:
     """The key of every segment one run of ``scenario`` generates (or takes
     from the cache), up to a divergence."""
@@ -81,7 +77,7 @@ def test_generated_segment_holds_only_arithmetic(name, monkeypatch):
     keys = segment_keys(SCENARIOS[name](), monkeypatch)
     assert keys
     for key in keys:
-        assert segment_outside_the_allowlist(trainer._segment_source(*key)) == []
+        assert outside_the_allowlist(trainer._segment_source(*key)) == []
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -114,7 +110,7 @@ def test_the_segment_allowlist_rejects_sums_and_other_operators(monkeypatch):
         ("next(column0)", "next(column0, default=0.0)", ["Call: next(column0, default=0.0)", "keyword: default=0.0"]),
     ]:
         assert old in source
-        assert sorted(segment_outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged), new
+        assert sorted(outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged), new
 
     # a generator whose node sums call sum() flags every sum it writes
     def summed(*args):
@@ -123,7 +119,7 @@ def test_the_segment_allowlist_rejects_sums_and_other_operators(monkeypatch):
 
     monkeypatch.setattr(trainer, "forward_source", summed)
     mutated = trainer._segment_source(*key)
-    assert sum(entry.startswith("Call: sum(") for entry in segment_outside_the_allowlist(mutated)) == 4
+    assert sum(entry.startswith("Call: sum(") for entry in outside_the_allowlist(mutated)) == 4
 
 
 def scaled_builtins() -> dict[str, Scenario]:
