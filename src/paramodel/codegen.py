@@ -6,10 +6,8 @@ the linear solver's loop, the forward pass and the trainer's segment,
 and the trace CSV codec's ``rows`` and ``parse``.  Each generator writes
 its text with ``text`` and compiles it with ``define``, passing the
 globals the text reads: its module's own where it reads a table or
-calls a function there, looked up at each call (the forward pass calls
-``network.tanh``, which ``scripts/reference_traces.py`` replaces), a
-dict of its own for the codec, and ``{"__builtins__": {}}`` where it
-reads no global.  ``define`` is the only place the package compiles
+calls a function there, looked up at each call, a dict of its own for
+the codec, and ``{"__builtins__": {}}`` where it reads no global.  ``define`` is the only place the package compiles
 text, so one test (``tests/test_codegen.py``) can read every text a run
 compiles.  ``rename`` changes the names in a text, as ``controller.law``
 and ``network.forward_source`` write ``LAW`` and ``elementary.TANH`` out

@@ -471,9 +471,10 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    """The document of a configuration: every key that sets a field, the
-    problem in its explicit form, and no key whose value is None."""
-    return _dump(config)
+    """The document of a configuration, a RunConfig: every key that sets a
+    field, the problem in its explicit form, and no key whose value is
+    None."""
+    return _dump(rule(RunConfig)(config, "config"))
 
 
 def _dump(value):

@@ -42,9 +42,9 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from math import ldexp  # noqa: F401, read by the generated text
-from typing import Callable, Iterator
+from typing import Iterator
 
-from . import codegen, elementary
+from . import codegen
 from .elementary import EXP, EXP_TABLE, NO_ROW, exp, exp_slow  # noqa: F401, read by the generated text
 from .errors import Count, DivergenceError, Index, NonNegative, Positive, Ratio, check_fields, number, rule
 
@@ -115,31 +115,26 @@ def decays(k_beta: float, dt: float, k: int = 1) -> Iterator[float]:
     """Iterator over ``decay(k_beta, j, dt)`` for j = k, k + 1, ...
 
     The values are read from blocks of ``DECAY_BLOCK`` steps, each computed
-    once and kept by a cache keyed by ``(k_beta, dt, block, exp)`` (the
-    last ``DECAYS_CACHED`` blocks), so runs of the same ``k_beta`` and
-    ``dt`` compute each value once.  Keys that compare equal give equal
-    values: an int ``k_beta`` converts to its float exactly, and ``0.0``
-    and ``-0.0`` both give ``exp(±0.0) = 1.0``.  ``exp`` is this module's,
-    read at the call: while it is not ``elementary.exp``
-    (``scripts/reference_traces.py`` puts mpmath's there), the blocks are
-    computed by calling it, and cached for it.
+    once and kept by a cache keyed by ``(k_beta, dt, block)`` (the last
+    ``DECAYS_CACHED`` blocks), so runs of the same ``k_beta`` and ``dt``
+    compute each value once.  Keys that compare equal give equal values:
+    an int ``k_beta`` converts to its float exactly, and ``0.0`` and
+    ``-0.0`` both give ``exp(±0.0) = 1.0``.
     """
     block, i = divmod(k, DECAY_BLOCK)
-    rest = map(_decay_block, repeat(k_beta), repeat(dt), count(block + 1), repeat(exp))
-    return chain(islice(_decay_block(k_beta, dt, block, exp), i, None), chain.from_iterable(rest))
+    rest = map(_decay_block, repeat(k_beta), repeat(dt), count(block + 1))
+    return chain(islice(_decay_block(k_beta, dt, block), i, None), chain.from_iterable(rest))
 
 
 @functools.lru_cache(maxsize=DECAYS_CACHED)
-def _decay_block(k_beta: float, dt: float, block: int, fn: Callable) -> array:
+def _decay_block(k_beta: float, dt: float, block: int) -> array:
     """Steps ``block * DECAY_BLOCK`` onward of a ``decays`` column,
-    ``fn(-k_beta * (k * dt))`` each as ``decay`` writes it, for the exp
-    ``fn``: by ``_decay_loop`` while ``fn`` is ``elementary.exp``, else by
-    a call of ``fn`` per value."""
-    ks = range(block * DECAY_BLOCK, (block + 1) * DECAY_BLOCK)
-    if fn is not elementary.exp:
-        return array("d", [fn(-k_beta * (k * dt)) for k in ks])
+    ``exp(-k_beta * (k * dt))`` each as ``decay`` writes it, filled by
+    ``_decay_loop``, read at the call: the seam of
+    ``scripts/reference_traces.py`` puts a loop that calls its reference
+    exp there."""
     values = array("d")
-    _decay_loop(ks, -k_beta, dt, values.append)
+    _decay_loop(range(block * DECAY_BLOCK, (block + 1) * DECAY_BLOCK), -k_beta, dt, values.append)
     return values
 
 
@@ -258,7 +253,7 @@ def stagger_params(base: ControllerParams, n: int, rho: float) -> list[Controlle
     rounded int/int division, so the gains do not depend on the C
     library's ``pow``.
     """
-    n, rho = rule(Count)(n, "n"), rule(Ratio)(rho, "rho")
+    base, n, rho = rule(ControllerParams)(base, "base"), rule(Count)(n, "n"), rule(Ratio)(rho, "rho")
     num, den = rho.as_integer_ratio()
     out = []
     num_j = den_j = 1

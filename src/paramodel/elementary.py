@@ -134,23 +134,12 @@ else:
     y = exp_slow(x)
 """
 
-def assigned(text: str) -> tuple[frozenset, frozenset]:
-    """The names a fast-path text assigns, ``y`` and its temporaries, and
-    of those the row it keeps: the names that its row fetch, the block of
-    ``if ... != row:``, assigns, ``row`` among them."""
-    names, row, fetch = set(), set(), None  # fetch: the indent of the fetch's if
-    for line in text.splitlines():
-        indent = len(line) - len(line.lstrip())
-        if fetch is not None and indent <= fetch:
-            fetch = None
-        if line.endswith(" != row:"):
-            fetch = indent
-        elif " = " in line:
-            targets = set(line.split(" = ")[0].strip().split(", "))
-            names |= targets
-            if fetch is not None:
-                row |= targets
-    return frozenset(names), frozenset(row)
+def assigned(text: str) -> frozenset:
+    """The names a fast-path text assigns: ``y``, its temporaries and the
+    row it keeps, ``row`` among them."""
+    return frozenset(
+        name for line in text.splitlines() if " = " in line for name in line.split(" = ")[0].strip().split(", ")
+    )
 
 
 def _source(name: str, fast: str, head: tuple[str, ...] = ()) -> str:

@@ -13,11 +13,14 @@ written from the net's plan: ``FeedforwardNet.evaluator`` compiles it into
 one straight-line function per mask and caches it,
 and ``eval_with`` calls it; the trainer writes it inline into the loop it
 generates per event segment (``trainer.train_online``).  The text writes
-tanh's fast path, ``elementary.TANH``, out for each node sum, so it calls
-no tanh but on the exact path; in the trainer's loop each copy keeps its
-table row from one iteration to the next.  While this module's ``tanh``
-is replaced (``scripts/reference_traces.py`` puts mpmath's there), the
-texts compiled meanwhile call it instead.
+tanh's fast path, ``elementary.TANH``, out for the first
+``TANH_INLINED`` node sums and calls this module's ``tanh`` for the
+rest, so it calls no tanh but on the exact path for a net of up to 63
+hidden nodes; in the trainer's loop each copy keeps its table row from
+one iteration to the next.  Both names are read where they are used, so
+the seam of ``scripts/reference_traces.py``, which sets ``TANH_INLINED``
+to 0 and ``tanh`` to its reference, has every text written within it
+call the reference for each sum.
 """
 
 from __future__ import annotations
@@ -155,33 +158,40 @@ class FeedforwardNet:
         starts at ``0.0`` and adds the terms of its enabled edges in plan
         order, exactly as a loop over the edges would, and masked edges are
         left out.  Two nodes whose sums read the same weights from the same
-        sources in the same order share one tanh, correctly rounded: the
-        text of ``elementary.TANH`` written out, or a call of this module's
-        ``tanh`` while it is not ``elementary.tanh``; the cache keeps one
-        function per tanh (``forward_source``).
-        The last ``EVALUATORS_CACHED`` functions are kept.  ``mask`` takes
-        one bool per weight; the net's own ``mask``, checked when the net
-        was built, is not checked again.
+        sources in the same order share one tanh, correctly rounded
+        (``forward_source``).  The last ``EVALUATORS_CACHED`` functions are
+        kept.  ``mask`` takes one bool per weight; the net's own ``mask``,
+        checked when the net was built, is not checked again.
         """
-        if mask is self.mask:
-            mask = self._mask
-        else:
-            mask = _MASK(mask, "mask")
-            if len(mask) != self.weight_count:
-                raise ValidationError(f"needs one entry per weight ({self.weight_count}), got {len(mask)}", key="mask")
-        return _compile(self._plan, len(self.inputs), mask, tanh)
+        mask = self._mask if mask is self.mask else self._per_weight(_MASK, mask, "mask")
+        return _compile(self._plan, len(self.inputs), mask)
 
     def eval_with(self, weights: Sequence[float], mask: Sequence[bool], x: Sequence[float]) -> float:
         """Forward pass using explicit weight/mask vectors, one x per input.
 
         A view of ``evaluator``: ``forward`` comes through it, and the
         training loop writes the same text (``forward_source``) inline, so
-        masked-vs-zeroed comparisons stay bit-exact.
+        masked-vs-zeroed comparisons stay bit-exact.  ``weights`` takes one
+        finite number per weight, as the net's own do, and ``x`` one per
+        input; the net's own ``weights`` are not checked again.
         """
+        if weights is not self.weights:
+            weights = self._per_weight(_FLOATS, weights, "weights")
+        x = _FLOATS(x, "x")
+        if len(x) != self.input_count:
+            raise ValidationError(f"expected {self.input_count} inputs, got {len(x)}", key="x")
         return self.evaluator(mask)(weights, x)
+
+    def _per_weight(self, check: Callable, values: Sequence, key: str) -> tuple:
+        """``values`` checked by ``check`` under ``key``, one per weight."""
+        values = check(values, key)
+        if len(values) != self.weight_count:
+            raise ValidationError(f"needs one entry per weight ({self.weight_count}), got {len(values)}", key=key)
+        return values
 
 
 _MASK = rule(tuple[bool, ...])
+_FLOATS = rule(tuple[float, ...])
 
 
 class _Hashed(tuple):
@@ -219,16 +229,15 @@ TANH_INLINED = 64
 def _tanh_copy(text: str) -> str:
     """The copy of the fast-path text ``text``, ``elementary.TANH``, for
     node slot ``n``, as a ``str.format`` template: it reads the node sum
-    ``s`` and sets ``v<n>``, the row it keeps is its own (``row_<n>``,
-    ``c_<n>``, ...), and its other locals end in ``_``, so they take no name
-    of the text around it."""
-    temporaries, row = elementary.assigned(text)
-    names = {**{v: f"{v}_" for v in temporaries}, **{v: f"{v}_{{n}}" for v in row}, "x": "s", "y": "v{n}"}
+    ``s`` and sets ``v<n>``, and every other name it assigns, its row
+    (``row``, ``c``, ...) and its temporaries, is renamed ``<name>_<n>``,
+    so that it takes no name of the text around it."""
+    names = {**{v: f"{v}_{{n}}" for v in elementary.assigned(text)}, "x": "s", "y": "v{n}"}
     return codegen.rename(text, lambda v: names.get(v, v))
 
 
 def forward_source(
-    plan: tuple, n_inputs: int, mask: tuple, slots: tuple | None, weight: str, fn: Callable
+    plan: tuple, n_inputs: int, mask: tuple, slots: tuple | None, weight: str
 ) -> tuple[list[str], list[str], str]:
     """The text of the forward pass under ``mask``: ``(head, body, out)``.
 
@@ -250,26 +259,22 @@ def forward_source(
     node (the same weight slots read from the same sources in the same
     order) takes that node's variable, so the two share one tanh.
 
-    ``fn`` is the tanh in use, this module's ``tanh``.  While it is
-    ``elementary.tanh``, the text writes ``elementary.TANH`` out for the
-    first ``TANH_INLINED`` distinct sums, reading ``s`` and setting
-    ``v<slot>``, with its row in ``row_<slot>``, ``c_<slot>``, ...,
-    ``f_<slot>``, and ``v<slot> = tanh(s)`` for the rest.  Any other ``fn``
-    (``scripts/reference_traces.py`` puts mpmath's in its place) is called
-    for every sum.
+    The text writes ``elementary.TANH`` out for the first ``TANH_INLINED``
+    distinct sums, reading ``s`` and setting ``v<slot>``, with every other
+    name it assigns, ``row`` and ``c`` to ``lo``, renamed ``<name>_<slot>``,
+    and ``v<slot> = tanh(s)`` for the rest.
     """
     var = [f"x{j}" for j in range(n_inputs)] + [""] * len(plan)
     head = [f"{', '.join(var[:n_inputs])}, = x"] if n_inputs else []
     body: list[str] = []
     shared: dict[tuple, str] = {}
-    inline = TANH_INLINED if fn is elementary.tanh else 0
     for node, terms in plan:
         key = tuple((var[src], i if slots is None else slots[i]) for src, i in terms if mask[i])
         if key not in shared:
             shared[key] = f"v{node}"
             body.append("s = 0.0")
             body += [f"s += {weight.format(i)} * {v}" for v, i in key]
-            if len(shared) <= inline:
+            if len(shared) <= TANH_INLINED:
                 head.append(f"row_{node} = {elementary.NO_ROW!r}")
                 body += _tanh_copy(elementary.TANH).format(n=node).splitlines()
             else:
@@ -279,20 +284,20 @@ def forward_source(
     return head, body, var[-1]
 
 
-def _forward_text(plan: tuple, n_inputs: int, mask: tuple, fn: Callable) -> str:
+def _forward_text(plan: tuple, n_inputs: int, mask: tuple) -> str:
     """The text of the forward pass of ``FeedforwardNet.evaluator``,
     ``forward(w, x)``, from ``forward_source``."""
-    head, body, out = forward_source(plan, n_inputs, mask, None, "w[{}]", fn)
+    head, body, out = forward_source(plan, n_inputs, mask, None, "w[{}]")
     return codegen.text("forward", ("w", "x"), [*head, *body, f"return {out}"])
 
 
 @functools.lru_cache(maxsize=EVALUATORS_CACHED)
-def _compile(plan: tuple, n_inputs: int, mask: tuple, fn: Callable) -> Callable:
-    """The function ``_forward_text`` defines, for the tanh ``fn``, compiled
-    with this module's globals: the ``tanh`` it calls is looked up here at
-    each call, and so are ``TANH_TABLE`` and ``tanh_slow``, which the text
-    of ``elementary.TANH`` reads."""
-    return codegen.define(_forward_text(plan, n_inputs, mask, fn), "forward", globals())
+def _compile(plan: tuple, n_inputs: int, mask: tuple) -> Callable:
+    """The function ``_forward_text`` defines, compiled with this module's
+    globals: the ``tanh`` it calls past ``TANH_INLINED`` sums is looked up
+    here at each call, and so are ``TANH_TABLE`` and ``tanh_slow``, which
+    the text of ``elementary.TANH`` reads."""
+    return codegen.define(_forward_text(plan, n_inputs, mask), "forward", globals())
 
 
 def default_topology() -> FeedforwardNet:
@@ -320,9 +325,6 @@ def default_topology() -> FeedforwardNet:
 
 def forward(net: FeedforwardNet, x: Sequence[float]) -> float:
     """Evaluate the network on input vector x; output is in (-1, 1)."""
-    x = rule(tuple[float, ...])(x, "x")
-    if len(x) != net.input_count:
-        raise ValidationError(f"expected {net.input_count} inputs, got {len(x)}")
     return net.eval_with(net.weights, net.mask, x)
 
 

@@ -256,7 +256,7 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
         lags = sorted({lag[i] for i in active})
         columns = tuple(decays(k_beta, dt, k - n) for n in lags)
         groups = tuple(lags.index(lag[r]) for r in reps)
-        run = _segment(net._plan, net.input_count, tuple(mask), tuple(slots), tuple(reps), groups, network.tanh)
+        run = _segment(net._plan, net.input_count, tuple(mask), tuple(slots), tuple(reps), groups)
         gains = tuple(v for r in reps for v in (kps[r], kis[r]))
         state = tuple(v for r in reps for v in (psis[r], integrals[r], xs[r], u[r], w[r]))
         last, y, *ends = yield from run(
@@ -271,21 +271,17 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
 
 
 @functools.lru_cache(maxsize=EVALUATORS_CACHED)
-def _segment(
-    plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple, fn: Callable
-) -> Callable:
-    """The generator function of ``_segment_source`` for the tanh ``fn``,
-    compiled by ``codegen.define`` with the globals of
-    ``paramodel.network``, which its forward pass reads as the evaluator's
-    does.  The last ``EVALUATORS_CACHED`` are kept: the text holds no value
-    of the run, so runs of one topology and one pattern of classes share it
-    whatever their gains, data and bounds."""
-    return codegen.define(_segment_source(plan, n_inputs, mask, slots, reps, groups, fn), "segment", vars(network))
+def _segment(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple) -> Callable:
+    """The generator function of ``_segment_source``, compiled by
+    ``codegen.define`` with the globals of ``paramodel.network``, which its
+    forward pass reads as the evaluator's does.  The last
+    ``EVALUATORS_CACHED`` are kept: the text holds no value of the run, so
+    runs of one topology and one pattern of classes share it whatever their
+    gains, data and bounds."""
+    return codegen.define(_segment_source(plan, n_inputs, mask, slots, reps, groups), "segment", vars(network))
 
 
-def _segment_source(
-    plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple, fn: Callable
-) -> str:
+def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple) -> str:
     """The text of the training loop between two events, ``segment(ks, x,
     y_ref, dt, tau, k_alpha, w_max, w_min, next, record, columns, gains,
     state)``, a generator.
@@ -301,9 +297,9 @@ def _segment_source(
     ``column<g>`` of ``columns``.  The head of ``network.forward_source``'s
     pass runs once, before the loop, so each copy of tanh's fast path keeps
     its table row from one iteration to the next.  An iteration runs the
-    forward pass of ``network.forward_source`` for the tanh ``fn`` on those weights, tests
-    y, writes the law's shared inputs once, ``a<g> = k_alpha * next(column<g>) - y`` per group
-    and ``e = y_ref - y``, and writes out ``LAW`` per representative
+    forward pass of ``network.forward_source`` on those weights, tests y,
+    writes the law's shared inputs once, ``a<g> = k_alpha * next(column<g>) - y``
+    per group and ``e = y_ref - y``, and writes out ``LAW`` per representative
     (``controller.law``, reading ``a<g>`` of its group as ``a``), then tests
     each filter output and clamps it to ``[w_min, w_max]`` into the weight,
     in index order, and yields ``record((k, k * dt, y, y_ref, w, u))``
@@ -316,7 +312,7 @@ def _segment_source(
     each test breaks out of the loop to the one ``return``, so the text
     grows in proportion to the representatives, not to their square.
     """
-    head, forward, out = forward_source(plan, n_inputs, mask, slots, "w{}", fn)
+    head, forward, out = forward_source(plan, n_inputs, mask, slots, "w{}")
     lagged = range(len(set(groups)))
 
     def bind(names: list[str], value: str) -> list[str]:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib.util
+import pathlib
 import struct
 import time
 from dataclasses import dataclass, replace
 
 import pytest
 
+from paramodel import elementary
 from paramodel.config_io import (
     RunConfig,
     builtin_config_dict,
@@ -152,6 +156,34 @@ def short_fig7() -> Scenario:
         ev.set_reference(1200, 0.6),
     )
     return replace(builtin_scenarios()["fig7"], horizon=2000, events=events)
+
+
+@functools.cache
+def script(name: str):
+    """The module of ``scripts/<name>.py``, loaded from its file once."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def substituted():
+    """The package's own exp and tanh, each wrapped to count its calls, put
+    in place of themselves by the seam of ``scripts/reference_traces.py``
+    for the test; yields the calls so far, by name."""
+    calls = {"exp": 0, "tanh": 0}
+
+    def counting(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+
+        return call
+
+    with script("reference_traces").substituted(counting("exp", elementary.exp), counting("tanh", elementary.tanh)):
+        yield calls
 
 
 @pytest.fixture(scope="session")

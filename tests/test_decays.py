@@ -52,15 +52,17 @@ def test_equal_keys_share_blocks_and_bits(first, second):
     assert controller._decay_block.cache_info().hits == hits + 4  # steps 250-849
 
 
-def counting_exp(monkeypatch):
+def counting_blocks(monkeypatch):
+    """The blocks filled from here on, counted by their loop's calls, in a
+    one-item list."""
     calls = [0]
-    exp = controller.exp
+    loop = controller._decay_loop
 
-    def counted(x):
+    def counted(*args):
         calls[0] += 1
-        return exp(x)
+        return loop(*args)
 
-    monkeypatch.setattr(controller, "exp", counted)
+    monkeypatch.setattr(controller, "_decay_loop", counted)
     return calls
 
 
@@ -73,7 +75,7 @@ def counting_exp(monkeypatch):
     ids=["fig4", "linsolve3"],
 )
 def test_a_second_run_computes_no_decay(monkeypatch, run):
-    calls = counting_exp(monkeypatch)
+    calls = counting_blocks(monkeypatch)
     controller._decay_block.cache_clear()
     run()
     assert calls[0] > 0
@@ -93,7 +95,7 @@ def test_cache_stays_bounded():
 
 def block_hex(k_beta, dt, block):
     """A block computed afresh by the generated loop, by ``float.hex``."""
-    return [v.hex() for v in controller._decay_block.__wrapped__(k_beta, dt, block, elementary.exp)]
+    return [v.hex() for v in controller._decay_block.__wrapped__(k_beta, dt, block)]
 
 
 def block_decay_hex(k_beta, dt, block):
@@ -143,17 +145,6 @@ def test_a_block_takes_the_exact_path_where_decay_does(i, p, k_beta):
         got = block_hex(k_beta, dt, block)
     assert x in slow
     assert got == block_decay_hex(k_beta, dt, block)
-
-
-def test_a_substituted_exp_fills_blocks_of_its_own(monkeypatch):
-    controller._decay_block.cache_clear()
-    want = column_hex(40.0, 1e-5, 1)
-    monkeypatch.setattr(controller, "exp", lambda x: 0.25)
-    assert set(column_hex(40.0, 1e-5, 1)) == {(0.25).hex()}
-    monkeypatch.undo()
-    hits = controller._decay_block.cache_info().hits
-    assert column_hex(40.0, 1e-5, 1) == want
-    assert controller._decay_block.cache_info().hits == hits + 3  # steps 1-600
 
 
 def test_the_block_and_exp_write_exp_out():

@@ -22,9 +22,12 @@ from hypothesis import strategies as st
 
 from paramodel import Edge, FeedforwardNet, ScenarioEvent, ValidationError, builtin_scenarios, default_topology, train_online
 from paramodel import codegen, network, trainer
-from paramodel.elementary import tanh
+from paramodel.elementary import exp, tanh
 
 from allowlist import outside_the_allowlist
+from conftest import script
+
+reference_traces = script("reference_traces")
 
 
 def interpreted(net, weights, mask, x):
@@ -79,7 +82,7 @@ def slot_mapped(net, mask, slots):
     local ``w<slots[i]>``, as the trainer's segment reads it, as a function
     ``f(w, x)`` compiled with the globals of ``paramodel.network``, as the
     segment is."""
-    head, body, out = network.forward_source(net._plan, net.input_count, tuple(mask), tuple(slots), "w{}", network.tanh)
+    head, body, out = network.forward_source(net._plan, net.input_count, tuple(mask), tuple(slots), "w{}")
     names = "".join(f"w{i}, " for i in range(net.weight_count))
     source = codegen.text("forward", ("w", "x"), [f"{names}= w", *head, *body, f"return {out}"])
     return codegen.define(source, "forward", vars(network))
@@ -95,7 +98,13 @@ def test_generated_code_matches_the_interpreted_loop(net, data):
     x = data.draw(st.lists(VALUES, min_size=net.input_count, max_size=net.input_count))
     got = net.evaluator(mask)(w, x)
     assert got.hex() == reference(net, w, mask, x).hex()
-    assert net.eval_with(w, mask, x).hex() == got.hex()
+    if all(map(math.isfinite, [*w, *x])):
+        assert net.eval_with(w, mask, x).hex() == got.hex()
+    else:
+        # eval_with takes finite weights and inputs only, as the net holds and forward reads
+        with pytest.raises(ValidationError) as err:
+            net.eval_with(w, mask, x)
+        assert err.value.key == ("weights" if not all(map(math.isfinite, w)) else "x")
     assert slot_mapped(net, mask, range(q))(w, x).hex() == got.hex()
     assert slot_mapped(net, mask, slots)(w, x).hex() == reference(net, w, mask, x, slots).hex()
 
@@ -155,10 +164,10 @@ def test_equal_nets_share_one_evaluator_and_a_plan_hashes_once():
     assert net._plan._hash == hash(net._plan) == hash(tuple(net._plan))
 
 
-def forward_text(net, mask, fn=network.tanh) -> str:
-    """The evaluator's text, with ``elementary.TANH`` written out, or for
-    another ``fn`` the call form."""
-    return network._forward_text(net._plan, len(net.inputs), tuple(mask), fn)
+def forward_text(net, mask) -> str:
+    """The evaluator's text: ``elementary.TANH`` written out, or within the
+    seam of ``scripts/reference_traces.py`` the call form."""
+    return network._forward_text(net._plan, len(net.inputs), tuple(mask))
 
 
 FORWARD_NETS = {
@@ -173,9 +182,12 @@ def test_generated_forward_pass_holds_only_arithmetic(name):
     # every weight on, every weight off, and each weight dropped alone
     net = FORWARD_NETS[name]()
     n = net.weight_count
-    for mask in [(True,) * n, (False,) * n, *(tuple(i != j for i in range(n)) for j in range(n))]:
+    masks = [(True,) * n, (False,) * n, *(tuple(i != j for i in range(n)) for j in range(n))]
+    for mask in masks:
         assert outside_the_allowlist(forward_text(net, mask)) == []
-        assert outside_the_allowlist(forward_text(net, mask, lambda s: s)) == []
+    with reference_traces.substituted(exp, lambda s: s):
+        for mask in masks:
+            assert outside_the_allowlist(forward_text(net, mask)) == []
 
 
 def test_the_forward_allowlist_rejects_other_loads_and_operators():
@@ -183,70 +195,42 @@ def test_the_forward_allowlist_rejects_other_loads_and_operators():
     for old, new, flagged in [
         ("s += w[0] * x0", "s += w[0] ** 2.0 * x0", ["BinOp: w[0] ** 2.0", "Pow: "]),
         ("s += w[0] * x0", "s += w[i] * x0", ["Subscript: w[i]", "Name: i"]),
-        ("v2 = s_ + lo_", "v2 = abs(s_) + lo_", ["Call: abs(s_)", "Name: abs"]),
-        ("key_ = s * 64.0", "key_ = s * 64", ["Constant: 64"]),
-        ("TANH_TABLE[key_]", "EXP_TABLE[key_]", ["Subscript: EXP_TABLE[key_]", "Name: EXP_TABLE"]),
+        ("v2 = s_2 + lo_2", "v2 = abs(s_2) + lo_2", ["Call: abs(s_2)", "Name: abs"]),
+        ("key_2 = s * 64.0", "key_2 = s * 64", ["Constant: 64"]),
+        ("TANH_TABLE[key_2]", "EXP_TABLE[key_2]", ["Subscript: EXP_TABLE[key_2]", "Name: EXP_TABLE"]),
         ("v2 = tanh_slow(s)", "v2 = exp(s)", ["Call: exp(s)", "Name: exp"]),
     ]:
         assert old in source
         assert sorted(outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged), new
 
 
-@pytest.fixture
-def tanh_calls(monkeypatch):
-    """The number of tanh calls so far, in a one-item list."""
-    calls = [0]
-
-    def counted(s):
-        calls[0] += 1
-        return tanh(s)
-
-    monkeypatch.setattr(network, "tanh", counted)
-    return calls
-
-
 def calls_per_iteration(scenario, calls):
+    """The tanh calls of each iteration of ``scenario``, counted by the
+    ``substituted`` fixture."""
     per = []
     for _ in train_online(scenario):
-        per.append(calls[0])
-        calls[0] = 0
+        per.append(calls["tanh"])
+        calls["tanh"] = 0
     return per
 
 
-def test_nodes_with_the_same_sum_share_one_tanh(tanh_calls):
+def test_nodes_with_the_same_sum_share_one_tanh(substituted):
     # uniform gains: h1 and h2 read x1 and x2 with one class's weight
     fig4 = dataclasses.replace(builtin_scenarios()["fig4"], horizon=300)
-    assert calls_per_iteration(fig4, tanh_calls) == [2] * 300
+    assert calls_per_iteration(fig4, substituted) == [2] * 300
     # fig7-shaped: the skip edge enabled, then dropped; h1 and h2 share either way
     events = (ScenarioEvent.set_input(100, 0, 0.15), ScenarioEvent.drop_weight(200, 6))
     fig7 = dataclasses.replace(builtin_scenarios()["fig7"], horizon=300, events=events)
-    assert calls_per_iteration(fig7, tanh_calls) == [2] * 300
+    assert calls_per_iteration(fig7, substituted) == [2] * 300
     # fig6-shaped: dropping w3 leaves h2 one term, so it has its own tanh
     events = (ScenarioEvent.drop_weight(0, 6), ScenarioEvent.drop_weight(100, 3))
     fig6 = dataclasses.replace(builtin_scenarios()["fig6"], horizon=200, events=events)
-    assert calls_per_iteration(fig6, tanh_calls) == [2] * 99 + [3] * 101
+    assert calls_per_iteration(fig6, substituted) == [2] * 99 + [3] * 101
 
 
-def test_staggered_gains_give_every_node_its_tanh(tanh_calls):
+def test_staggered_gains_give_every_node_its_tanh(substituted):
     fig4 = dataclasses.replace(builtin_scenarios()["fig4"], horizon=50, stagger_rho=0.5)
-    assert calls_per_iteration(fig4, tanh_calls) == [3] * 50
-
-
-def test_an_evaluator_compiled_after_a_substitution_calls_it(monkeypatch):
-    # the inline text has no tanh to look up: a substituted tanh is the
-    # cache key of a text of its own, which calls it
-    net = default_topology()
-    w, x = [0.5] * 7, [0.2, 0.6]
-    f = net.evaluator(net.mask)
-    before = f(w, x)
-    monkeypatch.setattr(network, "tanh", lambda s: 0.25)
-    g = net.evaluator(net.mask)
-    assert g is not f and g(w, x) == 0.25 != before
-    assert net.evaluator(net.mask) is g
-    monkeypatch.setattr(network, "tanh", lambda s: 0.5)
-    assert net.evaluator(net.mask)(w, x) == 0.5
-    monkeypatch.undo()
-    assert net.evaluator(net.mask) is f and f(w, x) == before
+    assert calls_per_iteration(fig4, substituted) == [3] * 50
 
 
 def test_the_forward_pass_is_written_once():
@@ -259,19 +243,6 @@ def test_the_forward_pass_is_written_once():
     assert "forward_source" in vars(trainer) and "_compile" not in vars(trainer)
     # the rounding test and the polynomial of the fast path
     assert text.count("(lo - (y - s)) * f") == text.count("t * a7") == 1
-
-
-def test_a_segment_compiled_after_a_substitution_calls_it(monkeypatch):
-    fig4 = dataclasses.replace(builtin_scenarios()["fig4"], horizon=5)
-    before = [r.y for r in train_online(fig4)]
-    misses = trainer._segment.cache_info().misses
-    monkeypatch.setattr(network, "tanh", lambda s: 0.25)
-    after = [r.y for r in train_online(fig4)]
-    assert trainer._segment.cache_info().misses == misses + 1
-    assert after == [0.25] * 5 != before
-    # the substitute's segment is cached for it
-    assert [r.y for r in train_online(fig4)] == after
-    assert trainer._segment.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("mask, shown", [(("false",) * 7, "'false'"), ((1,) * 7, "1")], ids=["mask-str", "mask-int"])
@@ -290,17 +261,19 @@ def test_eval_with_checks_its_mask():
     assert err.value.key == "mask"
 
 
-def test_forward_does_not_check_the_nets_own_mask_again(monkeypatch):
+def test_forward_does_not_check_the_nets_own_mask_and_weights_again(monkeypatch):
     checks = []
-    check = network._MASK
-    monkeypatch.setattr(network, "_MASK", lambda mask, key: checks.append(key) or check(mask, key))
+    for name in ("_MASK", "_FLOATS"):
+        check = getattr(network, name)
+        monkeypatch.setattr(network, name, lambda v, key, check=check: checks.append(key) or check(v, key))
     net = network.set_mask(default_topology(), 6, False)
     x = (0.2, 0.6)
     y = network.forward(net, x)
     assert [network.forward(net, x) for _ in range(3)] == [y] * 3
-    assert checks == []
-    # a mask from outside is checked at every call, even one equal to the net's
-    equal = tuple(list(net.mask))
-    assert net.eval_with(net.weights, equal, x) == net.eval_with(net.weights, list(net.mask), x) == y
-    assert checks == ["mask", "mask"]
+    assert checks == ["x"] * 4
+    checks.clear()
+    # a mask or weights from outside are checked at every call, even ones equal to the net's
+    equal, weights = tuple(list(net.mask)), tuple(list(net.weights))
+    assert net.eval_with(weights, equal, x) == net.eval_with(net.weights, list(net.mask), x) == y
+    assert checks == ["weights", "x", "mask", "x", "mask"]
     assert net.evaluator(equal) is net.evaluator(net.mask)

@@ -4,7 +4,6 @@ summary it prints for every built-in, per event segment."""
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import pathlib
 
@@ -12,7 +11,7 @@ import pytest
 
 from paramodel.config_io import builtin_names
 
-from conftest import event_resettled_within, settled_from
+from conftest import event_resettled_within, script, settled_from
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "golden"
@@ -26,13 +25,10 @@ SEGMENTS = {"fig5": (1979, 16, 33), "fig6": (1979, 71), "fig7": (1879, 22, 34, 3
 def regenerated(tmp_path_factory):
     """Exit code, output directory and stdout of the golden regeneration
     command, ``run_builtins.py --outdir DIR --decimate 100``, run in-process."""
-    spec = importlib.util.spec_from_file_location("run_builtins", ROOT / "scripts" / "run_builtins.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     outdir = tmp_path_factory.mktemp("regenerated")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = script.main(["--outdir", str(outdir), "--decimate", "100"])
+        code = script("run_builtins").main(["--outdir", str(outdir), "--decimate", "100"])
     summaries = {block.split()[1]: block.splitlines() for block in stdout.getvalue().strip().split("\n\n")}
     return code, outdir, summaries
 

@@ -46,7 +46,7 @@ from paramodel import (
     set_mask,
     set_weight,
 )
-from paramodel.config_io import builtin_config_dict, config_to_dict, parse_config
+from paramodel.config_io import builtin_config_dict, config_to_dict, parse_config, serialize_config
 from paramodel.controller import stagger_params
 from paramodel.errors import field_types, rule
 
@@ -153,10 +153,20 @@ def test_library_input_that_was_accepted_or_a_traceback(make, key):
         (lambda: set_mask(default_topology(), 1.5, True), "index", "1.5"),
         (lambda: stagger_params(ControllerParams(), "3", 0.5), "n", "'3'"),
         (lambda: stagger_params(ControllerParams(), 3, "0.5"), "rho", "'0.5'"),
+        (lambda: stagger_params("x", 2, 0.5), "base", "'x'"),
+        (lambda: serialize_config("x"), "config", "'x'"),
+        (lambda: serialize_config(None), "config", "None"),
+        (lambda: default_topology().eval_with((0.1,) * 3, (True,) * 7, (0.2, 0.6)), "weights", "3"),
+        (lambda: default_topology().eval_with((0.1,) * 9, (True,) * 7, (0.2, 0.6)), "weights", "9"),
+        (lambda: default_topology().eval_with(("0.1",) * 7, (True,) * 7, (0.2, 0.6)), "weights", "'0.1'"),
+        (lambda: default_topology().eval_with((0.1,) * 7, (True,) * 7, (0.2,)), "x", "1"),
+        (lambda: forward(default_topology(), (0.2, 0.6, 0.1)), "x", "3"),
     ],
 )
 def test_function_arguments_follow_the_type_rules(call, key, shown):
-    # each ended in a bare TypeError, or (a nan input) in a nan output
+    # each ended in a bare TypeError, AttributeError, IndexError or
+    # ValueError, in a nan output (a nan input), in a value (9 weights,
+    # serialize_config) or in an error with no key (3 inputs to forward)
     with pytest.raises(ValidationError) as err:
         call()
     assert err.value.key == key

@@ -28,8 +28,8 @@ def stepped(monkeypatch):
     calls = []
     segment = trainer._segment
 
-    def watch(plan, n_inputs, mask, slots, reps, groups, fn):
-        run = segment(plan, n_inputs, mask, slots, reps, groups, fn)
+    def watch(plan, n_inputs, mask, slots, reps, groups):
+        run = segment(plan, n_inputs, mask, slots, reps, groups)
 
         def counted(ks, *args):
             return run((calls.append(list(reps)) or k for k in ks), *args)

@@ -97,3 +97,12 @@ def test_one_leg_checks_the_tables_against_their_generator(tmp_path, monkeypatch
     assert gen.main(["--check"]) == 1
     assert out.read_text() == "TABLES = (1.0,)\n"
     assert gen.main([]) == 0 and out.read_text() == "TABLES = ()\n"
+
+
+def test_every_leg_checks_the_goldens_against_the_reference_traces():
+    # the one run of the reference seam with mpmath's exp and tanh
+    steps = workflow()["jobs"]["tier1"]["steps"]
+    [step] = [s for s in steps if "reference_traces.py" in s.get("run", "")]
+    assert step["run"] == "PYTHONPATH=src python scripts/reference_traces.py --outdir out/reference"
+    assert "if" not in step
+    assert steps.index(step) > [s.get("name") for s in steps].index("Tier-1 tests")
