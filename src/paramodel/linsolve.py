@@ -129,9 +129,9 @@ def solve_linear(
     Raises DivergenceError with k once a y is non-finite, naming the
     lowest non-finite unknown if any.
     """
-    (n, groups, written), values = _loop_args(problem)
+    (n, groups, written), values, decaying = _loop_args(problem)
     mul = None if written else functools.partial(matvec, problem.a)
-    columns = [decays(k_beta, dt) for _, k_beta, dt, _ in _groups(problem)]
+    columns = [decays(k_beta, dt) for k_beta, dt in decaying]
     x_trace: list[tuple[float, ...]] = []
     y_trace: list[tuple[float, ...]] = []
     start = tuple(f.state for f in problem.filters)
@@ -166,19 +166,19 @@ def _groups(problem: LinearTrackingProblem) -> dict[tuple[float, float, float, f
     return by_key
 
 
-def _loop_args(problem: LinearTrackingProblem) -> tuple[tuple, tuple[float, ...]]:
+def _loop_args(problem: LinearTrackingProblem) -> tuple[tuple, tuple[float, ...], tuple]:
     """The shape of ``problem``'s loop, ``(n, groups, written)``: its n
     unknowns, the unknowns of each of its ``_groups`` and whether A is
-    written out (``n * n`` within ``PRODUCT_TERMS``), and the values that
+    written out (``n * n`` within ``PRODUCT_TERMS``); the values that
     loop unpacks, in its order: k_alpha, dt, h = 0.5 * dt and tau per
     group, kp, ki and b_j per unknown, then A's entries row by row if A is
-    written out."""
+    written out; and the ``(k_beta, dt)`` of each group's decay column."""
     groups, n = _groups(problem), len(problem.b)
     written = n * n <= PRODUCT_TERMS
     values = [v for k_alpha, _, dt, tau in groups for v in (k_alpha, dt, 0.5 * float(dt), tau)]
     values += [v for p, b in zip(problem.controllers, problem.b) for v in (p.kp, p.ki, b)]
     values += [v for row in problem.a for v in row] if written else []
-    return (n, tuple(map(tuple, groups.values())), written), tuple(map(float, values))
+    return (n, tuple(map(tuple, groups.values())), written), tuple(map(float, values)), tuple(k[1:3] for k in groups)
 
 
 def _loop_source(n: int, groups: tuple[tuple[int, ...], ...], written: bool) -> str:

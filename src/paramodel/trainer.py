@@ -14,17 +14,20 @@ then measure the output with the current weights, step one controller and
 filter of each class, test the filter output for divergence, clamp it,
 record.  Between events a class member's state is not updated: the
 network reads each weight, and the record shows it, through its class's
-representative.  The iterations between two events run in one generator
-function generated for the segment (``_segment_source``), with each
-representative's state in locals: the forward pass written out as
-``network.forward_source`` writes it (tanh's fast path, ``elementary.TANH``,
-once per distinct node sum, each copy keeping its table row across
-iterations) and ``controller.LAW`` once per
-representative, so no per-iteration call but the decay read and the
-record's, and tanh's exact path for about one sum in a thousand.
+representative.  The trainer keeps per weight only what the law steps,
+psi, integral and filter output, and a lag: an enabled weight is its
+output clamped, and the law writes the control before it is read.  The
+iterations between two events run in one generator function generated
+for the segment (``_segment_source``), with each representative's state
+in locals: the forward pass written out as ``network.forward_source``
+writes it (tanh's fast path, ``elementary.TANH``, once per distinct node
+sum, each copy keeping its table row across iterations) and
+``controller.LAW`` once per representative, so no per-iteration call but
+the decay read and the record's, and tanh's exact path for about one sum
+in a thousand.
 Dropped weights are held at zero with their controller and filter frozen;
-restoring a weight re-installs the frozen filter state and resumes
-stepping, so a drop/restore pair at the same iteration is an exact no-op.
+restoring a weight resumes stepping from the frozen state, so a
+drop/restore pair at the same iteration is an exact no-op.
 A weight the net's mask disables is dropped at iteration 0 by the trainer
 itself, before the scenario's own events of iteration 0.
 """
@@ -184,21 +187,17 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
     dt, tau, w_max = base.dt, scenario.tau, scenario.w_max
     # stagger_params gives every controller the base k_alpha, k_beta and dt
     k_alpha, k_beta = base.k_alpha, base.k_beta
-    kps = [p.kp for p in params]
-    kis = [p.ki for p in params]
 
     # working copies: the loop never touches the scenario's own net
-    w = [min(max(v, -w_max), w_max) for v in net.weights]
     mask = [True] * q
     x_train = list(scenario.initial_sample.x)
     y_ref = scenario.initial_sample.y
-    # flat controller and filter state per weight.  An enabled weight's
+    # flat state per weight, what the law steps.  An enabled weight's
     # controller takes its step number k - lag[i] at iteration k: a weight's
     # lag grows by the iterations it spent dropped (dropped_at[i] onward).
     psis = [0.0] * q
     integrals = [0.0] * q
-    xs = list(w)
-    u = [0.0] * q
+    xs = [min(max(v, -w_max), w_max) for v in net.weights]
     lag = [0] * q
     dropped_at = [0] * q
 
@@ -222,8 +221,6 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
             psis[i] = psis[r]
             integrals[i] = integrals[r]
             xs[i] = xs[r]
-            u[i] = u[r]
-            w[i] = w[r]
         for event in events[k]:
             i = event.index
             if event.kind == "set_input":
@@ -234,15 +231,11 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
                 if mask[i]:
                     dropped_at[i] = k
                 mask[i] = False
-                w[i] = 0.0
-                u[i] = 0.0
             elif event.kind == "restore_weight":
-                # re-install the clamped frozen filter state so an
-                # immediate drop/restore pair is an exact no-op
+                # the frozen state resumes: a drop/restore pair is a no-op
                 if not mask[i]:
                     lag[i] += k - dropped_at[i]
                 mask[i] = True
-                w[i] = min(max(xs[i], -w_max), w_max)
         active = [i for i in range(q) if mask[i]]
         # a class of the same gains, lag and state bits steps its lowest
         # index, its representative; every slot of a weight names the
@@ -250,53 +243,56 @@ def train_online(scenario: Scenario) -> Iterator[TraceRecord]:
         first: dict[bytes, int] = {}
         slots = list(range(q))
         for i in active:
-            slots[i] = first.setdefault(pack("<5dq", kps[i], kis[i], psis[i], integrals[i], xs[i], lag[i]), i)
+            slots[i] = first.setdefault(pack("<5dq", params[i].kp, params[i].ki, psis[i], integrals[i], xs[i], lag[i]), i)
         reps, copies = list(first.values()), [(i, r) for i, r in enumerate(slots) if i != r]
         # one decay column per distinct lag, read once per iteration
         lags = sorted({lag[i] for i in active})
         columns = tuple(decays(k_beta, dt, k - n) for n in lags)
         groups = tuple(lags.index(lag[r]) for r in reps)
-        run = _segment(net._plan, net.input_count, tuple(mask), tuple(slots), tuple(reps), groups)
-        gains = tuple(v for r in reps for v in (kps[r], kis[r]))
-        state = tuple(v for r in reps for v in (psis[r], integrals[r], xs[r], u[r], w[r]))
+        run = _segment(net._plan, net.input_count, tuple(mask), tuple(slots), groups)
+        gains = tuple(v for r in reps for v in (params[r].kp, params[r].ki))
+        state = tuple(v for r in reps for v in (psis[r], integrals[r], xs[r], min(max(xs[r], -w_max), w_max)))
         last, y, *ends = yield from run(
             range(k, end), tuple(x_train), y_ref, dt, tau, k_alpha, w_max, -w_max, next, record, columns, gains, state
         )
         if y - y != 0.0:
             raise DivergenceError(f"network output became non-finite: {y}", iteration=last)
-        for r, (psi, integral, x, ur, wr) in zip(reps, ends):
+        for r, (psi, integral, x, ur) in zip(reps, ends):
             if x - x != 0.0:  # the lowest diverging weight, before its clamp
                 raise divergence(last, psi, integral, ur, x, f"weight {r}: ")
-            psis[r], integrals[r], xs[r], u[r], w[r] = psi, integral, x, ur, wr
+            psis[r], integrals[r], xs[r] = psi, integral, x
 
 
 @functools.lru_cache(maxsize=EVALUATORS_CACHED)
-def _segment(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple) -> Callable:
+def _segment(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, groups: tuple) -> Callable:
     """The generator function of ``_segment_source``, compiled by
     ``codegen.define`` with the globals of ``paramodel.network``, which its
     forward pass reads as the evaluator's does.  The last
-    ``EVALUATORS_CACHED`` are kept: the text holds no value of the run, so
-    runs of one topology and one pattern of classes share it whatever their
-    gains, data and bounds."""
-    return codegen.define(_segment_source(plan, n_inputs, mask, slots, reps, groups), "segment", vars(network))
+    ``EVALUATORS_CACHED`` are kept, keyed by the values the text is written
+    from: it holds no value of the run, so runs of one topology and one
+    pattern of classes share it whatever their gains, data and bounds."""
+    return codegen.define(_segment_source(plan, n_inputs, mask, slots, groups), "segment", vars(network))
 
 
-def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps: tuple, groups: tuple) -> str:
+def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, groups: tuple) -> str:
     """The text of the training loop between two events, ``segment(ks, x,
     y_ref, dt, tau, k_alpha, w_max, w_min, next, record, columns, gains,
     state)``, a generator.
 
     It runs iterations ``k in ks`` of a net of plan ``plan`` under ``mask``,
     whose weight ``i`` is stood for by the representative ``slots[i]``; the
-    representatives ``reps`` step, each in the lag group of the same place
-    in ``groups``.  Representative r keeps psi, integral, filter output,
-    control and weight in the locals ``psi<r>``, ``integral<r>``,
-    ``xf<r>``, ``u<r>`` and ``w<r>``, unpacked from ``state`` (five values
-    per representative, in order), with its gains ``kp<r>`` and ``ki<r>``
-    from ``gains``; the inputs are unpacked from ``x`` and lag group g reads
-    ``column<g>`` of ``columns``.  The head of ``network.forward_source``'s
-    pass runs once, before the loop, so each copy of tanh's fast path keeps
-    its table row from one iteration to the next.  An iteration runs the
+    representatives, the enabled weights that are their own slot, step
+    in the lag group of the same place in ``groups``.  Representative r
+    keeps psi, integral, filter output, control and weight in the locals
+    ``psi<r>``, ``integral<r>``, ``xf<r>``, ``u<r>`` and ``w<r>``, all but
+    ``u<r>`` unpacked from ``state`` (four per representative, the weight
+    being the output clamped); ``u<r>`` is bound to ``0.0`` in the head,
+    so the ``return`` holds if y is non-finite at the first iteration.
+    Its gains ``kp<r>`` and ``ki<r>`` come from ``gains``; the inputs are
+    unpacked from ``x`` and lag group g reads ``column<g>`` of ``columns``.
+    The head of ``network.forward_source``'s pass runs once, before the
+    loop, so each copy of tanh's fast path keeps its table row from one
+    iteration to the next.  An iteration runs the
     forward pass of ``network.forward_source`` on those weights, tests y,
     writes the law's shared inputs once, ``a<g> = k_alpha * next(column<g>) - y``
     per group and ``e = y_ref - y``, and writes out ``LAW`` per representative
@@ -307,12 +303,13 @@ def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps:
     masked weight, which is held at zero): ``record`` takes the record's
     fields as one tuple, as ``tuple.__new__`` bound to the record class
     does.
-    It returns ``(k, y, (psi<r>, integral<r>, xf<r>, u<r>, w<r>), ...)`` at
+    It returns ``(k, y, (psi<r>, integral<r>, xf<r>, u<r>), ...)`` at
     the end of ``ks``, or at once when y or a filter output is non-finite:
     each test breaks out of the loop to the one ``return``, so the text
     grows in proportion to the representatives, not to their square.
     """
     head, forward, out = forward_source(plan, n_inputs, mask, slots, "w{}")
+    reps = [i for i, (on, r) in enumerate(zip(mask, slots)) if on and r == i]
     lagged = range(len(set(groups)))
 
     def bind(names: list[str], value: str) -> list[str]:
@@ -320,7 +317,8 @@ def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps:
 
     head += bind([f"column{g}" for g in lagged], "columns")
     head += bind([f"{v}{r}" for r in reps for v in ("kp", "ki")], "gains")
-    head += bind([f"{v}{r}" for r in reps for v in ("psi", "integral", "xf", "u", "w")], "state")
+    head += bind([f"{v}{r}" for r in reps for v in ("psi", "integral", "xf", "w")], "state")
+    head += [f"u{r} = 0.0" for r in reps]
     loop = [
         *forward,
         f"y = {out}",
@@ -346,7 +344,7 @@ def _segment_source(plan: tuple, n_inputs: int, mask: tuple, slots: tuple, reps:
     w, u = ([f"{v}{r}" if on else "0.0" for r, on in zip(slots, mask)] for v in ("w", "u"))
     loop.append(f"yield record((k, k * dt, y, y_ref, ({', '.join(w)},), ({', '.join(u)},)))")
     params = ("ks", "x", "y_ref", "dt", "tau", "k_alpha", "w_max", "w_min", "next", "record", "columns", "gains", "state")
-    ends = "".join(f", (psi{r}, integral{r}, xf{r}, u{r}, w{r})" for r in reps)
+    ends = "".join(f", (psi{r}, integral{r}, xf{r}, u{r})" for r in reps)
     body = [*head, "h = 0.5 * dt", "for k in ks:", *(f"    {line}" for line in loop), "return k, y" + ends]
     return codegen.text("segment", params, body)
 

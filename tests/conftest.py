@@ -158,10 +158,14 @@ def short_fig7() -> Scenario:
     return replace(builtin_scenarios()["fig7"], horizon=2000, events=events)
 
 
+#: the root of the checkout
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
 @functools.cache
 def script(name: str):
     """The module of ``scripts/<name>.py``, loaded from its file once."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    path = REPO / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -184,6 +188,26 @@ def substituted():
 
     with script("reference_traces").substituted(counting("exp", elementary.exp), counting("tanh", elementary.tanh)):
         yield calls
+
+
+def run_outputs(root: pathlib.Path) -> dict[str, int]:
+    """The trace CSVs and the ``out/`` directory in ``root``, each with the
+    time it was last modified."""
+    paths = [*root.glob("*_trace.csv"), root / "out"]
+    return {path.name: path.stat().st_mtime_ns for path in paths if path.exists()}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_run_outputs_in_the_checkout():
+    """Fail the session if a test writes a trace CSV or an ``out/``
+    directory into the root of the checkout, as a run without ``--out``
+    does in its working directory: every test writes under a temporary
+    directory."""
+    before = run_outputs(REPO)
+    yield
+    written = sorted(name for name, mtime in run_outputs(REPO).items() if before.get(name) != mtime)
+    if written:
+        pytest.fail(f"the tests wrote run outputs into {REPO}: {', '.join(written)}", pytrace=False)
 
 
 @pytest.fixture(scope="session")

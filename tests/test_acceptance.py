@@ -45,6 +45,7 @@ from conftest import (
     event_resettled_within,
     settled_from,
 )
+from test_linsolve import gaussian_eliminate
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -95,28 +96,12 @@ def test_criterion_2b_fourth_order_convergence():
     )
 
 
-def gaussian_eliminate(a_rows, b_vals):
-    n = len(b_vals)
-    m = [
-        [Fraction(str(v)) for v in row] + [Fraction(str(b_vals[i]))]
-        for i, row in enumerate(a_rows)
-    ]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        m[col], m[pivot] = m[pivot], m[col]
-        for r in range(n):
-            if r != col:
-                factor = m[r][col] / m[col][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [float(m[i][n] / m[i][i]) for i in range(n)]
-
-
 def test_criterion_3_linear_solver_oracle(builtin_linsolve_run):
     run = builtin_linsolve_run
     assert run.horizon <= 200_000
     assert run.wall < 5.0, f"took {run.wall:.2f}s"
     assert run.final_residual < 1e-2
-    x_star = gaussian_eliminate(DEMO_A, DEMO_B)
+    x_star = [float(v) for v in gaussian_eliminate(DEMO_A, DEMO_B)]
     assert x_star == list(EQ3_X_STAR)
     x_err = max(abs(g - w) for g, w in zip(run.x_final, x_star))
     assert x_err < 1e-2

@@ -403,15 +403,16 @@ def test_plain_scalars_keep_their_yaml_types():
     assert d["output"] == "x1e5"
 
 
-def run_python(code: str) -> str:
-    """stdout of ``code`` in a fresh interpreter that imports paramodel from src."""
+def run_python(code: str, cwd: pathlib.Path) -> str:
+    """stdout of ``code`` in a fresh interpreter that imports paramodel from
+    src, run in ``cwd`` so that what it writes stays out of the checkout."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-def test_pyyaml_is_imported_at_the_first_parse_only():
+def test_pyyaml_is_imported_at_the_first_parse_only(tmp_path):
     out = run_python(
         "import sys\n"
         "import paramodel\n"
@@ -420,13 +421,15 @@ def test_pyyaml_is_imported_at_the_first_parse_only():
         "cli.main(['run', '--builtin', 'linsolve3', '--horizon', '10'])\n"
         "print('yaml' in sys.modules)\n"
         "config_io.load_config_dict('builtin: fig4')\n"
-        "print('yaml' in sys.modules)\n"
+        "print('yaml' in sys.modules)\n",
+        tmp_path,
     )
     assert out.splitlines()[0] == "False"
     assert out.splitlines()[-2:] == ["False", "True"]
+    assert (tmp_path / "linsolve3_trace.csv").is_file()
 
 
-def test_without_libyaml_the_first_parse_says_so():
+def test_without_libyaml_the_first_parse_says_so(tmp_path):
     out = run_python(
         "import sys\n"
         "sys.modules['yaml._yaml'] = None  # a PyYAML built without its libyaml bindings\n"
@@ -435,7 +438,8 @@ def test_without_libyaml_the_first_parse_says_so():
         "    config_io.load_config_dict('builtin: fig4')\n"
         "except ImportError as err:\n"
         "    print(err)\n"
-        "print(serialize_config(RunConfig(mode='train', scenario=builtin_scenarios()['fig4']))[:11])\n"
+        "print(serialize_config(RunConfig(mode='train', scenario=builtin_scenarios()['fig4']))[:11])\n",
+        tmp_path,
     )
     assert out.splitlines() == [
         "paramodel reads YAML with libyaml, and this PyYAML has no libyaml bindings (yaml.cyaml); "

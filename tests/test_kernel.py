@@ -26,7 +26,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paramodel import (
@@ -62,8 +62,10 @@ def failure(err: DivergenceError, who: str, iteration: int) -> tuple[int, str]:
     return iteration, f"{who}: {core} (iteration {iteration})"
 
 
-def reference_train(scenario: Scenario):
-    """(records as bits, failure or None) of the documented training loop."""
+def reference_train(scenario: Scenario, outputs: list | None = None):
+    """(records as bits, failure or None) of the documented training loop;
+    the filter outputs of each recorded iteration, after its step, are
+    appended to ``outputs`` if it is given."""
     net = scenario.net
     q = net.weight_count
     params = stagger_params(scenario.base_params, q, scenario.stagger_rho)
@@ -104,6 +106,8 @@ def reference_train(scenario: Scenario):
                 return records, failure(err, f"weight {i}", k)
             w[i] = min(max(filters[i].state, -w_max), w_max)
         records.append((k, k * dt, y, y_ref) + bits(w) + bits(u))
+        if outputs is not None:
+            outputs.append(tuple(f.state for f in filters))
     return records, None
 
 
@@ -245,8 +249,34 @@ def problems(draw):
     )
 
 
+def saturated_restore() -> Scenario:
+    """Weight 3 is dropped at 40 and restored at 60 while it sits at w_max
+    with its filter output beyond it: the reference is out of the net's
+    reach at this w_max, so every weight saturates."""
+    return Scenario(
+        TrainingSample(x=(0.2, 0.6), y=0.9),
+        base_params=ControllerParams(kp=4.0, ki=0.05, k_alpha=400.0, dt=2e-5),
+        events=(ScenarioEvent.drop_weight(40, 3), ScenarioEvent.restore_weight(60, 3)),
+        horizon=80,
+        w_max=0.2,
+    )
+
+
+def test_the_saturated_restore_restores_an_output_beyond_w_max():
+    scenario, outputs = saturated_restore(), []
+    records, failed = reference_train(scenario, outputs)
+    assert failed is None
+    # iteration 39, the last before the drop: weight 3 at w_max (a record
+    # holds k, t, y and y_ref, then w), its filter output beyond it and
+    # frozen until the restore
+    assert records[38][0] == 39 and records[38][4 + 3] == scenario.w_max.hex()
+    assert outputs[38][3] > scenario.w_max
+    assert outputs[58][3] == outputs[38][3]
+
+
 @settings(max_examples=60, deadline=None)
 @given(scenarios())
+@example(saturated_restore())
 def test_train_online_matches_reference(scenario):
     assert_same_train(scenario)
 

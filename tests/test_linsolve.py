@@ -202,7 +202,7 @@ def test_rows_are_written_out_up_to_their_bound():
     n = math.isqrt(PRODUCT_TERMS)
     for size, written in ((n, True), (n + 1, False)):
         a = tuple(tuple((-1.0) ** (i + j) * (i + 1) / (j + 1) for j in range(size)) for i in range(size))
-        (_, _, got), values = _loop_args(make_problem(a, (1.0,) * size))
+        (_, _, got), values, _ = _loop_args(make_problem(a, (1.0,) * size))
         assert got is written
         # A's entries are values of the loop only where its rows are written out
         assert len(values) == 4 + 3 * size + (size * size if written else 0)
@@ -306,11 +306,21 @@ def scaled(problem: LinearTrackingProblem, by: float) -> LinearTrackingProblem:
     )
 
 
+def test_a_solve_groups_its_unknowns_once(monkeypatch):
+    # the loop's values and its decay columns come from one grouping
+    calls = []
+    groups = linsolve._groups
+    monkeypatch.setattr(linsolve, "_groups", lambda problem: calls.append(problem) or groups(problem))
+    problem = builtin_problem(10)
+    solve_linear(problem)
+    assert calls == [problem]
+
+
 def test_problems_of_one_shape_share_one_text_and_one_loop():
     # three groups (another dt and tau, another k_alpha), and every value differs
     first = loop_problem(((2.0, 0.5, 0.25), (0.5, 3.0, -1.0), (0.0, 1.0, 4.0)))
     second = scaled(first, 1.5)
-    (shape, values), (other, others) = _loop_args(first), _loop_args(second)
+    (shape, values, _), (other, others, _) = _loop_args(first), _loop_args(second)
     assert shape == other == (3, ((0,), (1,), (2,)), True)
     assert len(values) == len(others) == 3 * 4 + 3 * 3 + 9
     assert all(u != v for u, v in zip(values, others) if u != 0.0)

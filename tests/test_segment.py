@@ -89,7 +89,8 @@ def test_the_laws_shared_inputs_are_written_once_per_iteration(name, monkeypatch
     for key in keys:
         source = trainer._segment_source(*key)
         lines = [line.strip() for line in source.splitlines()]
-        lagged, reps = len(set(key[5])), len(key[4])
+        groups = key[4]  # one lag group per representative
+        lagged, reps = len(set(groups)), len(groups)
         assert lines.count("e = y_ref - y") == 1 and source.count("y_ref - y") == 1
         assert [lines.count(f"a{g} = k_alpha * next(column{g}) - y") for g in range(lagged)] == [1] * lagged
         assert source.count("next(") == lagged

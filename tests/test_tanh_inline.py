@@ -154,7 +154,7 @@ def test_a_patched_tanh_text_is_flagged(old, new, flagged, monkeypatch):
     net = FeedforwardNet(inputs=("a",), edges=(Edge("a", "y", 0),))
     forward = network._forward_text(net._plan, 1, net._mask)
     assert sorted(outside_the_allowlist(forward)) == sorted(flagged)
-    args = (net._plan, 1, (True,), (0,), (0,), (0,))
+    args = (net._plan, 1, (True,), (0,), (0,))
     assert sorted(outside_the_allowlist(trainer._segment_source(*args))) == sorted(flagged)
 
 

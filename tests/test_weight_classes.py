@@ -28,11 +28,12 @@ def stepped(monkeypatch):
     calls = []
     segment = trainer._segment
 
-    def watch(plan, n_inputs, mask, slots, reps, groups):
-        run = segment(plan, n_inputs, mask, slots, reps, groups)
+    def watch(plan, n_inputs, mask, slots, groups):
+        run = segment(plan, n_inputs, mask, slots, groups)
+        reps = [i for i, r in enumerate(slots) if mask[i] and r == i]
 
         def counted(ks, *args):
-            return run((calls.append(list(reps)) or k for k in ks), *args)
+            return run((calls.append(reps) or k for k in ks), *args)
 
         return counted
 
