@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 from . import config_io
 from .errors import DivergenceError, ParseError, ValidationError
@@ -108,8 +109,11 @@ def _run(config: config_io.RunConfig, label: str) -> int:
     print(f"run: {label} ({config.mode}, horizon {spec.horizon}, dt {dt!r})")
     violations: list[int] = []
     rows = []
-    for rec in config_io.run_records(config):
-        err = config_io.tracking_error(rec)
+    records = config_io.run_records(config)
+    rec = next(records)  # a horizon is at least 1
+    error = config_io.error_measure(rec)
+    for rec in chain((rec,), records):
+        err = error(rec)
         if err >= tol:
             violations.append(rec.k)
         if rec.k % config.decimation == 0:

@@ -1,13 +1,15 @@
 """The one home of the package's generated code.
 
-Nine functions are generated from source text: ``controller.step`` and
+Ten functions are generated from source text: ``controller.step`` and
 the loop of a decay block, ``elementary.exp`` and ``elementary.tanh``,
 the linear solver's loop, the forward pass and the trainer's segment,
-and the trace CSV codec's ``rows`` and ``parse``.  Each generator writes
+the trace CSV codec's ``rows`` and ``parse``, and a record's tracking
+error (``config_io.error_measure``).  Each generator writes
 its text with ``text`` and compiles it with ``define``, passing the
 globals the text reads: its module's own where it reads a table or
 calls a function there, looked up at each call, a dict of its own for
-the codec, and ``{"__builtins__": {}}`` where it reads no global.  ``define`` is the only place the package compiles
+the codec and the tracking error, and ``{"__builtins__": {}}`` where it
+reads no global.  ``define`` is the only place the package compiles
 text, so one test (``tests/test_codegen.py``) can read every text a run
 compiles.  ``rename`` changes the names in a text, as ``controller.law``
 and ``network.forward_source`` write ``LAW`` and ``elementary.TANH`` out

@@ -5,10 +5,10 @@ A run is described by a small YAML document (see README for the schema).
 built-in runs, and the rest of the document is merged into it
 (``merge``).  The CLI and the tests load, run and judge a configuration
 through the one definition of each here: ``load_config_dict``,
-``run_records``, ``tracking_error``, ``segment_starts`` and
-``segment_settling``.  Traces are written as plain CSV with shortest
-round-trip float formatting, so re-reading a trace reproduces the
-recorded values exactly.
+``run_records``, ``error_measure`` (of which ``tracking_error`` is a
+view), ``segment_starts`` and ``segment_settling``.  Traces are written
+as plain CSV with shortest round-trip float formatting, so re-reading a
+trace reproduces the recorded values exactly.
 """
 
 from __future__ import annotations
@@ -18,16 +18,15 @@ import re
 import sys
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from itertools import chain
-from operator import sub
+from itertools import chain, islice
 from types import UnionType
 from typing import Iterable, Iterator, Union, get_args, get_origin
 
 from . import codegen, linsolve, trainer
 from .controller import ControllerParams, stagger_params
 from .dynamics import DEFAULT_TAU, FirstOrderFilter
-from .errors import Count, ParseError, Positive, Ratio, ValidationError, check_fields, field_types, rule
-from .linsolve import LinearTrackingProblem, LinsolveRecord
+from .errors import _SHOWN, Count, ParseError, Positive, Ratio, ValidationError, check_fields, field_types, rule
+from .linsolve import LinearTrackingProblem, LinsolveRecord, collector_paused
 from .network import Edge
 from .trainer import EVENT_ARGS, Scenario, ScenarioEvent, TraceRecord, builtin_scenarios
 
@@ -36,6 +35,7 @@ __all__ = [
     "builtin_config_dict",
     "builtin_names",
     "config_from_dict",
+    "error_measure",
     "expand_builtin",
     "load_config_dict",
     "merge",
@@ -100,9 +100,39 @@ def run_records(config: RunConfig) -> Iterator[TraceRecord | LinsolveRecord]:
 
 def tracking_error(rec: TraceRecord | LinsolveRecord) -> float:
     """|y - y_ref| of a training record, max_j |y_j - b_j| of a solver record."""
+    return error_measure(rec)(rec)
+
+
+def error_measure(rec: TraceRecord | LinsolveRecord):
+    """The tracking error of records of ``rec``'s type and width, a function
+    of one record.  A run takes it once, from its first record, and calls
+    it on every record.  A solver record of width 0 has no error: it
+    raises ValueError."""
     if isinstance(rec, TraceRecord):
-        return abs(rec.y - rec.y_ref)
-    return max(map(abs, map(sub, rec.y, rec.b)))
+        return _measure(TraceRecord, 0)
+    return _measure(LinsolveRecord, len(rec.y))
+
+
+@functools.cache
+def _measure(cls, width: int):
+    """The function ``error(rec)`` of ``cls`` at ``width``, generated.
+
+    A training record's is ``abs(rec.y - rec.y_ref)``.  A solver record's
+    unpacks ``(y0, y1, ...), (b0, b1, ...) = rec.y, rec.b`` and returns
+    ``max(abs(y0 - b0), abs(y1 - b1), ...)``, or ``abs(y0 - b0)`` at width
+    1.  A ``max`` of several arguments keeps ``max(iterable)``'s rule: the
+    first value stands unless a later one is strictly greater, so a NaN
+    wins only where it is the first value.
+    """
+    if cls is TraceRecord:
+        lines = ["return abs(rec.y - rec.y_ref)"]
+    elif width == 0:
+        raise ValueError("a solver record of width 0 has no tracking error")
+    else:
+        ys, bs = (", ".join(f"{v}{j}" for j in range(width)) for v in "yb")
+        terms = ", ".join(f"abs(y{j} - b{j})" for j in range(width))
+        lines = [f"({ys},), ({bs},) = rec.y, rec.b", f"return {terms}" if width == 1 else f"return max({terms})"]
+    return codegen.define(codegen.text("error", ("rec",), lines), "error", {"__name__": __name__})
 
 
 def segment_starts(events) -> list[int]:
@@ -608,6 +638,12 @@ def _codec(cls, width: int):
     return header, codegen.define(rows, "rows", env), codegen.define(parse, "parse", env)
 
 
+#: Rows ``write_trace`` joins into one write: enough to make the call per
+#: write small against the rows' formatting, few enough that a block of
+#: wide rows adds little to the peak memory of a run.
+ROWS_PER_WRITE = 256
+
+
 def write_trace(records: Iterable, path: str, decimation: int = 1) -> None:
     """Write records as CSV, keeping every ``decimation``-th iteration
     (a ``Count``: an int >= 1).
@@ -615,10 +651,11 @@ def write_trace(records: Iterable, path: str, decimation: int = 1) -> None:
     Train-mode records give ``k,t,y,y_ref,w1..wq,u1..uq``; linear-solver
     records give ``k,y1..yn,b1..bn,x1..xn``.  Floats are written with
     shortest round-trip formatting, so reading the file back reproduces
-    the values bit-exactly.  The rows are streamed to the file, never
-    joined in memory.  The first record, even one the decimation drops,
-    gives the header of its mode and width; no record at all gives the
-    scalar train-mode header only.  Every record must have the width of
+    the values bit-exactly.  The rows are written in blocks of
+    ``ROWS_PER_WRITE``, each joined into one string and written at once,
+    so at most one block is held in memory.  The first record, even one
+    the decimation drops, gives the header of its mode and width; no
+    record at all gives the scalar train-mode header only.  Every record must have the width of
     the first: a tuple of another length raises ValueError.
     """
     decimation = rule(Count)(decimation, "decimation")
@@ -633,7 +670,9 @@ def write_trace(records: Iterable, path: str, decimation: int = 1) -> None:
             raise ValidationError(f"cannot write records of type {type(first).__name__}")
         header, rows, _ = _codec(cls, len(getattr(first, _LAYOUTS[cls][1][0])))
         fh.write(header + "\n")
-        fh.writelines(rows(chain((first,), it), decimation))
+        lines = rows(chain((first,), it), decimation)
+        while block := "".join(islice(lines, ROWS_PER_WRITE)):
+            fh.write(block)
 
 
 #: Every byte a row of write_trace holds: those of a float's repr, comma
@@ -649,9 +688,11 @@ def read_trace(path: str) -> list:
     header's, or a field that is not a number (an integer for ``k``) as
     write_trace writes it: a field holding a byte write_trace never
     writes, such as a space, an underscore or a byte outside ASCII, is
-    reported with its column.  The file is read in blocks of lines, each
-    checked for such bytes at once, and never held whole in memory.
-    Consecutive solver rows with the same ``b`` text share one tuple.
+    reported with its column.  A long field or header is shown shortened
+    in the message.  The file is read in blocks of lines, each checked for
+    such bytes at once, and never held whole in memory; the records are
+    built with the cyclic garbage collector paused.  Consecutive solver
+    rows with the same ``b`` text share one tuple.
     """
     records = []
     with open(path, "rb") as fh:
@@ -659,14 +700,15 @@ def read_trace(path: str) -> list:
         parse = _parser_for(header)
         last: list = []  # a reused field's bytes and tuple, from block to block
         lineno = 2  # of the block's first line
-        while lines := fh.readlines(1 << 16):
-            try:
-                if b"".join(lines).translate(None, _ROW_BYTES):
-                    raise ValueError("a byte write_trace never writes")
-                records += parse(lines, last)
-            except ValueError:
-                raise _first_bad_row(lines, lineno, header.split(",")) from None
-            lineno += len(lines)
+        with collector_paused():
+            while lines := fh.readlines(1 << 16):
+                try:
+                    if b"".join(lines).translate(None, _ROW_BYTES):
+                        raise ValueError("a byte write_trace never writes")
+                    records += parse(lines, last)
+                except ValueError:
+                    raise _first_bad_row(lines, lineno, header.split(",")) from None
+                lineno += len(lines)
     return records
 
 
@@ -676,7 +718,7 @@ def _parser_for(header: str):
         width, rest = divmod(ncols - len(scalars), len(vectors))
         if width >= 0 and not rest and header == _header(cls, width):
             return _codec(cls, width)[2]
-    raise ParseError(f"unrecognized trace header: {header!r}", line=1)
+    raise ParseError(f"unrecognized trace header: {_SHOWN.repr(header)}", line=1)
 
 
 def _first_bad_row(lines, lineno: int, cols: list[str]) -> ParseError:
@@ -693,4 +735,4 @@ def _first_bad_row(lines, lineno: int, cols: list[str]) -> ParseError:
                 int(field) if i == 0 else float(field)
             except ValueError:
                 kind = "an integer" if i == 0 else "a number"
-                return ParseError(f"{col} is not {kind}: {field.decode('latin-1')!r}", line=lineno)
+                return ParseError(f"{col} is not {kind}: {_SHOWN.repr(field.decode('latin-1'))}", line=lineno)

@@ -11,12 +11,15 @@ the problem in locals: ``controller.LAW`` written out once per unknown,
 and y = A x written out as one expression per row (``_rows``), each row
 summed in ``matvec``'s order, so the two agree bit for bit.
 ``as_records`` turns a solve's traces into one ``LinsolveRecord``
-NamedTuple per iteration.
+NamedTuple per iteration.  Both build their lists with the cyclic garbage
+collector paused (``collector_paused``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 from dataclasses import dataclass
 from itertools import count, repeat
 from typing import Callable, NamedTuple
@@ -31,6 +34,7 @@ __all__ = [
     "LinsolveRecord",
     "as_records",
     "builtin_problem",
+    "collector_paused",
     "matvec",
     "solve_linear",
     "stagger_params",
@@ -105,6 +109,27 @@ PRODUCT_TERMS = 4096
 LOOPS_CACHED = 16
 
 
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for an eager build of acyclic
+    data, then restore the state it found: enabled stays enabled, disabled
+    stays disabled.
+
+    Tuples of floats hold no reference cycle, so a collection during such
+    a build frees nothing; building 50,000 solver records and traces and
+    reading them back ran hundreds of them.  The pause must not span a
+    ``yield`` or a call into caller code, whose own allocations it would
+    leave uncollected.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _rows(n: int) -> list[str]:
     """One expression per row of A x, ``0.0 + a<j>_0 * x0 + a<j>_1 * x1 +
     ...``, on the names of A's entries.
@@ -136,7 +161,8 @@ def solve_linear(
     y_trace: list[tuple[float, ...]] = []
     start = tuple(f.state for f in problem.filters)
     loop = _loop(n, groups, written)
-    failed = loop(range(1, problem.horizon + 1), start, x_trace, y_trace, next, mul, values, *columns)
+    with collector_paused():
+        failed = loop(range(1, problem.horizon + 1), start, x_trace, y_trace, next, mul, values, *columns)
     if failed is not None:
         k, psis, integrals, us, x, y = failed
         # A is finite, so a non-finite x makes every y non-finite
@@ -250,7 +276,8 @@ def as_records(problem: LinearTrackingProblem, x_trace, y_trace) -> list[Linsolv
     ``LinsolveRecord``, which takes the fields as one tuple and skips the
     class's Python ``__new__``; every record holds the one ``problem.b``."""
     record = functools.partial(tuple.__new__, LinsolveRecord)
-    return list(map(record, zip(count(1), y_trace, repeat(problem.b), x_trace)))
+    with collector_paused():
+        return list(map(record, zip(count(1), y_trace, repeat(problem.b), x_trace)))
 
 
 def builtin_problem(horizon: int = LinearTrackingProblem.horizon) -> LinearTrackingProblem:

@@ -7,15 +7,18 @@ in it), exp and tanh (``elementary._exp_source``, ``_tanh_source``), the
 linear solver's loop (``linsolve._loop_source``, which takes every value
 of a problem as an argument), the evaluator's forward pass
 (``network._forward_text``, with ``elementary.TANH`` written out in it),
-the trainer's event segment (``trainer._segment_source``) and the trace
-CSV codec's ``rows`` and ``parse`` (``config_io._codec``).  ``POLICY``
+the trainer's event segment (``trainer._segment_source``), the trace
+CSV codec's ``rows`` and ``parse`` (``config_io._codec``) and a record's
+tracking error (``config_io._measure``): ten in all.  ``POLICY``
 holds, by the function's name, the rule its text is read by, the names
 it may call and the one global it may read.
 The traces must not depend on the Python version, so the simulation's
 texts may hold plain IEEE arithmetic only (``arithmetic``): no ``sum``
 (compensated from Python 3.12 on), no ``fsum``, ``abs``, ``**`` or
 ``%``.  The codec's texts (``codec``) convert each field by ``int`` or
-``float`` and write each float by its shortest round-trip repr.
+``float`` and write each float by its shortest round-trip repr.  The
+tracking error (``measure``) is ``abs`` of differences and ``max`` of
+those, which round nothing.
 ``outside_the_allowlist`` parses a text and lists every node its policy
 does not allow.
 """
@@ -233,6 +236,46 @@ def codec(fn: ast.FunctionDef, calls: tuple[str, ...], table: str | None) -> lis
     return bad
 
 
+def measure(fn: ast.FunctionDef, calls: tuple[str, ...], table: str | None) -> list[str]:
+    """The nodes of ``fn``, a record's tracking error, outside its rule.
+
+    Allowed: assignments to names and to tuples of names and of tuples of
+    names, a ``return`` of a call, attributes of the first argument (the
+    record), tuple displays, subtractions, and calls of a name listed in
+    ``calls`` (``abs`` and ``max``) with plain arguments.  So no ``sum``,
+    no ``**``, no other call, no literal and no global.
+    """
+    bound = bound_names(fn)
+    first = fn.args.args[0].arg if fn.args.args else None
+
+    def names(t) -> bool:
+        return isinstance(t, ast.Name) or isinstance(t, ast.Tuple) and all(map(names, t.elts))
+
+    # an operator is judged with its BinOp
+    skipped = (ast.expr_context, ast.arguments, ast.arg, ast.operator)
+    bad = []
+    for node in ast.walk(fn):
+        if node is fn or isinstance(node, skipped):
+            continue
+        if isinstance(node, ast.Assign):
+            ok = all(map(names, node.targets))
+        elif isinstance(node, ast.Return):
+            ok = isinstance(node.value, ast.Call)
+        elif isinstance(node, ast.Call):
+            ok = not node.keywords and isinstance(node.func, ast.Name) and node.func.id in calls
+        elif isinstance(node, ast.Attribute):
+            ok = isinstance(node.value, ast.Name) and node.value.id == first
+        elif isinstance(node, ast.BinOp):
+            ok = isinstance(node.op, ast.Sub)
+        elif isinstance(node, ast.Name):
+            ok = node.id in bound or node.id in calls
+        else:
+            ok = isinstance(node, ast.Tuple)
+        if not ok:
+            bad.append(f"{type(node).__name__}: {ast.unparse(node)}")
+    return bad
+
+
 #: The policy of each generated function, by its name: the rule its text
 #: is read by, the names it may call, and the one global it may read that
 #: it does not call (a table of a fast path, or the codec's sentinel).
@@ -246,4 +289,5 @@ POLICY = {
     "segment": (arithmetic, ("tanh", "tanh_slow", "next", "record"), "TANH_TABLE"),
     "rows": (codec, (), "_unset"),
     "parse": (codec, ("int", "float", "record", "append", "line.split"), None),
+    "error": (measure, ("abs", "max"), None),
 }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -212,6 +213,18 @@ def test_run_builtin_linsolve(tmp_path, capsys):
     assert "max |y_j - b_j|" in out
     assert "converged: yes" in out
     assert out_csv.read_text().splitlines()[0] == "k,y1,y2,y3,b1,b2,b3,x1,x2,x3"
+
+
+#: sha256 of linsolve3's CSV at full resolution, ``--decimate 1``: 50,000
+#: rows, computed when ``write_trace`` still wrote one row per call.
+LINSOLVE3_FULL_SHA256 = "9452f53fe8d7a69e7865c8d68095ef9a6811b52bff1600af2e04a00352181772"
+
+
+def test_the_full_resolution_linsolve3_trace_is_pinned(tmp_path, capsys):
+    out_csv = tmp_path / "l3.csv"
+    assert main(["run", "--builtin", "linsolve3", "--decimate", "1", "--out", str(out_csv)]) == 0
+    assert "trace: " + str(out_csv) + " (50000 rows, decimation 1)" in capsys.readouterr().out
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == LINSOLVE3_FULL_SHA256
 
 
 def test_builtin_with_a_partial_section_equals_the_flag(tmp_path, capsys):

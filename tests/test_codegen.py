@@ -3,8 +3,9 @@
 ``paramodel.codegen.define`` is the one place the package compiles text.
 Here it is spied on while a process runs the five built-ins on short
 horizons (events scaled down), a sample of the determinism corpus, a
-forward pass, and a trace write and read-back of each built-in, with
-every cache of compiled functions cleared first.  Each text it compiled,
+forward pass, and a trace write and read-back and the tracking error of
+each built-in's records, with every cache of compiled functions cleared
+first.  Each text it compiled,
 and the four compiled at import (``step``, the decay block, ``exp`` and
 ``tanh``), is checked against ``POLICY`` of ``allowlist.py``, by the name
 its ``def`` gives; a name missing from the table fails.  An ``ast`` check
@@ -22,7 +23,14 @@ from allowlist import POLICY, outside_the_allowlist
 from test_determinism_corpus import PINNED, corpus, outcome
 
 from paramodel import codegen, config_io, controller, elementary, linsolve, network, trainer
-from paramodel.config_io import builtin_config_dict, config_from_dict, read_trace, run_records, write_trace
+from paramodel.config_io import (
+    builtin_config_dict,
+    config_from_dict,
+    read_trace,
+    run_records,
+    tracking_error,
+    write_trace,
+)
 
 BUILTINS = ("fig4", "fig5", "fig6", "fig7", "linsolve3")
 
@@ -58,7 +66,7 @@ def compiled(tmp_path_factory) -> list[tuple[str, str]]:
         texts.append((name, source))
         return define(source, name, env, doc)
 
-    for cache in (linsolve._loop, network._compile, trainer._segment, config_io._codec):
+    for cache in (linsolve._loop, network._compile, trainer._segment, config_io._codec, config_io._measure):
         cache.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codegen, "define", spy)
@@ -67,6 +75,7 @@ def compiled(tmp_path_factory) -> list[tuple[str, str]]:
             path = str(tmp_path_factory.mktemp("codegen") / f"{name}.csv")
             write_trace(records, path)
             assert read_trace(path) == records
+            assert all(tracking_error(rec) >= 0.0 for rec in records)
         docs = corpus()
         for name in CORPUS_SAMPLE:
             assert outcome(docs[name]) == PINNED[name]
@@ -110,6 +119,37 @@ def codec_text(compiled, name: str) -> str:
 )
 def test_a_mutated_codec_is_flagged(compiled, name, old, new, flagged):
     source = codec_text(compiled, name)
+    assert old in source
+    assert sorted(outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged)
+
+
+def error_text(compiled, width: int) -> str:
+    """The text of the tracking error of solver records of ``width``
+    unknowns."""
+    [source] = {s for n, s in compiled if n == "error" and f"y{width - 1}" in s and f"y{width}" not in s}
+    return source
+
+
+def test_the_tracking_error_texts_are_compiled(compiled):
+    assert {s for n, s in compiled if n == "error"} == {
+        "def error(rec):\n    return abs(rec.y - rec.y_ref)",
+        "def error(rec):\n    (y0, y1, y2,), (b0, b1, b2,) = rec.y, rec.b\n"
+        "    return max(abs(y0 - b0), abs(y1 - b1), abs(y2 - b2))",
+    }
+
+
+@pytest.mark.parametrize(
+    "old, new, flagged",
+    [
+        ("max(", "sum(", ["Call: sum(abs(y0 - b0), abs(y1 - b1), abs(y2 - b2))", "Name: sum"]),
+        ("abs(y1 - b1)", "abs(y1 - b1) ** 2", ["BinOp: abs(y1 - b1) ** 2", "Constant: 2"]),
+        ("abs(y2 - b2)", "float(y2 - b2)", ["Call: float(y2 - b2)", "Name: float"]),
+        ("abs(y0 - b0)", "abs(y0 + b0)", ["BinOp: y0 + b0"]),
+        ("rec.y, rec.b", "rec.y, problem.b", ["Attribute: problem.b", "Name: problem"]),
+    ],
+)
+def test_a_mutated_tracking_error_is_flagged(compiled, old, new, flagged):
+    source = error_text(compiled, 3)
     assert old in source
     assert sorted(outside_the_allowlist(source.replace(old, new, 1))) == sorted(flagged)
 

@@ -37,8 +37,11 @@ from paramodel import (
 )
 from paramodel.config_io import (
     MAX_DEPTH,
+    ROWS_PER_WRITE,
+    _codec,
     config_from_dict,
     config_to_dict,
+    error_measure,
     load_config_dict,
     merge,
     segment_settling,
@@ -670,27 +673,50 @@ def test_trace_roundtrip_is_bit_exact(tmp_path_factory, case):
         assert again.read_text() == text
 
 
+#: Any float, with the values where max() and abs() could differ drawn often.
+special_float = st.floats() | st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf])
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[st.tuples(st.floats(), st.floats())] * n)))
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(*[st.tuples(special_float, special_float)] * n)))
 def test_tracking_error_equals_max(pairs):
-    # NaN included: the loop must keep max()'s first-unless-strictly-greater rule
+    # NaN included: the measure must keep max()'s first-unless-strictly-greater rule
     y, b = (tuple(col) for col in zip(*pairs))
-    got = tracking_error(LinsolveRecord(1, y, b, y))
+    rec = LinsolveRecord(1, y, b, y)
     want = max(abs(yj - bj) for yj, bj in zip(y, b))
-    assert got.hex() == want.hex()
+    assert tracking_error(rec).hex() == want.hex()
+    assert error_measure(rec)(rec).hex() == want.hex()
 
 
-def test_tracking_error_keeps_the_position_of_a_nan():
-    nan = math.nan
-    for y in [(nan, 1.0, 2.0), (1.0, nan, 2.0), (3.0, nan, 2.0), (1.0, 2.0, nan)]:
-        got = tracking_error(LinsolveRecord(1, y, (0.0, 0.0, 0.0), y))
-        want = max(abs(v) for v in y)
-        assert math.isnan(got) == math.isnan(want) and (math.isnan(got) or got == want)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tracking_error_keeps_the_position_of_a_nan(n):
+    for at in range(n):
+        for fill in (0.0, -0.0, 1.0, math.inf, -math.inf):
+            y = tuple(math.nan if j == at else fill + j for j in range(n))
+            want = max(abs(v) for v in y)
+            assert tracking_error(LinsolveRecord(1, y, (0.0,) * n, y)).hex() == want.hex(), (at, fill)
+
+
+def test_tracking_error_of_a_training_record():
+    for y, y_ref in [(0.5, 0.55), (-0.0, 0.0), (math.inf, 0.6), (math.nan, 0.6), (0.6, -math.inf)]:
+        rec = TraceRecord(1, 0.0, y, y_ref, (), ())
+        assert tracking_error(rec).hex() == abs(y - y_ref).hex()
+
+
+def test_one_measure_per_record_type_and_width():
+    train = TraceRecord(1, 0.0, 0.5, 0.55, (0.1,), (0.2,))
+    assert error_measure(train) is error_measure(train._replace(w=(), u=()))
+    wide, narrow = (LinsolveRecord(1, (0.0,) * n, (1.0,) * n, (0.0,) * n) for n in (3, 2))
+    assert error_measure(wide) is error_measure(wide._replace(k=2))
+    assert error_measure(wide) is not error_measure(narrow)
+    assert error_measure(wide) is not error_measure(train)
 
 
 def test_tracking_error_of_no_unknowns_raises():
     with pytest.raises(ValueError):
         tracking_error(LinsolveRecord(1, (), (), ()))
+    with pytest.raises(ValueError):
+        error_measure(LinsolveRecord(1, (), (), ()))
 
 
 LINSOLVE_CSV = "k,y1,y2,b1,b2,x1,x2\n1,0.1,0.2,1.0,2.0,0.5,0.6\n2,0.1,0.2,1.0,2.0,0.5,0.6\n"
@@ -724,6 +750,27 @@ def test_read_trace_rejects_malformed_files(tmp_path, text, line):
     with pytest.raises(ParseError) as err:
         read_trace(str(path))
     assert err.value.line == line
+
+
+def test_read_trace_bounds_a_long_field_and_header_in_its_message(tmp_path):
+    # the first quoted the whole field, about 5 KB, and the second the
+    # whole header
+    path = tmp_path / "bad.csv"
+    path.write_text(LINSOLVE_CSV.replace("\n2,", "\n" + "7" * 5_000 + ",", 1))
+    with pytest.raises(ParseError) as err:
+        read_trace(str(path))
+    assert str(err.value).startswith("line 3: k is not an integer: '7777")
+    assert len(str(err.value)) < 200
+    path.write_text(LINSOLVE_CSV.replace(",0.6\n", ",0." + "6" * 100_000 + "x\n", 1))
+    with pytest.raises(ParseError) as err:
+        read_trace(str(path))
+    assert str(err.value).startswith("line 2: x2 is not a number: '0.666")
+    assert len(str(err.value)) < 200
+    path.write_text("k,y1,b1," + "x" * 1_000_000 + "\n")
+    with pytest.raises(ParseError) as err:
+        read_trace(str(path))
+    assert str(err.value).startswith("line 1: unrecognized trace header: 'k,y1,b1,xxx")
+    assert len(str(err.value)) < 200
 
 
 def test_read_trace_names_the_bad_field(tmp_path):
@@ -822,6 +869,24 @@ def test_read_trace_of_headers_only(tmp_path):
     assert read_trace(str(path)) == []
     path.write_text("k,y1,b1,x1")  # no newline after the header
     assert read_trace(str(path)) == []
+
+
+@pytest.mark.parametrize("count", [0, 1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 1])
+@pytest.mark.parametrize("decimation", [1, 3])
+@pytest.mark.parametrize("kind", ["train", "linsolve"])
+def test_written_bytes_do_not_depend_on_the_blocks(tmp_path, count, decimation, kind):
+    # each row of the codec, joined: blocks of rows are written at once
+    if kind == "train":
+        records = [TraceRecord(k, k * 1e-5, k / 3, 0.55, (k / 7, -0.0), (1 / k, 2.0)) for k in range(1, count + 1)]
+        cls, width = TraceRecord, 2
+    else:
+        records, cls, width = width3_records(count), LinsolveRecord, 3
+    path = tmp_path / "t.csv"
+    write_trace(records, str(path), decimation)
+    text = path.read_bytes().decode("ascii")
+    assert text == reference_csv(records, decimation)
+    assert text.partition("\n")[2] == "".join(_codec(cls, width)[1](records, decimation))
+    assert len(text.splitlines()) == 1 + count // decimation
 
 
 def test_write_trace_rejects_a_row_of_another_width(tmp_path):
